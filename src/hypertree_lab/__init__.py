@@ -30,7 +30,6 @@ from .fields import GF2, GF3, RATIONALS, FieldSpec, parse_field
 from .garland import (
     garland_check,
     garland_weights,
-    jacobi_eigenvalues,
     laplacian_min_eigenvalue,
     weighted_laplacian,
 )

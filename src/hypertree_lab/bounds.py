@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
-from typing import Optional
 
-from .concurrency import parallel_map
 from .errors import (
     FaceNotInComplex,
     InvariantViolation,
@@ -38,7 +37,7 @@ from .errors import (
     PreconditionLambdaNonzero,
 )
 from .fields import FieldSpec
-from .homology import HypertreeCheck, betti, is_hypertree
+from .homology import HypertreeCheck, betti, cycle_basis, is_hypertree
 from .simplexes import (
     Complex,
     Simplex,
@@ -52,18 +51,13 @@ from .simplexes import (
 )
 
 
-def lambda_sum(X: Complex, ell: int, j: int, field: FieldSpec,
-               threads: Optional[int] = None) -> int:
+def lambda_sum(X: Complex, ell: int, j: int, field: FieldSpec) -> int:
     """Total degree-j Betti number over all links of degree-ell faces."""
     S = as_skeleton_complex(X)
     if not -1 <= ell <= S.k:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {S.k}]")
-    taus = sorted(iter_faces(S, ell))
-
-    def one(tau: Simplex) -> int:
-        return betti(link(S, tau), j, field)
-
-    return sum(parallel_map(one, taus, threads))
+    return sum(betti(link(S, tau), j, field)
+               for tau in sorted(iter_faces(S, ell)))
 
 
 def _require_params(n: int, k: int, ell: int) -> None:
@@ -116,8 +110,7 @@ class BoundCertificate:
         return self.eq_upper and self.eq_dual and self.eq_step and self.eq_shift
 
 
-def verify_upper_bound(X: Complex, ell: int, field: FieldSpec,
-                       threads: Optional[int] = None) -> BoundCertificate:
+def verify_upper_bound(X: Complex, ell: int, field: FieldSpec) -> BoundCertificate:
     """Evaluate all four relations for one complex at one degree.
 
     The upper and dual comparisons are inequalities that must always hold;
@@ -132,8 +125,8 @@ def verify_upper_bound(X: Complex, ell: int, field: FieldSpec,
     CB = comb(n - 1, ell) * comb(n - ell - 2, k - ell)
     CF = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
 
-    lam_low = lambda_sum(S, ell, k - ell - 2, field, threads)
-    lam_high = lambda_sum(S, ell, k - ell - 1, field, threads)
+    lam_low = lambda_sum(S, ell, k - ell - 2, field)
+    lam_high = lambda_sum(S, ell, k - ell - 1, field)
     tb_below = betti(S, k - 1, field)
     tb_top = betti(S, k, field)
     f_top = face_count(S, k)
@@ -166,8 +159,7 @@ class DualBoundVerdict:
         return self.coefficient * self.tb_top <= self.lam_high
 
 
-def verify_dual_bound(X: Complex, ell: int, field: FieldSpec,
-                      threads: Optional[int] = None) -> DualBoundVerdict:
+def verify_dual_bound(X: Complex, ell: int, field: FieldSpec) -> DualBoundVerdict:
     """Top-degree Betti number against the top-degree link defect.
 
     Valid for every degree from -1 up to k-1; at ell = -1 it degenerates
@@ -181,7 +173,7 @@ def verify_dual_bound(X: Complex, ell: int, field: FieldSpec,
         n=S.n, k=k, ell=ell, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
         tb_top=betti(S, k, field),
-        lam_high=lambda_sum(S, ell, k - ell - 1, field, threads),
+        lam_high=lambda_sum(S, ell, k - ell - 1, field),
     )
 
 
@@ -299,8 +291,7 @@ class TrichotomyReport:
 
 
 def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
-                        require_zero_defect: bool = True,
-                        threads: Optional[int] = None) -> TrichotomyReport:
+                        require_zero_defect: bool = True) -> TrichotomyReport:
     """Evaluate the three extremality conditions at degree ell.
 
     The equivalence is a theorem only when the low defect vanishes, so by
@@ -312,7 +303,7 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
     _require_params(n, k, ell)
-    lam_low = lambda_sum(S, ell, k - ell - 2, field, threads)
+    lam_low = lambda_sum(S, ell, k - ell - 2, field)
     if lam_low != 0 and require_zero_defect:
         raise PreconditionLambdaNonzero(
             f"accumulated link defect is {lam_low}, not 0")
@@ -325,12 +316,8 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     b = tb_top == 0 and Fraction(face_count(S, k)) == F
 
     r = k - ell - 1
-    taus = sorted(iter_faces(S, ell))
-
-    def one(tau: Simplex) -> tuple[Simplex, HypertreeCheck]:
-        return tau, is_hypertree(link(S, tau), r, field)
-
-    checks = tuple(parallel_map(one, taus, threads))
+    checks = tuple((tau, is_hypertree(link(S, tau), r, field))
+                   for tau in sorted(iter_faces(S, ell)))
     c = all(chk.is_hypertree for _, chk in checks)
 
     report = TrichotomyReport(
@@ -342,3 +329,20 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
         raise InvariantViolation(
             f"trichotomy broke at zero defect: {a} {b} {c}")
     return report
+
+
+def support_property_holds(X: SkeletonComplex, field: FieldSpec) -> bool:
+    """Every face in every basis cycle has links with homology all the way down.
+
+    For each top face sigma in the support of a degree-k homology basis
+    element and every tau inside sigma, the link of tau must have nonzero
+    Betti number in degree k - dim(tau) - 2.
+    """
+    k = X.k
+    for chain in cycle_basis(X, k, field):
+        for sigma in chain:
+            for size in range(0, k + 2):
+                for tau in combinations(sigma, size):
+                    if betti(link(X, tau), k - size, field) <= 0:
+                        return False
+    return True

@@ -22,12 +22,12 @@ from .bounds import (
     equality_trichotomy,
     lambda_sum,
     monotonicity_check,
+    support_property_holds,
     verify_dual_bound,
     verify_upper_bound,
 )
 from .collapse import collapse
 from .complex_io import parse_complex_file, write_complex_file
-from .concurrency import default_workers
 from .constructions import (
     SumComplexSpec,
     build_J,
@@ -38,12 +38,13 @@ from .constructions import (
 from .errors import (
     HypertreeLabError,
     InvariantViolation,
+    NotPure,
     ParameterOutOfRange,
     ParseError,
 )
 from .fields import parse_field
 from .garland import garland_check
-from .homology import betti, betti_table, cycle_basis
+from .homology import betti, betti_table
 from .randomness import SplitMix64, random_skeleton_complex
 from .reports import RunReport, emit_report
 from .simplexes import (
@@ -73,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="degree of the faces whose links are examined")
         p.add_argument("--out", default="text", choices=("text", "json", "csv"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--parallel", type=int, default=None,
-                       help="worker threads (default: HYPERTREE_LAB_THREADS or 1)")
         p.add_argument("--in", dest="input", default=None, metavar="FILE",
                        help="complex file, or random(seed=S,n=N,k=K,q=Q)")
         p.add_argument("--timing", action="store_true",
@@ -182,12 +181,11 @@ def cmd_lambda(args) -> RunReport:
     fld = parse_field(args.field)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
-    workers = args.parallel
     return RunReport(
         command="lambda", n=S.n, k=S.k, ell=ell, field_name=fld.name,
         f_vector=f_vector(S),
-        lam_low=lambda_sum(S, ell, S.k - ell - 2, fld, workers),
-        lam_high=lambda_sum(S, ell, S.k - ell - 1, fld, workers),
+        lam_low=lambda_sum(S, ell, S.k - ell - 2, fld),
+        lam_high=lambda_sum(S, ell, S.k - ell - 1, fld),
         seed=seed, lines=notes)
 
 
@@ -195,7 +193,7 @@ def cmd_verify_bound(args) -> RunReport:
     X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
     ell = _need_ell(args)
-    cert = verify_upper_bound(X, ell, fld, args.parallel)
+    cert = verify_upper_bound(X, ell, fld)
     return RunReport(
         command="verify-bound", n=cert.n, k=cert.k, ell=ell,
         field_name=fld.name, f_vector=f_vector(as_skeleton_complex(X)),
@@ -211,7 +209,7 @@ def cmd_verify_dual(args) -> RunReport:
     X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
     ell = _need_ell(args)
-    v = verify_dual_bound(X, ell, fld, args.parallel)
+    v = verify_dual_bound(X, ell, fld)
     return RunReport(
         command="verify-dual", n=v.n, k=v.k, ell=ell, field_name=fld.name,
         f_vector=f_vector(as_skeleton_complex(X)),
@@ -225,8 +223,7 @@ def cmd_trichotomy(args) -> RunReport:
     X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
     ell = _need_ell(args)
-    rep = equality_trichotomy(X, ell, fld, require_zero_defect=False,
-                              threads=args.parallel)
+    rep = equality_trichotomy(X, ell, fld, require_zero_defect=False)
     lines = list(notes)
     if not rep.applicable:
         lines.append(
@@ -245,7 +242,7 @@ def cmd_garland(args) -> RunReport:
     X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
-    g = garland_check(S, ell, args.parallel)
+    g = garland_check(S, ell)
     lines = list(notes)
     lines.append(f"threshold={g.threshold} ({float(g.threshold):.6f})")
     for tau, mu in g.entries:
@@ -307,7 +304,7 @@ def cmd_construct(args) -> RunReport:
         if len(spec) != 4:
             raise ParameterOutOfRange("usage: construct xnkl n k l")
         n, k, ell = (_int(spec[i], "nkl"[i - 1]) for i in (1, 2, 3))
-        rep = build_X_nkl(n, k, ell, fld, args.parallel, order_seed=args.seed)
+        rep = build_X_nkl(n, k, ell, fld, order_seed=args.seed)
         X = rep.complex
         lines.extend([
             f"base b_{k-1}={rep.base_tb} after additions b_{k-1}={rep.tb_after}",
@@ -382,11 +379,14 @@ def cmd_sweep(args) -> list[RunReport]:
         n = ns[made % len(ns)]
         k = ks[made % len(ks)]
         q = qs[made % len(qs)]
+        t0 = time.perf_counter()
         seed_i = root.next_u64()
         X = random_skeleton_complex(n, k, q, SplitMix64(seed_i))
         row = _sweep_row(args, fld, X, seed_i)
         if row is None:
             continue
+        if args.timing:
+            row = replace(row, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
         rows.append(row)
         made += 1
     return rows
@@ -399,7 +399,7 @@ def _sweep_row(args, fld, X: SkeletonComplex,
                 seed=seed_i)
     if check == "bound":
         ell = args.ell if args.ell is not None else 0
-        cert = verify_upper_bound(X, ell, fld, args.parallel)
+        cert = verify_upper_bound(X, ell, fld)
         return RunReport(
             command="sweep", ell=ell, **base,
             betti={cert.k - 1: cert.tb_top_below, cert.k: cert.tb_top},
@@ -411,7 +411,7 @@ def _sweep_row(args, fld, X: SkeletonComplex,
             failed=not cert.all_hold)
     if check == "dual":
         ell = args.ell if args.ell is not None else 0
-        v = verify_dual_bound(X, ell, fld, args.parallel)
+        v = verify_dual_bound(X, ell, fld)
         return RunReport(
             command="sweep", ell=ell, **base, betti={v.k: v.tb_top},
             lam_high=v.lam_high, eq_dual=v.holds, failed=not v.holds)
@@ -431,9 +431,9 @@ def _sweep_row(args, fld, X: SkeletonComplex,
     if check == "garland":
         ell = args.ell if args.ell is not None else 0
         try:
-            g = garland_check(X, ell, args.parallel)
-        except HypertreeLabError:
-            return None  # not pure or out of range: draw another complex
+            g = garland_check(X, ell)
+        except NotPure:
+            return None  # draw another complex
         return RunReport(
             command="sweep", ell=ell, **base, betti={g.k - 1: g.betti_q},
             lines=(f"min_mu={g.min_mu:.9f}", f"premise={g.premise}",
@@ -449,24 +449,6 @@ def _sweep_row(args, fld, X: SkeletonComplex,
             command="sweep", **base, betti={X.k: tb_top},
             lines=(f"support property holds: {ok}",), failed=not ok)
     raise ParameterOutOfRange(f"unknown check {check!r}")
-
-
-def support_property_holds(X: SkeletonComplex, fld) -> bool:
-    """Every face in every basis cycle has links with homology all the way down.
-
-    For each top face sigma in the support of a degree-k homology basis
-    element and every tau inside sigma, the link of tau must have nonzero
-    Betti number in degree k - dim(tau) - 2.
-    """
-    from itertools import combinations as _comb
-    k = X.k
-    for chain in cycle_basis(X, k, fld):
-        for sigma in chain:
-            for size in range(0, k + 2):
-                for tau in _comb(sigma, size):
-                    if betti(link(X, tau), k - size, fld) <= 0:
-                        return False
-    return True
 
 
 HANDLERS = {
@@ -496,11 +478,8 @@ def run_command(argv) -> CommandOutcome:
     t0 = time.perf_counter()
     report = HANDLERS[args.command](args)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if args.timing:
-        if isinstance(report, list):
-            report = [replace(r, elapsed_ms=elapsed) for r in report]
-        else:
-            report = replace(report, elapsed_ms=elapsed)
+    if args.timing and not isinstance(report, list):
+        report = replace(report, elapsed_ms=elapsed)  # sweep rows carry their own
     if isinstance(report, list):
         failed = any(r.failed for r in report)
     else:

@@ -18,7 +18,6 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Optional
 
-from .concurrency import parallel_map
 from .errors import (
     InvariantViolation,
     NotPrime,
@@ -138,16 +137,14 @@ def _link_top_column(alpha: Simplex, row_index: dict[Simplex, int]) -> dict[int,
 
 
 def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
-                threads: Optional[int] = None,
                 order_seed: Optional[int] = None) -> ConstructionReport:
     """Greedy saturated complex: large global homology, acyclic small links.
 
     Start from the residue-sum complex with interval {0, ..., k-ell-1} and
     for each degree-ell face independently add top faces through it until
     the link's top boundary reaches full rank.  Candidates are scanned in
-    lexicographic order unless order_seed shuffles them (one derived seed
-    per face, fixed before any work is dispatched, so threading cannot
-    change the result).
+    lexicographic order unless order_seed shuffles them (one seed per
+    face, all derived from order_seed before the first face is saturated).
 
     The report is only returned after three facts are re-verified through
     the plain homology path: the accumulated link defect of the result is
@@ -202,7 +199,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
                 f"saturation stalled at rank {span.rank} of {target}")
         return tau, tuple(picked)
 
-    results = parallel_map(saturate, taus, threads)
+    results = [saturate(tau) for tau in taus]
 
     new_tops = set(Y.top_faces)
     s_sizes = []
@@ -214,7 +211,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
 
     # re-verify through the ordinary homology path, not the greedy state
     from .bounds import bound_B, lambda_sum
-    lam = lambda_sum(X, ell, k - ell - 2, field, threads)
+    lam = lambda_sum(X, ell, k - ell - 2, field)
     if lam != 0:
         raise InvariantViolation(f"link defect {lam} after saturation")
     for tau, picked in results:

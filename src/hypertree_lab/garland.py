@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .concurrency import parallel_map
 from .errors import (
     InvariantViolation,
     NotPure,
@@ -115,49 +113,15 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     return WeightedLaplacian(j=j, faces=Bj.col_faces, matrix=L)
 
 
-def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-12,
-                       max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    scale = max(1.0, float(np.sqrt(np.sum(A * A))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(A * A) - np.sum(np.diag(A) ** 2))))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(np.diag(A))
-
-
 def laplacian_min_eigenvalue(X: Complex, j: int) -> float:
     """Smallest eigenvalue of the symmetrized degree-j Laplacian."""
     L = weighted_laplacian(X, j)
-    eigs = jacobi_eigenvalues(L.matrix)
-    if eigs.size == 0:
+    if L.matrix.size == 0:
         return math.inf
-    mu = float(eigs[0])
+    mu = float(np.linalg.eigvalsh(L.matrix)[0])
     if mu < -1e-9:
         raise InvariantViolation(f"Laplacian not positive semidefinite: {mu}")
-    return mu
+    return max(0.0, mu)  # a numerically zero mu never prints as -0
 
 
 GUARD_BAND = 1e-7
@@ -181,8 +145,7 @@ class GarlandReport:
         return self.betti_q == 0
 
 
-def garland_check(X: SkeletonComplex, ell: int,
-                  threads: Optional[int] = None) -> GarlandReport:
+def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
     """Check the local spectral premise in degree ell and report the verdict.
 
     Premise: every degree-ell face has a link whose Laplacian one degree
@@ -197,12 +160,8 @@ def garland_check(X: SkeletonComplex, ell: int,
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 2}]")
     check_pure(X)
     j_link = k - ell - 2
-    taus = sorted(iter_faces(X, ell))
-
-    def one(tau: Simplex) -> tuple[Simplex, float]:
-        return tau, laplacian_min_eigenvalue(link(X, tau), j_link)
-
-    entries = tuple(parallel_map(one, taus, threads))
+    entries = tuple((tau, laplacian_min_eigenvalue(link(X, tau), j_link))
+                    for tau in sorted(iter_faces(X, ell)))
     min_mu = min((mu for _, mu in entries), default=math.inf)
     thr = Fraction(ell + 1, k)
     thr_f = float(thr)

@@ -1,16 +1,19 @@
 """Deterministic splittable PRNG and random complex generators.
 
 SplitMix64 keeps runs reproducible across platforms without dragging in
-Python's global Mersenne Twister state; split() hands independent streams
-to per-item work so parallel order cannot change the draws.
+Python's global Mersenne Twister state; split() hands an independent
+stream to a sub-task so its draws do not depend on what ran before it.
 """
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
+from .errors import ParameterOutOfRange, TooLarge
 from .simplexes import GeneralComplex, SkeletonComplex, closure
 
 MASK = (1 << 64) - 1
+FACE_BUDGET = 10 ** 6  # candidate k-faces a random draw may enumerate
 
 
 class SplitMix64:
@@ -48,7 +51,13 @@ def random_skeleton_complex(n: int, k: int, q: float,
     """Full (k-1)-skeleton plus each k-face independently with probability q.
 
     Faces are visited in lexicographic order so a seed pins the complex.
+    Both q and the number of candidate faces are checked before any draw.
     """
+    if not 0.0 <= q <= 1.0:  # NaN fails this too
+        raise ParameterOutOfRange(f"face density q={q} must lie in [0, 1]")
+    if 0 <= k < n and comb(n, k + 1) > FACE_BUDGET:
+        raise TooLarge(f"C({n}, {k + 1}) = {comb(n, k + 1)} candidate faces "
+                       f"exceeds the budget of {FACE_BUDGET}")
     tops = [
         sigma for sigma in combinations(range(n), k + 1)
         if rng.uniform() < q

@@ -14,9 +14,9 @@ from math import comb, factorial
 from hypertree_lab.bounds import (
     equality_trichotomy,
     monotonicity_check,
+    support_property_holds,
     verify_upper_bound,
 )
-from hypertree_lab.cli import support_property_holds
 from hypertree_lab.collapse import collapses_to_point
 from hypertree_lab.constructions import (
     FANO_BLOCKS,

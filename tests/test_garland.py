@@ -5,14 +5,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hypertree_lab.errors import NotPure, NotSandwiched, ParameterOutOfRange
+from hypertree_lab import garland
+from hypertree_lab.errors import (
+    InvariantViolation,
+    NotPure,
+    NotSandwiched,
+    ParameterOutOfRange,
+)
 from hypertree_lab.fields import RATIONALS
 from hypertree_lab.garland import (
     GUARD_BAND,
+    WeightedLaplacian,
     check_pure,
     garland_check,
     garland_weights,
-    jacobi_eigenvalues,
     laplacian_min_eigenvalue,
     weighted_laplacian,
 )
@@ -23,7 +29,9 @@ from hypertree_lab.simplexes import (
     as_skeleton_complex,
     closure,
     full_skeleton,
+    link,
 )
+from _jacobi import jacobi_eigenvalues
 from _registry import track
 
 
@@ -56,7 +64,6 @@ def test_check_pure_rejects_stray_low_facet():
 
 
 def test_jacobi_matches_numpy_on_random_symmetric_matrices():
-    # numpy is the oracle here, not the production path
     rng = np.random.default_rng(42)
     for _ in range(30):
         m = int(rng.integers(1, 9))
@@ -80,8 +87,47 @@ def test_laplacian_is_positive_semidefinite_and_kernel_counts_cycles():
             assert np.allclose(L, L.T)
             eigs = jacobi_eigenvalues(L)
             assert eigs[0] > -1e-9
+            assert abs(laplacian_min_eigenvalue(X, j) - eigs[0]) < 1e-8
             # harmonic space has the dimension of rational cohomology
             assert int(np.sum(eigs < 1e-8)) == tb.get(j, 0)
+
+
+def test_jacobi_agrees_with_library_mu_on_link_laplacians():
+    rng = SplitMix64(11)
+    cases = [(full_skeleton(7, 2), 0), (full_skeleton(7, 3), 0),
+             (full_skeleton(7, 3), 1)]
+    while len(cases) < 8:
+        X = SkeletonComplex(7, 2, frozenset(
+            s for s in combinations(range(7), 3) if rng.uniform() < 0.7))
+        try:
+            check_pure(X)
+        except NotPure:
+            continue
+        cases.append((track(X), 0))
+    for X, ell in cases:
+        j_link = X.k - ell - 2
+        for tau, mu in garland_check(X, ell).entries:
+            L = weighted_laplacian(link(X, tau), j_link).matrix
+            assert abs(mu - jacobi_eigenvalues(L)[0]) < 1e-8
+
+
+def _fixed_laplacian(monkeypatch, matrix):
+    def fake(X, j):
+        return WeightedLaplacian(j=j, faces=(), matrix=np.array(matrix))
+    monkeypatch.setattr(garland, "weighted_laplacian", fake)
+
+
+def test_negative_eigenvalue_is_an_invariant_violation(monkeypatch):
+    _fixed_laplacian(monkeypatch, [[1.0, 0.0], [0.0, -1e-6]])
+    with pytest.raises(InvariantViolation):
+        laplacian_min_eigenvalue(full_skeleton(3, 1), 0)
+
+
+def test_numerically_zero_eigenvalue_is_reported_as_plus_zero(monkeypatch):
+    _fixed_laplacian(monkeypatch, [[1.0, 0.0], [0.0, -1e-12]])
+    mu = laplacian_min_eigenvalue(full_skeleton(3, 1), 0)
+    assert mu == 0.0 and math.copysign(1.0, mu) == 1.0
+    assert f"{mu:.9f}" == "0.000000000"
 
 
 def test_min_eigenvalue_of_complete_graph_is_one():

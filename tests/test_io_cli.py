@@ -1,15 +1,18 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from hypertree_lab import cli
 from hypertree_lab.complex_io import (
     emit_complex,
     parse_complex_text,
     write_complex_file,
 )
 from hypertree_lab.errors import (
+    InvariantViolation,
     ParseError,
     UnrepresentableComplex,
     VertexOutOfRange,
@@ -119,6 +122,27 @@ def test_cli_exit_two_on_bad_parameters():
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--in", "random(seed=1,n=6,k=2,q=1.5)"],
+    ["betti", "--in", "random(seed=1,n=6,k=2,q=-3)"],
+    ["sweep", "--check", "bound", "--count", "2", "--n", "6", "--k", "2",
+     "--q", "1.5"],
+    ["sweep", "--check", "bound", "--count", "2", "--n", "6", "--k", "2",
+     "--q", "nan"],
+])
+def test_cli_exit_two_on_density_outside_unit_interval(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "[0, 1]" in capsys.readouterr().err
+
+
+def test_cli_exit_two_at_once_on_too_many_candidate_faces(capsys):
+    t0 = time.perf_counter()
+    code = cli.main(["betti", "--in", "random(seed=1,n=200,k=5,q=0.5)"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_cli_exit_two_on_parse_error(tmp_path):
     p = tmp_path / "bad.cplx"
     p.write_text("skeleton 4 1\n0 9\n")
@@ -161,6 +185,35 @@ def test_timing_flag_fills_elapsed():
         "--timing")
     assert code == 0
     assert json.loads(out)["elapsed_ms"] is not None
+
+
+def test_sweep_rows_carry_their_own_time():
+    argv = ["sweep", "--check", "bound", "--count", "3", "--n", "6",
+            "--k", "2", "--seed", "5", "--out", "json"]
+    t0 = time.perf_counter()
+    out = cli.run_command(argv + ["--timing"])
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    times = [r.elapsed_ms for r in out.report]
+    assert len(times) == 3 and all(t is not None and t > 0 for t in times)
+    assert sum(times) <= wall_ms
+    assert all(r.elapsed_ms is None for r in cli.run_command(argv).report)
+
+
+def test_sweep_garland_fails_on_invariant_violation(monkeypatch, capsys):
+    real = cli.garland_check
+    calls = []
+
+    def every_other_call_breaks(*args):
+        calls.append(args)
+        if len(calls) % 2 == 0:
+            raise InvariantViolation("injected")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "garland_check", every_other_call_breaks)
+    code = cli.main(["sweep", "--check", "garland", "--count", "3",
+                     "--seed", "1", "--n", "6", "--k", "2", "--q", "0.9"])
+    assert code == 1
+    assert "injected" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- csv output
