@@ -29,10 +29,8 @@ from .homology import betti
 from .linalg import IncrementalSpan
 from .randomness import SplitMix64
 from .simplexes import (
-    GeneralComplex,
     Simplex,
     SkeletonComplex,
-    face_count,
     iter_faces,
     link,
     make_simplex,

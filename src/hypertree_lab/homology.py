@@ -25,7 +25,6 @@ from .linalg import IncrementalSpan, kernel_basis, rank_by_columns, rank_by_rows
 from .simplexes import (
     Complex,
     Simplex,
-    SkeletonComplex,
     face_count,
     iter_faces,
 )

@@ -5,21 +5,64 @@ a sparsity-aware pivot rule, and left-to-right column reduction that pairs
 each column with its lowest surviving row.  They share no code beyond this
 docstring, so agreement between them is a real check and not a tautology.
 
-Rational arithmetic stays in plain integers (fraction-free elimination with
-content stripping) on the row route and in Fraction on the column route.
+The row route packs GF(2) rows as Python int bitsets and reduces them by XOR
+against a basis keyed on the highest set bit; IncrementalSpan over GF(2)
+shares that core.  Over odd p and the rationals the row route keeps sparse
+dict rows and takes each pivot row from a heap.  Rational arithmetic stays
+in plain integers (fraction-free elimination with content stripping) on the
+row route and in Fraction on the column route.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
 Entries = dict[tuple[int, int], int]
+
+
+def _gf2_reduce(basis: dict[int, int], vec: Iterable[tuple[int, object]]) -> int:
+    """Pack vec as a GF(2) bitset and reduce it against basis.
+
+    Bit j is set for each odd entry of vec.  basis maps the highest set bit
+    of each basis vector to that vector.  Returns the remainder: 0 when vec
+    lies in the span, otherwise a vector whose highest bit no basis vector
+    has.  basis is not changed.
+    """
+    v = 0
+    for j, x in vec:
+        if x % 2:
+            v |= 1 << j
+    while v:
+        b = basis.get(v.bit_length() - 1)
+        if b is None:
+            return v
+        v ^= b
+    return 0
+
+
+def _unit_flag(row: dict[int, int], p: Optional[int]) -> int:
+    """0 when row has an entry usable as a unit pivot, 1 otherwise."""
+    if p is not None or any(v in (1, -1) for v in row.values()):
+        return 0
+    return 1
 
 
 def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
                  p: Optional[int] = None) -> int:
     """Rank via row elimination; p None means exact integer arithmetic."""
+    if p == 2:
+        packed: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+        for (i, j), v in entries.items():
+            packed[i].append((j, v))
+        basis: dict[int, int] = {}
+        for row_items in packed:
+            v = _gf2_reduce(basis, row_items)
+            if v:
+                basis[v.bit_length() - 1] = v
+        return len(basis)
+
     rows: list[dict[int, int]] = [dict() for _ in range(n_rows)]
     for (i, j), v in entries.items():
         if p is not None:
@@ -35,17 +78,18 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
 
+    # pivot row: fewest nonzeros, preferring unit entries, then lowest index.
+    # Each active row i has the entry (heap_key[i], i) in the heap; an entry
+    # whose row was eliminated or has changed key since is stale and skipped.
+    heap_key = {i: (len(rows[i]), _unit_flag(rows[i], p)) for i in active}
+    heap = [(k, i) for i, k in heap_key.items()]
+    heapify(heap)
+
     rank = 0
     while active:
-        # pivot row: fewest nonzeros, preferring unit entries
-        best = None
-        for i in active:
-            row = rows[i]
-            has_unit = (p is not None) or any(v in (1, -1) for v in row.values())
-            key = (len(row), 0 if has_unit else 1)
-            if best is None or key < best[0]:
-                best = (key, i)
-        pi = best[1]
+        k, pi = heappop(heap)
+        if pi not in active or heap_key[pi] != k:
+            continue
         prow = rows[pi]
         # pivot column: fewest other rows touching it (unit entry if possible)
         pj = None
@@ -112,6 +156,12 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
                             row[j] //= g
                 if not row:
                     active.discard(i)
+        for i in touched:
+            if i in active:
+                k = (len(rows[i]), _unit_flag(rows[i], p))
+                if k != heap_key[i]:
+                    heap_key[i] = k
+                    heappush(heap, (k, i))
 
         for i in col_rows[pj]:
             if i != pi:
@@ -232,13 +282,15 @@ class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
     Vectors are sparse index -> value dicts.  Basis rows are kept reduced
-    enough to have distinct pivots (largest index).  Used where candidates
-    arrive online and only the yes/no answer and the running rank matter.
+    enough to have distinct pivots (largest index).  Over GF(2) they are
+    int bitsets reduced by the same XOR core as rank_by_rows.  Used where
+    candidates arrive online and only the yes/no answer and the running rank
+    matter.
     """
 
     def __init__(self, p: Optional[int] = None):
         self.p = p
-        self.basis: dict[int, dict[int, object]] = {}
+        self.basis: dict[int, object] = {}
 
     @property
     def rank(self) -> int:
@@ -273,6 +325,12 @@ class IncrementalSpan:
     def add(self, vec: dict[int, object]) -> bool:
         """Try to add vec to the span; True iff the rank grew."""
         p = self.p
+        if p == 2:
+            v = _gf2_reduce(self.basis, vec.items())
+            if not v:
+                return False
+            self.basis[v.bit_length() - 1] = v
+            return True
         if p is not None:
             vec = {j: v % p for j, v in vec.items() if v % p}
         else:
@@ -285,6 +343,8 @@ class IncrementalSpan:
 
     def reduces_to_zero(self, vec: dict[int, object]) -> bool:
         p = self.p
+        if p == 2:
+            return not _gf2_reduce(self.basis, vec.items())
         if p is not None:
             vec = {j: v % p for j, v in vec.items() if v % p}
         else:

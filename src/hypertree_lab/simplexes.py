@@ -94,6 +94,15 @@ class SkeletonComplex:
     def is_void(self) -> bool:
         return False
 
+    @cached_property
+    def _tops_through(self) -> dict[int, tuple[Simplex, ...]]:
+        """Vertex -> the top faces that contain it."""
+        out: dict[int, list[Simplex]] = {}
+        for sigma in self.top_faces:
+            for v in sigma:
+                out.setdefault(v, []).append(sigma)
+        return {v: tuple(fs) for v, fs in out.items()}
+
 
 @dataclass(frozen=True)
 class GeneralComplex:
@@ -110,11 +119,9 @@ class GeneralComplex:
     def n(self) -> int:
         return len(self.ground)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        if not self.faces:
-            return VOID_DIM
-        return max(len(f) for f in self.faces) - 1
+        return max(self._by_dim, default=VOID_DIM)
 
     @property
     def is_void(self) -> bool:
@@ -234,7 +241,9 @@ def link(X: Complex, tau: Iterable[int]) -> GeneralComplex:
     """Faces disjoint from tau whose union with tau lies in X.
 
     The result lives on the ground set of X minus tau.  The link of a facet
-    is the one-face complex {empty simplex}, not the void complex.
+    is the one-face complex {empty simplex}, not the void complex.  On a
+    SkeletonComplex only the top faces through one vertex of tau are tested,
+    read from an index built once per complex.
     """
     t = make_simplex(tau)
     if not contains(X, t):
@@ -246,7 +255,12 @@ def link(X: Complex, tau: Iterable[int]) -> GeneralComplex:
         out: set[Simplex] = set()
         for r in range(0, X.k + 1 - len(t)):
             out.update(combinations(rest, r))
-        for sigma in X.top_faces:
+        if t:
+            through = X._tops_through
+            tops = min((through.get(v, ()) for v in t), key=len)
+        else:
+            tops = X.top_faces
+        for sigma in tops:
             if tset.issubset(sigma):
                 out.add(tuple(v for v in sigma if v not in tset))
         return GeneralComplex(ground, frozenset(out))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hypertree_lab
 from hypertree_lab import cli
 from hypertree_lab.complex_io import (
     emit_complex,
@@ -29,11 +32,20 @@ from hypertree_lab.simplexes import (
 from _registry import track
 
 
+# the CLI subprocess imports the package this process imported, so the
+# suite runs the same code from an installed package or a plain checkout
+PACKAGE_ROOT = str(Path(hypertree_lab.__file__).resolve().parent.parent)
+
+
 def run_cli(*args, stdin=None):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "hypertree_lab.cli", *args],
         capture_output=True,
         input=stdin,
+        env=env,
     )
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from hypertree_lab.homology import boundary_matrix
 from hypertree_lab.linalg import (
     IncrementalSpan,
     kernel_basis,
     rank_by_columns,
     rank_by_rows,
 )
-from hypertree_lab.randomness import SplitMix64
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 
 
 def dense_rank(entries, n_rows, n_cols, p):
@@ -141,3 +142,91 @@ def test_rank_bounded_and_transpose_invariant(seed, n_rows, n_cols):
         assert 0 <= r <= min(n_rows, n_cols)
         assert r == rank_by_rows(flipped, n_cols, n_rows, p)
         assert r == rank_by_columns(entries, n_rows, n_cols, p)
+
+
+def dependent_entries(rng, n_rows, n_cols, density):
+    """Random integer rows, some of them integer sums of two earlier rows.
+
+    Entries run over -6..6, so even values (which vanish mod 2) and negative
+    values both occur; the summed rows make the GF(2) rank drop below
+    min(n_rows, n_cols) and leave even entries where odd ones cancel.
+    """
+    entries = random_entries(rng, n_rows, n_cols, density)
+    for i in range(2, n_rows):
+        if rng.below(3) == 0:
+            a, b = rng.below(i), rng.below(i)
+            for j in range(n_cols):
+                entries.pop((i, j), None)
+                v = entries.get((a, j), 0) + entries.get((b, j), 0)
+                if v:
+                    entries[(i, j)] = v
+    return entries
+
+
+def test_gf2_bitsets_cross_word_boundaries():
+    # rows meet only in columns on either side of bits 63/64 and 127/128
+    edges = (0, 62, 63, 64, 65, 127, 128, 129, 199)
+    entries = {}
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        entries[(i, a)] = 1
+        entries[(i, b)] = -3
+    last = len(edges) - 1
+    for j in (0, 199):
+        entries[(last, j)] = 5          # the sum of the path rows mod 2
+    entries[(last + 1, 100)] = 2        # even: vanishes over GF(2)
+    n_rows, n_cols = last + 2, 200
+    assert rank_by_rows(entries, n_rows, n_cols, 2) == last
+    assert rank_by_columns(entries, n_rows, n_cols, 2) == last
+    assert rank_by_rows(entries, n_rows, n_cols, None) == last + 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 200), st.integers(1, 200),
+       st.sampled_from((1.5, 4.0, 12.0)))
+def test_gf2_row_route_matches_column_route(seed, n_rows, n_cols, per_row):
+    rng = SplitMix64(seed)
+    entries = dependent_entries(rng, n_rows, n_cols, min(0.6, per_row / n_cols))
+    assert rank_by_rows(entries, n_rows, n_cols, 2) == \
+        rank_by_columns(entries, n_rows, n_cols, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 160), st.integers(1, 200))
+def test_gf2_incremental_span_rank_and_membership(seed, n_vecs, n_cols):
+    rng = SplitMix64(seed)
+    entries = dependent_entries(rng, n_vecs, n_cols, min(0.6, 6.0 / n_cols))
+    vecs = [dict() for _ in range(n_vecs)]
+    for (i, j), v in entries.items():
+        vecs[i][j] = v
+    span = IncrementalSpan(2)
+    grew = sum(span.add(vec) for vec in vecs)
+    rank = rank_by_columns(entries, n_vecs, n_cols, 2)
+    assert span.rank == grew == rank
+
+    probes = [vecs[rng.below(n_vecs)] for _ in range(5)]
+    probes += [{j: 1 + rng.below(4) for j in range(n_cols) if rng.below(4) == 0}
+               for _ in range(5)]
+    for vec in probes:
+        before = dict(span.basis)
+        in_span = span.reduces_to_zero(vec)
+        assert span.basis == before
+        stacked = dict(entries)
+        stacked.update({(n_vecs, j): v for j, v in vec.items()})
+        assert in_span == (rank_by_columns(stacked, n_vecs + 1, n_cols, 2) == rank)
+    assert span.rank == rank
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**62))
+def test_row_route_heap_matches_column_route_on_boundaries(seed):
+    # bigger, more degenerate matrices than criterion 1 (n <= 7), so rows
+    # change key many times and the heap holds many stale entries
+    rng = SplitMix64(seed)
+    for n in (8, 9, 10, 11):
+        for k in (1, 2, 3):
+            X = random_skeleton_complex(n, k, (k + 1) / n + 0.1 * rng.below(4), rng)
+            for j in range(X.k + 1):
+                M = boundary_matrix(X, j)
+                for p in (None, 3):
+                    assert rank_by_rows(M.entries, M.n_rows, M.n_cols, p) == \
+                        rank_by_columns(M.entries, M.n_rows, M.n_cols, p), (n, k, j, p)

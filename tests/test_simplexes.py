@@ -7,6 +7,7 @@ from hypertree_lab.errors import (
     NotSandwiched,
     VertexOutOfRange,
 )
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
     VOID,
@@ -263,3 +264,22 @@ def test_link_of_vertex_in_full_skeleton(n, k):
         return
     L = link(full_skeleton(n, k), (0,))
     assert as_skeleton_complex(L) == full_skeleton(n - 1, k - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**62), st.integers(2, 8), st.integers(0, 3),
+       st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+def test_indexed_link_matches_general_link(seed, n, k, q):
+    X = random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+    twin = SkeletonComplex(X.n, X.k, X.top_faces)
+    before = hash(X)
+    G = as_general(X)
+    assert G.dim == X.dim
+    for tau in all_faces(X):
+        assert link(X, tau) == link(G, tau), tau
+    # building the incidence index leaves equality and hashing alone
+    assert sum(map(len, X._tops_through.values())) == len(X.top_faces) * (X.k + 1)
+    assert "_tops_through" in vars(X) and "_tops_through" not in vars(twin)
+    assert hash(X) == before == hash(twin)
+    assert X == twin and twin == X
+    assert {X: 1}[twin] == 1
