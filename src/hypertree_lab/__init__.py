@@ -9,6 +9,7 @@ from .bounds import (
     bound_B,
     bound_F,
     equality_trichotomy,
+    lambda_pair,
     lambda_sum,
     monotonicity_check,
     verify_dual_bound,
@@ -35,12 +36,14 @@ from .garland import (
 )
 from .homology import (
     HypertreeCheck,
+    LinkBetti,
     SparseMatrix,
     betti,
     betti_table,
     boundary_matrix,
     cycle_basis,
     is_hypertree,
+    link_profile,
     rank,
 )
 from .randomness import SplitMix64, random_skeleton_complex
@@ -57,6 +60,7 @@ from .simplexes import (
     induced,
     join,
     link,
+    link_tops,
     make_simplex,
     remove_top_face,
     skeleton,

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionLambdaNonzero,
 )
 from .fields import FieldSpec
-from .homology import HypertreeCheck, betti, cycle_basis, is_hypertree
+from .homology import HypertreeCheck, betti, cycle_basis, link_profile
 from .simplexes import (
     Complex,
     Simplex,
@@ -54,10 +54,19 @@ from .simplexes import (
 def lambda_sum(X: Complex, ell: int, j: int, field: FieldSpec) -> int:
     """Total degree-j Betti number over all links of degree-ell faces."""
     S = as_skeleton_complex(X)
-    if not -1 <= ell <= S.k:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {S.k}]")
-    return sum(betti(link(S, tau), j, field)
-               for tau in sorted(iter_faces(S, ell)))
+    profile = link_profile(S, ell, field)
+    r = S.k - ell - 1  # the links have homology in degrees r-1 and r only
+    if j == r - 1:
+        return sum(e.below for e in profile)
+    if j == r:
+        return sum(e.top for e in profile)
+    return 0
+
+
+def lambda_pair(X: Complex, ell: int, field: FieldSpec) -> tuple[int, int]:
+    """(lambda_sum at k-ell-2, lambda_sum at k-ell-1) from one link profile."""
+    profile = link_profile(as_skeleton_complex(X), ell, field)
+    return sum(e.below for e in profile), sum(e.top for e in profile)
 
 
 def _require_params(n: int, k: int, ell: int) -> None:
@@ -125,8 +134,7 @@ def verify_upper_bound(X: Complex, ell: int, field: FieldSpec) -> BoundCertifica
     CB = comb(n - 1, ell) * comb(n - ell - 2, k - ell)
     CF = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
 
-    lam_low = lambda_sum(S, ell, k - ell - 2, field)
-    lam_high = lambda_sum(S, ell, k - ell - 1, field)
+    lam_low, lam_high = lambda_pair(S, ell, field)
     tb_below = betti(S, k - 1, field)
     tb_top = betti(S, k, field)
     f_top = face_count(S, k)
@@ -303,7 +311,8 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
     _require_params(n, k, ell)
-    lam_low = lambda_sum(S, ell, k - ell - 2, field)
+    profile = link_profile(S, ell, field)
+    lam_low = sum(e.below for e in profile)
     if lam_low != 0 and require_zero_defect:
         raise PreconditionLambdaNonzero(
             f"accumulated link defect is {lam_low}, not 0")
@@ -315,9 +324,16 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     a = Fraction(tb_below) == B
     b = tb_top == 0 and Fraction(face_count(S, k)) == F
 
+    # each link is sandwiched with top degree r on g = n-ell-1 vertices, so
+    # it is a hypertree exactly when both its Betti numbers vanish, and a
+    # hypertree there has C(g-1, r) top faces
     r = k - ell - 1
-    checks = tuple((tau, is_hypertree(link(S, tau), r, field))
-                   for tau in sorted(iter_faces(S, ell)))
+    hypertree_count = comb(n - ell - 2, r)
+    checks = tuple(
+        (e.tau, HypertreeCheck(r=r, field_name=field.name,
+                               face_count_ok=e.f_top == hypertree_count,
+                               tb_below=e.below, tb_top=e.top))
+        for e in profile)
     c = all(chk.is_hypertree for _, chk in checks)
 
     report = TrichotomyReport(

@@ -20,7 +20,7 @@ from .bounds import (
     bound_B,
     bound_F,
     equality_trichotomy,
-    lambda_sum,
+    lambda_pair,
     monotonicity_check,
     support_property_holds,
     verify_dual_bound,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import parse_field
 from .garland import garland_check
-from .homology import betti, betti_table
+from .homology import betti, betti_table, link_profile
 from .randomness import SplitMix64, random_skeleton_complex
 from .reports import RunReport, emit_report
 from .simplexes import (
@@ -52,8 +52,6 @@ from .simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
     f_vector,
-    iter_faces,
-    link,
 )
 
 RANDOM_INPUT = re.compile(
@@ -156,23 +154,17 @@ def cmd_links(args) -> RunReport:
     fld = parse_field(args.field)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
-    if not -1 <= ell <= S.k:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {S.k}]")
+    profile = link_profile(S, ell, fld)
     j_low, j_high = S.k - ell - 2, S.k - ell - 1
     lines = list(notes)
-    lam_low = lam_high = 0
-    for tau in sorted(iter_faces(S, ell)):
-        L = link(S, tau)
-        b_low = betti(L, j_low, fld)
-        b_high = betti(L, j_high, fld)
-        lam_low += b_low
-        lam_high += b_high
+    for e in profile:
         lines.append(
-            f"tau=({','.join(map(str, tau))}) "
-            f"b_{j_low}={b_low} b_{j_high}={b_high}")
+            f"tau=({','.join(map(str, e.tau))}) "
+            f"b_{j_low}={e.below} b_{j_high}={e.top}")
     return RunReport(
         command="links", n=S.n, k=S.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(S), lam_low=lam_low, lam_high=lam_high,
+        f_vector=f_vector(S), lam_low=sum(e.below for e in profile),
+        lam_high=sum(e.top for e in profile),
         seed=seed, lines=tuple(lines))
 
 
@@ -181,11 +173,10 @@ def cmd_lambda(args) -> RunReport:
     fld = parse_field(args.field)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
+    lam_low, lam_high = lambda_pair(S, ell, fld)
     return RunReport(
         command="lambda", n=S.n, k=S.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(S),
-        lam_low=lambda_sum(S, ell, S.k - ell - 2, fld),
-        lam_high=lambda_sum(S, ell, S.k - ell - 1, fld),
+        f_vector=f_vector(S), lam_low=lam_low, lam_high=lam_high,
         seed=seed, lines=notes)
 
 

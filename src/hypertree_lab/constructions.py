@@ -25,14 +25,14 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .fields import GF2, FieldSpec, is_prime
-from .homology import betti
+from .homology import betti, link_profile
 from .linalg import IncrementalSpan
 from .randomness import SplitMix64
 from .simplexes import (
     Simplex,
     SkeletonComplex,
     iter_faces,
-    link,
+    link_tops,
     make_simplex,
 )
 
@@ -145,10 +145,11 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     face, all derived from order_seed before the first face is saturated).
 
     The report is only returned after three facts are re-verified through
-    the plain homology path: the accumulated link defect of the result is
-    0, each face's addition count equals the link's Betti number in the
-    starting complex, and the global Betti number dropped by at most the
-    total number of additions.
+    homology rather than the greedy state: the accumulated link defect of
+    the result is 0 and each face's addition count equals the link's Betti
+    number in the starting complex (one link profile of each complex), and
+    the global Betti number dropped by at most the total number of
+    additions.
     """
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
@@ -169,16 +170,15 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
         tau_seeds = {tau: root.next_u64() for tau in taus}
 
     r = k - ell - 1  # top dimension of every degree-ell link
+    target = comb(n - ell - 2, r)  # top-boundary rank of a link hypertree
+    link_tops_Y = link_tops(Y, ell)
 
     def saturate(tau: Simplex) -> tuple[Simplex, tuple[Simplex, ...]]:
-        L = link(Y, tau)
-        ground = sorted(L.ground)
-        g = len(ground)
-        target = comb(g - 1, r)
+        ground = [v for v in range(n) if v not in tau]
         rows = list(combinations(ground, r))
         row_index = {f: i for i, f in enumerate(rows)}
         span = IncrementalSpan(field.p)
-        existing = set(iter_faces(L, r))
+        existing = set(link_tops_Y.get(tau, ()))
         for alpha in sorted(existing):
             span.add(_link_top_column(alpha, row_index))
         candidates = [a for a in combinations(ground, r + 1) if a not in existing]
@@ -207,13 +207,14 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
             new_tops.add(make_simplex(tau + alpha))
     X = SkeletonComplex(n, k, frozenset(new_tops))
 
-    # re-verify through the ordinary homology path, not the greedy state
-    from .bounds import bound_B, lambda_sum
-    lam = lambda_sum(X, ell, k - ell - 2, field)
+    # re-verify through the link profiles of Y and X, not the greedy state
+    from .bounds import bound_B
+    lam = sum(e.below for e in link_profile(X, ell, field))
     if lam != 0:
         raise InvariantViolation(f"link defect {lam} after saturation")
+    base_below = {e.tau: e.below for e in link_profile(Y, ell, field)}
     for tau, picked in results:
-        expect = betti(link(Y, tau), r - 1, field)
+        expect = base_below[tau]
         if len(picked) != expect:
             raise InvariantViolation(
                 f"added {len(picked)} at {tau}, link Betti number is {expect}")

@@ -10,6 +10,21 @@ Ranks of boundary maps whose source level is a complete layer of the
 simplex on the ground set are computed once per (vertex count, degree,
 characteristic) and memoized; the elimination still runs honestly the
 first time, nothing is looked up from a closed form.
+
+link_profile reads the link homology of a complex X between consecutive
+skeleta without building a link.  The link of a degree-ell face tau is
+again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
+vertices plus the r-faces sigma minus tau for the top faces sigma above
+tau, with r = k-ell-1.  Its reduced homology lives in degrees r-1 and r
+only, and the rank of its top boundary map gives both Betti numbers:
+
+    b_r     = f_tau - rank
+    b_{r-1} = C(g, r) - rank of the complete degree-(r-1) map - rank
+
+where f_tau counts the link's r-faces.  One walk over the top faces of X
+collects every link's r-faces, then one row elimination per link runs on
+the rows its r-faces touch; the complete-layer rank is the memoized one
+above.
 """
 from __future__ import annotations
 
@@ -17,16 +32,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import InvariantViolation, NotSandwiched
+from .errors import InvariantViolation, NotSandwiched, ParameterOutOfRange
 from .fields import FieldSpec
 from .linalg import IncrementalSpan, kernel_basis, rank_by_columns, rank_by_rows
 from .simplexes import (
     Complex,
     Simplex,
+    SkeletonComplex,
     face_count,
     iter_faces,
+    link_tops,
 )
 
 
@@ -66,19 +83,23 @@ def rank(M: SparseMatrix, field: FieldSpec, method: str = "row") -> int:
     raise ValueError(f"unknown rank method {method!r}")
 
 
+def _top_rank(alphas: list[Simplex], p: Optional[int]) -> int:
+    """Rank of the boundary map on the faces alphas, rows only where touched."""
+    row_index: dict[Simplex, int] = {}
+    entries: dict[tuple[int, int], int] = {}
+    for c, alpha in enumerate(alphas):
+        for i in range(len(alpha)):
+            row = row_index.setdefault(alpha[:i] + alpha[i + 1:], len(row_index))
+            entries[(row, c)] = -1 if i % 2 else 1
+    return rank_by_rows(entries, len(row_index), len(alphas), p)
+
+
 @lru_cache(maxsize=None)
 def full_boundary_rank(g: int, j: int, p: Optional[int]) -> int:
     """Rank of the degree-j boundary map of the complete simplex on g vertices."""
     if j < 0 or j > g - 1:
         return 0
-    rows = list(combinations(range(g), j))
-    cols = list(combinations(range(g), j + 1))
-    row_index = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for c, sigma in enumerate(cols):
-        for i in range(len(sigma)):
-            entries[(row_index[sigma[:i] + sigma[i + 1:]], c)] = -1 if i % 2 else 1
-    return rank_by_rows(entries, len(rows), len(cols), p)
+    return _top_rank(list(combinations(range(g), j + 1)), p)
 
 
 @lru_cache(maxsize=4096)
@@ -115,6 +136,49 @@ def betti_table(X: Complex, field: FieldSpec) -> dict[int, int]:
     out = {}
     for j in range(-1, X.dim + 1):
         out[j] = betti(X, j, field)
+    return out
+
+
+class LinkBetti(NamedTuple):
+    """Homology of the link of one degree-ell face, r = k - ell - 1."""
+
+    tau: Simplex
+    f_top: int   # r-faces of the link
+    below: int   # reduced Betti number in degree r-1
+    top: int     # reduced Betti number in degree r
+
+
+def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:
+    """Betti numbers b_{r-1}, b_r of the link of every degree-ell face of X.
+
+    One entry per face in iter_faces(X, ell) order; ell may run from -1
+    (the link of the empty face is X) to k (the link of a top face is the
+    one-face complex).  Every other reduced Betti number of these links
+    is 0.
+    """
+    if not -1 <= ell <= X.k:
+        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {X.k}]")
+    p = field.p
+    g = X.n - ell - 1
+    r = X.k - ell - 1
+    # every link has the complete (r-1)-skeleton on g vertices
+    low = comb(g, r) - full_boundary_rank(g, r - 1, p) if r >= 0 else 0
+    complete = comb(g, r + 1)
+    tops = link_tops(X, ell)
+    out = []
+    for tau in iter_faces(X, ell):
+        alphas = tops.get(tau, ())
+        f = len(alphas)
+        if not f:
+            rk = 0
+        elif f == complete:
+            rk = full_boundary_rank(g, r, p)
+        else:
+            rk = _top_rank(alphas, p)
+        if low < rk:
+            raise InvariantViolation(
+                f"negative Betti number {low - rk} in degree {r - 1} of a link")
+        out.append(LinkBetti(tau, f, low - rk, f - rk))
     return out
 
 

@@ -271,6 +271,26 @@ def link(X: Complex, tau: Iterable[int]) -> GeneralComplex:
     return GeneralComplex(X.ground - tset, frozenset(out))
 
 
+def link_tops(X: SkeletonComplex, ell: int) -> dict[Simplex, list[Simplex]]:
+    """tau -> the top faces sigma minus tau of lk(X, tau), per degree-ell face.
+
+    One walk over the top faces of X collects, for every degree-ell face
+    tau of each top face sigma, the complement sigma minus tau.  Every
+    link of X is the complete skeleton below these faces, so they are all
+    a link needs.  A degree-ell face under no top face is absent.
+    """
+    size = ell + 1
+    out: dict[Simplex, list[Simplex]] = {}
+    for sigma in X.top_faces:
+        # complementing reverses lexicographic order, so the i-th
+        # (ell+1)-subset of sigma pairs with the i-th last of the rest
+        rests = list(combinations(sigma, len(sigma) - size))
+        rests.reverse()
+        for tau, rest in zip(combinations(sigma, size), rests):
+            out.setdefault(tau, []).append(rest)
+    return out
+
+
 def star_costar(X: Complex, tau: Iterable[int]) -> tuple[GeneralComplex, GeneralComplex]:
     """(star, costar): faces compatible with tau, and faces not containing it."""
     t = make_simplex(tau)

@@ -2,11 +2,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypertree_lab import homology
 from hypertree_lab.bounds import (
     bound_B,
     bound_F,
     equality_trichotomy,
+    lambda_pair,
     lambda_sum,
     monotonicity_check,
     verify_dual_bound,
@@ -18,11 +21,16 @@ from hypertree_lab.errors import (
     ParameterOutOfRange,
     PreconditionLambdaNonzero,
 )
-from hypertree_lab.fields import GF2, RATIONALS
+from hypertree_lab.fields import GF2, GF3, RATIONALS
+from hypertree_lab.homology import betti, link_profile
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     SkeletonComplex,
+    as_general,
+    face_count,
     full_skeleton,
+    iter_faces,
+    link,
     remove_top_face,
 )
 from _registry import track
@@ -63,6 +71,55 @@ def test_lambda_sum_on_bare_skeleton_has_closed_form():
 def test_lambda_sum_validates_degree():
     with pytest.raises(ParameterOutOfRange):
         lambda_sum(full_skeleton(5, 2), 3, 0, GF2)
+    with pytest.raises(ParameterOutOfRange):
+        link_profile(full_skeleton(5, 2), -2, GF2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 9), st.integers(0, 4),
+       st.floats(0.0, 1.0))
+def test_link_profile_matches_general_links(seed, n, k, q):
+    # every link through the general-complex scan, every degree j: the
+    # profile's two Betti numbers are the only nonzero ones, and lambda_sum
+    # is their sum (0 outside degrees r-1 and r)
+    k = min(k, n - 1)
+    S = random_skeleton_complex(n, k, q, SplitMix64(seed))
+    G = as_general(S)
+    for ell in range(-1, k + 1):
+        r = k - ell - 1
+        taus = list(iter_faces(S, ell))
+        links = [link(G, tau) for tau in taus]
+        for fld in (GF2, GF3, RATIONALS):
+            profile = link_profile(S, ell, fld)
+            assert [e.tau for e in profile] == taus
+            assert [e.f_top for e in profile] == [face_count(L, r) for L in links]
+            for j in range(-2, k + 2):
+                want = [betti(L, j, fld) for L in links]
+                got = [e.below if j == r - 1 else e.top if j == r else 0
+                       for e in profile]
+                assert got == want, (ell, j, fld.name)
+                assert lambda_sum(S, ell, j, fld) == sum(want)
+            assert lambda_pair(S, ell, fld) == (
+                lambda_sum(S, ell, r - 1, fld), lambda_sum(S, ell, r, fld))
+
+
+def test_verify_upper_bound_keeps_links_out_of_the_rank_memo(monkeypatch):
+    # the complex-keyed memo sees the global complex only: at most two
+    # boundary ranks per complex, never a link
+    memo = homology._rank_cached
+    keys = []
+
+    def spy(X, j, p):
+        keys.append(type(X))
+        return memo(X, j, p)
+
+    monkeypatch.setattr(homology, "_rank_cached", spy)
+    memo.cache_clear()
+    X = track(random_skeleton_complex(11, 3, 0.3, SplitMix64(31)))
+    for ell in range(3):
+        assert verify_upper_bound(X, ell, RATIONALS).all_hold
+    assert memo.cache_info().currsize <= 4
+    assert keys and set(keys) == {SkeletonComplex}
 
 
 def test_certificate_on_bare_skeleton_is_tight():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -337,3 +339,46 @@ def test_collapse_subcommand():
     code, out, _ = run_cli("collapse", "--in", "random(seed=8,n=5,k=1,q=0.4)")
     assert code == 0
     assert "core" in out.lower()
+
+
+# ------------------------------------------------------------- golden output
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def golden_commands():
+    """The argv lists whose stdout and exit code tests/data pins."""
+    out = []
+    for command in ("links", "lambda", "verify-bound", "verify-dual", "trichotomy"):
+        for seed in (1, 2, 3):
+            for ell in range(-1, 4):
+                for fld in ("gf:2", "q"):
+                    out.append([command, "--in", f"random(seed={seed},n=9,k=3,q=0.4)",
+                                "--ell", str(ell), "--field", fld])
+    out.append(["construct", "xnkl", "11", "3", "0"])
+    return out
+
+
+def run_main(argv):
+    """cli.main in this process: (exit code, stdout text)."""
+    buf = io.BytesIO()
+    stdout = io.TextIOWrapper(buf, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+        stdout.flush()
+    return code, buf.getvalue().decode()
+
+
+def test_golden_cli_output(tmp_path, monkeypatch):
+    # tests/data/cli_golden.json holds the exit code and stdout of every
+    # golden command, and the file `construct` wrote, as recorded from the
+    # code before the link-profile path; outputs must stay byte-identical
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert [g["argv"] for g in golden] == golden_commands()
+    for g in golden:
+        code, out = run_main(g["argv"])
+        assert (code, out) == (g["exit"], g["stdout"]), g["argv"]
+        for name, text in g.get("files", {}).items():
+            assert (tmp_path / name).read_text() == text, (g["argv"], name)

@@ -29,6 +29,7 @@ from hypertree_lab.simplexes import (
     iter_faces,
     join,
     link,
+    link_tops,
     make_simplex,
     remove_top_face,
     simplex_dim,
@@ -275,8 +276,12 @@ def test_indexed_link_matches_general_link(seed, n, k, q):
     before = hash(X)
     G = as_general(X)
     assert G.dim == X.dim
+    tops = {ell: link_tops(X, ell) for ell in range(-1, X.k + 1)}
     for tau in all_faces(X):
         assert link(X, tau) == link(G, tau), tau
+        # the one-walk collection holds exactly the link's top faces
+        r = X.k - len(tau)
+        assert sorted(tops[len(tau) - 1].get(tau, [])) == sorted(iter_faces(link(G, tau), r))
     # building the incidence index leaves equality and hashing alone
     assert sum(map(len, X._tops_through.values())) == len(X.top_faces) * (X.k + 1)
     assert "_tops_through" in vars(X) and "_tops_through" not in vars(twin)
