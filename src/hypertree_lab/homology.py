@@ -11,6 +11,10 @@ simplex on the ground set are computed once per (vertex count, degree,
 characteristic) and memoized; the elimination still runs honestly the
 first time, nothing is looked up from a closed form.
 
+Every face-level rank goes through _top_rank, which over Q first takes the
+GF(2) rank r2 of the same j-faces on g vertices and returns it when it meets
+r2 <= rank_Q <= min(f, rows touched, C(g-1, j)); else Q elimination runs.
+
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
 again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
@@ -22,8 +26,8 @@ only, and the rank of its top boundary map gives both Betti numbers:
     b_{r-1} = C(g, r) - rank of the complete degree-(r-1) map - rank
 
 where f_tau counts the link's r-faces.  One walk over the top faces of X
-collects every link's r-faces, then one row elimination per link runs on
-the rows its r-faces touch; the complete-layer rank is the memoized one
+collects every link's r-faces, then one _top_rank per link runs on the
+rows its r-faces touch; the complete-layer rank is the memoized one
 above.
 """
 from __future__ import annotations
@@ -36,7 +40,13 @@ from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, NotSandwiched, ParameterOutOfRange
 from .fields import FieldSpec
-from .linalg import IncrementalSpan, kernel_basis, rank_by_columns, rank_by_rows
+from .linalg import (
+    IncrementalSpan,
+    _gf2_reduce,
+    kernel_basis,
+    rank_by_columns,
+    rank_by_rows,
+)
 from .simplexes import (
     Complex,
     Simplex,
@@ -83,9 +93,30 @@ def rank(M: SparseMatrix, field: FieldSpec, method: str = "row") -> int:
     raise ValueError(f"unknown rank method {method!r}")
 
 
-def _top_rank(alphas: list[Simplex], p: Optional[int]) -> int:
-    """Rank of the boundary map on the faces alphas, rows only where touched."""
+def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
+    """Rank of the boundary map on the faces alphas, rows only where touched.
+
+    alphas are distinct faces of one dimension j whose vertices lie in a
+    ground set of g vertices.  Over GF(2) and Q each face is packed into a
+    bitset over the rows it touches and reduced by the GF(2) core; over Q
+    that rank is returned when it meets the upper bound min(f, rows,
+    C(g-1, j)), and the fraction-free row route runs otherwise.
+    """
     row_index: dict[Simplex, int] = {}
+    if p is None or p == 2:
+        basis: dict[int, int] = {}
+        for alpha in alphas:
+            v = 0
+            for i in range(len(alpha)):
+                v |= 1 << row_index.setdefault(alpha[:i] + alpha[i + 1:], len(row_index))
+            v = _gf2_reduce(basis, v)
+            if v:
+                basis[v.bit_length() - 1] = v
+        r2 = len(basis)
+        # r2 is at most each of the three bounds, so meeting one meets their min
+        if p == 2 or r2 == len(alphas) or r2 == len(row_index) \
+                or r2 == comb(g - 1, len(alphas[0]) - 1):
+            return r2
     entries: dict[tuple[int, int], int] = {}
     for c, alpha in enumerate(alphas):
         for i in range(len(alpha)):
@@ -99,7 +130,7 @@ def full_boundary_rank(g: int, j: int, p: Optional[int]) -> int:
     """Rank of the degree-j boundary map of the complete simplex on g vertices."""
     if j < 0 or j > g - 1:
         return 0
-    return _top_rank(list(combinations(range(g), j + 1)), p)
+    return _top_rank(list(combinations(range(g), j + 1)), p, g)
 
 
 @lru_cache(maxsize=4096)
@@ -107,8 +138,7 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     g = X.n
     if face_count(X, j) == comb(g, j + 1):
         return full_boundary_rank(g, j, p)
-    M = boundary_matrix(X, j)
-    return rank_by_rows(M.entries, M.n_rows, M.n_cols, p)
+    return _top_rank(list(iter_faces(X, j)), p, g)
 
 
 def boundary_rank(X: Complex, j: int, field: FieldSpec) -> int:
@@ -174,7 +204,7 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
         elif f == complete:
             rk = full_boundary_rank(g, r, p)
         else:
-            rk = _top_rank(alphas, p)
+            rk = _top_rank(alphas, p, g)
         if low < rk:
             raise InvariantViolation(
                 f"negative Betti number {low - rk} in degree {r - 1} of a link")

@@ -5,12 +5,14 @@ a sparsity-aware pivot rule, and left-to-right column reduction that pairs
 each column with its lowest surviving row.  They share no code beyond this
 docstring, so agreement between them is a real check and not a tautology.
 
-The row route packs GF(2) rows as Python int bitsets and reduces them by XOR
-against a basis keyed on the highest set bit; IncrementalSpan over GF(2)
-shares that core.  Over odd p and the rationals the row route keeps sparse
-dict rows and takes each pivot row from a heap.  Rational arithmetic stays
-in plain integers (fraction-free elimination with content stripping) on the
-row route and in Fraction on the column route.
+The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
+bitset and reduces it by XOR against a basis keyed on the highest set bit.
+The row route over GF(2), IncrementalSpan over GF(2) and the face-level
+rank in homology all pack their vectors and call that one core.  Over odd
+p and the rationals the row route keeps sparse dict rows and takes each
+pivot row from a heap keyed on (row length, row index).  Rational
+arithmetic stays in plain integers (fraction-free elimination with content
+stripping) on the row route and in Fraction on the column route.
 """
 from __future__ import annotations
 
@@ -22,18 +24,22 @@ from typing import Iterable, Optional
 Entries = dict[tuple[int, int], int]
 
 
-def _gf2_reduce(basis: dict[int, int], vec: Iterable[tuple[int, object]]) -> int:
-    """Pack vec as a GF(2) bitset and reduce it against basis.
-
-    Bit j is set for each odd entry of vec.  basis maps the highest set bit
-    of each basis vector to that vector.  Returns the remainder: 0 when vec
-    lies in the span, otherwise a vector whose highest bit no basis vector
-    has.  basis is not changed.
-    """
+def _gf2_pack(vec: Iterable[tuple[int, object]]) -> int:
+    """The GF(2) bitset of vec: bit j is set for each odd entry at index j."""
     v = 0
     for j, x in vec:
         if x % 2:
             v |= 1 << j
+    return v
+
+
+def _gf2_reduce(basis: dict[int, int], v: int) -> int:
+    """Reduce the GF(2) bitset v against basis.
+
+    basis maps the highest set bit of each basis vector to that vector.
+    Returns the remainder: 0 when v lies in the span, otherwise a vector
+    whose highest bit no basis vector has.  basis is not changed.
+    """
     while v:
         b = basis.get(v.bit_length() - 1)
         if b is None:
@@ -42,23 +48,17 @@ def _gf2_reduce(basis: dict[int, int], vec: Iterable[tuple[int, object]]) -> int
     return 0
 
 
-def _unit_flag(row: dict[int, int], p: Optional[int]) -> int:
-    """0 when row has an entry usable as a unit pivot, 1 otherwise."""
-    if p is not None or any(v in (1, -1) for v in row.values()):
-        return 0
-    return 1
-
-
 def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
                  p: Optional[int] = None) -> int:
     """Rank via row elimination; p None means exact integer arithmetic."""
     if p == 2:
-        packed: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+        packed = [0] * n_rows
         for (i, j), v in entries.items():
-            packed[i].append((j, v))
+            if v % 2:
+                packed[i] |= 1 << j
         basis: dict[int, int] = {}
-        for row_items in packed:
-            v = _gf2_reduce(basis, row_items)
+        for row in packed:
+            v = _gf2_reduce(basis, row)
             if v:
                 basis[v.bit_length() - 1] = v
         return len(basis)
@@ -78,10 +78,10 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
 
-    # pivot row: fewest nonzeros, preferring unit entries, then lowest index.
-    # Each active row i has the entry (heap_key[i], i) in the heap; an entry
-    # whose row was eliminated or has changed key since is stale and skipped.
-    heap_key = {i: (len(rows[i]), _unit_flag(rows[i], p)) for i in active}
+    # pivot row: fewest nonzeros, then lowest index.  Each active row i has
+    # the entry (heap_key[i], i) in the heap; an entry whose row was
+    # eliminated or has changed length since is stale and skipped.
+    heap_key = {i: len(rows[i]) for i in active}
     heap = [(k, i) for i, k in heap_key.items()]
     heapify(heap)
 
@@ -158,7 +158,7 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
                     active.discard(i)
         for i in touched:
             if i in active:
-                k = (len(rows[i]), _unit_flag(rows[i], p))
+                k = len(rows[i])
                 if k != heap_key[i]:
                     heap_key[i] = k
                     heappush(heap, (k, i))
@@ -326,7 +326,7 @@ class IncrementalSpan:
         """Try to add vec to the span; True iff the rank grew."""
         p = self.p
         if p == 2:
-            v = _gf2_reduce(self.basis, vec.items())
+            v = _gf2_reduce(self.basis, _gf2_pack(vec.items()))
             if not v:
                 return False
             self.basis[v.bit_length() - 1] = v
@@ -344,7 +344,7 @@ class IncrementalSpan:
     def reduces_to_zero(self, vec: dict[int, object]) -> bool:
         p = self.p
         if p == 2:
-            return not _gf2_reduce(self.basis, vec.items())
+            return not _gf2_reduce(self.basis, _gf2_pack(vec.items()))
         if p is not None:
             vec = {j: v % p for j, v in vec.items() if v % p}
         else:

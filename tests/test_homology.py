@@ -1,8 +1,9 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hypertree_lab import homology
 from hypertree_lab.errors import NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.homology import (
@@ -13,17 +14,25 @@ from hypertree_lab.homology import (
     cycle_basis,
     full_boundary_rank,
     is_hypertree,
+    link_profile,
     rank,
 )
-from hypertree_lab.randomness import SplitMix64, random_general_complex
+from hypertree_lab.randomness import (
+    SplitMix64,
+    random_general_complex,
+    random_skeleton_complex,
+)
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
     VOID,
     GeneralComplex,
     SkeletonComplex,
+    as_general,
     boundary_complex,
     closure,
     full_skeleton,
+    iter_faces,
+    link,
 )
 from _registry import track
 
@@ -94,6 +103,83 @@ def test_projective_plane_betti_depends_on_field():
     assert betti(X, 1, GF3) == 0
     # odd torsion is invisible here in every characteristic but 2
     assert betti(X, 1, FieldSpec(32003)) == 0
+
+
+def test_projective_plane_top_rank_is_not_certified_by_gf2():
+    # Z/2 torsion in H_1: the top map loses one rank mod 2, so the GF(2)
+    # rank 9 falls short of min(10 faces, 15 rows, C(5, 2) = 10) and the
+    # rational rank must come from rational elimination
+    X = track(SkeletonComplex(6, 2, frozenset(RP2_FACETS)))
+    assert boundary_rank(X, 2, GF2) == 9
+    assert boundary_rank(X, 2, RATIONALS) == 10
+    q_table = betti_table(X, RATIONALS)
+    assert (q_table[1], q_table[2]) == (0, 0)
+    gf2_table = betti_table(X, GF2)
+    assert (gf2_table[1], gf2_table[2]) == (1, 1)
+    # the same map read as the link of the apex of the cone
+    cone = track(SkeletonComplex(7, 3, frozenset(t + (6,) for t in RP2_FACETS)))
+    for fld, want in ((RATIONALS, (10, 0, 0)), (GF2, (10, 1, 1))):
+        entry = next(e for e in link_profile(cone, 0, fld) if e.tau == (6,))
+        assert (entry.f_top, entry.below, entry.top) == want
+
+
+def _glue_projective_plane(S, rng):
+    """S plus a relabelled RP^2_6 joined to a (k-3)-simplex, and that simplex.
+
+    The link of the returned simplex contains the projective plane.
+    """
+    vs = list(range(S.n))
+    rng.shuffle(vs)
+    label, apex = vs[:6], tuple(sorted(vs[6:6 + S.k - 2]))
+    glued = {tuple(sorted({label[v] for v in t} | set(apex))) for t in RP2_FACETS}
+    return SkeletonComplex(S.n, S.k, S.top_faces | glued), apex
+
+
+def test_boundary_rank_matches_column_route_on_both_branches():
+    # boundary_rank over Q either returns a GF(2) rank that meets its upper
+    # bound or runs the rational row route; both must agree with the
+    # column route, and the draws must reach both branches
+    calls = {"q": 0, "fallback": 0}
+    top_rank, rank_by_rows = homology._top_rank, homology.rank_by_rows
+
+    def top_rank_spy(alphas, p, g):
+        calls["q"] += p is None
+        return top_rank(alphas, p, g)
+
+    def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
+        calls["fallback"] += p is None
+        return rank_by_rows(entries, n_rows, n_cols, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**62), st.integers(2, 10), st.integers(1, 4),
+           st.floats(0.0, 1.0), st.booleans())
+    @example(seed=1, n=6, k=2, q=0.0, glue=True)  # RP^2_6 alone
+    def check(seed, n, k, q, glue):
+        k = min(k, n - 1)
+        rng = SplitMix64(seed)
+        S = random_skeleton_complex(n, k, q, rng)
+        tau = None
+        if glue and 2 <= k <= n - 4:
+            S, tau = _glue_projective_plane(S, rng)
+        if tau is None:
+            ell_faces = list(iter_faces(S, rng.below(k)))
+            tau = ell_faces[rng.below(len(ell_faces))]
+        complexes = (S, link(as_general(S), tau))
+        homology._rank_cached.cache_clear()
+        homology.full_boundary_rank.cache_clear()
+        for X in complexes:
+            for j in range(X.dim + 1):
+                M = boundary_matrix(X, j)
+                for fld in (GF2, GF3, RATIONALS):
+                    assert boundary_rank(X, j, fld) == rank(M, fld, "column"), \
+                        (j, fld.name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_top_rank", top_rank_spy)
+        mp.setattr(homology, "rank_by_rows", rank_by_rows_spy)
+        check()
+    assert calls["fallback"] > 0
+    assert calls["q"] - calls["fallback"] > 0
 
 
 def test_full_skeleton_betti_closed_form():
