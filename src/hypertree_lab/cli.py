@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional, Union
 
 from .bounds import (
@@ -58,7 +59,12 @@ RANDOM_INPUT = re.compile(
     r"random\(\s*seed=(\d+)\s*,\s*n=(\d+)\s*,\s*k=(\d+)\s*,\s*q=([0-9.eE+-]+)\s*\)\Z")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    parse_args never changes a parser, so every call may share it.
+    """
     parser = argparse.ArgumentParser(
         prog="hypertree-lab",
         description="Exact homology, local-to-global bounds, and spectral "

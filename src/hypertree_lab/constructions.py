@@ -127,13 +127,6 @@ class ConstructionReport:
         return Fraction(self.tb_after) / self.bound_value
 
 
-def _link_top_column(alpha: Simplex, row_index: dict[Simplex, int]) -> dict[int, int]:
-    col = {}
-    for i in range(len(alpha)):
-        col[row_index[alpha[:i] + alpha[i + 1:]]] = -1 if i % 2 else 1
-    return col
-
-
 def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
                 order_seed: Optional[int] = None) -> ConstructionReport:
     """Greedy saturated complex: large global homology, acyclic small links.
@@ -179,18 +172,20 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
         row_index = {f: i for i, f in enumerate(rows)}
         span = IncrementalSpan(field.p)
         existing = set(link_tops_Y.get(tau, ()))
+        column = span.boundary_column
         for alpha in sorted(existing):
-            span.add(_link_top_column(alpha, row_index))
-        candidates = [a for a in combinations(ground, r + 1) if a not in existing]
+            span.add(column(alpha, row_index))
+        # most candidates are never scanned, so build the list only to shuffle it
+        candidates = (a for a in combinations(ground, r + 1) if a not in existing)
         seed = tau_seeds[tau]
         if seed is not None:
-            rng = SplitMix64(seed)
-            rng.shuffle(candidates)
+            candidates = list(candidates)
+            SplitMix64(seed).shuffle(candidates)
         picked = []
         for alpha in candidates:
             if span.rank >= target:
                 break
-            if span.add(_link_top_column(alpha, row_index)):
+            if span.add(column(alpha, row_index)):
                 picked.append(alpha)
         if span.rank != target:
             raise InvariantViolation(

@@ -11,9 +11,13 @@ simplex on the ground set are computed once per (vertex count, degree,
 characteristic) and memoized; the elimination still runs honestly the
 first time, nothing is looked up from a closed form.
 
-Every face-level rank goes through _top_rank, which over Q first takes the
-GF(2) rank r2 of the same j-faces on g vertices and returns it when it meets
-r2 <= rank_Q <= min(f, rows touched, C(g-1, j)); else Q elimination runs.
+Every face-level rank goes through _id_rank, which reads its boundary map
+from a facet-id table: for each face sigma, the int ids of its facets
+sigma minus sigma_i, handed out in order of first appearance.  Over Q it
+first takes the GF(2) rank r2 of the same map and returns it when the map
+has degree at most 1 (graph incidence and augmentation maps are totally
+unimodular) or r2 meets r2 <= rank_Q <= min(f, rows touched, C(g-1, j));
+else Q elimination runs.
 
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
@@ -25,18 +29,28 @@ only, and the rank of its top boundary map gives both Betti numbers:
     b_r     = f_tau - rank
     b_{r-1} = C(g, r) - rank of the complete degree-(r-1) map - rank
 
-where f_tau counts the link's r-faces.  One walk over the top faces of X
-collects every link's r-faces, then one _top_rank per link runs on the
-rows its r-faces touch; the complete-layer rank is the memoized one
-above.
+where f_tau counts the link's r-faces.  That top map is read off the
+facet-id table of the top faces of X, by a +-1 scaling lemma.  Adding tau
+back maps the facets of the link face alpha = sigma minus tau one to one
+onto the facets of sigma through tau, so alpha's column is sigma's column
+restricted to the positions of sigma outside tau.  Dropping a vertex v
+gives the sign (-1)^j in the link, j its position in alpha, and (-1)^i in
+X, i its position in sigma; i - j counts the vertices of tau below v,
+which is c(alpha) - c(alpha minus v) for c(S) the number of pairs
+t < s with t in tau and s in S.  So the two matrices differ by diagonal
++-1 factors on rows and columns and have the same rank over every field.
+One walk over the table per ell groups the columns by tau, then one
+_id_rank per link runs on the rows its columns touch; the complete-layer
+rank is the memoized one above.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation, NotSandwiched, ParameterOutOfRange
 from .fields import FieldSpec
@@ -53,7 +67,6 @@ from .simplexes import (
     SkeletonComplex,
     face_count,
     iter_faces,
-    link_tops,
 )
 
 
@@ -93,36 +106,82 @@ def rank(M: SparseMatrix, field: FieldSpec, method: str = "row") -> int:
     raise ValueError(f"unknown rank method {method!r}")
 
 
+def facet_ids(faces: Iterable[Simplex]) -> list[tuple[int, ...]]:
+    """The facet-id table of faces: per face sigma, the ids of sigma minus sigma_i.
+
+    faces are nonempty sorted simplices.  Entry i of a face's tuple is the
+    id of the facet that drops position i.  Ids are ints handed out in
+    order of first appearance, so a facet shared by several faces has one
+    id.
+    """
+    index: dict[Simplex, int] = {}
+    setdefault = index.setdefault
+    table = []
+    for sigma in faces:
+        # combinations drops the last position first
+        ids = [setdefault(f, len(index)) for f in combinations(sigma, len(sigma) - 1)]
+        ids.reverse()
+        table.append(tuple(ids))
+    return table
+
+
+IdGroups = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
+
+
+def _id_rank(groups: IdGroups, p: Optional[int], cap: int) -> int:
+    """Rank of the boundary map spelled out by facet ids.
+
+    groups holds (keep, cols) pairs: each col is a facet-id tuple, and its
+    column has the entry (-1)^i in the row of id col[i] for each position
+    i in keep.  Rows are renumbered by first appearance among the kept
+    ids, so a link's bitsets are as short as the rows it touches, not as
+    long as the table.  Over GF(2) and Q each column is packed as a bitset
+    over those rows and reduced by the GF(2) core.  Over Q that rank r2 is
+    returned when the map has degree at most 1 (graph incidence and
+    augmentation maps are totally unimodular, so the rank is the same over
+    every field) or r2 meets the upper bound min(columns, rows touched,
+    cap); else the fraction-free row route runs.  cap bounds the rank from
+    the ambient simplex: C(g-1, j) for j-faces on g vertices.  Odd p runs
+    the row route at once.
+    """
+    rows: dict[int, int] = {}
+    setdefault = rows.setdefault
+    f = 0
+    if p is None or p == 2:
+        basis: dict[int, int] = {}
+        for keep, cols in groups:
+            f += len(cols)
+            for ids in cols:
+                v = 0
+                for i in keep:
+                    v |= 1 << setdefault(ids[i], len(rows))
+                v = _gf2_reduce(basis, v)
+                if v:
+                    basis[v.bit_length() - 1] = v
+        r2 = len(basis)
+        # r2 is at most each bound, so meeting one meets their min
+        if p == 2 or r2 in (f, len(rows), cap) or len(groups[0][0]) <= 2:
+            return r2
+    entries: dict[tuple[int, int], int] = {}
+    c = 0
+    for keep, cols in groups:
+        for ids in cols:
+            for i in keep:
+                entries[(setdefault(ids[i], len(rows)), c)] = -1 if i % 2 else 1
+            c += 1
+    return rank_by_rows(entries, len(rows), c, p)
+
+
 def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
     """Rank of the boundary map on the faces alphas, rows only where touched.
 
-    alphas are distinct faces of one dimension j whose vertices lie in a
-    ground set of g vertices.  Over GF(2) and Q each face is packed into a
-    bitset over the rows it touches and reduced by the GF(2) core; over Q
-    that rank is returned when it meets the upper bound min(f, rows,
-    C(g-1, j)), and the fraction-free row route runs otherwise.
+    alphas are distinct j-faces on g vertices; the rank is _id_rank over
+    their own facet-id table.
     """
-    row_index: dict[Simplex, int] = {}
-    if p is None or p == 2:
-        basis: dict[int, int] = {}
-        for alpha in alphas:
-            v = 0
-            for i in range(len(alpha)):
-                v |= 1 << row_index.setdefault(alpha[:i] + alpha[i + 1:], len(row_index))
-            v = _gf2_reduce(basis, v)
-            if v:
-                basis[v.bit_length() - 1] = v
-        r2 = len(basis)
-        # r2 is at most each of the three bounds, so meeting one meets their min
-        if p == 2 or r2 == len(alphas) or r2 == len(row_index) \
-                or r2 == comb(g - 1, len(alphas[0]) - 1):
-            return r2
-    entries: dict[tuple[int, int], int] = {}
-    for c, alpha in enumerate(alphas):
-        for i in range(len(alpha)):
-            row = row_index.setdefault(alpha[:i] + alpha[i + 1:], len(row_index))
-            entries[(row, c)] = -1 if i % 2 else 1
-    return rank_by_rows(entries, len(row_index), len(alphas), p)
+    if not alphas:
+        return 0
+    size = len(alphas[0])
+    return _id_rank([(tuple(range(size)), facet_ids(alphas))], p, comb(g - 1, size - 1))
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +237,32 @@ class LinkBetti(NamedTuple):
     top: int     # reduced Betti number in degree r
 
 
+def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
+    """tau -> the top boundary map of lk(X, tau), as _id_rank groups.
+
+    One facet-id table of the top faces of X, walked once: for each
+    position pattern P of size ell+1 and top face sigma, tau = sigma[P] and
+    sigma's column keeps the positions outside P.  Up to +-1 scaling of
+    rows and columns this is the link's top boundary map (see the module
+    docstring).  A degree-ell face under no top face is absent.  The table
+    is built anew per call: a report that keeps X would keep a cached one
+    alive too.
+    """
+    k1 = X.k + 1
+    keeps = [tuple(i for i in range(k1) if i not in P)
+             for P in combinations(range(k1), ell + 1)]
+    by_pattern = [defaultdict(list) for _ in keeps]
+    tops = list(X.top_faces)
+    for sigma, ids in zip(tops, facet_ids(tops)):
+        for cols, tau in zip(by_pattern, combinations(sigma, ell + 1)):
+            cols[tau].append(ids)
+    out: dict[Simplex, IdGroups] = {}
+    for keep, cols in zip(keeps, by_pattern):
+        for tau, c in cols.items():
+            out.setdefault(tau, []).append((keep, c))
+    return out
+
+
 def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:
     """Betti numbers b_{r-1}, b_r of the link of every degree-ell face of X.
 
@@ -194,17 +279,18 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     # every link has the complete (r-1)-skeleton on g vertices
     low = comb(g, r) - full_boundary_rank(g, r - 1, p) if r >= 0 else 0
     complete = comb(g, r + 1)
-    tops = link_tops(X, ell)
+    cap = comb(g - 1, r) if r >= 0 else 0
+    links = link_columns(X, ell)
     out = []
     for tau in iter_faces(X, ell):
-        alphas = tops.get(tau, ())
-        f = len(alphas)
+        groups = links.get(tau, ())
+        f = sum(len(cols) for _, cols in groups)
         if not f:
             rk = 0
         elif f == complete:
             rk = full_boundary_rank(g, r, p)
         else:
-            rk = _top_rank(alphas, p, g)
+            rk = _id_rank(groups, p, cap)
         if low < rk:
             raise InvariantViolation(
                 f"negative Betti number {low - rk} in degree {r - 1} of a link")

@@ -8,7 +8,8 @@ docstring, so agreement between them is a real check and not a tautology.
 The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
 bitset and reduces it by XOR against a basis keyed on the highest set bit.
 The row route over GF(2), IncrementalSpan over GF(2) and the face-level
-rank in homology all pack their vectors and call that one core.  Over odd
+rank in homology (which packs faces from a facet-id table, with no
+tuple-keyed rows) all pack their vectors and call that one core.  Over odd
 p and the rationals the row route keeps sparse dict rows and takes each
 pivot row from a heap keyed on (row length, row index).  Rational
 arithmetic stays in plain integers (fraction-free elimination with content
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 Entries = dict[tuple[int, int], int]
 
@@ -281,11 +282,13 @@ def kernel_basis(entries: Entries, n_rows: int, n_cols: int,
 class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
-    Vectors are sparse index -> value dicts.  Basis rows are kept reduced
-    enough to have distinct pivots (largest index).  Over GF(2) they are
-    int bitsets reduced by the same XOR core as rank_by_rows.  Used where
-    candidates arrive online and only the yes/no answer and the running rank
-    matter.
+    Vectors are sparse index -> value dicts; over GF(2) a vector may also
+    come packed as an int bitset.  boundary_column hands out a face's
+    boundary in the form that suits the field, so callers need not branch
+    on it.  Basis rows are kept reduced enough to have distinct pivots
+    (largest index).  Over GF(2) they are int bitsets reduced by the same
+    XOR core as rank_by_rows.  Used where candidates arrive online and only
+    the yes/no answer and the running rank matter.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -322,11 +325,31 @@ class IncrementalSpan:
                         vec.pop(j, None)
         return vec
 
-    def add(self, vec: dict[int, object]) -> bool:
-        """Try to add vec to the span; True iff the rank grew."""
+    def boundary_column(self, face: tuple[int, ...], row_index: dict[tuple[int, ...], int]
+                        ) -> Union[int, dict[int, int]]:
+        """The boundary of face over the rows row_index, in the form add takes.
+
+        Entry (-1)^i sits in the row of face minus its i-th vertex.  Over
+        GF(2) it comes packed as an int bitset, otherwise as a sparse dict.
+        """
+        if self.p == 2:
+            v = 0
+            for i in range(len(face)):
+                v |= 1 << row_index[face[:i] + face[i + 1:]]
+            return v
+        return {row_index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
+                for i in range(len(face))}
+
+    def add(self, vec: Union[int, dict[int, object]]) -> bool:
+        """Try to add vec to the span; True iff the rank grew.
+
+        Over GF(2) vec may also be a packed int bitset (see boundary_column).
+        """
         p = self.p
         if p == 2:
-            v = _gf2_reduce(self.basis, _gf2_pack(vec.items()))
+            if not isinstance(vec, int):
+                vec = _gf2_pack(vec.items())
+            v = _gf2_reduce(self.basis, vec)
             if not v:
                 return False
             self.basis[v.bit_length() - 1] = v

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import ge
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -74,12 +75,13 @@ class SkeletonComplex:
     def __post_init__(self):
         if not 0 <= self.k <= self.n - 1:
             raise DimensionMismatch(f"top dimension {self.k} invalid for n={self.n}")
+        size, n = self.k + 1, self.n
         for sigma in self.top_faces:
-            if len(sigma) != self.k + 1:
+            if len(sigma) != size:
                 raise DimensionMismatch(f"face {sigma} does not have dimension {self.k}")
-            if any(not 0 <= v < self.n for v in sigma):
-                raise VertexOutOfRange(f"face {sigma} leaves [0, {self.n})")
-            if any(a >= b for a, b in zip(sigma, sigma[1:])):
+            if min(sigma) < 0 or max(sigma) >= n:
+                raise VertexOutOfRange(f"face {sigma} leaves [0, {n})")
+            if any(map(ge, sigma, sigma[1:])):
                 raise DimensionMismatch(f"face {sigma} is not strictly increasing")
 
     @property

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from hypertree_lab import homology
 from hypertree_lab.errors import NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.homology import (
+    _id_rank,
     betti,
     betti_table,
     boundary_matrix,
@@ -17,6 +19,7 @@ from hypertree_lab.homology import (
     link_profile,
     rank,
 )
+from hypertree_lab.linalg import rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import (
     SplitMix64,
     random_general_complex,
@@ -180,6 +183,103 @@ def test_boundary_rank_matches_column_route_on_both_branches():
         check()
     assert calls["fallback"] > 0
     assert calls["q"] - calls["fallback"] > 0
+
+
+def _id_matrix(groups):
+    """The sparse matrix that link_columns groups spell out, rows numbered here."""
+    rows, entries, c = {}, {}, 0
+    for keep, cols in groups:
+        for ids in cols:
+            for i in keep:
+                entries[(rows.setdefault(ids[i], len(rows)), c)] = -1 if i % 2 else 1
+            c += 1
+    return entries, len(rows), c
+
+
+RP2_CONE = SkeletonComplex(7, 3, frozenset(t + (6,) for t in RP2_FACETS))
+
+
+def _random_skeleton(seed, n, k, q):
+    return random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(1, 10),
+                 st.integers(0, 4), st.floats(0.0, 1.0)))
+@example(RP2_CONE)
+def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
+    # the +-1 scaling lemma: the top boundary of lk(S, tau) read off the
+    # facet-id table of S has the rank of the general link's boundary map
+    # over every field, for every tau and every ell
+    G = as_general(S)
+    for ell in range(-1, S.k + 1):
+        r, g = S.k - ell - 1, S.n - ell - 1
+        cap = comb(g - 1, r) if r >= 0 else 0
+        links = homology.link_columns(S, ell)
+        assert set(links) <= set(iter_faces(S, ell))
+        for tau in iter_faces(S, ell):
+            M = boundary_matrix(link(G, tau), r)
+            groups = links.get(tau, [])
+            entries, n_rows, n_cols = _id_matrix(groups)
+            assert n_cols == M.n_cols, (ell, tau)
+            for fld in (GF2, GF3, RATIONALS):
+                want = rank(M, fld, "column")
+                assert rank_by_columns(entries, n_rows, n_cols, fld.p) == want
+                if n_cols:
+                    assert _id_rank(groups, fld.p, cap) == want, (ell, tau, fld.name)
+
+
+def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatch):
+    # lk(cone, (6,)) is RP^2_6: GF(2) rank 9 misses min(10, 15, C(5, 2)),
+    # so the rational rank 10 needs the row route
+    calls = []
+
+    def spy(entries, n_rows, n_cols, p=None):
+        calls.append(p)
+        return rank_by_rows(entries, n_rows, n_cols, p)
+
+    monkeypatch.setattr(homology, "rank_by_rows", spy)
+    groups = homology.link_columns(RP2_CONE, 0)[(6,)]
+    assert _id_rank(groups, 2, comb(5, 2)) == 9
+    assert calls == []
+    assert _id_rank(groups, None, comb(5, 2)) == 10
+    assert calls == [None]
+
+
+def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):
+    # graph incidence and augmentation maps are totally unimodular, so over
+    # Q the GF(2) rank is the answer even where it misses its upper bound
+    fallback_degrees = []
+
+    def spy(entries, n_rows, n_cols, p=None):
+        if p is None:
+            per_col = Counter(c for _, c in entries)
+            fallback_degrees.append(max(per_col.values(), default=0) - 1)
+        return rank_by_rows(entries, n_rows, n_cols, p)
+
+    monkeypatch.setattr(homology, "rank_by_rows", spy)
+    # a triangle plus a disjoint edge: rank 3 < min(4 edges, 5 rows, 5)
+    graph = ((0, 1), (1, 2), (0, 2), (3, 4))
+    G1 = track(SkeletonComplex(6, 1, frozenset(graph)))
+    cone = track(SkeletonComplex(7, 2, frozenset(e + (6,) for e in graph)))
+    rng = SplitMix64(11)
+    complexes = [G1, cone] + [
+        random_skeleton_complex(n, k, 0.45, rng) for n in (5, 7, 9) for k in (1, 2, 3)]
+    for X in complexes:
+        homology._rank_cached.cache_clear()
+        homology.full_boundary_rank.cache_clear()
+        for j in (0, 1):
+            want = rank(boundary_matrix(X, j), RATIONALS, "column")
+            assert boundary_rank(X, j, RATIONALS) == want
+        G = as_general(X)
+        for ell in range(max(-1, X.k - 2), X.k + 1):
+            r = X.k - ell - 1
+            for e in link_profile(X, ell, RATIONALS):
+                M = boundary_matrix(link(G, e.tau), r)
+                assert e.f_top - e.top == rank(M, RATIONALS, "column"), (ell, e.tau)
+    assert boundary_rank(G1, 1, GF2) == 3
+    assert next(e for e in link_profile(cone, 0, GF2) if e.tau == (6,)).top == 1
+    assert fallback_degrees == []
 
 
 def test_full_skeleton_betti_closed_form():

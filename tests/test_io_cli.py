@@ -22,7 +22,7 @@ from hypertree_lab.errors import (
     UnrepresentableComplex,
     VertexOutOfRange,
 )
-from hypertree_lab.reports import CSV_COLUMNS
+from hypertree_lab.reports import CSV_COLUMNS, emit_report
 from hypertree_lab.simplexes import (
     VOID,
     GeneralComplex,
@@ -211,6 +211,23 @@ def test_sweep_rows_carry_their_own_time():
     assert len(times) == 3 and all(t is not None and t > 0 for t in times)
     assert sum(times) <= wall_ms
     assert all(r.elapsed_ms is None for r in cli.run_command(argv).report)
+
+
+def test_cached_parser_carries_nothing_between_commands():
+    # the parser is built once per process; flags and values of one
+    # command must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["betti", "--in", "random(seed=1,n=6,k=2,q=0.5)"]
+    first = cli.run_command(argv + ["--timing", "--out", "json"])
+    assert first.format == "json" and first.report.elapsed_ms is not None
+    second = cli.run_command(argv)
+    assert second.format == "text" and second.report.elapsed_ms is None
+    args = vars(cli.build_parser().parse_args(argv))
+    cli.build_parser.cache_clear()
+    assert args == vars(cli.build_parser().parse_args(argv))
+    fresh = cli.run_command(argv)
+    assert emit_report(second.report, second.format) == \
+        emit_report(fresh.report, fresh.format)
 
 
 def test_sweep_garland_fails_on_invariant_violation(monkeypatch, capsys):

@@ -131,6 +131,28 @@ def test_incremental_span_tracks_rank():
     assert span2.rank == 1
 
 
+def test_boundary_column_matches_boundary_matrix():
+    # the packed GF(2) column and the sparse column hold the boundary_matrix
+    # entries, and add takes either form
+    X = random_skeleton_complex(8, 2, 0.5, SplitMix64(5))
+    M = boundary_matrix(X, 2)
+    row_index = {f: i for i, f in enumerate(M.row_faces)}
+    cols = {}
+    for (i, c), v in M.entries.items():
+        cols.setdefault(c, {})[i] = v
+    for p in (2, 3, None):
+        span, oracle = IncrementalSpan(p), IncrementalSpan(p)
+        for c, face in enumerate(M.col_faces):
+            got = span.boundary_column(face, row_index)
+            if p == 2:
+                assert got == sum(1 << i for i in cols[c])
+            else:
+                assert got == cols[c]
+            assert span.add(got) == oracle.add(cols[c])
+        assert span.rank == oracle.rank == rank_by_columns(
+            M.entries, M.n_rows, M.n_cols, p)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**62), st.integers(1, 6), st.integers(1, 6))
 def test_rank_bounded_and_transpose_invariant(seed, n_rows, n_cols):

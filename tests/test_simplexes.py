@@ -76,6 +76,23 @@ def test_skeleton_complex_validation():
     assert SkeletonComplex(5, 2, frozenset()).dim == 1
 
 
+def test_skeleton_complex_checks_run_in_order():
+    # per face: size first, then the vertex range, then strict increase
+    with pytest.raises(DimensionMismatch):
+        SkeletonComplex(4, 2, frozenset({(0, 9)}))
+    with pytest.raises(VertexOutOfRange):
+        SkeletonComplex(4, 2, frozenset({(5, 1, 0)}))
+    with pytest.raises(VertexOutOfRange):
+        SkeletonComplex(4, 2, frozenset({(-1, 1, 2)}))
+    with pytest.raises(VertexOutOfRange):
+        SkeletonComplex(4, 2, frozenset({(0, 1, 4)}))
+    with pytest.raises(DimensionMismatch):
+        SkeletonComplex(4, 2, frozenset({(0, 1, 1)}))
+    with pytest.raises(DimensionMismatch):
+        SkeletonComplex(4, 2, frozenset({(0, 2, 1)}))
+    assert SkeletonComplex(4, 2, frozenset({(0, 1, 3)})).dim == 2
+
+
 def test_skeleton_complex_membership_is_implicit_below_top():
     X = SkeletonComplex(6, 2, frozenset({(0, 1, 2)}))
     assert contains(X, (3, 5))  # any edge, the full 1-skeleton is implied
