@@ -10,7 +10,6 @@ from .bounds import (
     bound_F,
     equality_trichotomy,
     lambda_pair,
-    lambda_sum,
     monotonicity_check,
     verify_dual_bound,
     verify_upper_bound,
@@ -44,27 +43,21 @@ from .homology import (
     cycle_basis,
     is_hypertree,
     link_profile,
-    rank,
 )
 from .randomness import SplitMix64, random_skeleton_complex
 from .simplexes import (
     GeneralComplex,
     SkeletonComplex,
     as_skeleton_complex,
-    boundary_complex,
     closure,
     f_vector,
     faces,
     from_top_faces,
     full_skeleton,
-    induced,
-    join,
     link,
     link_tops,
     make_simplex,
     remove_top_face,
-    skeleton,
-    star_costar,
 )
 
 __version__ = "0.1.0"

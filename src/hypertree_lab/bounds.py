@@ -3,11 +3,11 @@
 For a complex X with full (k-1)-skeleton on n vertices, the central
 quantity is the accumulated link defect
 
-    lambda_sum(X, ell, j) = sum over degree-ell faces tau of the degree-j
-                            Betti number of the link of tau,
+    lam(X, ell, j) = sum over degree-ell faces tau of the degree-j
+                     Betti number of the link of tau,
 
-evaluated at j = k-ell-2 (one below the top dimension of the links) or at
-j = k-ell-1 (the top).  The certificates below tie these sums to the
+evaluated at j = k-ell-2 (lambda_low, one below the top dimension of the
+links) or at j = k-ell-1 (lambda_high, the top).  The certificates below tie these sums to the
 degree-(k-1) and degree-k Betti numbers of X through four relations:
 
   upper:   C * b_{k-1}(X) <= lambda_low + C * B
@@ -44,27 +44,18 @@ from .simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
     face_count,
-    iter_faces,
-    link,
+    link_tops,
     make_simplex,
     remove_top_face,
 )
 
 
-def lambda_sum(X: Complex, ell: int, j: int, field: FieldSpec) -> int:
-    """Total degree-j Betti number over all links of degree-ell faces."""
-    S = as_skeleton_complex(X)
-    profile = link_profile(S, ell, field)
-    r = S.k - ell - 1  # the links have homology in degrees r-1 and r only
-    if j == r - 1:
-        return sum(e.below for e in profile)
-    if j == r:
-        return sum(e.top for e in profile)
-    return 0
-
-
 def lambda_pair(X: Complex, ell: int, field: FieldSpec) -> tuple[int, int]:
-    """(lambda_sum at k-ell-2, lambda_sum at k-ell-1) from one link profile."""
+    """(lam at j = k-ell-2, lam at j = k-ell-1) from one link profile.
+
+    The links of degree-ell faces have homology in those two degrees only,
+    so lam is 0 at every other j.
+    """
     profile = link_profile(as_skeleton_complex(X), ell, field)
     return sum(e.below for e in profile), sum(e.top for e in profile)
 
@@ -181,7 +172,7 @@ def verify_dual_bound(X: Complex, ell: int, field: FieldSpec) -> DualBoundVerdic
         n=S.n, k=k, ell=ell, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
         tb_top=betti(S, k, field),
-        lam_high=lambda_sum(S, ell, k - ell - 1, field),
+        lam_high=lambda_pair(S, ell, field)[1],
     )
 
 
@@ -249,29 +240,24 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     if s not in S.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")
     S2 = remove_top_face(S, s)
-    j = k - ell - 2
-
-    brackets = []
-    untouched = True
-    for tau in iter_faces(S, ell):
-        if set(tau).issubset(s):
-            brackets.append(LinkBracket(
-                tau=tau,
-                before=betti(link(S, tau), j, field),
-                after=betti(link(S2, tau), j, field),
-            ))
-        elif link(S, tau).faces != link(S2, tau).faces:
-            untouched = False
+    before = link_profile(S, ell, field)
+    after = link_profile(S2, ell, field)
+    inside = set(s).issuperset
+    brackets = tuple(LinkBracket(tau=e.tau, before=e.below, after=e2.below)
+                     for e, e2 in zip(before, after) if inside(e.tau))
+    # a link of a sandwiched complex is fixed by its top faces
+    kept = [{tau: set(rests) for tau, rests in link_tops(Y, ell).items()
+             if not inside(tau)} for Y in (S, S2)]
 
     return MonotonicityVerdict(
         n=S.n, k=k, ell=ell, sigma=s, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
-        lam_before=lambda_sum(S, ell, j, field),
-        lam_after=lambda_sum(S2, ell, j, field),
+        lam_before=sum(e.below for e in before),
+        lam_after=sum(e.below for e in after),
         tb_before=betti(S, k - 1, field),
         tb_after=betti(S2, k - 1, field),
-        link_brackets=tuple(brackets),
-        untouched_identical=untouched,
+        link_brackets=brackets,
+        untouched_identical=kept[0] == kept[1],
     )
 
 
@@ -352,13 +338,16 @@ def support_property_holds(X: SkeletonComplex, field: FieldSpec) -> bool:
 
     For each top face sigma in the support of a degree-k homology basis
     element and every tau inside sigma, the link of tau must have nonzero
-    Betti number in degree k - dim(tau) - 2.
+    Betti number in degree k - dim(tau) - 2, the top degree of that link.
     """
-    k = X.k
-    for chain in cycle_basis(X, k, field):
+    S = as_skeleton_complex(X)
+    k = S.k
+    # tops[size][tau]: top Betti number of the link of tau, |tau| = size
+    tops = [{e.tau: e.top for e in link_profile(S, size - 1, field)}
+            for size in range(k + 2)]
+    for chain in cycle_basis(S, k, field):
         for sigma in chain:
-            for size in range(0, k + 2):
-                for tau in combinations(sigma, size):
-                    if betti(link(X, tau), k - size, field) <= 0:
-                        return False
+            for size, top in enumerate(tops):
+                if any(top[tau] <= 0 for tau in combinations(sigma, size)):
+                    return False
     return True

@@ -58,7 +58,6 @@ from .linalg import (
     IncrementalSpan,
     _gf2_reduce,
     kernel_basis,
-    rank_by_columns,
     rank_by_rows,
 )
 from .simplexes import (
@@ -96,14 +95,6 @@ def boundary_matrix(X: Complex, j: int) -> SparseMatrix:
             face = sigma[:i] + sigma[i + 1:]
             entries[(row_index[face], c)] = -1 if i % 2 else 1
     return SparseMatrix(len(rows), len(cols), entries, rows, cols)
-
-
-def rank(M: SparseMatrix, field: FieldSpec, method: str = "row") -> int:
-    if method == "row":
-        return rank_by_rows(M.entries, M.n_rows, M.n_cols, field.p)
-    if method == "column":
-        return rank_by_columns(M.entries, M.n_rows, M.n_cols, field.p)
-    raise ValueError(f"unknown rank method {method!r}")
 
 
 def facet_ids(faces: Iterable[Simplex]) -> list[tuple[int, ...]]:
@@ -192,7 +183,9 @@ def full_boundary_rank(g: int, j: int, p: Optional[int]) -> int:
     return _top_rank(list(combinations(range(g), j + 1)), p, g)
 
 
-@lru_cache(maxsize=4096)
+# keyed on the complex, so each entry keeps its complex alive: a few
+# complexes' worth of entries is all a bound, trichotomy or sweep row reuses
+@lru_cache(maxsize=8)
 def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     g = X.n
     if face_count(X, j) == comb(g, j + 1):

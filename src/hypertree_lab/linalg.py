@@ -4,16 +4,19 @@ Two independent routes are kept deliberately separate: row elimination with
 a sparsity-aware pivot rule, and left-to-right column reduction that pairs
 each column with its lowest surviving row.  They share no code beyond this
 docstring, so agreement between them is a real check and not a tautology.
+The row route keeps sparse dict rows for every p and takes each pivot row
+from a heap keyed on (row length, row index); over the rationals it stays
+in plain integers (fraction-free elimination with content stripping).
+
+The column route has one core, _reduce_low, which reduces a sparse vector
+against a basis keyed on each vector's largest index.  rank_by_columns,
+kernel_basis and IncrementalSpan over odd p and the rationals all call it,
+in residues mod p or in Fraction.
 
 The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
 bitset and reduces it by XOR against a basis keyed on the highest set bit.
-The row route over GF(2), IncrementalSpan over GF(2) and the face-level
-rank in homology (which packs faces from a facet-id table, with no
-tuple-keyed rows) all pack their vectors and call that one core.  Over odd
-p and the rationals the row route keeps sparse dict rows and takes each
-pivot row from a heap keyed on (row length, row index).  Rational
-arithmetic stays in plain integers (fraction-free elimination with content
-stripping) on the row route and in Fraction on the column route.
+It serves the face-level rank in homology (_id_rank, which packs faces
+from a facet-id table) and IncrementalSpan over GF(2).
 """
 from __future__ import annotations
 
@@ -52,18 +55,6 @@ def _gf2_reduce(basis: dict[int, int], v: int) -> int:
 def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
                  p: Optional[int] = None) -> int:
     """Rank via row elimination; p None means exact integer arithmetic."""
-    if p == 2:
-        packed = [0] * n_rows
-        for (i, j), v in entries.items():
-            if v % 2:
-                packed[i] |= 1 << j
-        basis: dict[int, int] = {}
-        for row in packed:
-            v = _gf2_reduce(basis, row)
-            if v:
-                basis[v.bit_length() - 1] = v
-        return len(basis)
-
     rows: list[dict[int, int]] = [dict() for _ in range(n_rows)]
     for (i, j), v in entries.items():
         if p is not None:
@@ -172,9 +163,9 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
     return rank
 
 
-def rank_by_columns(entries: Entries, n_rows: int, n_cols: int,
-                    p: Optional[int] = None) -> int:
-    """Rank via left-to-right column reduction on the lowest nonzero row."""
+def _columns(entries: Entries, n_cols: int,
+             p: Optional[int]) -> list[dict[int, object]]:
+    """The columns of entries as sparse row -> value dicts over the field."""
     cols: list[dict[int, object]] = [dict() for _ in range(n_cols)]
     for (i, j), v in entries.items():
         if p is not None:
@@ -183,36 +174,68 @@ def rank_by_columns(entries: Entries, n_rows: int, n_cols: int,
                 cols[j][i] = v
         elif v:
             cols[j][i] = Fraction(v)
+    return cols
 
-    low_owner: dict[int, int] = {}  # lowest row index -> column holding it
-    rank = 0
-    for j in range(n_cols):
-        col = cols[j]
-        while col:
-            low = max(col)
-            owner = low_owner.get(low)
-            if owner is None:
-                low_owner[low] = j
-                rank += 1
-                break
-            other = cols[owner]
-            if p is not None:
-                c = (col[low] * pow(other[low], -1, p)) % p
-                for i, v in other.items():
-                    w = (col.get(i, 0) - c * v) % p
+
+def _reduce_low(vec: dict[int, object], basis: dict[int, dict[int, object]],
+                p: Optional[int], combo: Optional[dict[int, object]] = None,
+                combos: Optional[dict[int, dict[int, object]]] = None) -> Optional[int]:
+    """Reduce vec in place against basis; the free largest index, or None.
+
+    basis maps the largest index of each basis vector to that vector, and
+    vec loses its largest index to the basis vector holding it until no
+    basis vector does; that index is returned, or None once vec is 0.
+    When combo is given, each step applies the same operation to combo
+    with combos[index], so combo keeps vec as a combination of the input
+    vectors.  Residues mod p for a prime p, Fraction for the rationals.
+    """
+    while vec:
+        low = max(vec)
+        other = basis.get(low)
+        if other is None:
+            return low
+        if p is not None:
+            c = (vec[low] * pow(other[low], -1, p)) % p
+            for i, v in other.items():
+                w = (vec.get(i, 0) - c * v) % p
+                if w:
+                    vec[i] = w
+                else:
+                    vec.pop(i, None)
+            if combo is not None:
+                for t, v in combos[low].items():
+                    w = (combo.get(t, 0) - c * v) % p
                     if w:
-                        col[i] = w
+                        combo[t] = w
                     else:
-                        col.pop(i, None)
-            else:
-                c = col[low] / other[low]
-                for i, v in other.items():
-                    w = col.get(i, 0) - c * v
+                        combo.pop(t, None)
+        else:
+            c = vec[low] / other[low]
+            for i, v in other.items():
+                w = vec.get(i, 0) - c * v
+                if w:
+                    vec[i] = w
+                else:
+                    vec.pop(i, None)
+            if combo is not None:
+                for t, v in combos[low].items():
+                    w = combo.get(t, 0) - c * v
                     if w:
-                        col[i] = w
+                        combo[t] = w
                     else:
-                        col.pop(i, None)
-    return rank
+                        combo.pop(t, None)
+    return None
+
+
+def rank_by_columns(entries: Entries, n_rows: int, n_cols: int,
+                    p: Optional[int] = None) -> int:
+    """Rank via left-to-right column reduction on the lowest nonzero row."""
+    basis: dict[int, dict[int, object]] = {}
+    for col in _columns(entries, n_cols, p):
+        low = _reduce_low(col, basis, p)
+        if low is not None:
+            basis[low] = col
+    return len(basis)
 
 
 def kernel_basis(entries: Entries, n_rows: int, n_cols: int,
@@ -223,59 +246,18 @@ def kernel_basis(entries: Entries, n_rows: int, n_cols: int,
     column that reduces to zero hands back the combination that killed it.
     Rational output is in Fraction, GF(p) output in residues.
     """
-    cols: list[dict[int, object]] = [dict() for _ in range(n_cols)]
-    for (i, j), v in entries.items():
-        if p is not None:
-            v %= p
-            if v:
-                cols[j][i] = v
-        elif v:
-            cols[j][i] = Fraction(v)
-
     one = 1 if p is not None else Fraction(1)
-    combos: list[dict[int, object]] = [{j: one} for j in range(n_cols)]
-    low_owner: dict[int, int] = {}
+    basis: dict[int, dict[int, object]] = {}
+    combos: dict[int, dict[int, object]] = {}
     kernel: list[dict[int, object]] = []
-    for j in range(n_cols):
-        col = cols[j]
-        combo = combos[j]
-        while col:
-            low = max(col)
-            owner = low_owner.get(low)
-            if owner is None:
-                low_owner[low] = j
-                break
-            other = cols[owner]
-            if p is not None:
-                c = (col[low] * pow(other[low], -1, p)) % p
-                for i, v in other.items():
-                    w = (col.get(i, 0) - c * v) % p
-                    if w:
-                        col[i] = w
-                    else:
-                        col.pop(i, None)
-                for t, v in combos[owner].items():
-                    w = (combo.get(t, 0) - c * v) % p
-                    if w:
-                        combo[t] = w
-                    else:
-                        combo.pop(t, None)
-            else:
-                c = col[low] / other[low]
-                for i, v in other.items():
-                    w = col.get(i, 0) - c * v
-                    if w:
-                        col[i] = w
-                    else:
-                        col.pop(i, None)
-                for t, v in combos[owner].items():
-                    w = combo.get(t, 0) - c * v
-                    if w:
-                        combo[t] = w
-                    else:
-                        combo.pop(t, None)
-        if not col:
+    for j, col in enumerate(_columns(entries, n_cols, p)):
+        combo = {j: one}
+        low = _reduce_low(col, basis, p, combo, combos)
+        if low is None:
             kernel.append(combo)
+        else:
+            basis[low] = col
+            combos[low] = combo
     return kernel
 
 
@@ -286,9 +268,10 @@ class IncrementalSpan:
     come packed as an int bitset.  boundary_column hands out a face's
     boundary in the form that suits the field, so callers need not branch
     on it.  Basis rows are kept reduced enough to have distinct pivots
-    (largest index).  Over GF(2) they are int bitsets reduced by the same
-    XOR core as rank_by_rows.  Used where candidates arrive online and only
-    the yes/no answer and the running rank matter.
+    (largest index).  Over GF(2) they are int bitsets reduced by the XOR
+    core, otherwise sparse dicts reduced by the column route's core.  Used
+    where candidates arrive online and only the yes/no answer and the
+    running rank matter.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -298,32 +281,6 @@ class IncrementalSpan:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def _reduce(self, vec: dict[int, object]) -> dict[int, object]:
-        p = self.p
-        vec = dict(vec)
-        while vec:
-            piv = max(vec)
-            row = self.basis.get(piv)
-            if row is None:
-                return vec
-            if p is not None:
-                c = (vec[piv] * pow(row[piv], -1, p)) % p
-                for j, v in row.items():
-                    w = (vec.get(j, 0) - c * v) % p
-                    if w:
-                        vec[j] = w
-                    else:
-                        vec.pop(j, None)
-            else:
-                c = Fraction(vec[piv]) / row[piv]
-                for j, v in row.items():
-                    w = vec.get(j, 0) - c * v
-                    if w:
-                        vec[j] = w
-                    else:
-                        vec.pop(j, None)
-        return vec
 
     def boundary_column(self, face: tuple[int, ...], row_index: dict[tuple[int, ...], int]
                         ) -> Union[int, dict[int, int]]:
@@ -358,18 +315,8 @@ class IncrementalSpan:
             vec = {j: v % p for j, v in vec.items() if v % p}
         else:
             vec = {j: Fraction(v) for j, v in vec.items() if v}
-        red = self._reduce(vec)
-        if not red:
+        low = _reduce_low(vec, self.basis, p)
+        if low is None:
             return False
-        self.basis[max(red)] = red
+        self.basis[low] = vec
         return True
-
-    def reduces_to_zero(self, vec: dict[int, object]) -> bool:
-        p = self.p
-        if p == 2:
-            return not _gf2_reduce(self.basis, _gf2_pack(vec.items()))
-        if p is not None:
-            vec = {j: v % p for j, v in vec.items() if v % p}
-        else:
-            vec = {j: Fraction(v) for j, v in vec.items() if v}
-        return not self._reduce(vec)

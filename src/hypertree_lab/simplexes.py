@@ -5,8 +5,8 @@ between two consecutive skeleta of the full simplex on n vertices: only the
 top-dimensional faces are stored and the complete lower skeleton is implied,
 enumerated combinatorially on demand and never materialized.  GeneralComplex
 stores an explicit downward-closed face set over an explicit ground vertex
-set; links and induced subcomplexes live on a subset of the original
-vertices, so the ground set is kept rather than a bare vertex count.
+set; a link lives on a subset of the original vertices, so the ground set
+is kept rather than a bare vertex count.
 
 Simplices are strictly increasing tuples of vertex ids; the empty tuple is
 the empty simplex of dimension -1.  The complex whose only face is the empty
@@ -48,20 +48,10 @@ def make_simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def simplex_dim(sigma: Simplex) -> int:
-    return len(sigma) - 1
-
-
 def subfaces(sigma: Simplex) -> Iterator[Simplex]:
     """Every face of sigma, from the empty simplex up to sigma itself."""
     for r in range(len(sigma) + 1):
         yield from combinations(sigma, r)
-
-
-def boundary_faces(sigma: Simplex) -> Iterator[Simplex]:
-    """Codimension-1 faces of sigma in drop-the-i-th-vertex order."""
-    for i in range(len(sigma)):
-        yield sigma[:i] + sigma[i + 1:]
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ class GeneralComplex:
                 raise DimensionMismatch(f"face {f} is not strictly increasing")
             if any(v not in self.ground for v in f):
                 raise VertexOutOfRange(f"face {f} leaves the ground set")
-            for g in boundary_faces(f):
+            for g in combinations(f, len(f) - 1) if f else ():
                 if g not in self.faces:
                     raise DimensionMismatch(f"missing subface {g} of {f}")
 
@@ -293,78 +283,11 @@ def link_tops(X: SkeletonComplex, ell: int) -> dict[Simplex, list[Simplex]]:
     return out
 
 
-def star_costar(X: Complex, tau: Iterable[int]) -> tuple[GeneralComplex, GeneralComplex]:
-    """(star, costar): faces compatible with tau, and faces not containing it."""
-    t = make_simplex(tau)
-    if not contains(X, t):
-        raise FaceNotInComplex(f"{t} is not a face")
-    tset = set(t)
-    ground = X.ground
-    star_faces: set[Simplex] = set()
-    costar_faces: set[Simplex] = set()
-    for sigma in all_faces(X):
-        if contains(X, make_simplex(tset.union(sigma))):
-            star_faces.add(sigma)
-        if not tset.issubset(sigma):
-            costar_faces.add(sigma)
-    return (
-        GeneralComplex(ground, frozenset(star_faces)),
-        GeneralComplex(ground, frozenset(costar_faces)),
-    )
-
-
-def induced(X: Complex, vertices: Iterable[int]) -> GeneralComplex:
-    """Faces of X contained in the given vertex set."""
-    V = frozenset(vertices)
-    if not V.issubset(X.ground):
-        raise VertexOutOfRange("vertex set is not contained in the ground set")
-    if isinstance(X, SkeletonComplex):
-        rest = sorted(V)
-        out: set[Simplex] = set()
-        for r in range(0, min(X.k, len(rest)) + 1):
-            out.update(combinations(rest, r))
-        for sigma in X.top_faces:
-            if V.issuperset(sigma):
-                out.add(sigma)
-        return GeneralComplex(V, frozenset(out))
-    return GeneralComplex(V, frozenset(f for f in X.faces if V.issuperset(f)))
-
-
-def skeleton(X: Complex, j: int) -> GeneralComplex:
-    """All faces of dimension at most j, as an explicit complex."""
-    if isinstance(X, SkeletonComplex):
-        out: set[Simplex] = set()
-        for d in range(-1, min(j, X.dim) + 1):
-            out.update(iter_faces(X, d))
-        return GeneralComplex(X.ground, frozenset(out))
-    return GeneralComplex(X.ground, frozenset(f for f in X.faces if len(f) - 1 <= j))
-
-
 def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex:
     s = make_simplex(sigma)
     if s not in X.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")
     return replace(X, top_faces=X.top_faces - {s})
-
-
-def boundary_complex(sigma: Iterable[int]) -> GeneralComplex:
-    """Closure of the proper faces of a single simplex."""
-    s = make_simplex(sigma)
-    if not s:
-        return VOID
-    fs = set(subfaces(s))
-    fs.discard(s)
-    return GeneralComplex(frozenset(s), frozenset(fs))
-
-
-def join(A: GeneralComplex, B: GeneralComplex) -> GeneralComplex:
-    """Simplicial join of complexes on disjoint ground sets."""
-    if A.ground & B.ground:
-        raise DimensionMismatch("join requires disjoint ground sets")
-    out = frozenset(
-        tuple(sorted(a + b)) for a in (A.faces or ()) for b in (B.faces or ())
-    )
-    return GeneralComplex(A.ground | B.ground, out)
 
 
 def full_skeleton(n: int, k: int) -> SkeletonComplex:

@@ -1,17 +1,22 @@
+import gc
+import weakref
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertree_lab import homology
+from hypertree_lab import bounds, homology
 from hypertree_lab.bounds import (
+    LinkBracket,
+    MonotonicityVerdict,
     bound_B,
     bound_F,
     equality_trichotomy,
     lambda_pair,
-    lambda_sum,
     monotonicity_check,
+    support_property_holds,
     verify_dual_bound,
     verify_upper_bound,
 )
@@ -22,7 +27,7 @@ from hypertree_lab.errors import (
     PreconditionLambdaNonzero,
 )
 from hypertree_lab.fields import GF2, GF3, RATIONALS
-from hypertree_lab.homology import betti, link_profile
+from hypertree_lab.homology import betti, cycle_basis, link_profile
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     SkeletonComplex,
@@ -31,6 +36,7 @@ from hypertree_lab.simplexes import (
     full_skeleton,
     iter_faces,
     link,
+    make_simplex,
     remove_top_face,
 )
 from _registry import track
@@ -63,14 +69,14 @@ def test_lambda_sum_on_bare_skeleton_has_closed_form():
     # complete skeleton, so the total defect is a product of binomials
     for (n, k, ell) in ((7, 2, 0), (6, 2, 0), (7, 3, 1), (6, 3, 0)):
         S = SkeletonComplex(n, k, frozenset())
-        got = lambda_sum(S, ell, k - ell - 2, GF2)
+        got, _ = lambda_pair(S, ell, GF2)
         want = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
         assert got == want
 
 
 def test_lambda_sum_validates_degree():
     with pytest.raises(ParameterOutOfRange):
-        lambda_sum(full_skeleton(5, 2), 3, 0, GF2)
+        lambda_pair(full_skeleton(5, 2), 3, GF2)
     with pytest.raises(ParameterOutOfRange):
         link_profile(full_skeleton(5, 2), -2, GF2)
 
@@ -80,8 +86,8 @@ def test_lambda_sum_validates_degree():
        st.floats(0.0, 1.0))
 def test_link_profile_matches_general_links(seed, n, k, q):
     # every link through the general-complex scan, every degree j: the
-    # profile's two Betti numbers are the only nonzero ones, and lambda_sum
-    # is their sum (0 outside degrees r-1 and r)
+    # profile's two Betti numbers are the only nonzero ones, and lambda_pair
+    # holds their sums
     k = min(k, n - 1)
     S = random_skeleton_complex(n, k, q, SplitMix64(seed))
     G = as_general(S)
@@ -98,9 +104,9 @@ def test_link_profile_matches_general_links(seed, n, k, q):
                 got = [e.below if j == r - 1 else e.top if j == r else 0
                        for e in profile]
                 assert got == want, (ell, j, fld.name)
-                assert lambda_sum(S, ell, j, fld) == sum(want)
             assert lambda_pair(S, ell, fld) == (
-                lambda_sum(S, ell, r - 1, fld), lambda_sum(S, ell, r, fld))
+                sum(betti(L, r - 1, fld) for L in links),
+                sum(betti(L, r, fld) for L in links))
 
 
 def test_verify_upper_bound_keeps_links_out_of_the_rank_memo(monkeypatch):
@@ -120,6 +126,21 @@ def test_verify_upper_bound_keeps_links_out_of_the_rank_memo(monkeypatch):
         assert verify_upper_bound(X, ell, RATIONALS).all_hold
     assert memo.cache_info().currsize <= 4
     assert keys and set(keys) == {SkeletonComplex}
+
+
+def test_rank_memo_lets_verified_complexes_go():
+    # the memo is keyed on the complex, so it may keep only a few of the
+    # complexes a process has verified alive, not all of them
+    homology._rank_cached.cache_clear()
+    rng = SplitMix64(8)
+    refs = []
+    for _ in range(20):
+        X = random_skeleton_complex(7, 2, 0.5, rng)
+        assert verify_upper_bound(X, 0, GF2).all_hold
+        refs.append(weakref.ref(X))
+    del X
+    gc.collect()
+    assert sum(r() is not None for r in refs) <= 8
 
 
 def test_certificate_on_bare_skeleton_is_tight():
@@ -225,3 +246,71 @@ def test_trichotomy_breaks_coherently_after_deletion():
     assert not rep.ceiling_hit
     assert not rep.complement_hit
     assert not rep.links_are_hypertrees
+
+
+def monotonicity_by_links(S, sigma, ell, field):
+    """monotonicity_check from links built one by one, with no link profile."""
+    k = S.k
+    s = make_simplex(sigma)
+    S2 = remove_top_face(S, s)
+    j = k - ell - 2
+    brackets = []
+    untouched = True
+    lam_before = lam_after = 0
+    for tau in iter_faces(S, ell):
+        before = betti(link(S, tau), j, field)
+        after = betti(link(S2, tau), j, field)
+        lam_before += before
+        lam_after += after
+        if set(tau).issubset(s):
+            brackets.append(LinkBracket(tau=tau, before=before, after=after))
+        elif link(S, tau).faces != link(S2, tau).faces:
+            untouched = False
+    return MonotonicityVerdict(
+        n=S.n, k=k, ell=ell, sigma=s, field_name=field.name,
+        coefficient=comb(k + 1, ell + 1),
+        lam_before=lam_before, lam_after=lam_after,
+        tb_before=betti(S, k - 1, field), tb_after=betti(S2, k - 1, field),
+        link_brackets=tuple(brackets), untouched_identical=untouched,
+    )
+
+
+def support_by_links(S, field, chains):
+    """support_property_holds for the given chains, one link per (sigma, tau)."""
+    k = S.k
+    return all(betti(link(S, tau), k - size, field) > 0
+               for chain in chains for sigma in chain
+               for size in range(k + 2) for tau in combinations(sigma, size))
+
+
+def _random_skeleton(seed, n, k, q):
+    return random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
+                 st.integers(1, 3), st.floats(0.2, 1.0)),
+       st.integers(0, 2**16))
+def test_monotonicity_check_matches_links_built_one_by_one(S, pick):
+    if not S.top_faces:
+        return
+    sigma = sorted(S.top_faces)[pick % len(S.top_faces)]
+    for ell in range(-1, S.k):
+        for fld in (GF2, GF3, RATIONALS):
+            assert monotonicity_check(S, sigma, ell, fld) == \
+                monotonicity_by_links(S, sigma, ell, fld), (ell, fld.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
+                 st.integers(1, 3), st.floats(0.2, 1.0)))
+def test_support_property_matches_links_built_one_by_one(S):
+    # the homology basis, then every top face as a one-face chain: the
+    # latter fails wherever a face of some top face has an acyclic link
+    every = [{sigma: 1} for sigma in sorted(S.top_faces)]
+    for fld in (GF2, GF3, RATIONALS):
+        basis = cycle_basis(S, S.k, fld)
+        assert support_property_holds(S, fld) == support_by_links(S, fld, basis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "cycle_basis", lambda X, k, field: every)
+            assert support_property_holds(S, fld) == support_by_links(S, fld, every)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,6 @@ from hypertree_lab.simplexes import (
     all_faces,
     as_general,
     as_skeleton_complex,
-    boundary_complex,
-    boundary_faces,
     closure,
     contains,
     f_vector,
@@ -25,16 +25,11 @@ from hypertree_lab.simplexes import (
     faces,
     from_top_faces,
     full_skeleton,
-    induced,
     iter_faces,
-    join,
     link,
     link_tops,
     make_simplex,
     remove_top_face,
-    simplex_dim,
-    skeleton,
-    star_costar,
     subfaces,
 )
 from _registry import track
@@ -49,17 +44,10 @@ def test_make_simplex_sorts_and_rejects_repeats():
         make_simplex([-1, 0])
 
 
-def test_simplex_dim():
-    assert simplex_dim(EMPTY_SIMPLEX) == -1
-    assert simplex_dim((4,)) == 0
-    assert simplex_dim((0, 2, 5)) == 2
-
-
 def test_subfaces_and_boundary():
     assert set(subfaces((0, 1))) == {(), (0,), (1,), (0, 1)}
-    assert list(boundary_faces((0, 1, 2))) == [(1, 2), (0, 2), (0, 1)]
-    assert list(boundary_faces((0,))) == [()]
-    assert list(boundary_faces(EMPTY_SIMPLEX)) == []
+    assert list(subfaces(EMPTY_SIMPLEX)) == [EMPTY_SIMPLEX]
+    assert len(list(subfaces((0, 1, 2)))) == 8
 
 
 def test_skeleton_complex_validation():
@@ -184,32 +172,6 @@ def test_link_of_facet_is_empty_simplex_not_void():
     assert L.dim == -1
 
 
-def test_star_costar_covers_faces():
-    X = closure([(0, 1, 2), (1, 2, 3), (3, 4)], 5)
-    star, costar = star_costar(X, (1,))
-    assert star.faces | costar.faces == X.faces
-    assert all(1 not in s for s in costar.faces)
-    # closed star: every face of the star is joinable with the center
-    for s in star.faces:
-        assert contains(X, make_simplex(set(s) | {1}))
-
-
-def test_induced_and_skeleton():
-    X = closure([(0, 1, 2), (2, 3)], 4)
-    Y = induced(X, [0, 1, 2])
-    assert f_vector(Y) == (3, 3, 1)
-    S = skeleton(X, 1)
-    assert f_vector(S) == (4, 4)
-    with pytest.raises(VertexOutOfRange):
-        induced(X, [0, 9])
-
-
-def test_induced_on_skeleton_complex():
-    X = SkeletonComplex(6, 2, frozenset({(0, 1, 2), (3, 4, 5)}))
-    Y = induced(X, [0, 1, 2, 3])
-    assert f_vector(Y) == (4, 6, 1)
-
-
 def test_remove_top_face():
     X = SkeletonComplex(5, 2, frozenset({(0, 1, 2), (1, 2, 3)}))
     Y = remove_top_face(X, (0, 1, 2))
@@ -219,18 +181,9 @@ def test_remove_top_face():
 
 
 def test_boundary_complex_of_tetrahedron():
-    S2 = track(boundary_complex((0, 1, 2, 3)))
+    S2 = track(closure(combinations((0, 1, 2, 3), 3), 4))
     assert f_vector(S2) == (4, 6, 4)
     assert not contains(S2, (0, 1, 2, 3))
-
-
-def test_join_of_two_edges_is_solid_tetrahedron():
-    A = closure([(0, 1)], 2)
-    B = GeneralComplex(frozenset({2, 3}), frozenset({(), (2,), (3,), (2, 3)}))
-    J = join(A, B)
-    assert f_vector(J) == (4, 6, 4, 1)
-    with pytest.raises(DimensionMismatch):
-        join(A, A)
 
 
 def test_full_skeleton_counts():
@@ -271,7 +224,7 @@ def test_closure_always_validates(raw):
     X = closure(tops, 7)
     X.validate()
     for s in all_faces(X):
-        for b in boundary_faces(s):
+        for b in subfaces(s):
             assert contains(X, b)
 
 
