@@ -186,6 +186,23 @@ def cmd_lambda(args) -> RunReport:
         seed=seed, lines=notes)
 
 
+def _bound_fields(cert) -> dict:
+    """Report fields of an upper-bound certificate: verify-bound, bound rows."""
+    return dict(
+        betti={cert.k - 1: cert.tb_top_below, cert.k: cert.tb_top},
+        lam_low=cert.lam_low, lam_high=cert.lam_high,
+        bound_value=cert.bound_value, complement_value=cert.complement_value,
+        eq_upper=cert.eq_upper, eq_dual=cert.eq_dual,
+        eq_step=cert.eq_step, eq_shift=cert.eq_shift,
+        failed=not cert.all_hold)
+
+
+def _dual_fields(v) -> dict:
+    """Report fields of a dual-bound check: verify-dual, dual sweep rows."""
+    return dict(betti={v.k: v.tb_top}, lam_high=v.lam_high, eq_dual=v.holds,
+                failed=not v.holds)
+
+
 def cmd_verify_bound(args) -> RunReport:
     X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
@@ -194,12 +211,7 @@ def cmd_verify_bound(args) -> RunReport:
     return RunReport(
         command="verify-bound", n=cert.n, k=cert.k, ell=ell,
         field_name=fld.name, f_vector=f_vector(as_skeleton_complex(X)),
-        betti={cert.k - 1: cert.tb_top_below, cert.k: cert.tb_top},
-        lam_low=cert.lam_low, lam_high=cert.lam_high,
-        bound_value=cert.bound_value, complement_value=cert.complement_value,
-        eq_upper=cert.eq_upper, eq_dual=cert.eq_dual,
-        eq_step=cert.eq_step, eq_shift=cert.eq_shift,
-        seed=seed, lines=notes, failed=not cert.all_hold)
+        seed=seed, lines=notes, **_bound_fields(cert))
 
 
 def cmd_verify_dual(args) -> RunReport:
@@ -209,11 +221,8 @@ def cmd_verify_dual(args) -> RunReport:
     v = verify_dual_bound(X, ell, fld)
     return RunReport(
         command="verify-dual", n=v.n, k=v.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(as_skeleton_complex(X)),
-        betti={v.k: v.tb_top}, lam_high=v.lam_high,
-        eq_dual=v.holds, seed=seed,
-        lines=notes + (f"coefficient={v.coefficient}",),
-        failed=not v.holds)
+        f_vector=f_vector(as_skeleton_complex(X)), seed=seed,
+        lines=notes + (f"coefficient={v.coefficient}",), **_dual_fields(v))
 
 
 def cmd_trichotomy(args) -> RunReport:
@@ -397,21 +406,11 @@ def _sweep_row(args, fld, X: SkeletonComplex,
     if check == "bound":
         ell = args.ell if args.ell is not None else 0
         cert = verify_upper_bound(X, ell, fld)
-        return RunReport(
-            command="sweep", ell=ell, **base,
-            betti={cert.k - 1: cert.tb_top_below, cert.k: cert.tb_top},
-            lam_low=cert.lam_low, lam_high=cert.lam_high,
-            bound_value=cert.bound_value,
-            complement_value=cert.complement_value,
-            eq_upper=cert.eq_upper, eq_dual=cert.eq_dual,
-            eq_step=cert.eq_step, eq_shift=cert.eq_shift,
-            failed=not cert.all_hold)
+        return RunReport(command="sweep", ell=ell, **base, **_bound_fields(cert))
     if check == "dual":
         ell = args.ell if args.ell is not None else 0
         v = verify_dual_bound(X, ell, fld)
-        return RunReport(
-            command="sweep", ell=ell, **base, betti={v.k: v.tb_top},
-            lam_high=v.lam_high, eq_dual=v.holds, failed=not v.holds)
+        return RunReport(command="sweep", ell=ell, **base, **_dual_fields(v))
     if check == "mono":
         if not X.top_faces:
             return None

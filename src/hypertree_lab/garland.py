@@ -41,16 +41,21 @@ def _top_faces(X: Complex) -> list[Simplex]:
     return sorted(iter_faces(X, X.dim))
 
 
-def check_pure(X: Complex) -> None:
-    """Raise NotPure unless every face lies under a top-dimensional face."""
+def check_pure(X: Complex) -> dict[Simplex, int]:
+    """Raise NotPure unless every face lies under a top-dimensional face.
+
+    Returns, for each face, the number of top-dimensional faces above it.
+    """
     if X.is_void or X.dim == -1:
         raise NotPure("complex has no vertices")
-    covered: set[Simplex] = set()
+    counts: dict[Simplex, int] = {}
     for sigma in _top_faces(X):
-        covered.update(subfaces(sigma))
+        for f in subfaces(sigma):
+            counts[f] = counts.get(f, 0) + 1
     for f in all_faces(X):
-        if f not in covered:
+        if f not in counts:
             raise NotPure(f"face {f} is not under any top-dimensional face")
+    return counts
 
 
 def garland_weights(X: Complex) -> dict[Simplex, int]:
@@ -59,12 +64,8 @@ def garland_weights(X: Complex) -> dict[Simplex, int]:
     The empty simplex gets (d+1)! times the number of top faces, which is
     the same rule applied in degree -1.  Requires a pure complex.
     """
-    check_pure(X)
+    counts = check_pure(X)
     d = X.dim
-    counts: dict[Simplex, int] = {}
-    for sigma in _top_faces(X):
-        for f in subfaces(sigma):
-            counts[f] = counts.get(f, 0) + 1
     return {f: math.factorial(d - (len(f) - 1)) * c for f, c in counts.items()}
 
 

@@ -56,6 +56,7 @@ from .errors import InvariantViolation, NotSandwiched, ParameterOutOfRange
 from .fields import FieldSpec
 from .linalg import (
     IncrementalSpan,
+    _columns,
     _gf2_reduce,
     kernel_basis,
     rank_by_rows,
@@ -310,13 +311,8 @@ def cycle_basis(X: Complex, j: int, field: FieldSpec) -> list[dict[Simplex, obje
         Mup = boundary_matrix(X, j + 1)
         # rows of the upper map and columns of Mj list the j-faces in the
         # same lexicographic order, so indices line up
-        cols_up: dict[int, dict[int, int]] = {}
-        for (i, c), v in Mup.entries.items():
-            cols_up.setdefault(c, {})[i] = v
-        for c in range(Mup.n_cols):
-            vec = cols_up.get(c)
-            if vec:
-                span.add(vec)
+        for vec in _columns(Mup.entries, Mup.n_cols, p):
+            span.add(vec)
 
     reps: list[dict[Simplex, object]] = []
     for vec in kern:

@@ -4,14 +4,26 @@ Two independent routes are kept deliberately separate: row elimination with
 a sparsity-aware pivot rule, and left-to-right column reduction that pairs
 each column with its lowest surviving row.  They share no code beyond this
 docstring, so agreement between them is a real check and not a tautology.
+Each route has one update loop for every field.
+
 The row route keeps sparse dict rows for every p and takes each pivot row
-from a heap keyed on (row length, row index); over the rationals it stays
-in plain integers (fraction-free elimination with content stripping).
+from a heap keyed on (row length, row index).  The chosen pivot row is
+scaled first: mod p by the inverse of its pivot pv, over the rationals by
+-1 when pv is -1.  Then one fraction-free update serves every field: each
+other row touching the pivot column becomes pv * row - a * prow, reduced
+mod p when p is set, with a the row's entry in that column.  pv is still
+not 1 only over the rationals with a non-unit pivot, and only then is the
+row's content stripped, so rows stay plain integers.  With pv = 1, a times
+the scaled row is the multiple of the unscaled row that clears the column,
+so every row holds the same values after each pivot as without the
+scaling, and pivot order and rank do not change.
 
 The column route has one core, _reduce_low, which reduces a sparse vector
-against a basis keyed on each vector's largest index.  rank_by_columns,
-kernel_basis and IncrementalSpan over odd p and the rationals all call it,
-in residues mod p or in Fraction.
+against a basis keyed on each vector's largest index, and applies one
+subtract helper to the vector and, for kernel bases, to its combination.
+rank_by_columns, kernel_basis and IncrementalSpan over odd p and the
+rationals all call it, in residues mod p or in Fraction, converted from
+integers by one helper.
 
 The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
 bitset and reduces it by XOR against a basis keyed on the highest set bit.
@@ -95,65 +107,50 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
         rank += 1
         active.discard(pi)
 
-        touched = [i for i in col_rows[pj] if i != pi and i in active]
+        # scale prow so that one update serves every field (module docstring)
         if p is not None:
             inv = pow(pv, -1, p)
-            for i in touched:
-                row = rows[i]
-                a = (row[pj] * inv) % p
-                for j, v in prow.items():
-                    w = (row.get(j, 0) - a * v) % p
-                    if w:
-                        row[j] = w
-                        col_rows.setdefault(j, set()).add(i)
-                    elif j in row:
-                        del row[j]
-                        col_rows[j].discard(i)
-                if not row:
-                    active.discard(i)
-        else:
-            for i in touched:
-                row = rows[i]
-                a = row[pj]
-                if pv in (1, -1):
-                    s = a * pv
-                    for j, v in prow.items():
-                        w = row.get(j, 0) - s * v
-                        if w:
-                            row[j] = w
-                            col_rows.setdefault(j, set()).add(i)
-                        elif j in row:
-                            del row[j]
-                            col_rows[j].discard(i)
-                else:
-                    # row_i <- pv * row_i - a * prow: the scaling hits every
-                    # entry, not only the columns prow touches
+            for j in prow:
+                prow[j] = prow[j] * inv % p
+            pv = 1
+        elif pv == -1:
+            for j in prow:
+                prow[j] = -prow[j]
+            pv = 1
+        # a list: the update below drops each row it clears from col_rows[pj]
+        for i in [i for i in col_rows[pj] if i != pi and i in active]:
+            # row_i <- pv * row_i - a * prow; pv != 1 only over Q, where the
+            # scaling hits every entry, not only the columns prow touches
+            row = rows[i]
+            a = row[pj]
+            if pv != 1:
+                for j in row:
+                    row[j] *= pv
+            for j, v in prow.items():
+                w = row.get(j, 0) - a * v
+                if p is not None:
+                    w %= p
+                if w:
+                    row[j] = w
+                    col_rows.setdefault(j, set()).add(i)
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if pv != 1:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
                     for j in row:
-                        row[j] *= pv
-                    for j, v in prow.items():
-                        w = row.get(j, 0) - a * v
-                        if w:
-                            row[j] = w
-                            col_rows.setdefault(j, set()).add(i)
-                        elif j in row:
-                            del row[j]
-                            col_rows[j].discard(i)
-                    g = 0
-                    for v in row.values():
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for j in row:
-                            row[j] //= g
-                if not row:
-                    active.discard(i)
-        for i in touched:
-            if i in active:
-                k = len(rows[i])
-                if k != heap_key[i]:
-                    heap_key[i] = k
-                    heappush(heap, (k, i))
+                        row[j] //= g
+            k = len(row)
+            if not k:
+                active.discard(i)
+            elif k != heap_key[i]:
+                heap_key[i] = k
+                heappush(heap, (k, i))
 
         for i in col_rows[pj]:
             if i != pi:
@@ -163,18 +160,33 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
     return rank
 
 
+def _field_value(v: Union[int, Fraction], p: Optional[int]) -> object:
+    """v in the field: its residue mod p, or a Fraction over Q."""
+    return v % p if p is not None else Fraction(v)
+
+
 def _columns(entries: Entries, n_cols: int,
              p: Optional[int]) -> list[dict[int, object]]:
     """The columns of entries as sparse row -> value dicts over the field."""
     cols: list[dict[int, object]] = [dict() for _ in range(n_cols)]
     for (i, j), v in entries.items():
-        if p is not None:
-            v %= p
-            if v:
-                cols[j][i] = v
-        elif v:
-            cols[j][i] = Fraction(v)
+        x = _field_value(v, p)
+        if x:
+            cols[j][i] = x
     return cols
+
+
+def _subtract(vec: dict[int, object], other: dict[int, object], c: object,
+              p: Optional[int]) -> None:
+    """vec <- vec - c * other in place, mod p when p is set; zeros dropped."""
+    for i, v in other.items():
+        w = vec.get(i, 0) - c * v
+        if p is not None:
+            w %= p
+        if w:
+            vec[i] = w
+        else:
+            vec.pop(i, None)
 
 
 def _reduce_low(vec: dict[int, object], basis: dict[int, dict[int, object]],
@@ -195,35 +207,12 @@ def _reduce_low(vec: dict[int, object], basis: dict[int, dict[int, object]],
         if other is None:
             return low
         if p is not None:
-            c = (vec[low] * pow(other[low], -1, p)) % p
-            for i, v in other.items():
-                w = (vec.get(i, 0) - c * v) % p
-                if w:
-                    vec[i] = w
-                else:
-                    vec.pop(i, None)
-            if combo is not None:
-                for t, v in combos[low].items():
-                    w = (combo.get(t, 0) - c * v) % p
-                    if w:
-                        combo[t] = w
-                    else:
-                        combo.pop(t, None)
+            c = vec[low] * pow(other[low], -1, p) % p
         else:
             c = vec[low] / other[low]
-            for i, v in other.items():
-                w = vec.get(i, 0) - c * v
-                if w:
-                    vec[i] = w
-                else:
-                    vec.pop(i, None)
-            if combo is not None:
-                for t, v in combos[low].items():
-                    w = combo.get(t, 0) - c * v
-                    if w:
-                        combo[t] = w
-                    else:
-                        combo.pop(t, None)
+        _subtract(vec, other, c, p)
+        if combo is not None:
+            _subtract(combo, combos[low], c, p)
     return None
 
 
@@ -311,10 +300,7 @@ class IncrementalSpan:
                 return False
             self.basis[v.bit_length() - 1] = v
             return True
-        if p is not None:
-            vec = {j: v % p for j, v in vec.items() if v % p}
-        else:
-            vec = {j: Fraction(v) for j, v in vec.items() if v}
+        vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}
         low = _reduce_low(vec, self.basis, p)
         if low is None:
             return False

@@ -373,6 +373,11 @@ def golden_commands():
                     out.append([command, "--in", f"random(seed={seed},n=9,k=3,q=0.4)",
                                 "--ell", str(ell), "--field", fld])
     out.append(["construct", "xnkl", "11", "3", "0"])
+    for check in ("bound", "dual", "mono", "support", "garland"):
+        for fmt in ("text", "json"):
+            out.append(["sweep", "--check", check, "--count", "4", "--seed", "5",
+                        "--n", "7,8", "--k", "2,3", "--q", "0.5", "--field", "q",
+                        "--out", fmt])
     return out
 
 
@@ -390,7 +395,9 @@ def run_main(argv):
 def test_golden_cli_output(tmp_path, monkeypatch):
     # tests/data/cli_golden.json holds the exit code and stdout of every
     # golden command, and the file `construct` wrote, as recorded from the
-    # code before the link-profile path; outputs must stay byte-identical
+    # code before the link-profile path (the `sweep` cases from the code
+    # before the sweep rows shared their report mapping with the single
+    # commands); outputs must stay byte-identical
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [g["argv"] for g in golden] == golden_commands()

@@ -143,6 +143,34 @@ def test_column_route_needs_neither_the_row_route_nor_the_xor_core(monkeypatch):
                     assert (s % p if p else s) == 0
 
 
+def test_row_route_needs_neither_the_column_core_nor_the_xor_core(monkeypatch):
+    # the other way round: with the column core, its helpers and the GF(2)
+    # XOR core all broken, the row route still gets every rank right
+    def broken(*args, **kwargs):
+        raise AssertionError("the row route reached the column route's code")
+
+    for name in ("_reduce_low", "_subtract", "_columns", "_field_value", "_gf2_reduce"):
+        monkeypatch.setattr(linalg, name, broken)
+    matrices = [
+        # a -1 pivot over Q (the first row's first entry)
+        ({(0, 0): -1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 2, (2, 1): -3}, 3, 2),
+        # no unit entry: every pivot over Q is a non-unit
+        ({(0, 0): 2, (0, 1): 3, (1, 0): 4, (1, 1): 6, (2, 0): 6, (2, 1): -9,
+          (2, 2): 4}, 3, 3),
+        # residues 2, 3 and 4 mod 5, 2 mod 3
+        ({(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 4, (1, 2): 3}, 2, 3),
+    ]
+    rng = SplitMix64(78)
+    for _ in range(60):
+        n_rows = 1 + rng.below(7)
+        n_cols = 1 + rng.below(7)
+        matrices.append((random_entries(rng, n_rows, n_cols, 0.55), n_rows, n_cols))
+    for entries, n_rows, n_cols in matrices:
+        for p in (None, 2, 3, 5):
+            assert linalg.rank_by_rows(entries, n_rows, n_cols, p) == \
+                dense_rank(entries, n_rows, n_cols, p), (entries, p)
+
+
 def test_incremental_span_tracks_rank():
     span = IncrementalSpan(None)
     assert span.add({0: 1, 2: 2})
