@@ -11,6 +11,7 @@ from hypertree_lab.errors import (
     NotPure,
     NotSandwiched,
     ParameterOutOfRange,
+    TooLarge,
 )
 from hypertree_lab.fields import RATIONALS
 from hypertree_lab.garland import (
@@ -204,3 +205,88 @@ def test_premise_implies_vanishing_on_random_pure_complexes():
             holds += 1
             assert rep.betti_q == 0
     assert holds >= 1  # the sweep must exercise the implication at least once
+
+
+def _link_route_cases():
+    """Complete skeleta, seeded random pure complexes and one with no top face."""
+    cases = [full_skeleton(n, k) for n, k in ((3, 1), (5, 2), (6, 3), (7, 2), (7, 4))]
+    cases.append(SkeletonComplex(6, 2, frozenset()))
+    rng = SplitMix64(23)
+    while len(cases) < 24:
+        n = 5 + rng.below(4)
+        k = 1 + rng.below(3)
+        X = SkeletonComplex(n, k, frozenset(
+            s for s in combinations(range(n), k + 1) if rng.uniform() < 0.6))
+        try:
+            check_pure(X)
+        except NotPure:
+            continue
+        cases.append(X)
+    return cases
+
+
+def test_link_laplacians_read_from_x_equal_the_link_complex_route():
+    # W_lk(f) = W_X(tau union f): the matrices built from X alone are the
+    # ones weighted_laplacian builds from each materialised link, bit for bit
+    for X in _link_route_cases():
+        weights = garland_weights(X)
+        for ell in range(-1, X.k - 1):
+            got = list(garland._link_laplacians(X, ell, weights))
+            want = sorted(combinations(range(X.n), ell + 1))
+            assert [tau for tau, _ in got] == want
+            for tau, L in got:
+                ref = weighted_laplacian(link(X, tau), X.k - ell - 2).matrix
+                assert np.array_equal(L, ref), (X, ell, tau)
+
+
+def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
+    import hypertree_lab.simplexes as simplexes
+
+    calls = {"link": 0, "check_pure": 0}
+    real_link, real_check = simplexes.link, garland.check_pure
+
+    def spy_link(*args):
+        calls["link"] += 1
+        return real_link(*args)
+
+    def spy_check(*args):
+        calls["check_pure"] += 1
+        return real_check(*args)
+
+    monkeypatch.setattr(simplexes, "link", spy_link)
+    monkeypatch.setattr(garland, "check_pure", spy_check)
+    assert not hasattr(garland, "link")
+    for X, ell in ((full_skeleton(7, 3), 0), (full_skeleton(6, 2), -1),
+                   (SkeletonComplex(6, 2, frozenset()), 0)):
+        calls.update(link=0, check_pure=0)
+        garland_check(X, ell)
+        assert calls == {"link": 0, "check_pure": 1}
+
+
+def test_link_size_is_bounded_before_any_enumeration(monkeypatch):
+    from hypertree_lab import cli
+
+    def no_enumeration(X):
+        raise AssertionError("check_pure ran before the size bound")
+
+    monkeypatch.setattr(garland, "check_pure", no_enumeration)
+    # every link at ell = -1 is X itself: C(40, 3) = 9880 faces in degree 2
+    with pytest.raises(TooLarge, match="9880 faces in degree 2"):
+        garland_check(full_skeleton(40, 3), -1)
+    assert cli.main(["garland", "--in", "random(seed=1,n=40,k=3,q=1.0)",
+                     "--ell", "-1"]) == 2
+
+
+def test_impure_input_is_still_refused_by_its_one_purity_check():
+    with pytest.raises(NotPure):
+        garland_check(SkeletonComplex(5, 2, frozenset({(0, 1, 2)})), 0)
+
+
+def test_negative_link_eigenvalue_is_an_invariant_violation(monkeypatch):
+    def fake(X, ell, weights):
+        for tau in combinations(range(X.n), ell + 1):
+            yield tau, np.array([[1.0, 0.0], [0.0, -1e-6]])
+
+    monkeypatch.setattr(garland, "_link_laplacians", fake)
+    with pytest.raises(InvariantViolation):
+        garland_check(full_skeleton(5, 2), 0)
