@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .bounds import (
     bound_B,
@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
 )
 from .fields import parse_field
-from .garland import garland_check
+from .garland import check_link_size, garland_check
 from .homology import betti, betti_table, link_profile
 from .randomness import SplitMix64, random_skeleton_complex
 from .reports import RunReport, emit_report
@@ -116,13 +116,17 @@ def _int(tok: str, what: str) -> int:
         raise ParameterOutOfRange(f"{what}: expected an integer, got {tok!r}") from None
 
 
-def _load_complex(args) -> tuple[Complex, Optional[int], tuple[str, ...]]:
+def _load_complex(args, before_draw: Optional[Callable[[int, int], None]] = None
+                  ) -> tuple[Complex, Optional[int], tuple[str, ...]]:
+    """The --in complex; before_draw(n, k) runs before a random(...) draw."""
     if args.input is None:
         raise ParameterOutOfRange(f"{args.command} requires --in")
     m = RANDOM_INPUT.match(args.input)
     if m:
         seed, n, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
         q = float(m.group(4))
+        if before_draw is not None:
+            before_draw(n, k)
         X = random_skeleton_complex(n, k, q, SplitMix64(seed))
         return X, seed, ()
     parsed = parse_complex_file(args.input, relabel=args.relabel)
@@ -245,7 +249,9 @@ def cmd_trichotomy(args) -> RunReport:
 
 
 def cmd_garland(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
+    # a random input is refused from (n, k, ell) before it is drawn
+    X, seed, notes = _load_complex(
+        args, lambda n, k: check_link_size(n, k, _need_ell(args)))
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
     g = garland_check(S, ell)

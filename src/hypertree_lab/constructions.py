@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import sub
 from typing import Iterable, Optional
 
 from .errors import (
@@ -32,7 +33,6 @@ from .simplexes import (
     Simplex,
     SkeletonComplex,
     iter_faces,
-    link_tops,
     make_simplex,
 )
 
@@ -127,6 +127,76 @@ class ConstructionReport:
         return Fraction(self.tb_after) / self.bound_value
 
 
+def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
+                    tau_seeds: dict[Simplex, Optional[int]]
+                    ) -> list[tuple[Simplex, tuple[Simplex, ...]]]:
+    """(tau, top faces added to lk(Y, tau)) per degree-ell face tau of Y.
+
+    Each link gets candidates, in lexicographic order or shuffled by the
+    face's seed, until its top boundary map reaches the rank C(g-1, r) of
+    a hypertree, r = k-ell-1.  Every link is saturated on the ground set
+    minus tau relabelled onto 0..g-1 in order, so its rows and candidates
+    are numbered once per call, and the order-preserving relabelling
+    leaves both the lexicographic scan and the shuffle with the same
+    positions.  The candidate numbering and packed columns go out of scope
+    on return, before the re-verification's own ranks run.
+    """
+    n, k = Y.n, Y.k
+    r = k - ell - 1  # top dimension of every degree-ell link
+    g = n - ell - 1
+    target = comb(g - 1, r)  # top-boundary rank of a link hypertree
+    rows = {f: i for i, f in enumerate(combinations(range(g), r))}
+    cands = list(combinations(range(g), r + 1))
+    cand_index = {a: i for i, a in enumerate(cands)}
+    cols: list = [None] * len(cands)  # packed on first use
+    column = IncrementalSpan(field.p).boundary_column
+
+    # tau -> indices of Y's link tops sigma minus tau: a vertex of sigma
+    # outside tau moves down by the number of tau's vertices below it
+    size = ell + 1
+    shifts = [tuple(sum(1 for q in P if q < i) for i in range(k + 1) if i not in P)
+              for P in combinations(range(k + 1), size)]
+    existing: dict[Simplex, set[int]] = {tau: set() for tau in tau_seeds}
+    for sigma in Y.top_faces:
+        # complementing reverses lexicographic order, so the i-th
+        # (ell+1)-subset of sigma pairs with the i-th last of the rest
+        for tau, rest, shift in zip(combinations(sigma, size),
+                                    reversed(list(combinations(sigma, k - ell))),
+                                    shifts):
+            existing[tau].add(cand_index[tuple(map(sub, rest, shift))])
+
+    results = []
+    for tau, seed in tau_seeds.items():
+        span = IncrementalSpan(field.p)
+        have = existing[tau]
+        for i in sorted(have):
+            col = cols[i]
+            if col is None:
+                col = cols[i] = column(cands[i], rows)
+            span.add(col)
+        # most candidates are never scanned, so build the list only to shuffle it
+        order = (i for i in range(len(cands)) if i not in have)
+        if seed is not None:
+            order = list(order)
+            SplitMix64(seed).shuffle(order)
+        picked = []
+        rank = span.rank
+        for i in order:
+            if rank >= target:
+                break
+            col = cols[i]
+            if col is None:
+                col = cols[i] = column(cands[i], rows)
+            if span.add(col):
+                picked.append(i)
+                rank += 1
+        if rank != target:
+            raise InvariantViolation(f"saturation stalled at rank {rank} of {target}")
+        ground = [v for v in range(n) if v not in tau]
+        results.append((tau, tuple(tuple(ground[v] for v in cands[i]) for i in picked)))
+    return results
+
+
 def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
                 order_seed: Optional[int] = None) -> ConstructionReport:
     """Greedy saturated complex: large global homology, acyclic small links.
@@ -162,37 +232,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
         root = SplitMix64(order_seed)
         tau_seeds = {tau: root.next_u64() for tau in taus}
 
-    r = k - ell - 1  # top dimension of every degree-ell link
-    target = comb(n - ell - 2, r)  # top-boundary rank of a link hypertree
-    link_tops_Y = link_tops(Y, ell)
-
-    def saturate(tau: Simplex) -> tuple[Simplex, tuple[Simplex, ...]]:
-        ground = [v for v in range(n) if v not in tau]
-        rows = list(combinations(ground, r))
-        row_index = {f: i for i, f in enumerate(rows)}
-        span = IncrementalSpan(field.p)
-        existing = set(link_tops_Y.get(tau, ()))
-        column = span.boundary_column
-        for alpha in sorted(existing):
-            span.add(column(alpha, row_index))
-        # most candidates are never scanned, so build the list only to shuffle it
-        candidates = (a for a in combinations(ground, r + 1) if a not in existing)
-        seed = tau_seeds[tau]
-        if seed is not None:
-            candidates = list(candidates)
-            SplitMix64(seed).shuffle(candidates)
-        picked = []
-        for alpha in candidates:
-            if span.rank >= target:
-                break
-            if span.add(column(alpha, row_index)):
-                picked.append(alpha)
-        if span.rank != target:
-            raise InvariantViolation(
-                f"saturation stalled at rank {span.rank} of {target}")
-        return tau, tuple(picked)
-
-    results = [saturate(tau) for tau in taus]
+    results = _saturate_links(Y, ell, field, tau_seeds)
 
     new_tops = set(Y.top_faces)
     s_sizes = []

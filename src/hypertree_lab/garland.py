@@ -102,6 +102,18 @@ def _too_large(n_j: int, j: int) -> None:
         raise TooLarge(f"{n_j} faces in degree {j} exceeds limit {SIZE_LIMIT}")
 
 
+def check_link_size(n: int, k: int, ell: int) -> None:
+    """Refuse a degree-ell check on n vertices in dimension k before any work.
+
+    Each link Laplacian of the check has one row per degree-(k-ell-2) face
+    of a link on n-ell-1 vertices, C(n-ell-1, k-ell-1) of them, so the
+    bound needs only (n, k, ell): neither X nor its links are built.
+    """
+    if not -1 <= ell <= k - 2:
+        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 2}]")
+    _too_large(math.comb(n - ell - 1, k - ell - 1), k - ell - 2)
+
+
 def _boundary(row_index: dict[Simplex, int], cols: Sequence[Simplex]) -> np.ndarray:
     """Dense boundary map: (-1)^i at (row of sigma minus sigma_i, column of sigma).
 
@@ -227,18 +239,16 @@ def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
 
     Premise: every degree-ell face has a link whose Laplacian one degree
     below its own top dimension has smallest eigenvalue above
-    (ell+1)/k.  The size of every link Laplacian, C(n-ell-1, k-ell-1), is
-    bounded before anything is enumerated.  X is checked for purity once;
-    each link Laplacian is then read from X's own weights, without
-    building the link (module docstring).  Verdicts are numeric, so a
+    (ell+1)/k.  check_link_size bounds every link Laplacian before anything
+    is enumerated.  X is checked for purity once; each link Laplacian is
+    then read from X's own weights, without building the link (module
+    docstring).  Verdicts are numeric, so a
     guard band separates a clear pass from a margin too thin to trust.
     When the premise holds, the rational Betti number of X in degree k-1
     must vanish; that implication is asserted, not assumed.
     """
     k = X.k
-    if not -1 <= ell <= k - 2:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 2}]")
-    _too_large(math.comb(X.n - ell - 1, k - ell - 1), k - ell - 2)
+    check_link_size(X.n, k, ell)
     weights = garland_weights(X)
     entries = tuple((tau, _min_eigenvalue(L))
                     for tau, L in _link_laplacians(X, ell, weights))

@@ -7,9 +7,14 @@ A nonvoid complex therefore has Betti number 0 in degree -1 as soon as it
 has a vertex.
 
 Ranks of boundary maps whose source level is a complete layer of the
-simplex on the ground set are computed once per (vertex count, degree,
-characteristic) and memoized; the elimination still runs honestly the
-first time, nothing is looked up from a closed form.
+simplex on the ground set come from a closed form, with no elimination.
+The full simplex on g >= 1 vertices is a cone, so its augmented chain
+complex is exact over every field.  Exactness at the C(g, j) faces of
+degree j-1 gives rank d_{j-1} + rank d_j = C(g, j) for the degree-j map
+d_j.  From rank d_{-1} = 0, induction on j with Pascal's rule
+C(g, j) - C(g-1, j-1) = C(g-1, j) gives rank d_j = C(g-1, j) for
+0 <= j <= g-1; no other degree has a nonzero map.  The tests check the
+closed form against the column route.
 
 Every face-level rank goes through _id_rank, which reads its boundary map
 from a facet-id table: for each face sigma, the int ids of its facets
@@ -40,8 +45,8 @@ which is c(alpha) - c(alpha minus v) for c(S) the number of pairs
 t < s with t in tau and s in S.  So the two matrices differ by diagonal
 +-1 factors on rows and columns and have the same rank over every field.
 One walk over the table per ell groups the columns by tau, then one
-_id_rank per link runs on the rows its columns touch; the complete-layer
-rank is the memoized one above.
+_id_rank per link runs on the rows its columns touch.  The complete-layer
+ranks are the closed form above, so b_{r-1} = C(g-1, r) - rank.
 """
 from __future__ import annotations
 
@@ -164,6 +169,14 @@ def _id_rank(groups: IdGroups, p: Optional[int], cap: int) -> int:
     return rank_by_rows(entries, len(rows), c, p)
 
 
+def complete_rank(g: int, j: int) -> int:
+    """Rank of the degree-j boundary map of the full simplex on g vertices.
+
+    C(g-1, j) for 0 <= j <= g-1, else 0 (module docstring).
+    """
+    return comb(g - 1, j) if 0 <= j <= g - 1 else 0
+
+
 def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
     """Rank of the boundary map on the faces alphas, rows only where touched.
 
@@ -173,15 +186,8 @@ def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
     if not alphas:
         return 0
     size = len(alphas[0])
-    return _id_rank([(tuple(range(size)), facet_ids(alphas))], p, comb(g - 1, size - 1))
-
-
-@lru_cache(maxsize=None)
-def full_boundary_rank(g: int, j: int, p: Optional[int]) -> int:
-    """Rank of the degree-j boundary map of the complete simplex on g vertices."""
-    if j < 0 or j > g - 1:
-        return 0
-    return _top_rank(list(combinations(range(g), j + 1)), p, g)
+    return _id_rank([(tuple(range(size)), facet_ids(alphas))], p,
+                    complete_rank(g, size - 1))
 
 
 # keyed on the complex, so each entry keeps its complex alive: a few
@@ -190,7 +196,7 @@ def full_boundary_rank(g: int, j: int, p: Optional[int]) -> int:
 def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     g = X.n
     if face_count(X, j) == comb(g, j + 1):
-        return full_boundary_rank(g, j, p)
+        return complete_rank(g, j)
     return _top_rank(list(iter_faces(X, j)), p, g)
 
 
@@ -270,10 +276,11 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     p = field.p
     g = X.n - ell - 1
     r = X.k - ell - 1
-    # every link has the complete (r-1)-skeleton on g vertices
-    low = comb(g, r) - full_boundary_rank(g, r - 1, p) if r >= 0 else 0
+    # every link has the complete (r-1)-skeleton on g vertices, so
+    # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank, and
+    # C(g-1, r) also caps the rank of the link's top map
+    low = complete_rank(g, r)
     complete = comb(g, r + 1)
-    cap = comb(g - 1, r) if r >= 0 else 0
     links = link_columns(X, ell)
     out = []
     for tau in iter_faces(X, ell):
@@ -282,9 +289,9 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
         if not f:
             rk = 0
         elif f == complete:
-            rk = full_boundary_rank(g, r, p)
+            rk = low
         else:
-            rk = _id_rank(groups, p, cap)
+            rk = _id_rank(groups, p, low)
         if low < rk:
             raise InvariantViolation(
                 f"negative Betti number {low - rk} in degree {r - 1} of a link")

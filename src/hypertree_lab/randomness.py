@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterOutOfRange, TooLarge
-from .simplexes import GeneralComplex, SkeletonComplex, closure
+from .simplexes import SkeletonComplex
 
 MASK = (1 << 64) - 1
 FACE_BUDGET = 10 ** 6  # candidate k-faces a random draw may enumerate
@@ -64,23 +64,3 @@ def random_skeleton_complex(n: int, k: int, q: float,
     ]
     return SkeletonComplex(n, k, frozenset(tops))
 
-
-def random_general_complex(n: int, max_dim: int, n_facets: int,
-                           rng: SplitMix64) -> GeneralComplex:
-    """Downward closure of random facets with mixed dimensions."""
-    facets = []
-    verts = list(range(n))
-    for _ in range(n_facets):
-        d = rng.below(max_dim + 1)
-        pool = verts[:]
-        rng.shuffle(pool)
-        facets.append(tuple(sorted(pool[:d + 1])))
-    return closure(facets, n)
-
-
-def random_pure_complex(n: int, d: int, n_facets: int,
-                        rng: SplitMix64) -> GeneralComplex:
-    """Downward closure of random d-dimensional facets, all distinct."""
-    all_tops = list(combinations(range(n), d + 1))
-    rng.shuffle(all_tops)
-    return closure(all_tops[:max(1, min(n_facets, len(all_tops)))], n)

@@ -1,8 +1,9 @@
 from hypertree_lab.collapse import collapse, collapses_to_point
 from hypertree_lab.fields import GF2, RATIONALS
 from hypertree_lab.homology import betti_table
-from hypertree_lab.randomness import SplitMix64, random_general_complex
+from hypertree_lab.randomness import SplitMix64
 from hypertree_lab.simplexes import as_general, closure
+from _random_complexes import random_general_complex
 from _registry import track
 
 RP2_FACETS = (

@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -172,3 +173,47 @@ def test_sum_complex_betti_table_concentration():
     for j, b in table.items():
         if j not in (1, 2):
             assert b == 0
+
+
+# sha256 of repr((sorted top faces, s_sizes, tb_after)), first 16 hex
+# digits, recorded from the tuple-keyed saturate loop that the relabelled
+# one replaced: the greedy picks must not move
+PICKS = {
+    ((11, 3, 0), "gf2", None): "9cad3b8c2ee85564",
+    ((11, 3, 0), "gf2", 1): "f958f6a87c256b68",
+    ((11, 3, 0), "gf2", 7): "2d4fe08564408a56",
+    ((11, 3, 0), "gf2", 12345): "507faf2f4a2f75c9",
+    ((11, 3, 0), "q", 3): "fb6ff893a9829ae2",
+    ((13, 3, 1), "gf2", None): "f9187717edde543c",
+    ((13, 3, 1), "gf2", 1): "c7234248c96bcf30",
+    ((13, 3, 1), "gf2", 7): "733cf6370353fb2e",
+    ((13, 3, 1), "gf2", 12345): "442607a9a0ff20e5",
+    ((13, 3, 1), "q", 3): "19fffa168a21c52a",
+    ((17, 3, 0), "gf2", None): "ae3bfd32db004031",
+    ((17, 3, 0), "gf2", 1): "33e1e33fe87d8309",
+    ((17, 3, 0), "gf2", 7): "16854c2fbe8dc4d9",
+    ((17, 3, 0), "gf2", 12345): "9f09cb1604a86672",
+    ((13, 4, 1), "gf2", None): "b0480c3f398e0eee",
+    ((13, 4, 1), "gf2", 1): "8a3b4aea92b2ebdb",
+    ((13, 4, 1), "gf2", 7): "6b9e16c664d047c1",
+    ((13, 4, 1), "gf2", 12345): "6abbd5e32cf4cd09",
+    ((13, 4, 1), "q", 3): "053419f8108c8e47",
+    ((11, 4, 2), "gf2", None): "c54aaebf7d262b14",
+    ((11, 4, 2), "gf2", 1): "819c4e80c09b36c7",
+    ((11, 4, 2), "gf2", 7): "fa2b20323ee7e46a",
+    ((11, 4, 2), "gf2", 12345): "169793e886f48cf9",
+    ((11, 4, 2), "q", 3): "abdedab2b2afac0d",
+    ((29, 3, 1), "gf2", None): "144a7fca606b9d04",
+    ((29, 3, 1), "gf2", 1): "05a49772cfc7f0e7",
+    ((29, 3, 1), "gf2", 7): "d7c0e3b003db6712",
+    ((29, 3, 1), "gf2", 12345): "002dab67a3d2e8f3",
+}
+
+
+def test_greedy_picks_are_pinned():
+    fields = {"gf2": GF2, "q": RATIONALS}
+    for ((n, k, ell), fld, seed), want in PICKS.items():
+        rep = build_X_nkl(n, k, ell, fields[fld], order_seed=seed)
+        payload = repr((sorted(rep.complex.top_faces), rep.s_sizes, rep.tb_after))
+        got = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert got == want, (n, k, ell, fld, seed)

@@ -17,6 +17,7 @@ from hypertree_lab.fields import RATIONALS
 from hypertree_lab.garland import (
     GUARD_BAND,
     WeightedLaplacian,
+    check_link_size,
     check_pure,
     garland_check,
     garland_weights,
@@ -24,7 +25,7 @@ from hypertree_lab.garland import (
     weighted_laplacian,
 )
 from hypertree_lab.homology import betti, betti_table
-from hypertree_lab.randomness import SplitMix64, random_pure_complex
+from hypertree_lab.randomness import SplitMix64
 from hypertree_lab.simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
@@ -33,6 +34,7 @@ from hypertree_lab.simplexes import (
     link,
 )
 from _jacobi import jacobi_eigenvalues
+from _random_complexes import random_pure_complex
 from _registry import track
 
 
@@ -263,18 +265,23 @@ def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
         assert calls == {"link": 0, "check_pure": 1}
 
 
-def test_link_size_is_bounded_before_any_enumeration(monkeypatch):
+def test_link_size_is_bounded_before_any_enumeration(monkeypatch, capsys):
     from hypertree_lab import cli
 
-    def no_enumeration(X):
-        raise AssertionError("check_pure ran before the size bound")
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the size bound")
 
     monkeypatch.setattr(garland, "check_pure", no_enumeration)
     # every link at ell = -1 is X itself: C(40, 3) = 9880 faces in degree 2
     with pytest.raises(TooLarge, match="9880 faces in degree 2"):
         garland_check(full_skeleton(40, 3), -1)
+    with pytest.raises(TooLarge, match="9880 faces in degree 2"):
+        check_link_size(40, 3, -1)
+    # the command refuses a random input from (n, k, ell), before the draw
+    monkeypatch.setattr(cli, "random_skeleton_complex", no_enumeration)
     assert cli.main(["garland", "--in", "random(seed=1,n=40,k=3,q=1.0)",
                      "--ell", "-1"]) == 2
+    assert "9880 faces in degree 2 exceeds limit" in capsys.readouterr().err
 
 
 def test_impure_input_is_still_refused_by_its_one_purity_check():

@@ -14,17 +14,13 @@ from hypertree_lab.homology import (
     betti_table,
     boundary_matrix,
     boundary_rank,
+    complete_rank,
     cycle_basis,
-    full_boundary_rank,
     is_hypertree,
     link_profile,
 )
 from hypertree_lab.linalg import rank_by_columns, rank_by_rows
-from hypertree_lab.randomness import (
-    SplitMix64,
-    random_general_complex,
-    random_skeleton_complex,
-)
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
     VOID,
@@ -36,6 +32,7 @@ from hypertree_lab.simplexes import (
     iter_faces,
     link,
 )
+from _random_complexes import random_general_complex
 from _registry import track
 
 # minimal 6-vertex triangulation of the projective plane; each of the 15
@@ -173,7 +170,6 @@ def test_boundary_rank_matches_column_route_on_both_branches():
             tau = ell_faces[rng.below(len(ell_faces))]
         complexes = (S, link(as_general(S), tau))
         homology._rank_cached.cache_clear()
-        homology.full_boundary_rank.cache_clear()
         for X in complexes:
             for j in range(X.dim + 1):
                 M = boundary_matrix(X, j)
@@ -271,7 +267,6 @@ def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):
         random_skeleton_complex(n, k, 0.45, rng) for n in (5, 7, 9) for k in (1, 2, 3)]
     for X in complexes:
         homology._rank_cached.cache_clear()
-        homology.full_boundary_rank.cache_clear()
         for j in (0, 1):
             want = column_rank(boundary_matrix(X, j), RATIONALS)
             assert boundary_rank(X, j, RATIONALS) == want
@@ -299,12 +294,19 @@ def test_full_skeleton_betti_closed_form():
 
 
 def test_full_boundary_rank_formula():
-    # rank of the j-th boundary map of a complex containing the full
-    # j-skeleton depends only on (g, j, characteristic)
-    for g in (4, 5, 6, 7):
-        for j in range(0, g - 1):
-            for p in (None, 2, 3):
-                assert full_boundary_rank(g, j, p) == comb(g - 1, j)
+    # the library's closed form for a complete layer, against the column
+    # route on the full simplex's own boundary maps
+    for g in (1, 2, 4, 5, 6, 7):
+        X = full_skeleton(g, g - 1)
+        # no map below degree 0 or above the top face
+        assert complete_rank(g, -1) == complete_rank(g, g) == 0
+        for j in range(0, g):
+            M = boundary_matrix(X, j)
+            for fld in (GF2, GF3, RATIONALS):
+                want = column_rank(M, fld)
+                assert want == comb(g - 1, j)
+                assert complete_rank(g, j) == want
+                assert boundary_rank(X, j, fld) == want
 
 
 def test_boundary_rank_matches_direct_elimination():

@@ -1,12 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
-from hypertree_lab.randomness import (
-    SplitMix64,
-    random_general_complex,
-    random_pure_complex,
-    random_skeleton_complex,
-)
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import face_count, full_skeleton
+from _random_complexes import random_general_complex, random_pure_complex
 from _registry import track
 
 
