@@ -24,6 +24,20 @@ has degree at most 1 (graph incidence and augmentation maps are totally
 unimodular) or r2 meets r2 <= rank_Q <= min(f, rows touched, C(g-1, j));
 else Q elimination runs.
 
+Before that, a cone lemma splits off the faces through one vertex, over
+every field.  Take j-faces on a ground set V and a vertex v in V.  Every
+boundary column is a cycle of the full simplex on V.  A (j-1)-cycle z
+supported on faces through v is 0: write z = sum c_gamma (v * gamma) over
+(j-2)-faces gamma not through v; the part of its boundary away from v is
+sum +-c_gamma gamma, which must vanish, so every c_gamma is 0.  Deleting
+the rows through v is therefore injective on the column space and keeps
+the rank.  After it, the column of a face alpha through v has one entry,
+in the row alpha minus v, and no other face through v shares that row.
+So the rank is c + the rank of the other columns with those c rows
+deleted, for c the number of faces through v.  Both callers hand the c
+faces over as unit columns: _top_rank with v the least vertex of its
+faces, link_columns with v the least vertex outside tau.
+
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
 again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
@@ -130,43 +144,63 @@ def _id_rank(groups: IdGroups, p: Optional[int], cap: int) -> int:
 
     groups holds (keep, cols) pairs: each col is a facet-id tuple, and its
     column has the entry (-1)^i in the row of id col[i] for each position
-    i in keep.  Rows are renumbered by first appearance among the kept
-    ids, so a link's bitsets are as short as the rows it touches, not as
-    long as the table.  Over GF(2) and Q each column is packed as a bitset
-    over those rows and reduced by the GF(2) core.  Over Q that rank r2 is
-    returned when the map has degree at most 1 (graph incidence and
-    augmentation maps are totally unimodular, so the rank is the same over
+    i in keep.  A one-position group ((j,), cols) spells unit columns, one
+    entry each, in the row of id col[j]: those rows are free pivots.  The
+    rank is their number u (distinct ids) plus the rank of the other
+    columns with the free rows deleted, and everything below runs on those
+    other columns alone.  Rows are renumbered by first appearance among
+    the kept ids, so a link's bitsets are as short as the rows it touches,
+    not as long as the table.  Over GF(2) and Q each column is packed as a
+    bitset over those rows and reduced by the GF(2) core.  Over Q that
+    rank r2 is returned when the map has degree at most 1 (no keep longer
+    than 2: graph incidence and augmentation maps are totally unimodular,
+    and so is every row deletion of them, so the rank is the same over
     every field) or r2 meets the upper bound min(columns, rows touched,
-    cap); else the fraction-free row route runs.  cap bounds the rank from
-    the ambient simplex: C(g-1, j) for j-faces on g vertices.  Odd p runs
-    the row route at once.
+    cap - u); else the fraction-free row route runs.  cap bounds the whole
+    rank from the ambient simplex: C(g-1, j) for j-faces on g vertices.
+    Odd p runs the row route at once.
     """
     rows: dict[int, int] = {}
     setdefault = rows.setdefault
+    rest = []
+    for keep, cols in groups:
+        if len(keep) == 1:
+            i, = keep
+            for ids in cols:
+                setdefault(ids[i], len(rows))
+        else:
+            rest.append((keep, cols))
+    # the free rows hold the low numbers: a right shift drops them
+    free = len(rows)
+    if not rest:
+        return free
     f = 0
     if p is None or p == 2:
         basis: dict[int, int] = {}
-        for keep, cols in groups:
+        for keep, cols in rest:
             f += len(cols)
             for ids in cols:
                 v = 0
                 for i in keep:
                     v |= 1 << setdefault(ids[i], len(rows))
-                v = _gf2_reduce(basis, v)
+                v = _gf2_reduce(basis, v >> free)
                 if v:
                     basis[v.bit_length() - 1] = v
         r2 = len(basis)
         # r2 is at most each bound, so meeting one meets their min
-        if p == 2 or r2 in (f, len(rows), cap) or len(groups[0][0]) <= 2:
-            return r2
+        if (p == 2 or r2 in (f, len(rows) - free, cap - free)
+                or max(len(keep) for keep, _ in rest) <= 2):
+            return free + r2
     entries: dict[tuple[int, int], int] = {}
     c = 0
-    for keep, cols in groups:
+    for keep, cols in rest:
         for ids in cols:
             for i in keep:
-                entries[(setdefault(ids[i], len(rows)), c)] = -1 if i % 2 else 1
+                row = setdefault(ids[i], len(rows)) - free
+                if row >= 0:
+                    entries[(row, c)] = -1 if i % 2 else 1
             c += 1
-    return rank_by_rows(entries, len(rows), c, p)
+    return free + rank_by_rows(entries, len(rows) - free, c, p)
 
 
 def complete_rank(g: int, j: int) -> int:
@@ -181,12 +215,18 @@ def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
     """Rank of the boundary map on the faces alphas, rows only where touched.
 
     alphas are distinct j-faces on g vertices; the rank is _id_rank over
-    their own facet-id table.
+    their own facet-id table.  The faces through v, the least vertex of
+    alphas, are a cone group: each keeps only position 0, the row alpha
+    minus v (module docstring).
     """
     if not alphas:
         return 0
     size = len(alphas[0])
-    return _id_rank([(tuple(range(size)), facet_ids(alphas))], p,
+    v = min(alpha[0] for alpha in alphas)
+    cone, other = [], []
+    for alpha, ids in zip(alphas, facet_ids(alphas)):
+        (cone if alpha[0] == v else other).append(ids)
+    return _id_rank([((0,), cone), (tuple(range(size)), other)], p,
                     complete_rank(g, size - 1))
 
 
@@ -244,20 +284,38 @@ def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
     position pattern P of size ell+1 and top face sigma, tau = sigma[P] and
     sigma's column keeps the positions outside P.  Up to +-1 scaling of
     rows and columns this is the link's top boundary map (see the module
-    docstring).  A degree-ell face under no top face is absent.  The table
-    is built anew per call: a report that keeps X would keep a cached one
-    alive too.
+    docstring), save that the link faces through v, the least vertex
+    outside tau, form a cone group that keeps only v's position, which
+    keeps the rank by the cone lemma.  That position is the first kept
+    one, a, and v lies in sigma minus tau exactly when sigma[a] == a, as
+    then every vertex below sigma[a] is in tau.  A degree-ell face under
+    no top face is absent.  The table is built anew per call: a report
+    that keeps X would keep a cached one alive too.
     """
     k1 = X.k + 1
     keeps = [tuple(i for i in range(k1) if i not in P)
              for P in combinations(range(k1), ell + 1)]
+    # the first kept position; k1 where nothing is kept, so never a cone
+    firsts = [keep[0] if keep else k1 for keep in keeps]
     by_pattern = [defaultdict(list) for _ in keeps]
+    cones = [defaultdict(list) for _ in keeps]
     tops = list(X.top_faces)
     for sigma, ids in zip(tops, facet_ids(tops)):
-        for cols, tau in zip(by_pattern, combinations(sigma, ell + 1)):
-            cols[tau].append(ids)
+        if sigma[0]:
+            # sigma[a] > a for every a: no column of sigma is a cone column
+            for cols, tau in zip(by_pattern, combinations(sigma, ell + 1)):
+                cols[tau].append(ids)
+            continue
+        m = 1  # sigma[a] == a exactly for a < m
+        while m < k1 and sigma[m] == m:
+            m += 1
+        for a, cols, cone, tau in zip(firsts, by_pattern, cones,
+                                      combinations(sigma, ell + 1)):
+            (cone if a < m else cols)[tau].append(ids)
     out: dict[Simplex, IdGroups] = {}
-    for keep, cols in zip(keeps, by_pattern):
+    for keep, a, cols, cone in zip(keeps, firsts, by_pattern, cones):
+        for tau, c in cone.items():
+            out.setdefault(tau, []).append(((a,), c))
         for tau, c in cols.items():
             out.setdefault(tau, []).append((keep, c))
     return out

@@ -196,6 +196,19 @@ def _id_matrix(groups):
     return entries, len(rows), c
 
 
+def _cone_split_rank(M, v, p):
+    """The cone lemma's rank of M: the c columns through v, plus the rank of
+    the other columns with the rows through v and the rows alpha minus v of
+    those c columns deleted, by the column route."""
+    cone = [alpha for alpha in M.col_faces if v in alpha]
+    drop = {tuple(x for x in alpha if x != v) for alpha in cone}
+    drop.update(f for f in M.row_faces if v in f)
+    keep_cols = {c for c, alpha in enumerate(M.col_faces) if v not in alpha}
+    entries = {(i, c): x for (i, c), x in M.entries.items()
+               if c in keep_cols and M.row_faces[i] not in drop}
+    return len(cone) + rank_by_columns(entries, M.n_rows, M.n_cols, p)
+
+
 RP2_CONE = SkeletonComplex(7, 3, frozenset(t + (6,) for t in RP2_FACETS))
 
 
@@ -210,7 +223,9 @@ def _random_skeleton(seed, n, k, q):
 def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
     # the +-1 scaling lemma: the top boundary of lk(S, tau) read off the
     # facet-id table of S has the rank of the general link's boundary map
-    # over every field, for every tau and every ell
+    # over every field, for every tau and every ell; the link faces through
+    # v, the least vertex outside tau, come as unit columns, and the cone
+    # lemma gives the same rank on the link's own boundary map
     G = as_general(S)
     for ell in range(-1, S.k + 1):
         r, g = S.k - ell - 1, S.n - ell - 1
@@ -222,11 +237,66 @@ def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
             groups = links.get(tau, [])
             entries, n_rows, n_cols = _id_matrix(groups)
             assert n_cols == M.n_cols, (ell, tau)
+            v = min(set(range(S.n)) - set(tau), default=None)
+            if r > 0:  # at r = 0 every column keeps one position
+                units = sum(len(cols) for keep, cols in groups if len(keep) == 1)
+                assert units == sum(v in alpha for alpha in M.col_faces)
             for fld in (GF2, GF3, RATIONALS):
                 want = column_rank(M, fld)
                 assert rank_by_columns(entries, n_rows, n_cols, fld.p) == want
+                if v is not None:
+                    assert _cone_split_rank(M, v, fld.p) == want, (ell, tau)
                 if n_cols:
                     assert _id_rank(groups, fld.p, cap) == want, (ell, tau, fld.name)
+
+
+@st.composite
+def _unit_and_whole_groups(draw):
+    """_id_rank groups read off one facet-id table of faces with 2 to 4
+    vertices, repeats allowed: each column keeps either all its positions
+    or one random position (a unit column), and runs of columns with the
+    same keep may share a group.  Faces of one size share rows, so unit
+    ids repeat and other columns touch them; whole columns of two
+    vertices are graph incidence columns, so the degree-1 shortcut holds."""
+    m = draw(st.integers(4, 7))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
+    faces = draw(st.lists(
+        st.sampled_from([f for size in sizes for f in combinations(range(m), size)]),
+        min_size=1, max_size=14))
+    groups = []
+    for face, ids in zip(faces, homology.facet_ids(faces)):
+        keep = (draw(st.integers(0, len(face) - 1)),) if draw(st.booleans()) \
+            else tuple(range(len(face)))
+        if groups and groups[-1][0] == keep and draw(st.booleans()):
+            groups[-1][1].append(ids)
+        else:
+            groups.append((keep, [ids]))
+    return groups
+
+
+RP2_IDS = homology.facet_ids(RP2_FACETS)  # ids 0..14, one per edge
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_and_whole_groups(), st.integers(0, 2))
+# unit group first, a torsion part after it: GF(2) rank 9 + 1 misses 10 + 1
+@example([((0,), [(15,)]), ((0, 1, 2), RP2_IDS)], 0)
+# the same with the unit group last and in between
+@example([((0, 1, 2), RP2_IDS), ((0,), [(15,)])], 0)
+@example([((0, 1, 2), RP2_IDS[:5]), ((0,), [(15,)]), ((0, 1, 2), RP2_IDS[5:])], 0)
+# one unit id twice
+@example([((0,), [(0, 1), (0, 2)]), ((0, 1), [(1, 2)])], 0)
+# both rows of the whole column are free: rank 2, not 3
+@example([((0,), [(0, 5), (1, 5)]), ((0, 1), [(0, 1)])], 0)
+def test_unit_columns_are_free_pivots(groups, extra):
+    # one-position groups are unit columns: _id_rank counts their distinct
+    # rows and ranks the rest without them, which must give the rank of
+    # the whole matrix the groups spell, over every field
+    entries, n_rows, n_cols = _id_matrix(groups)
+    cap = rank_by_columns(entries, n_rows, n_cols, None) + extra
+    for fld in (GF2, GF3, RATIONALS):
+        want = rank_by_columns(entries, n_rows, n_cols, fld.p)
+        assert _id_rank(groups, fld.p, cap) == want, fld.name
 
 
 def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatch):

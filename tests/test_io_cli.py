@@ -378,6 +378,17 @@ def golden_commands():
             out.append(["sweep", "--check", check, "--count", "4", "--seed", "5",
                         "--n", "7,8", "--k", "2,3", "--q", "0.5", "--field", "q",
                         "--out", fmt])
+    # the odd-p row route, and k = 4 links over Q, where the link maps have
+    # degree up to 3 (38 cases, about 0.1 s together)
+    for command in ("links", "verify-bound"):
+        for seed in (1, 2, 3):
+            for ell in range(-1, 4):
+                out.append([command, "--in", f"random(seed={seed},n=9,k=3,q=0.4)",
+                            "--ell", str(ell), "--field", "gf:3"])
+    for seed in (1, 2):
+        for ell in range(0, 4):
+            out.append(["verify-bound", "--in", f"random(seed={seed},n=10,k=4,q=0.5)",
+                        "--ell", str(ell), "--field", "q"])
     return out
 
 
@@ -397,7 +408,8 @@ def test_golden_cli_output(tmp_path, monkeypatch):
     # golden command, and the file `construct` wrote, as recorded from the
     # code before the link-profile path (the `sweep` cases from the code
     # before the sweep rows shared their report mapping with the single
-    # commands); outputs must stay byte-identical
+    # commands, the gf:3 and k = 4 cases from the code before the cone
+    # split of face-level ranks); outputs must stay byte-identical
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [g["argv"] for g in golden] == golden_commands()
