@@ -60,7 +60,8 @@ def lambda_pair(X: Complex, ell: int, field: FieldSpec) -> tuple[int, int]:
     return sum(e.below for e in profile), sum(e.top for e in profile)
 
 
-def _require_params(n: int, k: int, ell: int) -> None:
+def check_bound_degree(n: int, k: int, ell: int) -> None:
+    """Refuse (n, k, ell) outside 0 <= ell < k < n, where B and F are defined."""
     if not 0 <= ell < k < n:
         raise ParameterOutOfRange(
             f"need 0 <= ell < k < n, got ell={ell} k={k} n={n}")
@@ -71,7 +72,7 @@ def bound_B(n: int, k: int, ell: int) -> Fraction:
 
     Two closed forms must agree; both are evaluated and compared.
     """
-    _require_params(n, k, ell)
+    check_bound_degree(n, k, ell)
     direct = Fraction(comb(n - 1, ell) * comb(n - ell - 2, k - ell),
                       comb(k + 1, ell + 1))
     alt = comb(n - 1, k) - Fraction(
@@ -83,7 +84,7 @@ def bound_B(n: int, k: int, ell: int) -> Fraction:
 
 def bound_F(n: int, k: int, ell: int) -> Fraction:
     """Top-face count at which the ceiling is reached."""
-    _require_params(n, k, ell)
+    check_bound_degree(n, k, ell)
     return comb(n - 1, k) - bound_B(n, k, ell)
 
 
@@ -120,7 +121,7 @@ def verify_upper_bound(X: Complex, ell: int, field: FieldSpec) -> BoundCertifica
     """
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
-    _require_params(n, k, ell)
+    check_bound_degree(n, k, ell)
     C = comb(k + 1, ell + 1)
     CB = comb(n - 1, ell) * comb(n - ell - 2, k - ell)
     CF = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
@@ -158,6 +159,12 @@ class DualBoundVerdict:
         return self.coefficient * self.tb_top <= self.lam_high
 
 
+def check_dual_degree(k: int, ell: int) -> None:
+    """Refuse a dual-bound degree outside [-1, k)."""
+    if not -1 <= ell < k:
+        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k})")
+
+
 def verify_dual_bound(X: Complex, ell: int, field: FieldSpec) -> DualBoundVerdict:
     """Top-degree Betti number against the top-degree link defect.
 
@@ -166,8 +173,7 @@ def verify_dual_bound(X: Complex, ell: int, field: FieldSpec) -> DualBoundVerdic
     """
     S = as_skeleton_complex(X)
     k = S.k
-    if not -1 <= ell < k:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k})")
+    check_dual_degree(k, ell)
     return DualBoundVerdict(
         n=S.n, k=k, ell=ell, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
@@ -221,6 +227,12 @@ class MonotonicityVerdict:
                 and all(b.holds for b in self.link_brackets))
 
 
+def check_deletion_degree(k: int, ell: int) -> None:
+    """Refuse a deletion-check degree outside [-1, k-1]."""
+    if not -1 <= ell <= k - 1:
+        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 1}]")
+
+
 def monotonicity_check(X: Complex, sigma, ell: int,
                        field: FieldSpec) -> MonotonicityVerdict:
     """Delete the top face sigma and bound every movement it causes.
@@ -234,8 +246,7 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     """
     S = as_skeleton_complex(X)
     k = S.k
-    if not -1 <= ell <= k - 1:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 1}]")
+    check_deletion_degree(k, ell)
     s = make_simplex(sigma)
     if s not in S.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")
@@ -296,7 +307,7 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     """
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
-    _require_params(n, k, ell)
+    check_bound_degree(n, k, ell)
     profile = link_profile(S, ell, field)
     lam_low = sum(e.below for e in profile)
     if lam_low != 0 and require_zero_defect:

@@ -20,6 +20,9 @@ from typing import Callable, Optional, Union
 from .bounds import (
     bound_B,
     bound_F,
+    check_bound_degree,
+    check_deletion_degree,
+    check_dual_degree,
     equality_trichotomy,
     lambda_pair,
     monotonicity_check,
@@ -45,8 +48,8 @@ from .errors import (
 )
 from .fields import parse_field
 from .garland import check_link_size, garland_check
-from .homology import betti, betti_table, link_profile
-from .randomness import SplitMix64, random_skeleton_complex
+from .homology import betti, betti_table, check_link_degree, link_profile
+from .randomness import SplitMix64, check_draw, random_skeleton_complex
 from .reports import RunReport, emit_report
 from .simplexes import (
     Complex,
@@ -57,6 +60,27 @@ from .simplexes import (
 
 RANDOM_INPUT = re.compile(
     r"random\(\s*seed=(\d+)\s*,\s*n=(\d+)\s*,\s*k=(\d+)\s*,\s*q=([0-9.eE+-]+)\s*\)\Z")
+
+DegreeCheck = Callable[[int, int, int], None]
+
+# the library's check of (n, k, ell) behind each command that takes --ell,
+# run before a random(...) input is drawn
+DEGREE_CHECKS: dict[str, DegreeCheck] = {
+    "links": lambda n, k, ell: check_link_degree(k, ell),
+    "lambda": lambda n, k, ell: check_link_degree(k, ell),
+    "verify-bound": check_bound_degree,
+    "verify-dual": lambda n, k, ell: check_dual_degree(k, ell),
+    "trichotomy": check_bound_degree,
+    "garland": check_link_size,
+}
+
+# the same for each sweep --check that takes a degree
+SWEEP_DEGREE_CHECKS: dict[str, DegreeCheck] = {
+    "bound": check_bound_degree,
+    "dual": DEGREE_CHECKS["verify-dual"],
+    "mono": lambda n, k, ell: check_deletion_degree(k, ell),
+    "garland": check_link_size,
+}
 
 
 @cache
@@ -116,17 +140,17 @@ def _int(tok: str, what: str) -> int:
         raise ParameterOutOfRange(f"{what}: expected an integer, got {tok!r}") from None
 
 
-def _load_complex(args, before_draw: Optional[Callable[[int, int], None]] = None
-                  ) -> tuple[Complex, Optional[int], tuple[str, ...]]:
-    """The --in complex; before_draw(n, k) runs before a random(...) draw."""
+def _load_complex(args) -> tuple[Complex, Optional[int], tuple[str, ...]]:
+    """The --in complex; random(...) is drawn after DEGREE_CHECKS passes."""
     if args.input is None:
         raise ParameterOutOfRange(f"{args.command} requires --in")
     m = RANDOM_INPUT.match(args.input)
     if m:
         seed, n, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
         q = float(m.group(4))
-        if before_draw is not None:
-            before_draw(n, k)
+        check = DEGREE_CHECKS.get(args.command)
+        if check is not None:
+            check(n, k, _need_ell(args))
         X = random_skeleton_complex(n, k, q, SplitMix64(seed))
         return X, seed, ()
     parsed = parse_complex_file(args.input, relabel=args.relabel)
@@ -160,8 +184,8 @@ def cmd_betti(args) -> RunReport:
 
 
 def cmd_links(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
     profile = link_profile(S, ell, fld)
@@ -179,8 +203,8 @@ def cmd_links(args) -> RunReport:
 
 
 def cmd_lambda(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
     lam_low, lam_high = lambda_pair(S, ell, fld)
@@ -208,8 +232,8 @@ def _dual_fields(v) -> dict:
 
 
 def cmd_verify_bound(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     cert = verify_upper_bound(X, ell, fld)
     return RunReport(
@@ -219,8 +243,8 @@ def cmd_verify_bound(args) -> RunReport:
 
 
 def cmd_verify_dual(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     v = verify_dual_bound(X, ell, fld)
     return RunReport(
@@ -230,8 +254,8 @@ def cmd_verify_dual(args) -> RunReport:
 
 
 def cmd_trichotomy(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     rep = equality_trichotomy(X, ell, fld, require_zero_defect=False)
     lines = list(notes)
@@ -249,9 +273,7 @@ def cmd_trichotomy(args) -> RunReport:
 
 
 def cmd_garland(args) -> RunReport:
-    # a random input is refused from (n, k, ell) before it is drawn
-    X, seed, notes = _load_complex(
-        args, lambda n, k: check_link_size(n, k, _need_ell(args)))
+    X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
     g = garland_check(S, ell)
@@ -379,6 +401,15 @@ def cmd_sweep(args) -> list[RunReport]:
     ns = _int_list(args.n, "n")
     ks = _int_list(args.k, "k")
     qs = _float_list(args.q, "q")
+    ell = args.ell if args.ell is not None else 0
+    check = SWEEP_DEGREE_CHECKS.get(args.check)
+    # row i draws (ns[i % len], ks[i % len], qs[i % len]); every triple
+    # the sweep reaches is checked before its first draw
+    for i in range(min(args.count, len(ns) * len(ks) * len(qs))):
+        n, k, q = ns[i % len(ns)], ks[i % len(ks)], qs[i % len(qs)]
+        check_draw(n, k, q)
+        if check is not None:
+            check(n, k, ell)
     root = SplitMix64(args.seed if args.seed is not None else 0)
     rows: list[RunReport] = []
     made = 0

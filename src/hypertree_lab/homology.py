@@ -61,13 +61,20 @@ t < s with t in tau and s in S.  So the two matrices differ by diagonal
 One walk over the table per ell groups the columns by tau, then one
 _id_rank per link runs on the rows its columns touch.  The complete-layer
 ranks are the closed form above, so b_{r-1} = C(g-1, r) - rank.
+
+At ell = k-1 (r = 0) no table is needed.  The link of tau is its f_tau
+points sigma minus tau over the empty face, and its top map is the
+augmentation, whose columns are all the one row of the empty face: its
+rank is min(f_tau, 1) over every field.  So one count of the k-subsets
+of the top faces gives every f_tau, and b_{-1} = 1 - [f_tau > 0],
+b_0 = f_tau - [f_tau > 0].
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
@@ -321,6 +328,12 @@ def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
     return out
 
 
+def check_link_degree(k: int, ell: int) -> None:
+    """Refuse a link degree outside [-1, k] for top dimension k."""
+    if not -1 <= ell <= k:
+        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k}]")
+
+
 def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:
     """Betti numbers b_{r-1}, b_r of the link of every degree-ell face of X.
 
@@ -329,8 +342,7 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     one-face complex).  Every other reduced Betti number of these links
     is 0.
     """
-    if not -1 <= ell <= X.k:
-        raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {X.k}]")
+    check_link_degree(X.k, ell)
     p = field.p
     g = X.n - ell - 1
     r = X.k - ell - 1
@@ -338,6 +350,13 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank, and
     # C(g-1, r) also caps the rank of the link's top map
     low = complete_rank(g, r)
+    if r == 0:
+        # f_tau points over the empty face: the top map is the
+        # augmentation, of rank min(f_tau, 1) (module docstring)
+        counts = Counter(chain.from_iterable(
+            combinations(sigma, ell + 1) for sigma in X.top_faces))
+        return [LinkBetti(tau, f, low - min(f, 1), f - min(f, 1))
+                for tau, f in ((tau, counts[tau]) for tau in iter_faces(X, ell))]
     complete = comb(g, r + 1)
     links = link_columns(X, ell)
     out = []

@@ -3,17 +3,31 @@
 SplitMix64 keeps runs reproducible across platforms without dragging in
 Python's global Mersenne Twister state; split() hands an independent
 stream to a sub-task so its draws do not depend on what ran before it.
+
+random_skeleton_complex(n, k, q, rng) keeps the i-th of the C(n, k+1)
+candidate k-faces, in lexicographic order, exactly when the i-th
+rng.uniform() would be below q, and leaves rng advanced by C(n, k+1)
+steps, as if it had called uniform() once per candidate.  SplitMix64 is
+add, xorshift and multiply mod 2^64 (Steele, Lea and Flood, OOPSLA 2014),
+so step i of the state is state + i*GAMMA and numpy uint64 arrays compute
+a whole block of outputs with the same wrapping arithmetic.  The cast of
+an output to float64 rounds to nearest, as Python's float(z) does, and
+the division by 2^64 is exact, so the block test is the scalar test.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, islice
 from math import comb
+
+import numpy as np
 
 from .errors import ParameterOutOfRange, TooLarge
 from .simplexes import SkeletonComplex
 
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 FACE_BUDGET = 10 ** 6  # candidate k-faces a random draw may enumerate
+BLOCK = 1 << 16  # candidates drawn per numpy block; bounds the draw's memory
 
 
 class SplitMix64:
@@ -21,7 +35,7 @@ class SplitMix64:
         self.state = seed & MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK
+        self.state = (self.state + GAMMA) & MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
@@ -46,21 +60,48 @@ class SplitMix64:
         return items[self.below(len(items))]
 
 
-def random_skeleton_complex(n: int, k: int, q: float,
-                            rng: SplitMix64) -> SkeletonComplex:
-    """Full (k-1)-skeleton plus each k-face independently with probability q.
-
-    Faces are visited in lexicographic order so a seed pins the complex.
-    Both q and the number of candidate faces are checked before any draw.
-    """
+def check_draw(n: int, k: int, q: float) -> None:
+    """Refuse a density outside [0, 1] or more than FACE_BUDGET candidates."""
     if not 0.0 <= q <= 1.0:  # NaN fails this too
         raise ParameterOutOfRange(f"face density q={q} must lie in [0, 1]")
     if 0 <= k < n and comb(n, k + 1) > FACE_BUDGET:
         raise TooLarge(f"C({n}, {k + 1}) = {comb(n, k + 1)} candidate faces "
                        f"exceeds the budget of {FACE_BUDGET}")
-    tops = [
-        sigma for sigma in combinations(range(n), k + 1)
-        if rng.uniform() < q
-    ]
+
+
+def _outputs(state: int, count: int) -> np.ndarray:
+    """The next count SplitMix64 outputs after state, as a uint64 array.
+
+    Every operand is spelled uint64 and every result is an array, so the
+    arithmetic wraps mod 2^64 without an overflow warning, under the
+    promotion rules of NumPy 1.24 and NumPy 2 alike.
+    """
+    u = np.uint64
+    z = np.arange(1, count + 1, dtype=u) * u(GAMMA) + u(state)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    return z ^ (z >> u(31))
+
+
+def random_skeleton_complex(n: int, k: int, q: float,
+                            rng: SplitMix64) -> SkeletonComplex:
+    """Full (k-1)-skeleton plus each k-face independently with probability q.
+
+    Faces are visited in lexicographic order so a seed pins the complex;
+    the draw is the per-candidate uniform() < q test, made in blocks of
+    BLOCK candidates (module docstring).  Both q and the number of
+    candidate faces are checked before any draw.
+    """
+    check_draw(n, k, q)
+    candidates = combinations(range(n), k + 1)
+    total = comb(max(n, 0), k + 1)
+    state = rng.state
+    tops: list[tuple[int, ...]] = []
+    for start in range(0, total, BLOCK):
+        count = min(BLOCK, total - start)
+        z = _outputs((state + start * GAMMA) & MASK, count)
+        keep = z.astype(np.float64) / 2.0 ** 64 < q
+        tops.extend(compress(islice(candidates, count), keep.tolist()))
+    rng.state = (state + total * GAMMA) & MASK
     return SkeletonComplex(n, k, frozenset(tops))
 

@@ -351,6 +351,47 @@ def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):
     assert fallback_degrees == []
 
 
+def test_point_links_match_the_column_route():
+    # at ell = k-1 every link is f_tau points over the empty face; its
+    # Betti numbers come from counts, checked here against link() and the
+    # column route on the link's augmentation map
+    rng = SplitMix64(23)
+    complexes = [
+        SkeletonComplex(5, 2, frozenset()),                # no top faces
+        SkeletonComplex(6, 2, frozenset({(0, 1, 2)})),     # most tau bare
+        SkeletonComplex(4, 0, frozenset({(1,), (3,)})),    # ell = -1
+        full_skeleton(6, 2),
+    ] + [random_skeleton_complex(n, k, q, rng)
+         for n, k, q in ((6, 1, 0.3), (7, 2, 0.2), (8, 3, 0.1), (9, 3, 4 / 9))]
+    seen_bare = 0
+    for X in complexes:
+        ell = X.k - 1
+        G = as_general(X)
+        for field in (GF2, GF3, RATIONALS):
+            profile = link_profile(X, ell, field)
+            assert [e.tau for e in profile] == list(iter_faces(X, ell))
+            for e in profile:
+                L = link(G, e.tau)
+                f = sum(1 for _ in iter_faces(L, 0))
+                rk = column_rank(boundary_matrix(L, 0), field)
+                assert (e.f_top, e.below, e.top) == (f, 1 - rk, f - rk), e
+                seen_bare += f == 0
+    assert seen_bare > 0
+
+
+def test_point_links_build_no_facet_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("point links read a facet-id table")
+
+    for name in ("facet_ids", "link_columns", "_id_rank"):
+        monkeypatch.setattr(homology, name, refuse)
+    X = random_skeleton_complex(9, 3, 4 / 9, SplitMix64(5))
+    profile = link_profile(X, 2, RATIONALS)
+    assert sum(e.f_top for e in profile) == 4 * len(X.top_faces)
+    with pytest.raises(AssertionError):
+        link_profile(X, 1, RATIONALS)
+
+
 def test_full_skeleton_betti_closed_form():
     # top reduced Betti number of the complete j-skeleton on g vertices
     for g in (4, 5, 6):

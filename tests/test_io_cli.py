@@ -22,6 +22,7 @@ from hypertree_lab.errors import (
     UnrepresentableComplex,
     VertexOutOfRange,
 )
+from hypertree_lab.randomness import random_skeleton_complex
 from hypertree_lab.reports import CSV_COLUMNS, emit_report
 from hypertree_lab.simplexes import (
     VOID,
@@ -155,6 +156,66 @@ def test_cli_exit_two_at_once_on_too_many_candidate_faces(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-bound", "--ell", "7"], "need 0 <= ell < k < n, got ell=7 k=3 n=70"),
+    (["trichotomy", "--ell", "-1"], "need 0 <= ell < k < n, got ell=-1 k=3 n=70"),
+    (["verify-dual", "--ell", "3"], "degree 3 must lie in [-1, 3)"),
+    (["links", "--ell", "4"], "degree 4 must lie in [-1, 3]"),
+    (["lambda", "--ell", "-2"], "degree -2 must lie in [-1, 3]"),
+    (["verify-bound"], "verify-bound requires --ell"),
+    (["links", "--ell", "0", "--field", "gf:4"], "4 is not prime"),
+])
+def test_bad_degree_or_field_exits_two_before_the_draw(argv, message,
+                                                      monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("drew the complex before checking the input")
+
+    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    # C(70, 4) = 916,895 candidates: seconds of drawing, were it drawn
+    argv = argv + ["--in", "random(seed=1,n=70,k=3,q=0.5)"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--check", "bound", "--n", "9,70", "--k", "3", "--ell", "3"],
+     "need 0 <= ell < k < n, got ell=3 k=3 n=9"),
+    (["--check", "bound", "--n", "9,6", "--k", "3,2", "--ell", "2"],
+     "need 0 <= ell < k < n, got ell=2 k=2 n=6"),
+    (["--check", "dual", "--n", "9", "--k", "3,2", "--ell", "2"],
+     "degree 2 must lie in [-1, 2)"),
+    (["--check", "mono", "--n", "9", "--k", "2", "--ell", "2"],
+     "degree 2 must lie in [-1, 1]"),
+    (["--check", "garland", "--n", "9", "--k", "3", "--ell", "2"],
+     "degree 2 must lie in [-1, 1]"),
+    (["--check", "bound", "--n", "9,200", "--k", "3,5"], "budget"),
+    (["--check", "bound", "--n", "9", "--k", "3", "--q", "0.5,0.5,2"],
+     "must lie in [0, 1]"),
+    (["--check", "bound", "--n", "9", "--k", "3", "--field", "gf:9"],
+     "9 is not prime"),
+])
+def test_sweep_checks_every_shape_before_its_first_draw(argv, message,
+                                                        monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("drew a complex before checking the input")
+
+    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    assert cli.main(["sweep", "--count", "3"] + argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_checks_only_the_shapes_it_draws(monkeypatch):
+    # rows pair n and k by index: (9, 3) and (4, 2) are drawn, (4, 3) is not
+    drawn = []
+    monkeypatch.setattr(cli, "random_skeleton_complex",
+                        lambda n, k, q, rng: drawn.append((n, k)) or
+                        random_skeleton_complex(n, k, q, rng))
+    out = cli.run_command(["sweep", "--check", "bound", "--count", "2",
+                           "--n", "9,4", "--k", "3,2", "--ell", "1"])
+    assert out.exit_code == 0
+    assert drawn == [(9, 3), (4, 2)]
 
 
 def test_cli_exit_two_on_parse_error(tmp_path):

@@ -1,3 +1,8 @@
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
@@ -93,3 +98,54 @@ def test_same_seed_same_complex(seed, n, k):
     b = random_skeleton_complex(n, k, 0.5, SplitMix64(seed))
     assert a == b
     assert face_count(a, k) == len(a.top_faces)
+
+
+def scalar_draw(n, k, q, rng):
+    """The draw one candidate at a time: keep it when rng.uniform() < q."""
+    return frozenset(sigma for sigma in combinations(range(n), k + 1)
+                     if rng.uniform() < q)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x2545F4914F6CDD1D,
+                                  0xD1B54A32D192ED03])
+@pytest.mark.parametrize("n,k", [(7, 2), (9, 3), (6, 5), (1, 0), (12, 11)])
+def test_draw_matches_per_candidate_uniform(seed, n, k):
+    qs = (0.0, 1.0, 5e-324, math.nextafter(0.5, 0), 0.5, (k + 1) / n)
+    for q in qs:
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        X = random_skeleton_complex(n, k, q, a)
+        assert X.top_faces == scalar_draw(n, k, q, b), q
+        assert a.state == b.state
+        # a caller that keeps drawing sees the stream it saw before
+        Y = random_skeleton_complex(n, k, 0.5, a)
+        assert Y.top_faces == scalar_draw(n, k, 0.5, b)
+        assert a.next_u64() == b.next_u64()
+
+
+def test_draw_longer_than_a_block_matches_per_candidate_uniform():
+    # C(75, 3) = 67,525 candidates
+    for seed, q in ((5, 3 / 75), (2**64 - 1, 0.5)):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        X = random_skeleton_complex(75, 2, q, a)
+        assert X.top_faces == scalar_draw(75, 2, q, b)
+        assert a.state == b.state
+        assert a.next_u64() == b.next_u64()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 9), st.integers(0, 4),
+       st.floats(0.0, 1.0))
+def test_draw_matches_per_candidate_uniform_on_random_seeds(seed, n, k, q):
+    if k > n - 1:
+        return
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert (random_skeleton_complex(n, k, q, a).top_faces
+            == scalar_draw(n, k, q, b))
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("z", [2**53 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1,
+                               2**64 - 2**11, 2**64 - 1])
+def test_uint64_to_float64_cast_rounds_like_python(z):
+    # the draw tests z / 2**64 < q on numpy's cast of each output z
+    assert np.array([z], dtype=np.uint64).astype(np.float64)[0] == float(z)
