@@ -174,8 +174,8 @@ def _dims(X: Complex) -> tuple[int, int]:
 
 
 def cmd_betti(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
     fld = parse_field(args.field)
+    X, seed, notes = _load_complex(args)
     n, k = _dims(X)
     return RunReport(
         command="betti", n=n, k=k, field_name=fld.name,
@@ -380,7 +380,7 @@ def cmd_construct(args) -> RunReport:
     n_, k_ = _dims(X)
     return RunReport(
         command="construct", n=n_, k=k_,
-        ell=args.ell if kind == "xnkl" else None,
+        ell=rep.ell if kind == "xnkl" else None,
         field_name=fld.name, f_vector=f_vector(X),
         betti=betti_table(X, fld), seed=args.seed, lines=tuple(lines))
 

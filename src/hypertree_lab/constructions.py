@@ -223,7 +223,6 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
 
     spec = SumComplexSpec.make(n, range(k - ell), k)
     Y = sum_complex(spec)
-    base_tb = betti(Y, k - 1, field)
 
     taus = sorted(iter_faces(Y, ell))
     if order_seed is None:
@@ -242,17 +241,20 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
             new_tops.add(make_simplex(tau + alpha))
     X = SkeletonComplex(n, k, frozenset(new_tops))
 
-    # re-verify through the link profiles of Y and X, not the greedy state
+    # re-verify through the homology of Y and X, not the greedy state; each
+    # complex's two reads run back to back, so they share its top faces'
+    # facet-id table
     from .bounds import bound_B
-    lam = sum(e.below for e in link_profile(X, ell, field))
-    if lam != 0:
-        raise InvariantViolation(f"link defect {lam} after saturation")
+    base_tb = betti(Y, k - 1, field)
     base_below = {e.tau: e.below for e in link_profile(Y, ell, field)}
     for tau, picked in results:
         expect = base_below[tau]
         if len(picked) != expect:
             raise InvariantViolation(
                 f"added {len(picked)} at {tau}, link Betti number is {expect}")
+    lam = sum(e.below for e in link_profile(X, ell, field))
+    if lam != 0:
+        raise InvariantViolation(f"link defect {lam} after saturation")
     added = sum(len(p) for _, p in results)
     tb_after = betti(X, k - 1, field)
     if tb_after < base_tb - added:

@@ -16,13 +16,14 @@ C(g, j) - C(g-1, j-1) = C(g-1, j) gives rank d_j = C(g-1, j) for
 0 <= j <= g-1; no other degree has a nonzero map.  The tests check the
 closed form against the column route.
 
-Every face-level rank goes through _id_rank, which reads its boundary map
-from a facet-id table: for each face sigma, the int ids of its facets
-sigma minus sigma_i, handed out in order of first appearance.  Over Q it
-first takes the GF(2) rank r2 of the same map and returns it when the map
-has degree at most 1 (graph incidence and augmentation maps are totally
-unimodular) or r2 meets r2 <= rank_Q <= min(f, rows touched, C(g-1, j));
-else Q elimination runs.
+Every face-level rank but those of point and graph links (below) goes
+through _id_rank, which reads its boundary map from a facet-id table: for
+each face sigma, the int ids of its facets sigma minus sigma_i, handed
+out in order of first appearance.  Over Q it first takes the GF(2) rank
+r2 of the same map and returns it when the map has degree at most 1
+(graph incidence and augmentation maps are totally unimodular) or r2
+meets r2 <= rank_Q <= min(f, rows touched, C(g-1, j)); else Q
+elimination runs.
 
 Before that, a cone lemma splits off the faces through one vertex, over
 every field.  Take j-faces on a ground set V and a vertex v in V.  Every
@@ -68,6 +69,27 @@ augmentation, whose columns are all the one row of the empty face: its
 rank is min(f_tau, 1) over every field.  So one count of the k-subsets
 of the top faces gives every f_tau, and b_{-1} = 1 - [f_tau > 0],
 b_0 = f_tau - [f_tau > 0].
+
+At ell = k-2 (r = 1) no table is needed either.  Each link is a graph:
+the g points and the edges sigma minus tau, and its top map is the
+graph's signed incidence map.  Over every field its rank is the number of
+edges in a spanning forest, g minus the number of components: the
+columns of a forest are independent, as a leaf's row meets just one of
+them, and every other edge closes a cycle in the forest whose columns,
+signed along the cycle, sum to 0.  _forest_rank counts the merges a
+union-find makes over the edges (Tarjan, JACM 1975), which is that
+number.
+
+top_table holds the top faces of one SkeletonComplex in iter_faces(X, k)
+order, which is sorted order, and their facet-id table.  link_columns and
+the global top rank in _rank_cached both read it, so a complex checked at
+every ell builds one table, not one per ell and one more for its Betti
+numbers.  The order matters: facet ids are handed out by first
+appearance, so sorted faces keep the ids of the global GF(2) bitsets
+close together, where frozenset order widens them and raises the
+ladder's peak memory.  The memo holds one entry: the callers run one
+complex's link layer and global ranks back to back, and a longer memo
+would only keep stale tables alive.
 """
 from __future__ import annotations
 
@@ -218,23 +240,33 @@ def complete_rank(g: int, j: int) -> int:
     return comb(g - 1, j) if 0 <= j <= g - 1 else 0
 
 
-def _top_rank(alphas: list[Simplex], p: Optional[int], g: int) -> int:
+def _top_rank(alphas: list[Simplex], table: list[tuple[int, ...]],
+              p: Optional[int], g: int) -> int:
     """Rank of the boundary map on the faces alphas, rows only where touched.
 
-    alphas are distinct j-faces on g vertices; the rank is _id_rank over
-    their own facet-id table.  The faces through v, the least vertex of
-    alphas, are a cone group: each keeps only position 0, the row alpha
-    minus v (module docstring).
+    alphas are distinct j-faces on g vertices and table is their facet-id
+    table; the rank is _id_rank over it.  The faces through v, the least
+    vertex of alphas, are a cone group: each keeps only position 0, the
+    row alpha minus v (module docstring).
     """
     if not alphas:
         return 0
     size = len(alphas[0])
     v = min(alpha[0] for alpha in alphas)
     cone, other = [], []
-    for alpha, ids in zip(alphas, facet_ids(alphas)):
+    for alpha, ids in zip(alphas, table):
         (cone if alpha[0] == v else other).append(ids)
     return _id_rank([((0,), cone), (tuple(range(size)), other)], p,
                     complete_rank(g, size - 1))
+
+
+# one entry (module docstring): a complex's link layer and its global top
+# rank run back to back, and no caller comes back to an earlier complex
+@lru_cache(maxsize=1)
+def top_table(X: SkeletonComplex) -> tuple[list[Simplex], list[tuple[int, ...]]]:
+    """The top faces of X in iter_faces(X, k) order, and their facet-id table."""
+    tops = sorted(X.top_faces)
+    return tops, facet_ids(tops)
 
 
 # keyed on the complex, so each entry keeps its complex alive: a few
@@ -244,7 +276,11 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     g = X.n
     if face_count(X, j) == comb(g, j + 1):
         return complete_rank(g, j)
-    return _top_rank(list(iter_faces(X, j)), p, g)
+    if isinstance(X, SkeletonComplex):
+        # every layer below the top is complete
+        return _top_rank(*top_table(X), p, g)
+    alphas = list(iter_faces(X, j))
+    return _top_rank(alphas, facet_ids(alphas), p, g)
 
 
 def boundary_rank(X: Complex, j: int, field: FieldSpec) -> int:
@@ -296,8 +332,8 @@ def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
     keeps the rank by the cone lemma.  That position is the first kept
     one, a, and v lies in sigma minus tau exactly when sigma[a] == a, as
     then every vertex below sigma[a] is in tau.  A degree-ell face under
-    no top face is absent.  The table is built anew per call: a report
-    that keeps X would keep a cached one alive too.
+    no top face is absent.  The table is top_table's, shared with the
+    global top rank of X.
     """
     k1 = X.k + 1
     keeps = [tuple(i for i in range(k1) if i not in P)
@@ -306,8 +342,7 @@ def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
     firsts = [keep[0] if keep else k1 for keep in keeps]
     by_pattern = [defaultdict(list) for _ in keeps]
     cones = [defaultdict(list) for _ in keeps]
-    tops = list(X.top_faces)
-    for sigma, ids in zip(tops, facet_ids(tops)):
+    for sigma, ids in zip(*top_table(X)):
         if sigma[0]:
             # sigma[a] > a for every a: no column of sigma is a cone column
             for cols, tau in zip(by_pattern, combinations(sigma, ell + 1)):
@@ -326,6 +361,30 @@ def link_columns(X: SkeletonComplex, ell: int) -> dict[Simplex, IdGroups]:
         for tau, c in cols.items():
             out.setdefault(tau, []).append((keep, c))
     return out
+
+
+def _forest_rank(edges: Iterable[Simplex]) -> int:
+    """Rank of a graph's incidence map, over every field (module docstring).
+
+    That is the number of merges a union-find makes over the edges.  parent
+    holds only the vertices that are not roots; a walk to a root points
+    each vertex it steps from at that vertex's grandparent (path halving).
+    """
+    parent: dict[int, int] = {}
+    merges = 0
+    for a, b in edges:
+        while a in parent:
+            up = parent[a]
+            parent[a] = up = parent.get(up, up)
+            a = up
+        while b in parent:
+            up = parent[b]
+            parent[b] = up = parent.get(up, up)
+            b = up
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
 
 
 def check_link_degree(k: int, ell: int) -> None:
@@ -357,6 +416,27 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
             combinations(sigma, ell + 1) for sigma in X.top_faces))
         return [LinkBetti(tau, f, low - min(f, 1), f - min(f, 1))
                 for tau, f in ((tau, counts[tau]) for tau in iter_faces(X, ell))]
+    if r == 1:
+        # every link is a graph on g vertices: its top map is the incidence
+        # map, of rank g - components <= low over every field.  A link's
+        # edges sigma minus tau are one flat list of their ends, not a
+        # tuple each, which keeps the ladder's peak memory down
+        ends: dict[Simplex, list[int]] = {}
+        for sigma in X.top_faces:
+            # complementing reverses lexicographic order, so the i-th
+            # (ell+1)-subset of sigma pairs with the i-th last pair
+            pairs = list(combinations(sigma, 2))
+            pairs.reverse()
+            for tau, edge in zip(combinations(sigma, ell + 1), pairs):
+                ends.setdefault(tau, []).extend(edge)
+        out = []
+        for tau in iter_faces(X, ell):
+            flat = ends.get(tau, ())
+            f = len(flat) // 2
+            it = iter(flat)
+            rk = _forest_rank(zip(it, it))
+            out.append(LinkBetti(tau, f, low - rk, f - rk))
+        return out
     complete = comb(g, r + 1)
     links = link_columns(X, ell)
     out = []

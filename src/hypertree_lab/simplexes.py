@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import ge
+from operator import ge, lt
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -66,6 +66,16 @@ class SkeletonComplex:
         if not 0 <= self.k <= self.n - 1:
             raise DimensionMismatch(f"top dimension {self.k} invalid for n={self.n}")
         size, n = self.k + 1, self.n
+        # every face at once, over the columns of the faces; only a failure
+        # runs the loop below, which finds the first bad face and its error
+        try:
+            if set(map(len, self.top_faces)) <= {size}:
+                cols = list(zip(*self.top_faces))
+                if not cols or (min(cols[0]) >= 0 and max(cols[-1]) < n and all(
+                        all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
+                    return
+        except TypeError:
+            pass
         for sigma in self.top_faces:
             if len(sigma) != size:
                 raise DimensionMismatch(f"face {sigma} does not have dimension {self.k}")

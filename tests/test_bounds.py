@@ -314,3 +314,20 @@ def test_support_property_matches_links_built_one_by_one(S):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "cycle_basis", lambda X, k, field: every)
             assert support_property_holds(S, fld) == support_by_links(S, fld, every)
+
+
+@pytest.mark.parametrize("n,k", [(12, 3), (10, 4)])
+def test_verify_bound_at_every_degree_builds_one_facet_table(monkeypatch, n, k):
+    # the link layer at every ell and the global top rank, over two
+    # fields, read one table
+    calls = []
+    facet_ids = homology.facet_ids
+    monkeypatch.setattr(homology, "facet_ids",
+                        lambda faces: calls.append(1) or facet_ids(faces))
+    homology._rank_cached.cache_clear()
+    homology.top_table.cache_clear()
+    X = random_skeleton_complex(n, k, 0.4, SplitMix64(n))
+    for field in (GF2, RATIONALS):
+        for ell in range(k):
+            assert verify_upper_bound(X, ell, field).all_hold
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from hypertree_lab import homology
 from hypertree_lab.collapse import collapses_to_point
 from hypertree_lab.constructions import (
     FANO_BLOCKS,
@@ -217,3 +218,16 @@ def test_greedy_picks_are_pinned():
         payload = repr((sorted(rep.complex.top_faces), rep.s_sizes, rep.tb_after))
         got = hashlib.sha256(payload.encode()).hexdigest()[:16]
         assert got == want, (n, k, ell, fld, seed)
+
+
+@pytest.mark.parametrize("n,k,ell", [(11, 3, 0), (13, 3, 1), (11, 4, 1)])
+def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
+    # Y's and X's link profile and global rank read one table per complex
+    calls = []
+    facet_ids = homology.facet_ids
+    monkeypatch.setattr(homology, "facet_ids",
+                        lambda faces: calls.append(1) or facet_ids(faces))
+    homology._rank_cached.cache_clear()
+    homology.top_table.cache_clear()
+    build_X_nkl(n, k, ell, GF2)
+    assert len(calls) == 2

@@ -146,9 +146,9 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     calls = {"q": 0, "fallback": 0}
     top_rank, rank_by_rows = homology._top_rank, homology.rank_by_rows
 
-    def top_rank_spy(alphas, p, g):
+    def top_rank_spy(alphas, table, p, g):
         calls["q"] += p is None
-        return top_rank(alphas, p, g)
+        return top_rank(alphas, table, p, g)
 
     def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
         calls["fallback"] += p is None
@@ -389,7 +389,52 @@ def test_point_links_build_no_facet_table(monkeypatch):
     profile = link_profile(X, 2, RATIONALS)
     assert sum(e.f_top for e in profile) == 4 * len(X.top_faces)
     with pytest.raises(AssertionError):
-        link_profile(X, 1, RATIONALS)
+        link_profile(X, 0, RATIONALS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
+                 st.integers(1, 4), st.floats(0.0, 1.0)))
+@example(SkeletonComplex(6, 1, frozenset()))                  # no top faces
+@example(SkeletonComplex(7, 3, frozenset({(0, 1, 2, 3)})))    # most tau bare
+@example(SkeletonComplex(5, 1, frozenset({(0, 1), (0, 2), (1, 2), (3, 4)})))
+# long paths, so union-find chains get deep: the graph itself is the link
+# of the empty face at k = 1, and the link of (0, 1) at k = 3
+@example(SkeletonComplex(40, 1, frozenset((i, i + 1) for i in range(39))))
+@example(SkeletonComplex(20, 3, frozenset((0, 1, i, i + 1) for i in range(2, 19))))
+@example(full_skeleton(7, 2))
+def test_graph_links_match_the_column_route(X):
+    # at ell = k-2 every link is a graph; its Betti numbers come from a
+    # union-find, checked here against link() and the column route on the
+    # link's own incidence map
+    ell = X.k - 2
+    g = X.n - ell - 1
+    G = as_general(X)
+    for field in (GF2, GF3, RATIONALS):
+        profile = link_profile(X, ell, field)
+        assert [e.tau for e in profile] == list(iter_faces(X, ell))
+        for e in profile:
+            M = boundary_matrix(link(G, e.tau), 1)
+            rk = column_rank(M, field)
+            assert (e.f_top, e.below, e.top) == \
+                (M.n_cols, g - 1 - rk, M.n_cols - rk), (e, field.name)
+
+
+def test_graph_links_build_no_facet_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("graph links read a facet-id table or eliminated")
+
+    for name in ("top_table", "facet_ids", "link_columns", "_id_rank",
+                 "rank_by_rows"):
+        monkeypatch.setattr(homology, name, refuse)
+    for k in (1, 2, 3, 4):
+        X = random_skeleton_complex(9, k, 0.4, SplitMix64(k))
+        for field in (GF2, GF3, FieldSpec(5), RATIONALS):
+            profile = link_profile(X, k - 2, field)
+            assert sum(e.f_top for e in profile) == \
+                comb(k + 1, 2) * len(X.top_faces)
+    with pytest.raises(AssertionError):
+        link_profile(X, 1, GF3)
 
 
 def test_full_skeleton_betti_closed_form():

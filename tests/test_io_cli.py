@@ -166,6 +166,7 @@ def test_cli_exit_two_at_once_on_too_many_candidate_faces(capsys):
     (["lambda", "--ell", "-2"], "degree -2 must lie in [-1, 3]"),
     (["verify-bound"], "verify-bound requires --ell"),
     (["links", "--ell", "0", "--field", "gf:4"], "4 is not prime"),
+    (["betti", "--field", "gf:4"], "4 is not prime"),
 ])
 def test_bad_degree_or_field_exits_two_before_the_draw(argv, message,
                                                       monkeypatch, capsys):
@@ -396,6 +397,15 @@ def test_construct_jnk(tmp_path):
     assert code2 == 2 and err.strip()
 
 
+def test_construct_xnkl_reports_the_degree_it_built_at(tmp_path):
+    # --ell is not an argument of xnkl; the report names the ell it built at
+    for extra in ([], ["--ell", "0"], ["--ell", "5"]):
+        code, out = run_main(["construct", "xnkl", "7", "3", "1", "--out", "json",
+                              "--out-file", str(tmp_path / "x.cplx")] + extra)
+        assert code == 0
+        assert json.loads(out)["ell"] == 1, extra
+
+
 def test_trichotomy_subcommand_json():
     code, out, _ = run_cli(
         "trichotomy", "--ell", "0", "--in", "random(seed=6,n=6,k=2,q=0.7)",
@@ -450,6 +460,19 @@ def golden_commands():
         for ell in range(0, 4):
             out.append(["verify-bound", "--in", f"random(seed={seed},n=10,k=4,q=0.5)",
                         "--ell", str(ell), "--field", "q"])
+    # graph links (ell = k-2) over an odd prime, and k = 1 graphs, whose
+    # empty face has the graph itself as its link (12 cases)
+    for command in ("links", "lambda"):
+        for seed in (1, 2, 3):
+            out.append([command, "--in", f"random(seed={seed},n=9,k=3,q=0.4)",
+                        "--ell", "1", "--field", "gf:5"])
+    for seed in (1, 2):
+        for fld in ("gf:2", "gf:3", "q"):
+            out.append(["links", "--in", f"random(seed={seed},n=12,k=1,q=0.2)",
+                        "--ell", "-1", "--field", fld])
+    # construct reports the degree it built at, whatever --ell says
+    out.append(["construct", "xnkl", "11", "3", "1", "--out", "json"])
+    out.append(["construct", "xnkl", "11", "3", "1", "--ell", "0"])
     return out
 
 
@@ -470,7 +493,10 @@ def test_golden_cli_output(tmp_path, monkeypatch):
     # code before the link-profile path (the `sweep` cases from the code
     # before the sweep rows shared their report mapping with the single
     # commands, the gf:3 and k = 4 cases from the code before the cone
-    # split of face-level ranks); outputs must stay byte-identical
+    # split of face-level ranks, the gf:5 and k = 1 cases from the code
+    # before graph links were read by union-find, and the three
+    # `construct xnkl` cases from the code that reported the ell it built
+    # at); outputs must stay byte-identical
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [g["argv"] for g in golden] == golden_commands()

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypertree_lab.errors import (
     DimensionMismatch,
@@ -79,6 +79,62 @@ def test_skeleton_complex_checks_run_in_order():
     with pytest.raises(DimensionMismatch):
         SkeletonComplex(4, 2, frozenset({(0, 2, 1)}))
     assert SkeletonComplex(4, 2, frozenset({(0, 1, 3)})).dim == 2
+
+
+def _per_face_check(n, k, top_faces):
+    """The constructor's per-face loop over top_faces, kept here as the
+    oracle for its all-at-once check."""
+    size = k + 1
+    for sigma in top_faces:
+        if len(sigma) != size:
+            raise DimensionMismatch(f"face {sigma} does not have dimension {k}")
+        if min(sigma) < 0 or max(sigma) >= n:
+            raise VertexOutOfRange(f"face {sigma} leaves [0, {n})")
+        if any(a >= b for a, b in zip(sigma, sigma[1:])):
+            raise DimensionMismatch(f"face {sigma} is not strictly increasing")
+
+
+def _outcome(build):
+    try:
+        build()
+    except (DimensionMismatch, VertexOutOfRange, TypeError) as e:
+        return type(e), str(e)
+    return None
+
+
+@st.composite
+def _top_face_sets(draw):
+    """(n, k, faces): mostly valid faces, and some too short or long, out
+    of range, unsorted or repeating a vertex, often several in one set."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(3, n - 1)))
+    faces = set()
+    for _ in range(draw(st.integers(0, 6))):
+        size = k + 1 + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        face = draw(st.lists(st.integers(-1, n), min_size=size, max_size=size))
+        if draw(st.booleans()):
+            face.sort()
+        faces.add(tuple(face))
+    return n, k, frozenset(faces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_top_face_sets())
+@example((4, 0, frozenset()))
+@example((4, 0, frozenset({(0,), (3,)})))
+@example((4, 0, frozenset({(0,), (4,)})))
+@example((4, 0, frozenset({(-1,)})))
+@example((4, 0, frozenset({(0, 1)})))
+@example((4, 2, frozenset({(0, 1, 3), (5, 1, 0)})))  # range and order
+@example((4, 2, frozenset({(0, 2, 1), (0, 1, 2), (1, 2)})))
+@example((4, 1, frozenset({(0, "a"), (3, 1)})))  # not comparable
+@example((4, 1, frozenset({(0, "a")})))
+def test_skeleton_complex_errors_match_the_per_face_loop(case):
+    # the first bad face in iteration order decides, and a face failing
+    # two checks raises the earlier check's error
+    n, k, faces = case
+    want = _outcome(lambda: _per_face_check(n, k, faces))
+    assert _outcome(lambda: SkeletonComplex(n, k, faces)) == want
 
 
 def test_skeleton_complex_membership_is_implicit_below_top():
