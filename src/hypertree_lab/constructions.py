@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from operator import sub
 from typing import Iterable, Optional
 
 from .errors import (
@@ -34,6 +33,7 @@ from .simplexes import (
     SkeletonComplex,
     iter_faces,
     make_simplex,
+    relabelled_link_tops,
 )
 
 
@@ -151,19 +151,10 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     cols: list = [None] * len(cands)  # packed on first use
     column = IncrementalSpan(field.p).boundary_column
 
-    # tau -> indices of Y's link tops sigma minus tau: a vertex of sigma
-    # outside tau moves down by the number of tau's vertices below it
-    size = ell + 1
-    shifts = [tuple(sum(1 for q in P if q < i) for i in range(k + 1) if i not in P)
-              for P in combinations(range(k + 1), size)]
+    # tau -> indices of Y's link tops sigma minus tau
     existing: dict[Simplex, set[int]] = {tau: set() for tau in tau_seeds}
-    for sigma in Y.top_faces:
-        # complementing reverses lexicographic order, so the i-th
-        # (ell+1)-subset of sigma pairs with the i-th last of the rest
-        for tau, rest, shift in zip(combinations(sigma, size),
-                                    reversed(list(combinations(sigma, k - ell))),
-                                    shifts):
-            existing[tau].add(cand_index[tuple(map(sub, rest, shift))])
+    for tau, a in relabelled_link_tops(Y.top_faces, k, ell):
+        existing[tau].add(cand_index[a])
 
     results = []
     for tau, seed in tau_seeds.items():

@@ -7,25 +7,37 @@ Kernels of the resulting symmetrized Laplacians match reduced cohomology,
 so strict positivity of the right eigenvalue in every small link forces
 rational acyclicity one degree below the top.
 
-Link weights are weights of X.  Let X be pure of dimension d with weights
-W_X, and let tau be a face.  A face f of lk(X, tau) lies under the link's
-top face sigma minus tau exactly when tau union f lies under the top face
-sigma of X, so the top faces above f in the link and above tau union f in
-X are in bijection.  The link's top faces have dimension d - |tau|, so the
-codimension of f in the link, d - |tau| - dim f, is the codimension
-d - dim(tau union f) of tau union f in X, and the factorials agree too:
+Every link weighs itself.  Weights balance: if d is the top dimension and
+h a (j-1)-face, then
 
-    W_lk(f) = W_X(tau union f).
+    W(h) = sum of W(f) over the j-faces f directly above h.
 
-The same bijection shows that the links of a pure complex are pure: tau
-union f lies under some top face sigma of X, and sigma minus tau is a top
-face of the link above f.  garland_check therefore checks X for purity
-once and reads every link Laplacian from X: a link of a SkeletonComplex
-has the complete skeleton on the ground set minus tau below its top faces,
-which are the sigma minus tau for the top faces sigma through tau.  Both
-routes assemble their matrices with one helper, so a link Laplacian read
-from X equals, bit for bit, the one weighted_laplacian builds from the
-link complex.
+Proof: a top face above h has d-j+1 vertices outside h, so it lies above
+exactly d-j+1 of those j-faces f.  Counting pairs (f, top face above f)
+gives sum_f #tops(f) = (d-j+1) #tops(h), and multiplying by (d-j)! gives
+sum_f (d-j)! #tops(f) = (d-j+1)! #tops(h).  The link of a degree-ell face
+tau of a SkeletonComplex X on n vertices is again one: the complete
+(r-1)-skeleton on the g = n-ell-1 other vertices, plus the r-faces sigma
+minus tau for the top faces sigma above tau, r = k-ell-1.  Its degree-(r-1)
+Laplacian needs three weights, all read from the link's own top faces,
+with no weight of X: a top face weighs 1, an (r-1)-face f weighs the
+number of link tops above it (its row count in the map U from the tops),
+and an (r-2)-face h weighs |D| w_j, the sum of those counts over the f
+above h, for D the map from the (r-1)-faces.  A link with no top face has
+its (r-1)-faces as its tops, each of weight 1.  The sums are exact
+integers.
+
+The links of a pure complex are pure: a face f of the link has tau union
+f under some top face sigma of X, and sigma minus tau is a top face of
+the link above f.  garland_check therefore checks X for purity once.
+Below the top X is complete, so it is pure when it has no top faces or
+its top faces cover all C(n, k) faces of degree k-1: every lower face
+lies in one of those.  The facet-id table of the top faces counts them,
+and only a shortfall runs check_pure, which names the first face under
+no top face.  Both the link route and weighted_laplacian on a link
+complex assemble their matrices with one helper from equal integer
+weights, so a link Laplacian read from X equals, bit for bit, the one
+weighted_laplacian builds from garland_weights of the link.
 """
 from __future__ import annotations
 
@@ -44,7 +56,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import RATIONALS
-from .homology import betti
+from .homology import betti, top_table
 from .simplexes import (
     Complex,
     Simplex,
@@ -52,6 +64,7 @@ from .simplexes import (
     all_faces,
     face_count,
     iter_faces,
+    relabelled_link_tops,
     subfaces,
 )
 
@@ -166,36 +179,45 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     return WeightedLaplacian(j=j, faces=faces, matrix=L)
 
 
-def _link_laplacians(X: SkeletonComplex, ell: int,
-                     weights: dict[Simplex, int]) -> Iterator[tuple[Simplex, np.ndarray]]:
+def _check_skeleton_pure(X: SkeletonComplex) -> None:
+    """Raise NotPure unless X's top faces cover its (k-1)-faces (module docstring).
+
+    The facet ids of the top faces are handed out from 0 in order of first
+    appearance, so the largest id counts the distinct (k-1)-faces covered.
+    check_pure names the first uncovered face.
+    """
+    tops, table = top_table(X)
+    if tops and max(map(max, table)) + 1 < math.comb(X.n, X.k):
+        check_pure(X)
+        raise InvariantViolation("(k-1)-faces uncovered but check_pure passed")
+
+
+def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[tuple[Simplex, np.ndarray]]:
     """(tau, degree-(r-1) Laplacian of lk(X, tau)) per ell-face tau, r = k - ell - 1.
 
-    Reads everything from X and its weights (module docstring): the rows
-    and columns are the (r-2)- and (r-1)-subsets of the ground set minus
-    tau, the faces above are the sigma minus tau, and each link face f
-    weighs W_X(tau union f).  Every link has the same boundary map below
-    degree r-1 up to relabelling, so it is built once on 0..g-1.
+    Each link is relabelled onto 0..g-1 in order, g = n - ell - 1, and
+    weighs itself from its top faces (module docstring).  One walk over
+    X's sorted top faces groups the link tops sigma minus tau by tau, so
+    each tau's tops come in sorted order.  Every link has the same rows,
+    columns and boundary map below degree r-1, so those are built once.
     """
-    n, r = X.n, X.k - ell - 1
-    g = n - ell - 1
+    n, k = X.n, X.k
+    r, size = k - ell - 1, ell + 1
+    g = n - size
     local = {f: i for i, f in enumerate(combinations(range(g), r))}
     D = _boundary({f: i for i, f in enumerate(combinations(range(g), r - 1))}, tuple(local))
-    through = X._tops_through
-    for tau in combinations(range(n), ell + 1):
-        tset = set(tau)
-        rest = [v for v in range(n) if v not in tset]
-        if tau:
-            tops = [s for s in min((through.get(v, ()) for v in tau), key=len)
-                    if tset.issubset(s)]
+    abs_D = np.abs(D).astype(np.int64)
+    ones = np.ones(len(local), dtype=np.int64)
+    ups: dict[Simplex, list[Simplex]] = {tau: [] for tau in combinations(range(n), size)}
+    for tau, a in relabelled_link_tops(top_table(X)[0], k, ell):
+        ups[tau].append(a)
+    for tau, up in ups.items():
+        if up:
+            U = _boundary(local, up)
+            w_j = np.count_nonzero(U, axis=1)
         else:
-            tops = list(X.top_faces)
-        tops.sort()
-        pos = {v: i for i, v in enumerate(rest)}
-        up = [tuple(pos[v] for v in s if v not in tset) for s in tops]
-        yield tau, _assemble(
-            D, [weights[tuple(sorted(tau + f))] for f in combinations(rest, r - 1)],
-            [weights[tuple(sorted(tau + f))] for f in combinations(rest, r)],
-            _boundary(local, up) if up else None, [weights[s] for s in tops])
+            U, w_j = None, ones
+        yield tau, _assemble(D, abs_D @ w_j, w_j, U, [1] * len(up))
 
 
 def _min_eigenvalue(L: np.ndarray) -> float:
@@ -240,18 +262,17 @@ def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
     Premise: every degree-ell face has a link whose Laplacian one degree
     below its own top dimension has smallest eigenvalue above
     (ell+1)/k.  check_link_size bounds every link Laplacian before anything
-    is enumerated.  X is checked for purity once; each link Laplacian is
-    then read from X's own weights, without building the link (module
-    docstring).  Verdicts are numeric, so a
+    is enumerated.  X is checked for purity once from its (k-1)-layer;
+    each link Laplacian is then weighed from the link's own top faces,
+    without building the link (module docstring).  Verdicts are numeric, so a
     guard band separates a clear pass from a margin too thin to trust.
     When the premise holds, the rational Betti number of X in degree k-1
     must vanish; that implication is asserted, not assumed.
     """
     k = X.k
     check_link_size(X.n, k, ell)
-    weights = garland_weights(X)
-    entries = tuple((tau, _min_eigenvalue(L))
-                    for tau, L in _link_laplacians(X, ell, weights))
+    _check_skeleton_pure(X)
+    entries = tuple((tau, _min_eigenvalue(L)) for tau, L in _link_laplacians(X, ell))
     min_mu = min((mu for _, mu in entries), default=math.inf)
     thr = Fraction(ell + 1, k)
     thr_f = float(thr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import ge, lt
+from operator import ge, lt, sub
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -291,6 +291,27 @@ def link_tops(X: SkeletonComplex, ell: int) -> dict[Simplex, list[Simplex]]:
         for tau, rest in zip(combinations(sigma, size), rests):
             out.setdefault(tau, []).append(rest)
     return out
+
+
+def relabelled_link_tops(tops: Iterable[Simplex], k: int,
+                         ell: int) -> Iterator[tuple[Simplex, Simplex]]:
+    """(tau, sigma minus tau relabelled) per k-face sigma of tops and ell-face tau of it.
+
+    The relabelling maps the ground set minus tau onto 0..g-1 in order,
+    g = n-ell-1: a vertex of sigma outside tau moves down by the number of
+    tau's vertices below it, which are the positions of tau in sigma
+    below its own.  Pairs come in the order of tops.
+    """
+    size = ell + 1
+    shifts = [tuple(sum(1 for q in P if q < i) for i in range(k + 1) if i not in P)
+              for P in combinations(range(k + 1), size)]
+    for sigma in tops:
+        # complementing reverses lexicographic order, so the i-th
+        # (ell+1)-subset of sigma pairs with the i-th last of the rest
+        for tau, rest, shift in zip(combinations(sigma, size),
+                                    reversed(list(combinations(sigma, k - ell))),
+                                    shifts):
+            yield tau, tuple(map(sub, rest, shift))
 
 
 def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex:

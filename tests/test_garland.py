@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypertree_lab import garland
 from hypertree_lab.errors import (
@@ -25,7 +26,7 @@ from hypertree_lab.garland import (
     weighted_laplacian,
 )
 from hypertree_lab.homology import betti, betti_table
-from hypertree_lab.randomness import SplitMix64
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
@@ -210,11 +211,16 @@ def test_premise_implies_vanishing_on_random_pure_complexes():
 
 
 def _link_route_cases():
-    """Complete skeleta, seeded random pure complexes and one with no top face."""
+    """Complete skeleta, seeded random pure complexes and the edge cases.
+
+    The edge cases: no top face at k = 2 and at k = 1 (links at ell = -1
+    only), and a k = 1 graph.
+    """
     cases = [full_skeleton(n, k) for n, k in ((3, 1), (5, 2), (6, 3), (7, 2), (7, 4))]
-    cases.append(SkeletonComplex(6, 2, frozenset()))
+    cases += [SkeletonComplex(6, 2, frozenset()), SkeletonComplex(4, 1, frozenset()),
+              SkeletonComplex(5, 1, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))]
     rng = SplitMix64(23)
-    while len(cases) < 24:
+    while len(cases) < 26:
         n = 5 + rng.below(4)
         k = 1 + rng.below(3)
         X = SkeletonComplex(n, k, frozenset(
@@ -228,12 +234,12 @@ def _link_route_cases():
 
 
 def test_link_laplacians_read_from_x_equal_the_link_complex_route():
-    # W_lk(f) = W_X(tau union f): the matrices built from X alone are the
-    # ones weighted_laplacian builds from each materialised link, bit for bit
+    # each link weighs itself from its own top faces (balancing identity);
+    # the oracle weighs the materialised link by garland_weights, and the
+    # two matrices agree bit for bit
     for X in _link_route_cases():
-        weights = garland_weights(X)
         for ell in range(-1, X.k - 1):
-            got = list(garland._link_laplacians(X, ell, weights))
+            got = list(garland._link_laplacians(X, ell))
             want = sorted(combinations(range(X.n), ell + 1))
             assert [tau for tau, _ in got] == want
             for tau, L in got:
@@ -241,11 +247,33 @@ def test_link_laplacians_read_from_x_equal_the_link_complex_route():
                 assert np.array_equal(L, ref), (X, ell, tau)
 
 
+def test_link_of_a_face_under_no_top_face_weighs_its_own_faces():
+    # vertex 0 is under no top face, so X is impure, but the link of any
+    # tau through 0 is a complete skeleton with no top face: its
+    # (r-1)-faces are its tops and weigh 1 each.  The other links have
+    # faces of weight 0 (vertex 0 is under none of their tops), whose
+    # matrices divide by 0; garland_check refuses X before building them
+    for n, k in ((6, 2), (7, 3), (6, 3)):
+        X = SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1)))
+        for ell in range(0, k - 1):
+            bare = 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                links = list(garland._link_laplacians(X, ell))
+            for tau, L in links:
+                if tau[0] == 0:
+                    lk = link(X, tau)
+                    assert lk.dim == k - ell - 2
+                    ref = weighted_laplacian(lk, k - ell - 2).matrix
+                    assert np.array_equal(L, ref), (X, ell, tau)
+                    bare += 1
+            assert bare == math.comb(n - 1, ell)
+
+
 def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
     import hypertree_lab.simplexes as simplexes
 
     calls = {"link": 0, "check_pure": 0}
-    real_link, real_check = simplexes.link, garland.check_pure
+    real_link, real_check = simplexes.link, garland._check_skeleton_pure
 
     def spy_link(*args):
         calls["link"] += 1
@@ -256,7 +284,7 @@ def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
         return real_check(*args)
 
     monkeypatch.setattr(simplexes, "link", spy_link)
-    monkeypatch.setattr(garland, "check_pure", spy_check)
+    monkeypatch.setattr(garland, "_check_skeleton_pure", spy_check)
     assert not hasattr(garland, "link")
     for X, ell in ((full_skeleton(7, 3), 0), (full_skeleton(6, 2), -1),
                    (SkeletonComplex(6, 2, frozenset()), 0)):
@@ -271,7 +299,8 @@ def test_link_size_is_bounded_before_any_enumeration(monkeypatch, capsys):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the size bound")
 
-    monkeypatch.setattr(garland, "check_pure", no_enumeration)
+    monkeypatch.setattr(garland, "_check_skeleton_pure", no_enumeration)
+    monkeypatch.setattr(garland, "top_table", no_enumeration)
     # every link at ell = -1 is X itself: C(40, 3) = 9880 faces in degree 2
     with pytest.raises(TooLarge, match="9880 faces in degree 2"):
         garland_check(full_skeleton(40, 3), -1)
@@ -289,8 +318,44 @@ def test_impure_input_is_still_refused_by_its_one_purity_check():
         garland_check(SkeletonComplex(5, 2, frozenset({(0, 1, 2)})), 0)
 
 
+def _random_skeleton(seed, n, k, q):
+    k = min(k, n - 1)
+    return random_skeleton_complex(n, k, q, SplitMix64(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 9),
+                 st.integers(1, 3), st.floats(0.0, 1.0)))
+@example(random_skeleton_complex(8, 2, 0.15, SplitMix64(1)))  # names vertex (4,)
+@example(SkeletonComplex(6, 2, frozenset()))                  # no top faces
+@example(SkeletonComplex(5, 1, frozenset()))
+@example(SkeletonComplex(5, 1, frozenset({(0, 1), (2, 3)})))  # k = 1, vertex 4 bare
+def test_garland_check_refuses_impure_input_with_check_pures_message(X):
+    # the purity check counts (k-1)-faces; on a shortfall it must still
+    # raise check_pure's own message, which names the first face under no
+    # top face in all_faces order, however low its degree
+    try:
+        check_pure(X)
+        want = None
+    except NotPure as e:
+        want = str(e)
+    for ell in range(-1, X.k - 1):
+        try:
+            garland_check(X, ell)
+            got = None
+        except NotPure as e:
+            got = str(e)
+        assert got == want, (X, ell)
+
+
+def test_first_bad_face_can_be_a_vertex():
+    X = random_skeleton_complex(8, 2, 0.15, SplitMix64(1))
+    with pytest.raises(NotPure, match=r"^face \(4,\) is not under"):
+        garland_check(X, 0)
+
+
 def test_negative_link_eigenvalue_is_an_invariant_violation(monkeypatch):
-    def fake(X, ell, weights):
+    def fake(X, ell):
         for tau in combinations(range(X.n), ell + 1):
             yield tau, np.array([[1.0, 0.0], [0.0, -1e-6]])
 

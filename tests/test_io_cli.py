@@ -473,6 +473,21 @@ def golden_commands():
     # construct reports the degree it built at, whatever --ell says
     out.append(["construct", "xnkl", "11", "3", "1", "--out", "json"])
     out.append(["construct", "xnkl", "11", "3", "1", "--ell", "0"])
+    # garland prints every link's mu: dense k = 3 and k = 2 draws, one
+    # impure draw (exit 2), a complete skeleton and a draw with no top
+    # face, whose dimension is k-1 (17 cases)
+    for seed in (1, 2):
+        for ell in (-1, 0, 1):
+            out.append(["garland", "--in", f"random(seed={seed},n=8,k=3,q=0.6)",
+                        "--ell", str(ell)])
+    for seed in (1, 2, 3):
+        for ell in (-1, 0):
+            out.append(["garland", "--in", f"random(seed={seed},n=7,k=2,q=0.6)",
+                        "--ell", str(ell)])
+    for ell in (-1, 0, 1):
+        out.append(["garland", "--in", "random(seed=1,n=7,k=3,q=1.0)", "--ell", str(ell)])
+    for ell in (-1, 0):
+        out.append(["garland", "--in", "random(seed=1,n=6,k=2,q=0.0)", "--ell", str(ell)])
     return out
 
 
@@ -494,9 +509,10 @@ def test_golden_cli_output(tmp_path, monkeypatch):
     # before the sweep rows shared their report mapping with the single
     # commands, the gf:3 and k = 4 cases from the code before the cone
     # split of face-level ranks, the gf:5 and k = 1 cases from the code
-    # before graph links were read by union-find, and the three
+    # before graph links were read by union-find, the three
     # `construct xnkl` cases from the code that reported the ell it built
-    # at); outputs must stay byte-identical
+    # at, and the `garland` cases from the code before each link weighed
+    # itself); outputs must stay byte-identical
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [g["argv"] for g in golden] == golden_commands()
