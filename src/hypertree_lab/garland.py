@@ -21,31 +21,70 @@ tau of a SkeletonComplex X on n vertices is again one: the complete
 minus tau for the top faces sigma above tau, r = k-ell-1.  Its degree-(r-1)
 Laplacian needs three weights, all read from the link's own top faces,
 with no weight of X: a top face weighs 1, an (r-1)-face f weighs the
-number of link tops above it (its row count in the map U from the tops),
-and an (r-2)-face h weighs |D| w_j, the sum of those counts over the f
-above h, for D the map from the (r-1)-faces.  A link with no top face has
-its (r-1)-faces as its tops, each of weight 1.  The sums are exact
-integers.
+number of link tops above it, and an (r-2)-face h weighs |D| w_j, the sum
+of those counts over the f above h, for D the map from the (r-1)-faces.
+A link with no top face has its (r-1)-faces as its tops, each of weight 1.
+The sums are exact integers.
+
+Faces are numbered by lexicographic rank.  Among the s-subsets of
+0..N-1 in lexicographic order, the increasing subset c_0 < ... < c_{s-1}
+has rank
+
+    C(N, s) - 1 - sum_i C(N-1-c_i, s-i).
+
+Proof: a subset after c first differs from c at some position i, where it
+is larger; its entries from position i on form any (s-i)-subset of the
+N-1-c_i vertices above c_i.  So C(N-1-c_i, s-i) subsets come after c with
+their first difference at i, and the rank is C(N, s) - 1 less all of
+them.  Every term is at most C(N, s), so the ranks are exact in int64
+whenever C(N, s) is.
+X's top faces form one (f, k+1) array.  For each position pattern P of
+size ell+1, tau = sigma[P] is a link id, the rank of tau among the
+(ell+1)-subsets of n; sigma minus tau is relabelled onto 0..g-1 in order
+by moving each of its vertices down by the number of positions of P below
+its own, and each facet of that link top is numbered by its rank among the
+r-subsets of g.
+
+The up part needs no map U.  For (r-1)-faces f != f' of a link, the Gram
+matrix U U^T has (-1)^(i+i') at (f, f') when f and f' are the faces of a
+link top a that drop positions i and i', and 0 otherwise; its diagonal is
+w_j.  Proof: (U U^T)[f, f'] sums U[f, a] U[f', a] over the link tops a,
+and a term is nonzero only when a contains f union f'.  That union has
+r+1 vertices, as many as a, so at most one top, the union itself, gives a
+term; on the diagonal each top above f gives U[f, a]^2 = 1.  The down part
+has the same shape: two distinct (r-1)-faces share at most one
+(r-2)-face, their intersection h, so D^T W^-1 D has the one term
+D[h, f] D[h, f'] / W(h) there.  Both parts are therefore scattered from
+facet ids, entry by entry, and no matrix product runs: a link's matrix
+does not depend on which other links share its stack, and
+weighted_laplacian on a link complex, which assembles a stack of one
+from garland_weights and its own integer Gram matrix U diag(w_up) U^T,
+gives the same matrix bit for bit.
+
+Every link of one ell has the same C(g, r) x C(g, r) shape, so the
+Laplacians of consecutive link ids are assembled as one stack and
+eigvalsh takes the whole stack at once.  A stack holds about
+_BLOCK_DOUBLES doubles (128 KB), or one link where a single matrix is
+larger: memory then stays within one block's arrays or one link's matrix
+however many links there are, where unblocked stacks of every link of an
+ell would grow with their number.
 
 The links of a pure complex are pure: a face f of the link has tau union
 f under some top face sigma of X, and sigma minus tau is a top face of
 the link above f.  garland_check therefore checks X for purity once.
 Below the top X is complete, so it is pure when it has no top faces or
 its top faces cover all C(n, k) faces of degree k-1: every lower face
-lies in one of those.  The facet-id table of the top faces counts them,
-and only a shortfall runs check_pure, which names the first face under
-no top face.  Both the link route and weighted_laplacian on a link
-complex assemble their matrices with one helper from equal integer
-weights, so a link Laplacian read from X equals, bit for bit, the one
-weighted_laplacian builds from garland_weights of the link.
+lies in one of those.  The ranks of the facets of the top faces count
+them, and only a shortfall runs check_pure, which names the first face
+under no top face.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from itertools import chain, combinations, permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +95,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import RATIONALS
-from .homology import betti, top_table
+from .homology import betti
 from .simplexes import (
     Complex,
     Simplex,
@@ -64,11 +103,13 @@ from .simplexes import (
     all_faces,
     face_count,
     iter_faces,
-    relabelled_link_tops,
     subfaces,
 )
 
 SIZE_LIMIT = 5000
+
+# doubles per stacked array of link Laplacians (module docstring)
+_BLOCK_DOUBLES = 1 << 14
 
 
 def _top_faces(X: Complex) -> list[Simplex]:
@@ -142,21 +183,53 @@ def _boundary(row_index: dict[Simplex, int], cols: Sequence[Simplex]) -> np.ndar
     return D
 
 
-def _assemble(D: np.ndarray, w_below: list[int], w_j: list[int],
-              U: Optional[np.ndarray], w_up: list[int]) -> np.ndarray:
-    """The symmetrized Laplacian from the boundary maps around degree j.
+DownPattern = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    Down part: conjugate the boundary pairing D through the square roots
-    of the weights.  Up part, when U is given: the same for the map from
-    the faces above.
+
+def _down_pattern(D: np.ndarray) -> DownPattern:
+    """Where D^T W^-1 D has entries, for a boundary map D.
+
+    Returns the rows of each column in order, as an (m, j+1) array, and,
+    for each ordered pair of distinct columns (a, b) sharing a row h, the
+    arrays a, b, h and D[h, a] D[h, b].  A pair shares at most one row
+    (module docstring), so no pair repeats.
     """
-    sqrt_wj = np.sqrt(np.array(w_j, dtype=float))
-    E = D * sqrt_wj[None, :]
-    L = E.T @ (E / np.array(w_below, dtype=float)[:, None])
-    if U is not None:
-        F = (U * np.sqrt(np.array(w_up, dtype=float))[None, :]) / sqrt_wj[:, None]
-        L = L + F @ F.T
-    return (L + L.T) / 2.0
+    h, a = np.nonzero(D)  # by row, then column
+    rows_of = np.nonzero(D.T)[1].reshape(D.shape[1], -1)
+    count = np.bincount(h, minlength=D.shape[0])
+    first = np.cumsum(count) - count
+    per = count[h]  # each entry pairs with every entry of its row
+    left = np.repeat(np.arange(len(h)), per)
+    right = first[h[left]] + np.arange(len(left)) - np.repeat(np.cumsum(per) - per, per)
+    left, right = left[left != right], right[left != right]
+    return (rows_of, a[left], a[right], h[left],
+            D[h[left], a[left]] * D[h[left], a[right]])
+
+
+def _assemble(down: DownPattern, w_below: np.ndarray, w_j: np.ndarray,
+              G: np.ndarray) -> np.ndarray:
+    """A stack of symmetrized Laplacians around degree j, entry by entry.
+
+    w_below (B, rows of D) and w_j (B, m) are integer weights, and G the
+    (B, m, m) integer Gram matrices U diag(w_up) U^T of the up parts, as
+    floats; G is overwritten with the result.  Up part: G conjugated by
+    the square roots of w_j.  Down part: the same for D^T diag(w_below)^-1 D,
+    read from down = _down_pattern(D).  No matrix product runs, so each
+    matrix is the same whatever else its stack holds.
+    """
+    rows_of, a, b, h, sign = down
+    wj = w_j.astype(float)
+    wb = w_below.astype(float)
+    root = wj[:, :, None] * wj[:, None, :]
+    np.sqrt(root, out=root)
+    G /= root
+    G[:, a, b] += sign * root[:, a, b] / wb[:, h]
+    diag = np.zeros_like(wj)
+    for p in range(rows_of.shape[1]):
+        diag += wj / wb[:, rows_of[:, p]]
+    i = np.arange(wj.shape[1])
+    G[:, i, i] += diag
+    return G
 
 
 def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
@@ -172,67 +245,127 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     below = tuple(iter_faces(X, j - 1))
     faces = tuple(iter_faces(X, j))
     above = tuple(iter_faces(X, j + 1))
-    L = _assemble(_boundary({f: i for i, f in enumerate(below)}, faces),
-                  [weights[f] for f in below], [weights[f] for f in faces],
-                  _boundary({f: i for i, f in enumerate(faces)}, above) if above else None,
-                  [weights[f] for f in above])
-    return WeightedLaplacian(j=j, faces=faces, matrix=L)
+
+    def w(fs):
+        return np.array([weights[f] for f in fs], dtype=np.int64)
+
+    D = _boundary({f: i for i, f in enumerate(below)}, faces)
+    U = _boundary({f: i for i, f in enumerate(faces)}, above).astype(np.int64)
+    G = (U * w(above)) @ U.T
+    L = _assemble(_down_pattern(D), w(below)[None], w(faces)[None],
+                  G[None].astype(float))
+    return WeightedLaplacian(j=j, faces=faces, matrix=L[0])
 
 
-def _check_skeleton_pure(X: SkeletonComplex) -> None:
+def _binomials(N: int, s: int) -> np.ndarray:
+    """The binomials that ranks of s-subsets of 0..N-1 read, as int64.
+
+    Entry (x, y) is C(x, y) for y <= s and x - y <= N - s, and 0 elsewhere.
+    The rank formula reads only those, and each is at most C(N, s), so the
+    table holds in int64 whenever C(N, s) does, even where C(N, N/2) would
+    not.
+    """
+    return np.array([[math.comb(x, y) if x - y <= N - s else 0 for y in range(s + 1)]
+                     for x in range(N + 1)], dtype=np.int64)
+
+
+def _lex_ranks(faces: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Rank of each increasing row among the s-subsets of 0..N-1, in
+    lexicographic order (module docstring); faces has shape (f, s) and
+    binom is _binomials(N, s)."""
+    N, s = len(binom) - 1, faces.shape[1]
+    return binom[N, s] - 1 - binom[N - 1 - faces, np.arange(s, 0, -1)].sum(axis=1)
+
+
+def _top_array(X: SkeletonComplex) -> np.ndarray:
+    """X's top faces as one (f, k+1) int array, in no particular order."""
+    k1 = X.k + 1
+    return np.fromiter(chain.from_iterable(X.top_faces), dtype=np.int64,
+                       count=len(X.top_faces) * k1).reshape(-1, k1)
+
+
+def _facet_ranks(tops: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Column i: the rank of each row minus its position i, for rows of
+    s+1 vertices; binom is _binomials(N, s)."""
+    return np.stack([_lex_ranks(np.delete(tops, i, axis=1), binom)
+                     for i in range(tops.shape[1])], axis=1)
+
+
+def _check_skeleton_pure(X: SkeletonComplex, tops: np.ndarray) -> None:
     """Raise NotPure unless X's top faces cover its (k-1)-faces (module docstring).
 
-    The facet ids of the top faces are handed out from 0 in order of first
-    appearance, so the largest id counts the distinct (k-1)-faces covered.
-    check_pure names the first uncovered face.
+    tops is _top_array(X); the ranks of its facets mark the (k-1)-faces
+    covered, one byte each, fewer than the int64 weights the link step
+    counts for C(n, k) C(k, ell+1) (link, face) pairs.  check_pure names
+    the first uncovered face.
     """
-    tops, table = top_table(X)
-    if tops and max(map(max, table)) + 1 < math.comb(X.n, X.k):
+    covered = np.zeros(math.comb(X.n, X.k), dtype=bool)
+    covered[_facet_ranks(tops, _binomials(X.n, X.k))] = True
+    if len(tops) and not covered.all():
         check_pure(X)
         raise InvariantViolation("(k-1)-faces uncovered but check_pure passed")
 
 
-def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[tuple[Simplex, np.ndarray]]:
-    """(tau, degree-(r-1) Laplacian of lk(X, tau)) per ell-face tau, r = k - ell - 1.
+def _link_laplacians(tops: np.ndarray, n: int, ell: int) -> Iterator[np.ndarray]:
+    """Stacks of the degree-(r-1) Laplacians of lk(X, tau), r = k - ell - 1.
 
-    Each link is relabelled onto 0..g-1 in order, g = n - ell - 1, and
-    weighs itself from its top faces (module docstring).  One walk over
-    X's sorted top faces groups the link tops sigma minus tau by tau, so
-    each tau's tops come in sorted order.  Every link has the same rows,
-    columns and boundary map below degree r-1, so those are built once.
+    tops is _top_array(X) for X on n vertices.  The links come in
+    lexicographic order of tau, each relabelled onto 0..g-1 in order,
+    g = n - ell - 1, and weighed from its own top faces; consecutive links
+    share a stack of about _BLOCK_DOUBLES doubles (module docstring).
+    Every link has the same rows, columns and boundary map below degree
+    r-1, so those are built once.
     """
-    n, k = X.n, X.k
-    r, size = k - ell - 1, ell + 1
-    g = n - size
-    local = {f: i for i, f in enumerate(combinations(range(g), r))}
-    D = _boundary({f: i for i, f in enumerate(combinations(range(g), r - 1))}, tuple(local))
-    abs_D = np.abs(D).astype(np.int64)
-    ones = np.ones(len(local), dtype=np.int64)
-    ups: dict[Simplex, list[Simplex]] = {tau: [] for tau in combinations(range(n), size)}
-    for tau, a in relabelled_link_tops(top_table(X)[0], k, ell):
-        ups[tau].append(a)
-    for tau, up in ups.items():
-        if up:
-            U = _boundary(local, up)
-            w_j = np.count_nonzero(U, axis=1)
-        else:
-            U, w_j = None, ones
-        yield tau, _assemble(D, abs_D @ w_j, w_j, U, [1] * len(up))
+    k1 = tops.shape[1]
+    size = ell + 1
+    r, g = k1 - 1 - size, n - size
+    tau_binom, face_binom = _binomials(n, size), _binomials(g, r)
+    links, facets = [], []
+    for P in combinations(range(k1), size):
+        rest = [i for i in range(k1) if i not in P]
+        shift = [sum(q < i for q in P) for i in rest]
+        links.append(_lex_ranks(tops[:, list(P)], tau_binom))
+        facets.append(_facet_ranks(tops[:, rest] - shift, face_binom))
+    link = np.concatenate(links)
+    order = np.argsort(link, kind="stable")
+    link, facet = link[order], np.concatenate(facets)[order]
+
+    faces = list(combinations(range(g), r))
+    m, n_links = len(faces), math.comb(n, size)
+    D = _boundary({f: i for i, f in enumerate(combinations(range(g), r - 1))}, faces)
+    down = _down_pattern(D)
+    count = np.bincount((link[:, None] * m + facet).ravel(),
+                        minlength=n_links * m).reshape(n_links, m)
+    w_j = np.where(count.any(axis=1)[:, None], count, 1)
+    w_below = w_j @ np.abs(D).astype(np.int64).T
+    # the off-diagonal Gram entries: positions (i, i') of each link top
+    pi, pj = np.array(list(permutations(range(r + 1), 2))).T
+    sign = np.where((pi + pj) % 2, -1.0, 1.0)
+    diag = np.arange(m)
+    step = max(1, _BLOCK_DOUBLES // (m * m))
+    for lo in range(0, n_links, step):
+        hi = min(lo + step, n_links)
+        p, q = np.searchsorted(link, [lo, hi])
+        G = np.zeros((hi - lo, m, m))
+        G[:, diag, diag] = count[lo:hi]
+        G[np.repeat(link[p:q] - lo, len(sign)), facet[p:q, pi].ravel(),
+          facet[p:q, pj].ravel()] = np.tile(sign, q - p)
+        yield _assemble(down, w_below[lo:hi], w_j[lo:hi], G)
 
 
-def _min_eigenvalue(L: np.ndarray) -> float:
-    """Smallest eigenvalue of a Laplacian, which must be positive semidefinite."""
-    if L.size == 0:
-        return math.inf
-    mu = float(np.linalg.eigvalsh(L)[0])
-    if mu < -1e-9:
-        raise InvariantViolation(f"Laplacian not positive semidefinite: {mu}")
-    return max(0.0, mu)  # a numerically zero mu never prints as -0
+def _min_eigenvalues(L: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Laplacian of a stack; each must be
+    positive semidefinite."""
+    mu = np.linalg.eigvalsh(L)[:, 0]
+    bad = np.flatnonzero(mu < -1e-9)
+    if bad.size:
+        raise InvariantViolation(f"Laplacian not positive semidefinite: {float(mu[bad[0]])}")
+    return np.where(mu > 0.0, mu, 0.0)  # a numerically zero mu never prints as -0
 
 
 def laplacian_min_eigenvalue(X: Complex, j: int) -> float:
     """Smallest eigenvalue of the symmetrized degree-j Laplacian."""
-    return _min_eigenvalue(weighted_laplacian(X, j).matrix)
+    return float(_min_eigenvalues(weighted_laplacian(X, j).matrix[None])[0])
 
 
 GUARD_BAND = 1e-7
@@ -271,9 +404,11 @@ def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
     """
     k = X.k
     check_link_size(X.n, k, ell)
-    _check_skeleton_pure(X)
-    entries = tuple((tau, _min_eigenvalue(L)) for tau, L in _link_laplacians(X, ell))
-    min_mu = min((mu for _, mu in entries), default=math.inf)
+    tops = _top_array(X)
+    _check_skeleton_pure(X, tops)
+    mus = np.concatenate([_min_eigenvalues(L) for L in _link_laplacians(tops, X.n, ell)])
+    entries = tuple(zip(combinations(range(X.n), ell + 1), mus.tolist()))
+    min_mu = float(mus.min())
     thr = Fraction(ell + 1, k)
     thr_f = float(thr)
     if min_mu > thr_f + GUARD_BAND:

@@ -233,18 +233,26 @@ def _link_route_cases():
     return cases
 
 
+def _link_stack(X, ell):
+    """Every link Laplacian of X at ell, in one array, links in tau order."""
+    return np.concatenate(list(garland._link_laplacians(garland._top_array(X), X.n, ell)))
+
+
 def test_link_laplacians_read_from_x_equal_the_link_complex_route():
-    # each link weighs itself from its own top faces (balancing identity);
-    # the oracle weighs the materialised link by garland_weights, and the
-    # two matrices agree bit for bit
+    # each link weighs itself from its own top faces (balancing identity)
+    # and scatters its Gram matrix from facet ranks; the oracle weighs the
+    # materialised link by garland_weights and multiplies out U W U^T, and
+    # the two matrices agree bit for bit
     for X in _link_route_cases():
         for ell in range(-1, X.k - 1):
-            got = list(garland._link_laplacians(X, ell))
-            want = sorted(combinations(range(X.n), ell + 1))
-            assert [tau for tau, _ in got] == want
-            for tau, L in got:
+            got = _link_stack(X, ell)
+            taus = list(combinations(range(X.n), ell + 1))
+            assert len(got) == len(taus)
+            for tau, L in zip(taus, got):
                 ref = weighted_laplacian(link(X, tau), X.k - ell - 2).matrix
                 assert np.array_equal(L, ref), (X, ell, tau)
+        # ell = -1: one link, X itself
+        assert np.array_equal(_link_stack(X, -1), [weighted_laplacian(X, X.k - 1).matrix])
 
 
 def test_link_of_a_face_under_no_top_face_weighs_its_own_faces():
@@ -252,21 +260,60 @@ def test_link_of_a_face_under_no_top_face_weighs_its_own_faces():
     # tau through 0 is a complete skeleton with no top face: its
     # (r-1)-faces are its tops and weigh 1 each.  The other links have
     # faces of weight 0 (vertex 0 is under none of their tops), whose
-    # matrices divide by 0; garland_check refuses X before building them
-    for n, k in ((6, 2), (7, 3), (6, 3)):
-        X = SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1)))
-        for ell in range(0, k - 1):
+    # matrices divide by 0; garland_check refuses X before building them.
+    # With no top face at all, every link, X itself at ell = -1 included,
+    # is such a complete skeleton
+    cases = [(SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1))), False)
+             for n, k in ((6, 2), (7, 3), (6, 3))]
+    cases += [(SkeletonComplex(n, k, frozenset()), True) for n, k in ((6, 2), (6, 3), (4, 1))]
+    for X, bare_everywhere in cases:
+        n, k = X.n, X.k
+        for ell in range(-1 if bare_everywhere else 0, k - 1):
             bare = 0
             with np.errstate(divide="ignore", invalid="ignore"):
-                links = list(garland._link_laplacians(X, ell))
-            for tau, L in links:
-                if tau[0] == 0:
+                links = _link_stack(X, ell)
+            for tau, L in zip(combinations(range(n), ell + 1), links):
+                if bare_everywhere or tau[0] == 0:
                     lk = link(X, tau)
                     assert lk.dim == k - ell - 2
                     ref = weighted_laplacian(lk, k - ell - 2).matrix
                     assert np.array_equal(L, ref), (X, ell, tau)
                     bare += 1
-            assert bare == math.comb(n - 1, ell)
+            assert bare == (math.comb(n, ell + 1) if bare_everywhere
+                            else math.comb(n - 1, ell))
+
+
+def test_link_stacks_do_not_depend_on_the_block_size(monkeypatch):
+    # a link's matrix is assembled entry by entry, so the block it lands
+    # in, first, last or alone, changes neither its matrix nor its mu
+    cases = [(X, ell) for X in _link_route_cases() for ell in range(-1, X.k - 1)]
+    want = [(_link_stack(X, ell), garland_check(X, ell)) for X, ell in cases]
+    for (X, ell), (stack, report) in zip(cases, want):
+        m = stack.shape[1]
+        for block in (1, 7, 7 * m * m):
+            monkeypatch.setattr(garland, "_BLOCK_DOUBLES", block)
+            assert np.array_equal(_link_stack(X, ell), stack), (X, ell, block)
+            assert garland_check(X, ell) == report, (X, ell, block)
+        monkeypatch.undo()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.data())
+def test_lex_rank_is_the_index_in_combinations(g, data):
+    r = data.draw(st.integers(0, g))
+    faces = list(combinations(range(g), r))
+    ranks = garland._lex_ranks(np.array(faces, dtype=np.int64).reshape(len(faces), r),
+                               garland._binomials(g, r))
+    assert ranks.tolist() == list(range(len(faces)))
+
+
+def test_lex_ranks_hold_where_middle_binomials_overflow_int64():
+    # C(70, 35) > 2^63, but ranks among the 69-subsets of 70 read no
+    # binomial above C(70, 69) = 70: dropping position i of 0..69 gives
+    # the subset of rank 69 - i
+    top = np.arange(70, dtype=np.int64)[None]
+    assert garland._facet_ranks(top, garland._binomials(70, 69)).tolist() == \
+        [list(range(69, -1, -1))]
 
 
 def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
@@ -300,7 +347,7 @@ def test_link_size_is_bounded_before_any_enumeration(monkeypatch, capsys):
         raise AssertionError("enumerated before the size bound")
 
     monkeypatch.setattr(garland, "_check_skeleton_pure", no_enumeration)
-    monkeypatch.setattr(garland, "top_table", no_enumeration)
+    monkeypatch.setattr(garland, "_top_array", no_enumeration)
     # every link at ell = -1 is X itself: C(40, 3) = 9880 faces in degree 2
     with pytest.raises(TooLarge, match="9880 faces in degree 2"):
         garland_check(full_skeleton(40, 3), -1)
@@ -355,10 +402,53 @@ def test_first_bad_face_can_be_a_vertex():
 
 
 def test_negative_link_eigenvalue_is_an_invariant_violation(monkeypatch):
-    def fake(X, ell):
-        for tau in combinations(range(X.n), ell + 1):
-            yield tau, np.array([[1.0, 0.0], [0.0, -1e-6]])
+    def fake(tops, n, ell):
+        good, bad = [[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1e-6]]
+        yield np.array([good] * (math.comb(n, ell + 1) - 1) + [bad])
 
     monkeypatch.setattr(garland, "_link_laplacians", fake)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="not positive semidefinite: -1e-06"):
         garland_check(full_skeleton(5, 2), 0)
+
+
+def test_numerically_zero_link_eigenvalues_are_plus_zero(monkeypatch):
+    stack = np.array([[[1.0, 0.0], [0.0, -0.0]], [[1.0, 0.0], [0.0, -1e-12]]])
+    mus = garland._min_eigenvalues(stack)
+    assert [math.copysign(1.0, mu) for mu in mus] == [1.0, 1.0]
+
+    def fake(tops, n, ell):
+        yield stack[np.arange(math.comb(n, ell + 1)) % 2]
+
+    monkeypatch.setattr(garland, "_link_laplacians", fake)
+    rep = garland_check(full_skeleton(5, 2), 0)
+    assert [f"{mu:.9f}" for _, mu in rep.entries] == ["0.000000000"] * 5
+    assert f"{rep.min_mu:.9f}" == "0.000000000"
+
+
+def test_complete_skeleton_builds_no_facet_id_table(monkeypatch):
+    # purity is counted from the top-face array and a complete skeleton's
+    # Betti number from complete_rank; only the global Q rank of a dense
+    # draw builds one facet-id table
+    from hypertree_lab import homology
+
+    calls = []
+    facet_ids = homology.facet_ids
+    monkeypatch.setattr(homology, "facet_ids",
+                        lambda faces: calls.append(1) or facet_ids(faces))
+    homology.top_table.cache_clear()
+    homology._rank_cached.cache_clear()
+    X = full_skeleton(8, 3)
+    for ell in (-1, 0, 1):
+        garland_check(X, ell)
+    assert calls == []
+    rng = SplitMix64(3)
+    while True:
+        X = random_skeleton_complex(8, 3, 0.8, rng)
+        try:
+            check_pure(X)
+            break
+        except NotPure:
+            pass
+    assert len(X.top_faces) < math.comb(8, 4)
+    garland_check(X, 0)
+    assert calls == [1]
