@@ -9,20 +9,55 @@ the greedy construction: start from an interval complex with a large
 degree-(k-1) Betti number, then add just enough top faces to kill the
 homology of every small link without giving back much of the global
 homology.
+
+In lexicographic order the greedy has a closed form.  Fix a degree-ell
+face tau of Y, r = k-ell-1, and the link on the ground set minus tau
+relabelled onto 0..g-1 in order, g = n-ell-1, with its rows (the
+r-subsets) and candidates (the (r+1)-subsets) numbered lexicographically.
+The rows through 0 are the first m0 = C(g-1, r-1).  Call a row beta
+avoiding 0 free when 0 + beta is a top face of lk(Y, tau).  Reduce every
+other link top: drop from its boundary column the rows through 0 and the
+free rows.  Let the keys be the largest indices of the vectors of a basis
+of the reduced columns' span whose vectors have distinct largest indices
+(IncrementalSpan's basis).  Then, over every field, the greedy picks
+exactly the candidates 0 + beta for the rows beta >= m0 that are neither
+free nor keys, in increasing order of beta.
+
+Proof.  A cone candidate 0 + beta has boundary +-beta plus rows through
+0, and every cone candidate comes before every candidate avoiding 0, in
+the order of beta.  Let pi drop the rows through 0.  It sends the C(g-1, r)
+cone columns to +-e_beta, a basis of the coordinates left, so the cone
+columns are independent and span a space W of dimension C(g-1, r), the
+rank of the whole top boundary map (homology.complete_rank).  Hence W is
+that map's column space: every column lies in W, pi is injective on W,
+and independence may be tested after pi.  There a link top 0 + beta is
++-e_beta, and the cone candidates alone reach the target, so the greedy
+never scans past them.  Quotient by the free e_beta, which leaves the
+reduced columns with span V, and scan the other rows beta >= m0 upwards,
+assuming the span so far is V plus every e_gamma for the rows gamma < beta
+scanned.  e_beta lies in that span iff some vector of V equals e_beta up
+to coordinates below beta, that is, iff some vector of V has largest
+index beta: iff beta is a key.  A key is skipped and any other row is
+picked, and either way the assumption holds at the next row.  After the
+last pick the span is all of W, so stopping at the target rank changes
+nothing.  No step depends on the field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import comb, factorial
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     InvariantViolation,
     NotPrime,
     ParameterMismatch,
     ParameterOutOfRange,
+    TooLarge,
 )
 from .fields import GF2, FieldSpec, is_prime
 from .homology import betti, link_profile
@@ -31,10 +66,18 @@ from .randomness import SplitMix64
 from .simplexes import (
     Simplex,
     SkeletonComplex,
-    iter_faces,
+    _binomials,
+    _facet_ranks,
+    _lex_ranks,
+    _relabelled_link_tops,
+    _top_array,
     make_simplex,
-    relabelled_link_tops,
 )
+
+
+# candidate faces sum_complex may filter; the largest README ladder rung,
+# (101, 3, 1), filters C(101, 4) = 4,082,925
+SUM_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -73,6 +116,15 @@ class SumComplexSpec:
 
 
 def sum_complex(spec: SumComplexSpec) -> SkeletonComplex:
+    """The complex of the (s+1)-subsets whose vertex sum lies in A mod n.
+
+    All C(n, s+1) candidates are filtered, so their count is refused
+    above SUM_BUDGET before any is enumerated.
+    """
+    count = comb(spec.n, spec.s + 1)
+    if count > SUM_BUDGET:
+        raise TooLarge(f"C({spec.n}, {spec.s + 1}) = {count} candidate faces "
+                       f"exceeds the budget of {SUM_BUDGET}")
     tops = frozenset(
         sigma for sigma in combinations(range(spec.n), spec.s + 1)
         if sum(sigma) % spec.n in spec.residues
@@ -128,64 +180,127 @@ class ConstructionReport:
 
 
 def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
-                    tau_seeds: dict[Simplex, Optional[int]]
+                    order_seed: Optional[int]
                     ) -> list[tuple[Simplex, tuple[Simplex, ...]]]:
     """(tau, top faces added to lk(Y, tau)) per degree-ell face tau of Y.
 
-    Each link gets candidates, in lexicographic order or shuffled by the
-    face's seed, until its top boundary map reaches the rank C(g-1, r) of
-    a hypertree, r = k-ell-1.  Every link is saturated on the ground set
-    minus tau relabelled onto 0..g-1 in order, so its rows and candidates
-    are numbered once per call, and the order-preserving relabelling
-    leaves both the lexicographic scan and the shuffle with the same
-    positions.  The candidate numbering and packed columns go out of scope
-    on return, before the re-verification's own ranks run.
+    Each link gets candidates, in lexicographic order or shuffled by a
+    seed per face, until its top boundary map reaches the rank C(g-1, r)
+    of a hypertree, r = k-ell-1.  The faces tau come in lexicographic
+    order, and their seeds are drawn from order_seed in that order.  Every
+    link is saturated on the ground set minus tau relabelled onto 0..g-1
+    in order, so that rows and candidates are numbered once per call.  Y's
+    link tops come from one numpy walk, grouped by tau.  The
+    order-preserving relabelling keeps the positions of the lexicographic
+    order and of the shuffle alike.  In lexicographic order the picks are
+    read from the closed form (module docstring); a shuffled order scans
+    its candidates one IncrementalSpan.add at a time.
     """
-    n, k = Y.n, Y.k
+    n, k, p = Y.n, Y.k, field.p
     r = k - ell - 1  # top dimension of every degree-ell link
     g = n - ell - 1
-    target = comb(g - 1, r)  # top-boundary rank of a link hypertree
-    rows = {f: i for i, f in enumerate(combinations(range(g), r))}
-    cands = list(combinations(range(g), r + 1))
-    cand_index = {a: i for i, a in enumerate(cands)}
-    cols: list = [None] * len(cands)  # packed on first use
-    column = IncrementalSpan(field.p).boundary_column
+    link, rest = _relabelled_link_tops(_top_array(Y), n, ell)
+    taus = list(combinations(range(n), ell + 1))
+    if order_seed is None:
+        facet = _facet_ranks(rest, _binomials(g, r))
+        owner, picked = _closed_form_picks(link, facet, len(taus), g, r, p)
+    else:
+        root = SplitMix64(order_seed)
+        seeds = [root.next_u64() for _ in taus]
+        bounds = np.searchsorted(link, np.arange(len(taus) + 1)).tolist()
+        have = _lex_ranks(rest, _binomials(g, r + 1))
+        owner, picked = _greedy_picks(have, bounds, g, r, seeds, p)
+    # undo the relabelling: the v-th vertex outside tau is v plus the
+    # number of tau's vertices tau_j with tau_j - j <= v
+    below = np.array(taus, dtype=np.int64) - np.arange(ell + 1)
+    picked = picked + (below[owner][:, None, :] <= picked[:, :, None]).sum(axis=2)
+    faces = list(map(tuple, picked.tolist()))
+    at = np.searchsorted(owner, np.arange(len(taus) + 1)).tolist()
+    return [(tau, tuple(faces[lo:hi])) for tau, lo, hi in zip(taus, at, at[1:])]
 
-    # tau -> indices of Y's link tops sigma minus tau
-    existing: dict[Simplex, set[int]] = {tau: set() for tau in tau_seeds}
-    for tau, a in relabelled_link_tops(Y.top_faces, k, ell):
-        existing[tau].add(cand_index[a])
 
-    results = []
-    for tau, seed in tau_seeds.items():
-        span = IncrementalSpan(field.p)
-        have = existing[tau]
-        for i in sorted(have):
-            col = cols[i]
-            if col is None:
-                col = cols[i] = column(cands[i], rows)
+def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int,
+                       r: int, p: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The faces the lexicographic greedy picks, read from the closed form
+    (module docstring), and the link id of each.
+
+    link and facet hold the link id and the facet rows of each of Y's link
+    tops, sorted by link id, for links on 0..g-1 with r-subsets for rows.
+    The reduced columns go through IncrementalSpan(p).add, packed ints
+    over GF(2) and signed dicts otherwise.  The picks come sorted by link
+    id, then by face, as an (picks, r+1) array on 0..g-1.
+    """
+    rows = np.array(list(combinations(range(g), r)), dtype=np.int64).reshape(-1, r)
+    m, m0 = len(rows), comb(g - 1, r - 1)  # the first m0 rows pass through 0
+    cone = facet[:, 1] < m0  # a top through 0 has every facet but its base through 0
+    free = np.zeros((n_links, m), dtype=bool)
+    free[link[cone], facet[cone, 0]] = True
+    link, facet = link[~cone], facet[~cone]
+    # a dropped row becomes the sentinel m, which no column holds
+    reduced = np.where(free[link[:, None], facet], m, facet)
+    at = np.searchsorted(link, np.arange(n_links + 1)).tolist()
+    if p == 2:
+        # bit[b] = 1 << b, and 0 for the sentinel: m ints of up to m bits,
+        # about as much as a full basis of one link's span
+        bit = np.array([1 << b for b in range(m)] + [0], dtype=object)
+    else:
+        signs = [-1 if i % 2 else 1 for i in range(r + 1)]
+    key_links, keys = [], []
+    for t, (lo, hi) in enumerate(pairwise(at)):
+        if p == 2:
+            columns = np.bitwise_or.reduce(bit[reduced[lo:hi]], axis=1)
+        else:
+            columns = [{b: s for b, s in zip(row, signs) if b != m}
+                       for row in reduced[lo:hi].tolist()]
+        span = IncrementalSpan(p)
+        for col in columns:
             span.add(col)
-        # most candidates are never scanned, so build the list only to shuffle it
-        order = (i for i in range(len(cands)) if i not in have)
-        if seed is not None:
-            order = list(order)
-            SplitMix64(seed).shuffle(order)
-        picked = []
-        rank = span.rank
+        key_links += [t] * span.rank
+        keys += span.basis
+    taken = free  # free rows, then keys: every row not picked
+    taken[key_links, keys] = True
+    t, b = np.nonzero(~taken[:, m0:])
+    return t, np.insert(rows[b + m0], 0, 0, axis=1)
+
+
+def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,
+                  seeds: list[int], p: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The faces the greedy picks in the order each link's seed shuffles,
+    and the link id of each.
+
+    have holds the candidate ranks of Y's link tops among the
+    (r+1)-subsets of 0..g-1, grouped by link at bounds.  A candidate's
+    column is packed with boundary_column on first use and kept for the
+    other links.  The picks come by link id, then in pick order, as an
+    (picks, r+1) array on 0..g-1.
+    """
+    target = comb(g - 1, r)  # top-boundary rank of a link hypertree
+    row_index = {f: i for i, f in enumerate(combinations(range(g), r))}
+    cands = list(combinations(range(g), r + 1))
+    cols: list = [None] * len(cands)
+    column = IncrementalSpan(p).boundary_column
+    owner, picks = [], []
+    for t, seed in enumerate(seeds):
+        span = IncrementalSpan(p)
+        existing = set(have[bounds[t]:bounds[t + 1]].tolist())
+        order = [i for i in range(len(cands)) if i not in existing]
+        SplitMix64(seed).shuffle(order)
+        for i in sorted(existing):
+            if cols[i] is None:
+                cols[i] = column(cands[i], row_index)
+            span.add(cols[i])
         for i in order:
-            if rank >= target:
+            if span.rank >= target:
                 break
-            col = cols[i]
-            if col is None:
-                col = cols[i] = column(cands[i], rows)
-            if span.add(col):
-                picked.append(i)
-                rank += 1
-        if rank != target:
-            raise InvariantViolation(f"saturation stalled at rank {rank} of {target}")
-        ground = [v for v in range(n) if v not in tau]
-        results.append((tau, tuple(tuple(ground[v] for v in cands[i]) for i in picked)))
-    return results
+            if cols[i] is None:
+                cols[i] = column(cands[i], row_index)
+            if span.add(cols[i]):
+                owner.append(t)
+                picks.append(cands[i])
+        if span.rank != target:
+            raise InvariantViolation(f"saturation stalled at rank {span.rank} of {target}")
+    return (np.array(owner, dtype=np.int64),
+            np.array(picks, dtype=np.int64).reshape(-1, r + 1))
 
 
 def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
@@ -215,14 +330,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     spec = SumComplexSpec.make(n, range(k - ell), k)
     Y = sum_complex(spec)
 
-    taus = sorted(iter_faces(Y, ell))
-    if order_seed is None:
-        tau_seeds = {tau: None for tau in taus}
-    else:
-        root = SplitMix64(order_seed)
-        tau_seeds = {tau: root.next_u64() for tau in taus}
-
-    results = _saturate_links(Y, ell, field, tau_seeds)
+    results = _saturate_links(Y, ell, field, order_seed)
 
     new_tops = set(Y.top_faces)
     s_sizes = []

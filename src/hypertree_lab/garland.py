@@ -26,24 +26,10 @@ of those counts over the f above h, for D the map from the (r-1)-faces.
 A link with no top face has its (r-1)-faces as its tops, each of weight 1.
 The sums are exact integers.
 
-Faces are numbered by lexicographic rank.  Among the s-subsets of
-0..N-1 in lexicographic order, the increasing subset c_0 < ... < c_{s-1}
-has rank
-
-    C(N, s) - 1 - sum_i C(N-1-c_i, s-i).
-
-Proof: a subset after c first differs from c at some position i, where it
-is larger; its entries from position i on form any (s-i)-subset of the
-N-1-c_i vertices above c_i.  So C(N-1-c_i, s-i) subsets come after c with
-their first difference at i, and the rank is C(N, s) - 1 less all of
-them.  Every term is at most C(N, s), so the ranks are exact in int64
-whenever C(N, s) is.
-X's top faces form one (f, k+1) array.  For each position pattern P of
-size ell+1, tau = sigma[P] is a link id, the rank of tau among the
-(ell+1)-subsets of n; sigma minus tau is relabelled onto 0..g-1 in order
-by moving each of its vertices down by the number of positions of P below
-its own, and each facet of that link top is numbered by its rank among the
-r-subsets of g.
+Faces are numbered by lexicographic rank, and X's top faces are read as
+one array grouped by link id with each link top relabelled onto 0..g-1
+(simplexes module docstring); each facet of a link top is numbered by its
+rank among the r-subsets of g.
 
 The up part needs no map U.  For (r-1)-faces f != f' of a link, the Gram
 matrix U U^T has (-1)^(i+i') at (f, f') when f and f' are the faces of a
@@ -83,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,6 +86,10 @@ from .simplexes import (
     Complex,
     Simplex,
     SkeletonComplex,
+    _binomials,
+    _facet_ranks,
+    _relabelled_link_tops,
+    _top_array,
     all_faces,
     face_count,
     iter_faces,
@@ -257,40 +247,6 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     return WeightedLaplacian(j=j, faces=faces, matrix=L[0])
 
 
-def _binomials(N: int, s: int) -> np.ndarray:
-    """The binomials that ranks of s-subsets of 0..N-1 read, as int64.
-
-    Entry (x, y) is C(x, y) for y <= s and x - y <= N - s, and 0 elsewhere.
-    The rank formula reads only those, and each is at most C(N, s), so the
-    table holds in int64 whenever C(N, s) does, even where C(N, N/2) would
-    not.
-    """
-    return np.array([[math.comb(x, y) if x - y <= N - s else 0 for y in range(s + 1)]
-                     for x in range(N + 1)], dtype=np.int64)
-
-
-def _lex_ranks(faces: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Rank of each increasing row among the s-subsets of 0..N-1, in
-    lexicographic order (module docstring); faces has shape (f, s) and
-    binom is _binomials(N, s)."""
-    N, s = len(binom) - 1, faces.shape[1]
-    return binom[N, s] - 1 - binom[N - 1 - faces, np.arange(s, 0, -1)].sum(axis=1)
-
-
-def _top_array(X: SkeletonComplex) -> np.ndarray:
-    """X's top faces as one (f, k+1) int array, in no particular order."""
-    k1 = X.k + 1
-    return np.fromiter(chain.from_iterable(X.top_faces), dtype=np.int64,
-                       count=len(X.top_faces) * k1).reshape(-1, k1)
-
-
-def _facet_ranks(tops: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Column i: the rank of each row minus its position i, for rows of
-    s+1 vertices; binom is _binomials(N, s)."""
-    return np.stack([_lex_ranks(np.delete(tops, i, axis=1), binom)
-                     for i in range(tops.shape[1])], axis=1)
-
-
 def _check_skeleton_pure(X: SkeletonComplex, tops: np.ndarray) -> None:
     """Raise NotPure unless X's top faces cover its (k-1)-faces (module docstring).
 
@@ -316,19 +272,10 @@ def _link_laplacians(tops: np.ndarray, n: int, ell: int) -> Iterator[np.ndarray]
     Every link has the same rows, columns and boundary map below degree
     r-1, so those are built once.
     """
-    k1 = tops.shape[1]
     size = ell + 1
-    r, g = k1 - 1 - size, n - size
-    tau_binom, face_binom = _binomials(n, size), _binomials(g, r)
-    links, facets = [], []
-    for P in combinations(range(k1), size):
-        rest = [i for i in range(k1) if i not in P]
-        shift = [sum(q < i for q in P) for i in rest]
-        links.append(_lex_ranks(tops[:, list(P)], tau_binom))
-        facets.append(_facet_ranks(tops[:, rest] - shift, face_binom))
-    link = np.concatenate(links)
-    order = np.argsort(link, kind="stable")
-    link, facet = link[order], np.concatenate(facets)[order]
+    r, g = tops.shape[1] - 1 - size, n - size
+    link, rest = _relabelled_link_tops(tops, n, ell)
+    facet = _facet_ranks(rest, _binomials(g, r))
 
     faces = list(combinations(range(g), r))
     m, n_links = len(faces), math.comb(n, size)

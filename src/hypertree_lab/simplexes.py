@@ -11,15 +11,37 @@ is kept rather than a bare vertex count.
 Simplices are strictly increasing tuples of vertex ids; the empty tuple is
 the empty simplex of dimension -1.  The complex whose only face is the empty
 simplex is distinct from the void complex with no faces at all.
+
+The numpy walks over top faces number faces by lexicographic rank.  Among
+the s-subsets of 0..N-1 in lexicographic order, the increasing subset
+c_0 < ... < c_{s-1} has rank
+
+    C(N, s) - 1 - sum_i C(N-1-c_i, s-i).
+
+Proof: a subset after c first differs from c at some position i, where it
+is larger; its entries from position i on form any (s-i)-subset of the
+N-1-c_i vertices above c_i.  So C(N-1-c_i, s-i) subsets come after c with
+their first difference at i, and the rank is C(N, s) - 1 less all of
+them.  Every term is at most C(N, s), so the ranks are exact in int64
+whenever C(N, s) is.
+
+A SkeletonComplex's top faces form one (f, k+1) array.  For each position
+pattern P of size ell+1, tau = sigma[P] is a link id, the rank of tau
+among the (ell+1)-subsets of n, and sigma minus tau is a top face of
+lk(X, tau).  The link lives on the ground set minus tau, relabelled onto
+0..g-1 in order, g = n-ell-1: each vertex of sigma minus tau moves down by
+the number of positions of P below its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from operator import ge, lt, sub
+from operator import ge, lt
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -293,25 +315,61 @@ def link_tops(X: SkeletonComplex, ell: int) -> dict[Simplex, list[Simplex]]:
     return out
 
 
-def relabelled_link_tops(tops: Iterable[Simplex], k: int,
-                         ell: int) -> Iterator[tuple[Simplex, Simplex]]:
-    """(tau, sigma minus tau relabelled) per k-face sigma of tops and ell-face tau of it.
+def _binomials(N: int, s: int) -> np.ndarray:
+    """The binomials that ranks of s-subsets of 0..N-1 read, as int64.
 
-    The relabelling maps the ground set minus tau onto 0..g-1 in order,
-    g = n-ell-1: a vertex of sigma outside tau moves down by the number of
-    tau's vertices below it, which are the positions of tau in sigma
-    below its own.  Pairs come in the order of tops.
+    Entry (x, y) is C(x, y) for y <= s and x - y <= N - s, and 0 elsewhere.
+    The rank formula reads only those, and each is at most C(N, s), so the
+    table holds in int64 whenever C(N, s) does, even where C(N, N/2) would
+    not.
     """
+    return np.array([[comb(x, y) if x - y <= N - s else 0 for y in range(s + 1)]
+                     for x in range(N + 1)], dtype=np.int64)
+
+
+def _lex_ranks(faces: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Rank of each increasing row among the s-subsets of 0..N-1, in
+    lexicographic order (module docstring); faces has shape (f, s) and
+    binom is _binomials(N, s)."""
+    N, s = len(binom) - 1, faces.shape[1]
+    return binom[N, s] - 1 - binom[N - 1 - faces, np.arange(s, 0, -1)].sum(axis=1)
+
+
+def _top_array(X: SkeletonComplex) -> np.ndarray:
+    """X's top faces as one (f, k+1) int array, in no particular order."""
+    k1 = X.k + 1
+    return np.fromiter(chain.from_iterable(X.top_faces), dtype=np.int64,
+                       count=len(X.top_faces) * k1).reshape(-1, k1)
+
+
+def _facet_ranks(tops: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Column i: the rank of each row minus its position i, for rows of
+    s+1 vertices; binom is _binomials(N, s)."""
+    return np.stack([_lex_ranks(np.delete(tops, i, axis=1), binom)
+                     for i in range(tops.shape[1])], axis=1)
+
+
+def _relabelled_link_tops(tops: np.ndarray, n: int,
+                          ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau ids, link tops) of every pair of a top face sigma and an ell-face tau of it.
+
+    tops is _top_array(X) for X on n vertices.  Per position pattern P,
+    tau = sigma[P] and sigma minus tau is relabelled onto 0..g-1, g =
+    n-ell-1 (module docstring).  The pairs come sorted by tau id, stably,
+    as an int array and a (pairs, k-ell) int array.
+    """
+    k1 = tops.shape[1]
     size = ell + 1
-    shifts = [tuple(sum(1 for q in P if q < i) for i in range(k + 1) if i not in P)
-              for P in combinations(range(k + 1), size)]
-    for sigma in tops:
-        # complementing reverses lexicographic order, so the i-th
-        # (ell+1)-subset of sigma pairs with the i-th last of the rest
-        for tau, rest, shift in zip(combinations(sigma, size),
-                                    reversed(list(combinations(sigma, k - ell))),
-                                    shifts):
-            yield tau, tuple(map(sub, rest, shift))
+    tau_binom = _binomials(n, size)
+    links, rests = [], []
+    for P in combinations(range(k1), size):
+        rest = [i for i in range(k1) if i not in P]
+        shift = [sum(q < i for q in P) for i in rest]
+        links.append(_lex_ranks(tops[:, list(P)], tau_binom))
+        rests.append(tops[:, rest] - shift)
+    link = np.concatenate(links)
+    order = np.argsort(link, kind="stable")
+    return link[order], np.concatenate(rests)[order]
 
 
 def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex:

@@ -1,12 +1,15 @@
 import hashlib
+from itertools import combinations, islice
 from math import comb
 
+import numpy as np
 import pytest
 
-from hypertree_lab import homology
+from hypertree_lab import constructions, homology
 from hypertree_lab.collapse import collapses_to_point
 from hypertree_lab.constructions import (
     FANO_BLOCKS,
+    SUM_BUDGET,
     SumComplexSpec,
     build_J,
     build_X_nkl,
@@ -18,10 +21,13 @@ from hypertree_lab.errors import (
     NotPrime,
     ParameterMismatch,
     ParameterOutOfRange,
+    TooLarge,
 )
-from hypertree_lab.fields import GF2, RATIONALS
+from hypertree_lab.fields import GF2, GF3, RATIONALS, is_prime
 from hypertree_lab.homology import betti, betti_table
-from hypertree_lab.simplexes import face_count, link
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
+from hypertree_lab.simplexes import _binomials, _lex_ranks, face_count, link
+from _greedy_oracle import lexicographic_picks
 from _registry import track
 
 
@@ -178,7 +184,9 @@ def test_sum_complex_betti_table_concentration():
 
 # sha256 of repr((sorted top faces, s_sizes, tb_after)), first 16 hex
 # digits, recorded from the tuple-keyed saturate loop that the relabelled
-# one replaced: the greedy picks must not move
+# one replaced, and the lexicographic "q" and "gf3" entries from the
+# candidate-scanning loop that the closed form replaced: the greedy picks
+# must not move
 PICKS = {
     ((11, 3, 0), "gf2", None): "9cad3b8c2ee85564",
     ((11, 3, 0), "gf2", 1): "f958f6a87c256b68",
@@ -208,11 +216,25 @@ PICKS = {
     ((29, 3, 1), "gf2", 1): "05a49772cfc7f0e7",
     ((29, 3, 1), "gf2", 7): "d7c0e3b003db6712",
     ((29, 3, 1), "gf2", 12345): "002dab67a3d2e8f3",
+    ((11, 3, 0), "q", None): "9cad3b8c2ee85564",
+    ((11, 3, 0), "gf3", None): "9cad3b8c2ee85564",
+    ((13, 3, 1), "q", None): "f9187717edde543c",
+    ((13, 3, 1), "gf3", None): "f9187717edde543c",
+    ((17, 3, 0), "q", None): "ae3bfd32db004031",
+    ((17, 3, 0), "gf3", None): "ae3bfd32db004031",
+    ((13, 4, 1), "q", None): "b0480c3f398e0eee",
+    ((13, 4, 1), "gf3", None): "b0480c3f398e0eee",
+    ((11, 4, 2), "q", None): "c54aaebf7d262b14",
+    ((11, 4, 2), "gf3", None): "c54aaebf7d262b14",
+    ((11, 4, 0), "q", None): "b4fd95c0681ec94a",
+    ((11, 4, 0), "gf3", None): "b4fd95c0681ec94a",
+    ((29, 3, 1), "q", None): "144a7fca606b9d04",
+    ((29, 3, 1), "gf3", None): "144a7fca606b9d04",
 }
 
 
 def test_greedy_picks_are_pinned():
-    fields = {"gf2": GF2, "q": RATIONALS}
+    fields = {"gf2": GF2, "gf3": GF3, "q": RATIONALS}
     for ((n, k, ell), fld, seed), want in PICKS.items():
         rep = build_X_nkl(n, k, ell, fields[fld], order_seed=seed)
         payload = repr((sorted(rep.complex.top_faces), rep.s_sizes, rep.tb_after))
@@ -231,3 +253,75 @@ def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
     homology.top_table.cache_clear()
     build_X_nkl(n, k, ell, GF2)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [7, 11, 13])
+def test_closed_form_picks_equal_the_scanning_greedy(n, field):
+    # every degree-ell face of every rung picks what the one-candidate-
+    # at-a-time lexicographic loop picks, in the same order
+    for k in (3, 4):
+        for ell in range(k - 1):
+            Y = sum_complex(SumComplexSpec.make(n, range(k - ell), k))
+            want = lexicographic_picks(Y, ell, field.p)
+            got = constructions._saturate_links(Y, ell, field, None)
+            assert [tau for tau, _ in got] == list(want)
+            for tau, picked in got:
+                assert picked == want[tau], (n, k, ell, field.name, tau)
+
+
+def test_sum_complex_refuses_candidates_over_budget():
+    # the largest README ladder rung fits; one more vertex in the top
+    # face of a large ground set does not, and is refused before filtering
+    assert comb(101, 4) <= SUM_BUDGET
+    with pytest.raises(TooLarge, match=r"C\(1009, 7\) = \d+ candidate faces"):
+        sum_complex(SumComplexSpec.make(1009, [0, 1], 6))
+    with pytest.raises(TooLarge, match=r"C\(1009, 6\) = \d+ candidate faces"):
+        build_X_nkl(1009, 5, 0)
+
+
+def _largest_link_candidates() -> tuple[int, int]:
+    """(g, r+1) with the most link candidates C(g, r+1) over the rungs
+    build_X_nkl admits: prime n, 0 <= ell <= k-2, k < n-1, and
+    C(n, k+1) <= SUM_BUDGET."""
+    best = (0, 0, 0)
+    for n in range(5, 400):
+        if not is_prime(n):
+            continue
+        for k in range(2, n - 2):
+            if comb(n, k + 1) > SUM_BUDGET:
+                break
+            for ell in range(k - 1):
+                g, s = n - ell - 1, k - ell
+                best = max(best, (comb(g, s), g, s))
+    return best[1], best[2]
+
+
+def test_lex_ranks_are_exact_at_the_sum_budget_edge():
+    # sampled candidates of the largest admitted link, ranked in int64,
+    # against their index in combinations; an overflow or a NumPy 1.x
+    # promotion difference shows here
+    g, s = _largest_link_candidates()
+    assert comb(g, s) > 10 ** 6
+    rng = SplitMix64(17)
+    want = sorted({0, comb(g, s) - 1} | {rng.below(comb(g, s)) for _ in range(300)})
+    it, at, faces = combinations(range(g), s), 0, []
+    for i in want:
+        faces.append(next(islice(it, i - at, None)))
+        at = i + 1
+    ranks = _lex_ranks(np.array(faces, dtype=np.int64), _binomials(g, s))
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == want
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=lambda f: f.name)
+def test_closed_form_picks_equal_the_scanning_greedy_on_random_complexes(field):
+    # the closed form holds for any Y, not only sum complexes; random
+    # link tops give the reduced columns signs and free rows that matter
+    rng = SplitMix64(2024)
+    for n, k, q in ((8, 3, 0.3), (9, 3, 0.5), (8, 4, 0.4), (9, 4, 0.2)):
+        Y = random_skeleton_complex(n, k, q, SplitMix64(rng.next_u64()))
+        for ell in range(k - 1):
+            want = lexicographic_picks(Y, ell, field.p)
+            got = constructions._saturate_links(Y, ell, field, None)
+            assert dict(got) == want, (n, k, q, ell, field.name)

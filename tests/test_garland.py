@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypertree_lab import garland
+from hypertree_lab import garland, simplexes
 from hypertree_lab.errors import (
     InvariantViolation,
     NotPure,
@@ -235,7 +235,7 @@ def _link_route_cases():
 
 def _link_stack(X, ell):
     """Every link Laplacian of X at ell, in one array, links in tau order."""
-    return np.concatenate(list(garland._link_laplacians(garland._top_array(X), X.n, ell)))
+    return np.concatenate(list(garland._link_laplacians(simplexes._top_array(X), X.n, ell)))
 
 
 def test_link_laplacians_read_from_x_equal_the_link_complex_route():
@@ -302,8 +302,8 @@ def test_link_stacks_do_not_depend_on_the_block_size(monkeypatch):
 def test_lex_rank_is_the_index_in_combinations(g, data):
     r = data.draw(st.integers(0, g))
     faces = list(combinations(range(g), r))
-    ranks = garland._lex_ranks(np.array(faces, dtype=np.int64).reshape(len(faces), r),
-                               garland._binomials(g, r))
+    ranks = simplexes._lex_ranks(np.array(faces, dtype=np.int64).reshape(len(faces), r),
+                                 simplexes._binomials(g, r))
     assert ranks.tolist() == list(range(len(faces)))
 
 
@@ -312,7 +312,7 @@ def test_lex_ranks_hold_where_middle_binomials_overflow_int64():
     # binomial above C(70, 69) = 70: dropping position i of 0..69 gives
     # the subset of rank 69 - i
     top = np.arange(70, dtype=np.int64)[None]
-    assert garland._facet_ranks(top, garland._binomials(70, 69)).tolist() == \
+    assert simplexes._facet_ranks(top, simplexes._binomials(70, 69)).tolist() == \
         [list(range(69, -1, -1))]
 
 

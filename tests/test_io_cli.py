@@ -158,6 +158,21 @@ def test_cli_exit_two_at_once_on_too_many_candidate_faces(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,count", [
+    (["sum", "1009", "0,1", "6"], "C(1009, 7) = 206894678671265736"),
+    (["xnkl", "1009", "5", "0"], "C(1009, 6) = 1443930957825384"),
+])
+def test_construct_refuses_a_sum_complex_over_budget_at_once(spec, count, capsys,
+                                                             tmp_path):
+    # the candidates sum_complex would filter are counted from (n, s) alone
+    t0 = time.perf_counter()
+    code = cli.main(["construct", *spec, "--out-file", str(tmp_path / "x.cplx")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"{count} candidate faces exceeds the budget" in capsys.readouterr().err
+    assert not (tmp_path / "x.cplx").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify-bound", "--ell", "7"], "need 0 <= ell < k < n, got ell=7 k=3 n=70"),
     (["trichotomy", "--ell", "-1"], "need 0 <= ell < k < n, got ell=-1 k=3 n=70"),
