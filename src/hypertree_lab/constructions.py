@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import combinations, islice, pairwise
 from math import comb, factorial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -67,6 +67,8 @@ from .simplexes import (
     Simplex,
     SkeletonComplex,
     _binomials,
+    _bitsets,
+    _face_array,
     _facet_ranks,
     _lex_ranks,
     _relabelled_link_tops,
@@ -75,9 +77,9 @@ from .simplexes import (
 )
 
 
-# candidate faces sum_complex may filter; the largest README ladder rung,
-# (101, 3, 1), filters C(101, 4) = 4,082,925
-SUM_BUDGET = 10 ** 7
+# candidate faces sum_complex may reach; the largest README ladder rung,
+# (101, 3, 1), has C(101, 4) = 4,082,925; and the s-subsets it holds at once
+SUM_BUDGET, _SUM_HEADS = 10 ** 7, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,18 +120,33 @@ class SumComplexSpec:
 def sum_complex(spec: SumComplexSpec) -> SkeletonComplex:
     """The complex of the (s+1)-subsets whose vertex sum lies in A mod n.
 
-    All C(n, s+1) candidates are filtered, so their count is refused
-    above SUM_BUDGET before any is enumerated.
+    A face is an s-subset a plus v = rho - sum(a) mod n > max a for a rho
+    in A, so numpy solves for v over the C(n, s) subsets, _SUM_HEADS at a
+    time, unless they outnumber the C(n, s+1) candidates, then filtered.
+    C(n, s+1) is refused above SUM_BUDGET before anything is enumerated.
     """
     count = comb(spec.n, spec.s + 1)
     if count > SUM_BUDGET:
         raise TooLarge(f"C({spec.n}, {spec.s + 1}) = {count} candidate faces "
                        f"exceeds the budget of {SUM_BUDGET}")
-    tops = frozenset(
-        sigma for sigma in combinations(range(spec.n), spec.s + 1)
-        if sum(sigma) % spec.n in spec.residues
-    )
-    return SkeletonComplex(spec.n, spec.s, tops)
+    return SkeletonComplex(spec.n, spec.s, frozenset(_sum_faces(spec)))
+
+
+def _sum_faces(spec: SumComplexSpec) -> Iterator[Simplex]:
+    """The faces of sum_complex, from the smaller of its two enumerations."""
+    n, s, residues, heads = spec.n, spec.s, spec.residues, comb(spec.n, spec.s)
+    if heads > comb(n, s + 1):
+        yield from (sigma for sigma in combinations(range(n), s + 1)
+                    if sum(sigma) % n in residues)
+        return
+    subsets = combinations(range(n), s)
+    for lo in range(0, heads, _SUM_HEADS):
+        a = _face_array(islice(subsets, _SUM_HEADS), min(_SUM_HEADS, heads - lo), s)
+        total, top = a.sum(axis=1), a.max(axis=1, initial=-1)
+        for rho in residues:
+            v = (rho - total) % n
+            keep = v > top
+            yield from zip(*a[keep].T.tolist(), v[keep].tolist())
 
 
 def sum_complex_betti_formula(n: int, r: int, s: int, i: int) -> int:
@@ -226,7 +243,7 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
 
     link and facet hold the link id and the facet rows of each of Y's link
     tops, sorted by link id, for links on 0..g-1 with r-subsets for rows.
-    The reduced columns go through IncrementalSpan(p).add, packed ints
+    The reduced columns go through IncrementalSpan(p).extend, packed ints
     over GF(2) and signed dicts otherwise.  The picks come sorted by link
     id, then by face, as an (picks, r+1) array on 0..g-1.
     """
@@ -236,25 +253,18 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
     free = np.zeros((n_links, m), dtype=bool)
     free[link[cone], facet[cone, 0]] = True
     link, facet = link[~cone], facet[~cone]
-    # a dropped row becomes the sentinel m, which no column holds
-    reduced = np.where(free[link[:, None], facet], m, facet)
+    # a dropped row becomes -1, which _bitsets reads as no bit
+    reduced = np.where(free[link[:, None], facet], -1, facet)
     at = np.searchsorted(link, np.arange(n_links + 1)).tolist()
     if p == 2:
-        # bit[b] = 1 << b, and 0 for the sentinel: m ints of up to m bits,
-        # about as much as a full basis of one link's span
-        bit = np.array([1 << b for b in range(m)] + [0], dtype=object)
+        columns = _bitsets(reduced, m)
     else:
         signs = [-1 if i % 2 else 1 for i in range(r + 1)]
+        columns = ({b: s for b, s in zip(row, signs) if b >= 0} for row in reduced.tolist())
     key_links, keys = [], []
     for t, (lo, hi) in enumerate(pairwise(at)):
-        if p == 2:
-            columns = np.bitwise_or.reduce(bit[reduced[lo:hi]], axis=1)
-        else:
-            columns = [{b: s for b, s in zip(row, signs) if b != m}
-                       for row in reduced[lo:hi].tolist()]
         span = IncrementalSpan(p)
-        for col in columns:
-            span.add(col)
+        span.extend(islice(columns, hi - lo))
         key_links += [t] * span.rank
         keys += span.basis
     taken = free  # free rows, then keys: every row not picked
@@ -340,9 +350,8 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
             new_tops.add(make_simplex(tau + alpha))
     X = SkeletonComplex(n, k, frozenset(new_tops))
 
-    # re-verify through the homology of Y and X, not the greedy state; each
-    # complex's two reads run back to back, so they share its top faces'
-    # facet-id table
+    # re-verify through the homology of Y and X, read from their own top
+    # faces, not the greedy state
     from .bounds import bound_B
     base_tb = betti(Y, k - 1, field)
     base_below = {e.tau: e.below for e in link_profile(Y, ell, field)}

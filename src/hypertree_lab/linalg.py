@@ -27,8 +27,8 @@ integers by one helper.
 
 The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
 bitset and reduces it by XOR against a basis keyed on the highest set bit.
-It serves the face-level rank in homology (_id_rank, which packs faces
-from a facet-id table) and IncrementalSpan over GF(2).
+It serves IncrementalSpan over GF(2), through which the face-level ranks
+in homology reduce the columns numpy packs from arrays of faces.
 """
 from __future__ import annotations
 
@@ -260,7 +260,8 @@ class IncrementalSpan:
     (largest index).  Over GF(2) they are int bitsets reduced by the XOR
     core, otherwise sparse dicts reduced by the column route's core.  Used
     where candidates arrive online and only the yes/no answer and the
-    running rank matter.
+    running rank matter; extend takes a run of them in one loop and can
+    stop at a known bound on the rank.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -291,18 +292,31 @@ class IncrementalSpan:
 
         Over GF(2) vec may also be a packed int bitset (see boundary_column).
         """
-        p = self.p
+        rank = len(self.basis)
+        return self.extend((vec,)) > rank
+
+    def extend(self, vecs: Iterable[Union[int, dict[int, object]]], stop: int = -1) -> int:
+        """Add each of vecs in turn until the rank reaches stop; returns the rank.
+
+        A caller that knows a bound on the rank passes it as stop, as the
+        vectors left then add nothing.
+        """
+        p, basis = self.p, self.basis
         if p == 2:
-            if not isinstance(vec, int):
-                vec = _gf2_pack(vec.items())
-            v = _gf2_reduce(self.basis, vec)
-            if not v:
-                return False
-            self.basis[v.bit_length() - 1] = v
-            return True
-        vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}
-        low = _reduce_low(vec, self.basis, p)
-        if low is None:
-            return False
-        self.basis[low] = vec
-        return True
+            for vec in vecs:
+                if not isinstance(vec, int):
+                    vec = _gf2_pack(vec.items())
+                v = _gf2_reduce(basis, vec)
+                if v:
+                    basis[v.bit_length() - 1] = v
+                    if len(basis) == stop:
+                        break
+            return len(basis)
+        for vec in vecs:
+            vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}
+            low = _reduce_low(vec, basis, p)
+            if low is not None:
+                basis[low] = vec
+                if len(basis) == stop:
+                    break
+        return len(basis)

@@ -13,6 +13,7 @@ so step i of the state is state + i*GAMMA and numpy uint64 arrays compute
 a whole block of outputs with the same wrapping arithmetic.  The cast of
 an output to float64 rounds to nearest, as Python's float(z) does, and
 the division by 2^64 is exact, so the block test is the scalar test.
+SplitMix64.shuffle reads its outputs from the same blocks.
 """
 from __future__ import annotations
 
@@ -52,9 +53,19 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """Fisher-Yates from the back: for i = len-1 down to 1, swap
+        position i with below(i + 1).  The outputs come in numpy blocks of
+        at most BLOCK (module docstring), the swaps run in order, and the
+        state ends one step per swap on, as below() would leave it."""
+        state, top = self.state, len(items) - 1
+        for start in range(0, top, BLOCK):
+            count = min(BLOCK, top - start)
+            i = top - start - np.arange(count)
+            # uint64 on both sides: NumPy 1.24 takes uint64 % int as float64
+            js = _outputs((state + start * GAMMA) & MASK, count) % (i + 1).astype(np.uint64)
+            for i, j in zip(i.tolist(), js.tolist()):
+                items[i], items[j] = items[j], items[i]
+        self.state = (state + max(top, 0) * GAMMA) & MASK
 
     def choice(self, items):
         return items[self.below(len(items))]

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -318,16 +319,17 @@ def test_support_property_matches_links_built_one_by_one(S):
 
 @pytest.mark.parametrize("n,k", [(12, 3), (10, 4)])
 def test_verify_bound_at_every_degree_builds_one_facet_table(monkeypatch, n, k):
-    # the link layer at every ell and the global top rank, over two
-    # fields, read one table
-    calls = []
-    facet_ids = homology.facet_ids
-    monkeypatch.setattr(homology, "facet_ids",
-                        lambda faces: calls.append(1) or facet_ids(faces))
+    # over two fields and every ell, the global top rank runs once per
+    # field, and each link layer walks the top faces once
+    calls = Counter()
+    top_rank, walk = homology._top_rank, homology._relabelled_link_tops
+    monkeypatch.setattr(homology, "_top_rank",
+                        lambda *a: calls.update(["rank"]) or top_rank(*a))
+    monkeypatch.setattr(homology, "_relabelled_link_tops",
+                        lambda *a: calls.update(["walk"]) or walk(*a))
     homology._rank_cached.cache_clear()
-    homology.top_table.cache_clear()
     X = random_skeleton_complex(n, k, 0.4, SplitMix64(n))
     for field in (GF2, RATIONALS):
         for ell in range(k):
             assert verify_upper_bound(X, ell, field).all_hold
-    assert len(calls) == 1
+    assert calls == {"rank": 2, "walk": 2 * k}

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import combinations, islice
 from math import comb
 
@@ -56,6 +57,33 @@ def test_sum_complex_face_selection():
     # edges of sum 0 mod 5 on vertices 0..4
     assert X.top_faces == frozenset({(1, 4), (2, 3)})
     assert X.n == 5 and X.k == 1
+
+
+@pytest.mark.parametrize("heads", [5, 1 << 16], ids=["blocks", "one-block"])
+@pytest.mark.parametrize("residues", [[0], [1, 2, 3], [0, 2, 5], [4, 6]],
+                         ids=["one", "interval", "gaps", "pair"])
+@pytest.mark.parametrize("n,s", sorted({(n, s) for n in (7, 11, 13)
+                                        for s in (0, 1, 3, n // 2, n - 3, n - 2)}))
+def test_sum_complex_solves_for_the_last_vertex(n, s, residues, heads, monkeypatch):
+    # the same faces as filtering every (s+1)-subset by its sum, for
+    # interval and other residue sets, with the s-subsets in one block or
+    # in blocks of 5; at s = 0 a face is its last vertex, and from
+    # 2s+1 > n on the candidates themselves are filtered
+    monkeypatch.setattr(constructions, "_SUM_HEADS", heads)
+    spec = SumComplexSpec.make(n, residues, s)
+    want = frozenset(sigma for sigma in combinations(range(n), s + 1)
+                     if sum(sigma) % n in spec.residues)
+    assert sum_complex(spec).top_faces == want
+
+
+def test_sum_complex_enumerates_the_smaller_side():
+    # at s = n-2 there are C(1009, 1007) = 508,536 s-subsets but only
+    # 1009 candidate faces, so the candidates are filtered, at once
+    t0 = time.perf_counter()
+    X = sum_complex(SumComplexSpec.make(1009, [0], 1007))
+    assert time.perf_counter() - t0 < 1.0
+    # 0 + 1 + ... + 1008 = 0 mod 1009: the face of sum 0 omits vertex 0
+    assert X.top_faces == frozenset({tuple(range(1, 1009))})
 
 
 def test_single_residue_closed_form_values():
@@ -244,15 +272,26 @@ def test_greedy_picks_are_pinned():
 
 @pytest.mark.parametrize("n,k,ell", [(11, 3, 0), (13, 3, 1), (11, 4, 1)])
 def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
-    # Y's and X's link profile and global rank read one table per complex
-    calls = []
-    facet_ids = homology.facet_ids
-    monkeypatch.setattr(homology, "facet_ids",
-                        lambda faces: calls.append(1) or facet_ids(faces))
+    # the re-verification reads Y's and X's top faces once for the link
+    # profile and once for the global rank each, and X's reads take X's
+    # own top faces, not the greedy's picks
+    seen = {"rank": [], "walk": []}
+    top_rank, walk = homology._top_rank, homology._relabelled_link_tops
+
+    def rank_spy(faces, p, g):
+        seen["rank"].append(set(map(tuple, faces.tolist())))
+        return top_rank(faces, p, g)
+
+    def walk_spy(tops, n_, ell_):
+        seen["walk"].append(set(map(tuple, tops.tolist())))
+        return walk(tops, n_, ell_)
+
+    monkeypatch.setattr(homology, "_top_rank", rank_spy)
+    monkeypatch.setattr(homology, "_relabelled_link_tops", walk_spy)
     homology._rank_cached.cache_clear()
-    homology.top_table.cache_clear()
-    build_X_nkl(n, k, ell, GF2)
-    assert len(calls) == 2
+    rep = build_X_nkl(n, k, ell, GF2)
+    Y = sum_complex(SumComplexSpec.make(n, range(k - ell), k))
+    assert seen["rank"] == seen["walk"] == [set(Y.top_faces), set(rep.complex.top_faces)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=lambda f: f.name)

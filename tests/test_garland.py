@@ -428,14 +428,13 @@ def test_numerically_zero_link_eigenvalues_are_plus_zero(monkeypatch):
 def test_complete_skeleton_builds_no_facet_id_table(monkeypatch):
     # purity is counted from the top-face array and a complete skeleton's
     # Betti number from complete_rank; only the global Q rank of a dense
-    # draw builds one facet-id table
+    # draw numbers the rows of a boundary map
     from hypertree_lab import homology
 
     calls = []
-    facet_ids = homology.facet_ids
-    monkeypatch.setattr(homology, "facet_ids",
-                        lambda faces: calls.append(1) or facet_ids(faces))
-    homology.top_table.cache_clear()
+    top_rank = homology._top_rank
+    monkeypatch.setattr(homology, "_top_rank",
+                        lambda *a: calls.append(1) or top_rank(*a))
     homology._rank_cached.cache_clear()
     X = full_skeleton(8, 3)
     for ell in (-1, 0, 1):

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,7 +10,6 @@ from hypertree_lab import homology
 from hypertree_lab.errors import NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.homology import (
-    _id_rank,
     betti,
     betti_table,
     boundary_matrix,
@@ -23,14 +23,18 @@ from hypertree_lab.linalg import rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
+    _relabelled_link_tops,
+    _top_array,
     VOID,
     GeneralComplex,
     SkeletonComplex,
     as_general,
     closure,
+    face_count,
     full_skeleton,
     iter_faces,
     link,
+    subfaces,
 )
 from _random_complexes import random_general_complex
 from _registry import track
@@ -146,9 +150,9 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     calls = {"q": 0, "fallback": 0}
     top_rank, rank_by_rows = homology._top_rank, homology.rank_by_rows
 
-    def top_rank_spy(alphas, table, p, g):
+    def top_rank_spy(faces, p, g):
         calls["q"] += p is None
-        return top_rank(alphas, table, p, g)
+        return top_rank(faces, p, g)
 
     def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
         calls["fallback"] += p is None
@@ -185,15 +189,14 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     assert calls["q"] - calls["fallback"] > 0
 
 
-def _id_matrix(groups):
-    """The sparse matrix that link_columns groups spell out, rows numbered here."""
-    rows, entries, c = {}, {}, 0
-    for keep, cols in groups:
-        for ids in cols:
-            for i in keep:
-                entries[(rows.setdefault(ids[i], len(rows)), c)] = -1 if i % 2 else 1
-            c += 1
-    return entries, len(rows), c
+def _boundary_entries(faces):
+    """The boundary map of faces, rows numbered here: (entries, rows, columns)."""
+    rows, entries = {}, {}
+    for c, alpha in enumerate(faces):
+        for i in range(len(alpha)):
+            row = rows.setdefault(alpha[:i] + alpha[i + 1:], len(rows))
+            entries[(row, c)] = -1 if i % 2 else 1
+    return entries, len(rows), len(faces)
 
 
 def _cone_split_rank(M, v, p):
@@ -221,87 +224,77 @@ def _random_skeleton(seed, n, k, q):
                  st.integers(0, 4), st.floats(0.0, 1.0)))
 @example(RP2_CONE)
 def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
-    # the +-1 scaling lemma: the top boundary of lk(S, tau) read off the
-    # facet-id table of S has the rank of the general link's boundary map
-    # over every field, for every tau and every ell; the link faces through
-    # v, the least vertex outside tau, come as unit columns, and the cone
-    # lemma gives the same rank on the link's own boundary map
+    # the link tops of the numpy walk, relabelled onto 0..g-1 in order,
+    # spell a map with the rank of the general link's boundary
+    # map over every field, for every tau and every ell; the link faces
+    # through v, the least vertex outside tau, are the tops through the
+    # relabelled vertex 0, and the cone lemma gives the same rank on the
+    # link's own boundary map, as does the array route's rank of each link
     G = as_general(S)
-    for ell in range(-1, S.k + 1):
+    for ell in range(-1, S.k):
         r, g = S.k - ell - 1, S.n - ell - 1
-        cap = comb(g - 1, r) if r >= 0 else 0
-        links = homology.link_columns(S, ell)
-        assert set(links) <= set(iter_faces(S, ell))
-        for tau in iter_faces(S, ell):
+        taus = list(iter_faces(S, ell))
+        ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
+        assert np.all(ids[:-1] <= ids[1:])
+        f = np.bincount(ids, minlength=len(taus)).tolist()
+        numbered = homology._link_rows(ids, rest, len(taus), g) if r > 0 else None
+        ranks = {fld.name: homology._link_ranks(*numbered, f, g, fld.p)
+                 for fld in (GF2, GF3, RATIONALS)} if r > 0 else {}
+        for t, tau in enumerate(taus):
             M = boundary_matrix(link(G, tau), r)
-            groups = links.get(tau, [])
-            entries, n_rows, n_cols = _id_matrix(groups)
-            assert n_cols == M.n_cols, (ell, tau)
-            v = min(set(range(S.n)) - set(tau), default=None)
-            if r > 0:  # at r = 0 every column keeps one position
-                units = sum(len(cols) for keep, cols in groups if len(keep) == 1)
-                assert units == sum(v in alpha for alpha in M.col_faces)
+            tops = rest[ids == t]
+            entries, n_rows, n_cols = _boundary_entries(list(map(tuple, tops.tolist())))
+            assert n_cols == M.n_cols == f[t], (ell, tau)
+            v = min(set(range(S.n)) - set(tau))
+            assert np.count_nonzero(tops[:, 0] == 0) == sum(v in alpha for alpha in M.col_faces)
             for fld in (GF2, GF3, RATIONALS):
                 want = column_rank(M, fld)
                 assert rank_by_columns(entries, n_rows, n_cols, fld.p) == want
-                if v is not None:
-                    assert _cone_split_rank(M, v, fld.p) == want, (ell, tau)
-                if n_cols:
-                    assert _id_rank(groups, fld.p, cap) == want, (ell, tau, fld.name)
+                assert _cone_split_rank(M, v, fld.p) == want, (ell, tau)
+                if r > 0:
+                    assert ranks[fld.name][t] == want, (ell, tau, fld.name)
 
 
 @st.composite
-def _unit_and_whole_groups(draw):
-    """_id_rank groups read off one facet-id table of faces with 2 to 4
-    vertices, repeats allowed: each column keeps either all its positions
-    or one random position (a unit column), and runs of columns with the
-    same keep may share a group.  Faces of one size share rows, so unit
-    ids repeat and other columns touch them; whole columns of two
-    vertices are graph incidence columns, so the degree-1 shortcut holds."""
+def _sorted_faces(draw):
+    """Distinct faces of 1 to 4 vertices on 4 to 7 vertices, in sorted
+    order: those through the least vertex are its cone part, and the
+    others may share rows with them and with one another.  Faces of two
+    vertices are graph edges, so the degree-1 shortcut holds."""
     m = draw(st.integers(4, 7))
-    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
-    faces = draw(st.lists(
-        st.sampled_from([f for size in sizes for f in combinations(range(m), size)]),
-        min_size=1, max_size=14))
-    groups = []
-    for face, ids in zip(faces, homology.facet_ids(faces)):
-        keep = (draw(st.integers(0, len(face) - 1)),) if draw(st.booleans()) \
-            else tuple(range(len(face)))
-        if groups and groups[-1][0] == keep and draw(st.booleans()):
-            groups[-1][1].append(ids)
-        else:
-            groups.append((keep, [ids]))
-    return groups
-
-
-RP2_IDS = homology.facet_ids(RP2_FACETS)  # ids 0..14, one per edge
+    size = draw(st.integers(1, 4))
+    faces = draw(st.lists(st.sampled_from(list(combinations(range(m), size))),
+                          min_size=1, max_size=14, unique=True))
+    return m, sorted(faces)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_unit_and_whole_groups(), st.integers(0, 2))
-# unit group first, a torsion part after it: GF(2) rank 9 + 1 misses 10 + 1
-@example([((0,), [(15,)]), ((0, 1, 2), RP2_IDS)], 0)
-# the same with the unit group last and in between
-@example([((0, 1, 2), RP2_IDS), ((0,), [(15,)])], 0)
-@example([((0, 1, 2), RP2_IDS[:5]), ((0,), [(15,)]), ((0, 1, 2), RP2_IDS[5:])], 0)
-# one unit id twice
-@example([((0,), [(0, 1), (0, 2)]), ((0, 1), [(1, 2)])], 0)
+@given(_sorted_faces())
+# five faces through 0, then a torsion part: over GF(2), 5 + 4 misses 10,
+# so over Q the rest runs the row route
+@example((6, sorted(RP2_FACETS)))
+# the same with no face through 0, so the least vertex is 1
+@example((7, sorted(tuple(v + 1 for v in t) for t in RP2_FACETS)))
 # both rows of the whole column are free: rank 2, not 3
-@example([((0,), [(0, 5), (1, 5)]), ((0, 1), [(0, 1)])], 0)
-def test_unit_columns_are_free_pivots(groups, extra):
-    # one-position groups are unit columns: _id_rank counts their distinct
-    # rows and ranks the rest without them, which must give the rank of
-    # the whole matrix the groups spell, over every field
-    entries, n_rows, n_cols = _id_matrix(groups)
-    cap = rank_by_columns(entries, n_rows, n_cols, None) + extra
+@example((3, [(0, 1), (0, 2), (1, 2)]))
+# every face through the least vertex
+@example((5, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]))
+def test_unit_columns_are_free_pivots(case):
+    # the faces through the least vertex are unit columns in the rows
+    # through it deleted: _top_rank counts them and ranks the rest without
+    # their rows, which must give the rank of the whole boundary map over
+    # every field
+    m, faces = case
+    entries, n_rows, n_cols = _boundary_entries(faces)
+    array = np.array(faces, dtype=np.int64)
     for fld in (GF2, GF3, RATIONALS):
         want = rank_by_columns(entries, n_rows, n_cols, fld.p)
-        assert _id_rank(groups, fld.p, cap) == want, fld.name
+        assert homology._top_rank(array, fld.p, m) == want, fld.name
 
 
 def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatch):
     # lk(cone, (6,)) is RP^2_6: GF(2) rank 9 misses min(10, 15, C(5, 2)),
-    # so the rational rank 10 needs the row route
+    # so the rational rank 10 needs the row route, and only that link does
     calls = []
 
     def spy(entries, n_rows, n_cols, p=None):
@@ -309,10 +302,10 @@ def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatc
         return rank_by_rows(entries, n_rows, n_cols, p)
 
     monkeypatch.setattr(homology, "rank_by_rows", spy)
-    groups = homology.link_columns(RP2_CONE, 0)[(6,)]
-    assert _id_rank(groups, 2, comb(5, 2)) == 9
-    assert calls == []
-    assert _id_rank(groups, None, comb(5, 2)) == 10
+    apex = {fld.name: next(e for e in link_profile(RP2_CONE, 0, fld) if e.tau == (6,))
+            for fld in (GF2, RATIONALS)}
+    assert (apex["gf:2"].f_top, apex["gf:2"].top) == (10, 1)
+    assert (apex["q"].f_top, apex["q"].top) == (10, 0)
     assert calls == [None]
 
 
@@ -380,10 +373,12 @@ def test_point_links_match_the_column_route():
 
 
 def test_point_links_build_no_facet_table(monkeypatch):
+    # at ell = k-1 every link's rank is min(f_tau, 1), read from the count
+    # of the walk: no row is numbered, packed or eliminated
     def refuse(*args):
-        raise AssertionError("point links read a facet-id table")
+        raise AssertionError("point links numbered rows or took a rank")
 
-    for name in ("facet_ids", "link_columns", "_id_rank"):
+    for name in ("_link_ranks", "_bitsets", "_map_rank", "rank_by_rows"):
         monkeypatch.setattr(homology, name, refuse)
     X = random_skeleton_complex(9, 3, 4 / 9, SplitMix64(5))
     profile = link_profile(X, 2, RATIONALS)
@@ -398,15 +393,15 @@ def test_point_links_build_no_facet_table(monkeypatch):
 @example(SkeletonComplex(6, 1, frozenset()))                  # no top faces
 @example(SkeletonComplex(7, 3, frozenset({(0, 1, 2, 3)})))    # most tau bare
 @example(SkeletonComplex(5, 1, frozenset({(0, 1), (0, 2), (1, 2), (3, 4)})))
-# long paths, so union-find chains get deep: the graph itself is the link
-# of the empty face at k = 1, and the link of (0, 1) at k = 3
+# long paths, whose GF(2) reductions run long: the graph itself is the
+# link of the empty face at k = 1, and the link of (0, 1) at k = 3
 @example(SkeletonComplex(40, 1, frozenset((i, i + 1) for i in range(39))))
 @example(SkeletonComplex(20, 3, frozenset((0, 1, i, i + 1) for i in range(2, 19))))
 @example(full_skeleton(7, 2))
 def test_graph_links_match_the_column_route(X):
-    # at ell = k-2 every link is a graph; its Betti numbers come from a
-    # union-find, checked here against link() and the column route on the
-    # link's own incidence map
+    # at ell = k-2 every link is a graph; its Betti numbers come from its
+    # GF(2) rank over every field, checked here against link() and the
+    # column route on the link's own incidence map
     ell = X.k - 2
     g = X.n - ell - 1
     G = as_general(X)
@@ -421,11 +416,13 @@ def test_graph_links_match_the_column_route(X):
 
 
 def test_graph_links_build_no_facet_table(monkeypatch):
+    # a graph's incidence map is totally unimodular, so at ell = k-2 the
+    # GF(2) rank serves every field: no row elimination runs, and no
+    # global rank either
     def refuse(*args):
-        raise AssertionError("graph links read a facet-id table or eliminated")
+        raise AssertionError("graph links eliminated or took a global rank")
 
-    for name in ("top_table", "facet_ids", "link_columns", "_id_rank",
-                 "rank_by_rows"):
+    for name in ("_top_rank", "rank_by_rows"):
         monkeypatch.setattr(homology, name, refuse)
     for k in (1, 2, 3, 4):
         X = random_skeleton_complex(9, k, 0.4, SplitMix64(k))
@@ -435,6 +432,109 @@ def test_graph_links_build_no_facet_table(monkeypatch):
                 comb(k + 1, 2) * len(X.top_faces)
     with pytest.raises(AssertionError):
         link_profile(X, 1, GF3)
+
+
+def _oracle_profile(X, ell, fld):
+    """(tau, f_top, below, top) of every degree-ell link of X, from link()
+    and the column route on the link's own boundary maps."""
+    r = X.k - ell - 1
+    out = []
+    for tau in iter_faces(X, ell):
+        L = link(X, tau)
+        f = [face_count(L, j) for j in (r - 1, r)]
+        rk = [column_rank(boundary_matrix(L, j), fld) if j >= 0 else 0 for j in (r - 1, r)]
+        below = f[0] - rk[0] - rk[1] if r >= 0 else 0
+        out.append((tau, f[1], below, f[1] - rk[1]))
+    return out
+
+
+def _check_against_oracle(X, fields=(GF2, GF3, RATIONALS)):
+    homology._rank_cached.cache_clear()
+    for fld in fields:
+        for j in range(-1, X.k + 1):
+            f_j = face_count(X, j)
+            want = f_j - sum(column_rank(boundary_matrix(X, i), fld)
+                             for i in (j, j + 1) if 0 <= i <= X.dim)
+            assert betti(X, j, fld) == want, (j, fld.name)
+        for ell in range(-1, X.k + 1):
+            got = [tuple(e) for e in link_profile(X, ell, fld)]
+            assert got == _oracle_profile(X, ell, fld), (ell, fld.name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(1, 9),
+                 st.integers(0, 4), st.floats(0.0, 1.0)))
+@example(SkeletonComplex(6, 2, frozenset()))                  # no top faces
+@example(SkeletonComplex(7, 3, frozenset({(0, 1, 2, 3)})))    # most tau bare
+@example(SkeletonComplex(5, 0, frozenset({(1,), (3,)})))      # k = 0
+@example(full_skeleton(7, 3))                                 # complete
+@example(RP2_CONE)                                            # torsion in a link
+def test_array_route_matches_links_and_the_column_route(X):
+    # every link profile, ell from -1 to k, and every Betti number of X
+    # against link() and rank_by_columns, over GF(2), GF(3) and Q
+    _check_against_oracle(X)
+
+
+@pytest.mark.parametrize("n,k,ell", [(11, 3, 0), (13, 4, 1)])
+def test_array_route_matches_the_column_route_on_saturated_complexes(n, k, ell):
+    # the saturated X of the tightness ladder, whose links all reach full
+    # rank, and the sum complex it grew from
+    from hypertree_lab.constructions import SumComplexSpec, build_X_nkl, sum_complex
+    _check_against_oracle(build_X_nkl(n, k, ell, GF2).complex)
+    _check_against_oracle(sum_complex(SumComplexSpec.make(n, range(k - ell), k)), (GF2,))
+
+
+def test_array_route_relabels_a_general_ground_set():
+    # a layer of a GeneralComplex that is not complete goes through the
+    # array route after its ground set is relabelled onto 0..g-1
+    ground = frozenset({2, 3, 5, 7, 11, 13})
+    facets = [(2, 3, 5), (3, 5, 7), (5, 7, 11), (2, 7, 11), (2, 3, 13), (11, 13)]
+    G = GeneralComplex(ground, frozenset(f for t in facets for f in subfaces(t)))
+    G.validate()
+    homology._rank_cached.cache_clear()
+    for fld in (GF2, GF3, RATIONALS):
+        for j in range(-1, G.dim + 1):
+            want = face_count(G, j) - sum(column_rank(boundary_matrix(G, i), fld)
+                                          for i in (j, j + 1) if 0 <= i <= G.dim)
+            assert betti(G, j, fld) == want, (j, fld.name)
+    assert [betti(G, j, GF2) for j in range(-1, 3)] == [0, 0, 2, 0]
+
+
+# a file complex on 2000 vertices, k = 8: C(1999, 7) exceeds 2^63, so no
+# binomial table of its links' rows holds in int64; the figures below were
+# recorded from the facet-id route that the array route replaced
+WIDE_FACES = """\
+skeleton 2000 8
+22 77 295 387 466 998 1294 1413 1699
+40 312 434 641 1158 1233 1530 1557 1972
+101 520 918 971 1442 1561 1709 1745 1940
+101 520 918 1561 1573 1619 1709 1745 1913
+101 520 918 1561 1619 1709 1745 1913 1940
+101 520 1442 1561 1573 1619 1913 1939 1940
+101 520 1442 1561 1573 1709 1913 1939 1940
+101 971 1442 1561 1573 1709 1745 1939 1940
+294 569 873 988 1235 1358 1440 1577 1824
+340 626 710 809 817 845 1053 1324 1453
+354 414 711 755 1113 1220 1465 1667 1812
+520 918 1442 1561 1573 1619 1745 1913 1939
+520 918 1442 1573 1619 1709 1745 1913 1940
+918 971 1442 1561 1573 1619 1709 1939 1940
+918 971 1442 1561 1573 1709 1745 1939 1940
+"""
+
+
+def test_array_route_on_a_wide_file_complex():
+    from hypertree_lab.complex_io import parse_complex_text
+    X = parse_complex_text(WIDE_FACES).complex
+    below = {-1: 6235783710482296633836, 0: 49911225296506626383865, 8: 0}
+    for fld in (GF2, GF3, RATIONALS):
+        homology._rank_cached.cache_clear()
+        assert [betti(X, j, fld) for j in (6, 7, 8)] == [0, 6235783710482296633836, 0]
+        for ell, (n_links, f_top) in {-1: (1, 15), 0: (2000, 135), 8: (15, 15)}.items():
+            profile = link_profile(X, ell, fld)
+            assert (len(profile), sum(e.f_top for e in profile)) == (n_links, f_top)
+            assert sum(e.below for e in profile) == below[ell], (ell, fld.name)
+            assert sum(e.top for e in profile) == (15 if ell == 8 else 0), (ell, fld.name)
 
 
 def test_full_skeleton_betti_closed_form():

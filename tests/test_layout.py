@@ -1,4 +1,5 @@
-"""Source-layout guards: the library defines nothing that only tests use."""
+"""Source-layout guards: the library defines nothing that only tests use,
+and keeps no cache the benchmark cannot empty."""
 import ast
 from pathlib import Path
 
@@ -92,5 +93,108 @@ def test_functools_memos_sit_on_module_level_functions_only():
     # survive that, and a later pass could hit it for free
     assert _misplaced_memos(MISPLACED) == [11, 15, 17]
     found = {path.name: _misplaced_memos(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+MUTATORS = {"setdefault", "update", "append", "add"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _is_container(value: ast.expr) -> bool:
+    """A dict, list or set display, comprehension or constructor call."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                          ast.SetComp)):
+        return True
+    return isinstance(value, ast.Call) and (
+        isinstance(value.func, ast.Name) and value.func.id in CONTAINER_CALLS
+        or isinstance(value.func, ast.Attribute) and value.func.attr in CONTAINER_CALLS)
+
+
+def _root(node: ast.expr) -> ast.expr:
+    """node with every subscript stripped: SEEN[a][b] -> SEEN."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
+def _written_globals(text: str) -> list[int]:
+    """Lines where a function writes to a module-level dict, list or set.
+
+    A write is an assignment to a subscript of the container or a call of
+    setdefault, update, append or add on it or on a subscript of it.  A
+    function that binds the same name itself writes to its own local.
+    """
+    tree = ast.parse(text)
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_container(node.value):
+            containers.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None \
+                and _is_container(node.value) and isinstance(node.target, ast.Name):
+            containers.add(node.target.id)
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        declared = {name for node in ast.walk(fn) if isinstance(node, ast.Global)
+                    for name in node.names}
+        local = {node.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        local.update(a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg))
+        shared = containers - (local - declared)
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                hit = any(isinstance(t, ast.Subscript) and isinstance(_root(t), ast.Name)
+                          and _root(t).id in shared for t in targets)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = _root(node.func.value)
+                hit = node.func.attr in MUTATORS and isinstance(owner, ast.Name) \
+                    and owner.id in shared
+            else:
+                hit = False
+            if hit:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+CACHES = '''\
+from collections import defaultdict
+SEEN = {}
+ORDER: list = []
+TAGS = set()
+BY_KEY = defaultdict(list)
+FIXED = {"a": 1}
+
+def remember(k, v):
+    SEEN[k] = v
+
+def grow(x):
+    ORDER.append(x)
+    TAGS.add(x)
+    BY_KEY[x].append(x)
+
+def fill(d):
+    SEEN.update(d)
+    return SEEN.setdefault("k", 1)
+
+def read(k):
+    return FIXED[k], FIXED.get(k), [v for v in ORDER]
+
+def shadow(SEEN):
+    ORDER = []
+    ORDER.append(1)
+    SEEN["x"] = 1
+    return ORDER
+'''
+
+
+def test_no_function_writes_to_a_module_level_container():
+    # the benchmark empties only functools memos before each group of
+    # items; a module-level dict, list or set that a function fills would
+    # carry its contents into later passes, which would then hit it free
+    assert _written_globals(CACHES) == [9, 12, 13, 14, 17, 18]
+    found = {path.name: _written_globals(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}

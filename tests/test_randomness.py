@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
+from hypertree_lab.randomness import BLOCK, SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import face_count, full_skeleton
 from _random_complexes import random_general_complex, random_pure_complex
 from _registry import track
@@ -55,6 +55,26 @@ def test_shuffle_is_a_permutation():
     r.shuffle(ys)
     assert sorted(ys) == xs
     assert ys != xs  # astronomically unlikely to be identity
+
+
+def _per_swap_shuffle(rng, items):
+    """Fisher-Yates one below() per swap, as the block shuffle must behave."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_shuffle_matches_the_per_swap_loop(length, seed):
+    # the outputs come in numpy blocks, the swaps in order, and the state
+    # ends where the per-swap loop leaves it
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    xs, ys = list(range(length)), list(range(length))
+    a.shuffle(xs)
+    _per_swap_shuffle(b, ys)
+    assert xs == ys
+    assert a.state == b.state
 
 
 def test_choice_picks_members():
