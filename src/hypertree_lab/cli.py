@@ -56,6 +56,7 @@ from .simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
     f_vector,
+    iter_faces,
 )
 
 RANDOM_INPUT = re.compile(
@@ -87,7 +88,8 @@ SWEEP_DEGREE_CHECKS: dict[str, DegreeCheck] = {
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
 
-    parse_args never changes a parser, so every call may share it.
+    parse_args never changes a parser, so every call may share it.  The
+    options every command takes are built once, in a parent parser.
     """
     parser = argparse.ArgumentParser(
         prog="hypertree-lab",
@@ -95,34 +97,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks for complexes between consecutive skeleta.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="gf:2",
-                       help="coefficients: gf:P for a prime P, or q (default gf:2)")
-        p.add_argument("--ell", type=int, default=None,
-                       help="degree of the faces whose links are examined")
-        p.add_argument("--out", default="text", choices=("text", "json", "csv"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--in", dest="input", default=None, metavar="FILE",
-                       help="complex file, or random(seed=S,n=N,k=K,q=Q)")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in the report")
-        p.add_argument("--relabel", action="store_true",
-                       help="compact arbitrary vertex labels to 0..n-1 on read")
-        p.add_argument("--out-file", default=None,
-                       help="construct: where to write the complex file")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--field", default="gf:2",
+                        help="coefficients: gf:P for a prime P, or q (default gf:2)")
+    common.add_argument("--ell", type=int, default=None,
+                        help="degree of the faces whose links are examined")
+    common.add_argument("--out", default="text", choices=("text", "json", "csv"))
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--in", dest="input", default=None, metavar="FILE",
+                        help="complex file, or random(seed=S,n=N,k=K,q=Q)")
+    common.add_argument("--timing", action="store_true",
+                        help="include wall time in the report")
+    common.add_argument("--relabel", action="store_true",
+                        help="compact arbitrary vertex labels to 0..n-1 on read")
+    common.add_argument("--out-file", default=None,
+                        help="construct: where to write the complex file")
 
     for name in ("betti", "links", "lambda", "verify-bound", "verify-dual",
                  "trichotomy", "garland", "collapse"):
-        common(sub.add_parser(name))
+        sub.add_parser(name, parents=[common])
 
-    p_construct = sub.add_parser("construct")
-    common(p_construct)
+    p_construct = sub.add_parser("construct", parents=[common])
     p_construct.add_argument(
         "spec", nargs="+",
         help="sum n A s | xnkl n k l | jnk n k | steiner FILE")
 
-    p_sweep = sub.add_parser("sweep")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--check", required=True,
                          choices=("bound", "dual", "mono", "garland", "support"))
     p_sweep.add_argument("--count", type=int, default=20)
@@ -449,10 +449,11 @@ def _sweep_row(args, fld, X: SkeletonComplex,
         v = verify_dual_bound(X, ell, fld)
         return RunReport(command="sweep", ell=ell, **base, **_dual_fields(v))
     if check == "mono":
-        if not X.top_faces:
+        tops = list(iter_faces(X, X.k))
+        if not tops:
             return None
         ell = args.ell if args.ell is not None else 0
-        sigma = SplitMix64(seed_i ^ 0xABCDEF).choice(sorted(X.top_faces))
+        sigma = SplitMix64(seed_i ^ 0xABCDEF).choice(tops)
         v = monotonicity_check(X, sigma, ell, fld)
         return RunReport(
             command="sweep", ell=ell, **base,

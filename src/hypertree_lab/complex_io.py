@@ -19,6 +19,7 @@ from .simplexes import (
     Simplex,
     closure,
     from_top_faces,
+    iter_faces,
 )
 
 
@@ -119,7 +120,7 @@ def emit_complex(X: Complex) -> str:
     """Canonical text form; raises when the format cannot express X."""
     if isinstance(X, SkeletonComplex):
         out = [f"skeleton {X.n} {X.k}"]
-        out.extend(" ".join(map(str, f)) for f in sorted(X.top_faces))
+        out.extend(" ".join(map(str, f)) for f in iter_faces(X, X.k))
         return "\n".join(out) + "\n"
     if sorted(X.ground) != list(range(X.n)):
         raise UnrepresentableComplex("ground set is not 0..n-1; relabel first")

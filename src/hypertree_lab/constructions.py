@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, pairwise
+from itertools import chain, combinations, islice, pairwise
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -129,24 +129,34 @@ def sum_complex(spec: SumComplexSpec) -> SkeletonComplex:
     if count > SUM_BUDGET:
         raise TooLarge(f"C({spec.n}, {spec.s + 1}) = {count} candidate faces "
                        f"exceeds the budget of {SUM_BUDGET}")
-    return SkeletonComplex(spec.n, spec.s, frozenset(_sum_faces(spec)))
+    return SkeletonComplex(spec.n, spec.s, _sum_faces(spec))
 
 
-def _sum_faces(spec: SumComplexSpec) -> Iterator[Simplex]:
-    """The faces of sum_complex, from the smaller of its two enumerations."""
+def _sum_faces(spec: SumComplexSpec) -> np.ndarray:
+    """The faces of sum_complex in lexicographic order, as one (f, s+1)
+    array, from the smaller of its two enumerations."""
     n, s, residues, heads = spec.n, spec.s, spec.residues, comb(spec.n, spec.s)
     if heads > comb(n, s + 1):
-        yield from (sigma for sigma in combinations(range(n), s + 1)
-                    if sum(sigma) % n in residues)
-        return
+        return np.fromiter(chain.from_iterable(
+            sigma for sigma in combinations(range(n), s + 1)
+            if sum(sigma) % n in residues), dtype=np.int64).reshape(-1, s + 1)
     subsets = combinations(range(n), s)
+    blocks = [np.empty((0, s + 1), dtype=np.int64)]
     for lo in range(0, heads, _SUM_HEADS):
         a = _face_array(islice(subsets, _SUM_HEADS), min(_SUM_HEADS, heads - lo), s)
         total, top = a.sum(axis=1), a.max(axis=1, initial=-1)
+        heads_kept, vs = [], []
         for rho in residues:
             v = (rho - total) % n
-            keep = v > top
-            yield from zip(*a[keep].T.tolist(), v[keep].tolist())
+            keep = np.flatnonzero(v > top)
+            heads_kept.append(keep)
+            vs.append(v[keep])
+        # the s-subsets come in lexicographic order, so the faces do by
+        # subset, then by last vertex
+        i, v = np.concatenate(heads_kept), np.concatenate(vs)
+        order = np.lexsort((v, i))
+        blocks.append(np.column_stack((a[i[order]], v[order])))
+    return np.concatenate(blocks)
 
 
 def sum_complex_betti_formula(n: int, r: int, s: int, i: int) -> int:
@@ -198,8 +208,12 @@ class ConstructionReport:
 
 def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
                     order_seed: Optional[int]
-                    ) -> list[tuple[Simplex, tuple[Simplex, ...]]]:
-    """(tau, top faces added to lk(Y, tau)) per degree-ell face tau of Y.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top faces added to lk(Y, tau) per degree-ell face tau of Y.
+
+    Returns the faces tau, as a (taus, ell+1) array in lexicographic
+    order; the index there of each added face's tau; and the added faces,
+    as an (adds, k-ell) array on 0..n-1, by tau and then in pick order.
 
     Each link gets candidates, in lexicographic order or shuffled by a
     seed per face, until its top boundary map reaches the rank C(g-1, r)
@@ -217,23 +231,21 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     r = k - ell - 1  # top dimension of every degree-ell link
     g = n - ell - 1
     link, rest = _relabelled_link_tops(_top_array(Y), n, ell)
-    taus = list(combinations(range(n), ell + 1))
+    taus = _face_array(combinations(range(n), ell + 1), comb(n, ell + 1), ell + 1)
     if order_seed is None:
         facet = _facet_ranks(rest, _binomials(g, r))
         owner, picked = _closed_form_picks(link, facet, len(taus), g, r, p)
     else:
         root = SplitMix64(order_seed)
-        seeds = [root.next_u64() for _ in taus]
+        seeds = [root.next_u64() for _ in range(len(taus))]
         bounds = np.searchsorted(link, np.arange(len(taus) + 1)).tolist()
         have = _lex_ranks(rest, _binomials(g, r + 1))
         owner, picked = _greedy_picks(have, bounds, g, r, seeds, p)
     # undo the relabelling: the v-th vertex outside tau is v plus the
     # number of tau's vertices tau_j with tau_j - j <= v
-    below = np.array(taus, dtype=np.int64) - np.arange(ell + 1)
+    below = taus - np.arange(ell + 1)
     picked = picked + (below[owner][:, None, :] <= picked[:, :, None]).sum(axis=2)
-    faces = list(map(tuple, picked.tolist()))
-    at = np.searchsorted(owner, np.arange(len(taus) + 1)).tolist()
-    return [(tau, tuple(faces[lo:hi])) for tau, lo, hi in zip(taus, at, at[1:])]
+    return taus, owner, picked
 
 
 def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int,
@@ -340,40 +352,36 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     spec = SumComplexSpec.make(n, range(k - ell), k)
     Y = sum_complex(spec)
 
-    results = _saturate_links(Y, ell, field, order_seed)
-
-    new_tops = set(Y.top_faces)
-    s_sizes = []
-    for tau, picked in results:
-        s_sizes.append((tau, len(picked)))
-        for alpha in picked:
-            new_tops.add(make_simplex(tau + alpha))
-    X = SkeletonComplex(n, k, frozenset(new_tops))
+    taus, owner, picked = _saturate_links(Y, ell, field, order_seed)
+    counts = np.bincount(owner, minlength=len(taus)).tolist()
+    # each tau back into its picks; a face picked through two taus is
+    # one face of X
+    picked = np.sort(np.concatenate((taus[owner], picked), axis=1), axis=1)
+    X = SkeletonComplex(n, k, np.concatenate((_top_array(Y), picked)))
 
     # re-verify through the homology of Y and X, read from their own top
     # faces, not the greedy state
     from .bounds import bound_B
     base_tb = betti(Y, k - 1, field)
-    base_below = {e.tau: e.below for e in link_profile(Y, ell, field)}
-    for tau, picked in results:
-        expect = base_below[tau]
-        if len(picked) != expect:
+    for e, count in zip(link_profile(Y, ell, field), counts):
+        if count != e.below:
             raise InvariantViolation(
-                f"added {len(picked)} at {tau}, link Betti number is {expect}")
+                f"added {count} at {e.tau}, link Betti number is {e.below}")
     lam = sum(e.below for e in link_profile(X, ell, field))
     if lam != 0:
         raise InvariantViolation(f"link defect {lam} after saturation")
-    added = sum(len(p) for _, p in results)
+    added = len(owner)
     tb_after = betti(X, k - 1, field)
     if tb_after < base_tb - added:
         raise InvariantViolation(
             f"Betti number fell from {base_tb} to {tb_after} with {added} additions")
 
+    s_sizes = tuple(zip(map(tuple, taus.tolist()), counts))
     cap = Fraction((ell + 1) * (k - ell), factorial(k - ell - 1)) * n ** (k - ell - 2)
     return ConstructionReport(
         n=n, k=k, ell=ell, field_name=field.name, complex=X,
         base_tb=base_tb, tb_after=tb_after, added_total=added,
-        s_sizes=tuple(s_sizes), per_tau_cap=cap,
+        s_sizes=s_sizes, per_tau_cap=cap,
         cap_ok=all(c <= cap for _, c in s_sizes),
         bound_value=bound_B(n, k, ell), lam_low=lam,
     )

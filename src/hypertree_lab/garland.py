@@ -102,10 +102,6 @@ SIZE_LIMIT = 5000
 _BLOCK_DOUBLES = 1 << 14
 
 
-def _top_faces(X: Complex) -> list[Simplex]:
-    return sorted(iter_faces(X, X.dim))
-
-
 def check_pure(X: Complex) -> dict[Simplex, int]:
     """Raise NotPure unless every face lies under a top-dimensional face.
 
@@ -114,7 +110,7 @@ def check_pure(X: Complex) -> dict[Simplex, int]:
     if X.is_void or X.dim == -1:
         raise NotPure("complex has no vertices")
     counts: dict[Simplex, int] = {}
-    for sigma in _top_faces(X):
+    for sigma in iter_faces(X, X.dim):
         for f in subfaces(sigma):
             counts[f] = counts.get(f, 0) + 1
     for f in all_faces(X):

@@ -214,9 +214,8 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     if face_count(X, j) == comb(g, j + 1):
         return complete_rank(g, j)
     if isinstance(X, SkeletonComplex):
-        # every layer below the top is complete
+        # every layer below the top is complete, and the top array is sorted
         faces = _top_array(X)
-        faces = faces[np.lexsort(faces.T[::-1])]
     else:
         # the ground set relabelled onto 0..g-1 in order
         faces = np.searchsorted(np.array(sorted(X.ground), dtype=np.int64),

@@ -25,10 +25,11 @@ rank_by_columns, kernel_basis and IncrementalSpan over odd p and the
 rationals all call it, in residues mod p or in Fraction, converted from
 integers by one helper.
 
-The GF(2) core, _gf2_reduce, takes a vector already packed as a Python int
-bitset and reduces it by XOR against a basis keyed on the highest set bit.
-It serves IncrementalSpan over GF(2), through which the face-level ranks
-in homology reduce the columns numpy packs from arrays of faces.
+The GF(2) core, _gf2_reduce, takes a run of vectors already packed as
+Python int bitsets and reduces each by XOR against a basis keyed on the
+highest set bit, adding what is left.  It serves IncrementalSpan over
+GF(2), through which the face-level ranks in homology reduce the columns
+numpy packs from arrays of faces, one call per run.
 """
 from __future__ import annotations
 
@@ -49,19 +50,25 @@ def _gf2_pack(vec: Iterable[tuple[int, object]]) -> int:
     return v
 
 
-def _gf2_reduce(basis: dict[int, int], v: int) -> int:
-    """Reduce the GF(2) bitset v against basis.
+def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int], stop: int = -1) -> None:
+    """Reduce each GF(2) bitset of vecs against basis and keep what is left.
 
     basis maps the highest set bit of each basis vector to that vector.
-    Returns the remainder: 0 when v lies in the span, otherwise a vector
-    whose highest bit no basis vector has.  basis is not changed.
+    A vector XORs away the basis vector at its highest bit until it is 0,
+    when it lay in the span, or reaches a highest bit no basis vector has,
+    when it joins basis there.  Stops once basis holds stop vectors.
     """
-    while v:
-        b = basis.get(v.bit_length() - 1)
-        if b is None:
-            return v
-        v ^= b
-    return 0
+    get = basis.get
+    for v in vecs:
+        while v:
+            top = v.bit_length() - 1
+            b = get(top)
+            if b is None:
+                basis[top] = v
+                if len(basis) == stop:
+                    return
+                break
+            v ^= b
 
 
 def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
@@ -254,14 +261,14 @@ class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
     Vectors are sparse index -> value dicts; over GF(2) a vector may also
-    come packed as an int bitset.  boundary_column hands out a face's
-    boundary in the form that suits the field, so callers need not branch
-    on it.  Basis rows are kept reduced enough to have distinct pivots
-    (largest index).  Over GF(2) they are int bitsets reduced by the XOR
-    core, otherwise sparse dicts reduced by the column route's core.  Used
-    where candidates arrive online and only the yes/no answer and the
-    running rank matter; extend takes a run of them in one loop and can
-    stop at a known bound on the rank.
+    come packed as an int bitset, and extend takes only those.
+    boundary_column hands out a face's boundary in the form that suits the
+    field, so callers need not branch on it.  Basis rows are kept reduced
+    enough to have distinct pivots (largest index).  Over GF(2) they are
+    int bitsets reduced by the XOR core, otherwise sparse dicts reduced by
+    the column route's core.  Used where candidates arrive online and only
+    the yes/no answer and the running rank matter; extend takes a run of
+    them in one loop and can stop at a known bound on the rank.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -292,25 +299,21 @@ class IncrementalSpan:
 
         Over GF(2) vec may also be a packed int bitset (see boundary_column).
         """
+        if self.p == 2 and not isinstance(vec, int):
+            vec = _gf2_pack(vec.items())
         rank = len(self.basis)
         return self.extend((vec,)) > rank
 
     def extend(self, vecs: Iterable[Union[int, dict[int, object]]], stop: int = -1) -> int:
         """Add each of vecs in turn until the rank reaches stop; returns the rank.
 
-        A caller that knows a bound on the rank passes it as stop, as the
-        vectors left then add nothing.
+        Over GF(2) vecs are packed int bitsets, the whole run reduced by
+        one call of the XOR core.  A caller that knows a bound on the rank
+        passes it as stop, as the vectors left then add nothing.
         """
         p, basis = self.p, self.basis
         if p == 2:
-            for vec in vecs:
-                if not isinstance(vec, int):
-                    vec = _gf2_pack(vec.items())
-                v = _gf2_reduce(basis, vec)
-                if v:
-                    basis[v.bit_length() - 1] = v
-                    if len(basis) == stop:
-                        break
+            _gf2_reduce(basis, vecs, stop)
             return len(basis)
         for vec in vecs:
             vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterOutOfRange, TooLarge
-from .simplexes import SkeletonComplex
+from .simplexes import SkeletonComplex, _face_array
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -107,12 +107,13 @@ def random_skeleton_complex(n: int, k: int, q: float,
     candidates = combinations(range(n), k + 1)
     total = comb(max(n, 0), k + 1)
     state = rng.state
-    tops: list[tuple[int, ...]] = []
+    blocks = [np.empty((0, k + 1), dtype=np.int64)]
     for start in range(0, total, BLOCK):
         count = min(BLOCK, total - start)
         z = _outputs((state + start * GAMMA) & MASK, count)
         keep = z.astype(np.float64) / 2.0 ** 64 < q
-        tops.extend(compress(islice(candidates, count), keep.tolist()))
+        kept = list(compress(islice(candidates, count), keep.tolist()))
+        blocks.append(_face_array(kept, len(kept), k + 1))
     rng.state = (state + total * GAMMA) & MASK
-    return SkeletonComplex(n, k, frozenset(tops))
+    return SkeletonComplex(n, k, np.concatenate(blocks))
 

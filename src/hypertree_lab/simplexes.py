@@ -25,21 +25,27 @@ their first difference at i, and the rank is C(N, s) - 1 less all of
 them.  Every term is at most C(N, s), so the ranks are exact in int64
 whenever C(N, s) is.
 
-A SkeletonComplex's top faces form one (f, k+1) array.  For each position
-pattern P of size ell+1, tau = sigma[P] is a link id, the rank of tau
-among the (ell+1)-subsets of n, and sigma minus tau is a top face of
-lk(X, tau).  The link lives on the ground set minus tau, relabelled onto
-0..g-1 in order, g = n-ell-1: each vertex of sigma minus tau moves down by
-the number of positions of P below its own.
+A SkeletonComplex stores its top faces as one C-contiguous, read-only
+int64 (f, k+1) array, its distinct rows in lexicographic order, whatever
+order and repeats the input had.  Equality and hashing go by n, k and the
+face set, which that one order makes the array's bytes.  The walks and
+ranks read the array as stored; .top_faces is a frozenset view, built on
+first use.
+
+For each position pattern P of size ell+1, tau = sigma[P] is a link id,
+the rank of tau among the (ell+1)-subsets of n, and sigma minus tau is a
+top face of lk(X, tau).  The link lives on the ground set minus tau,
+relabelled onto 0..g-1 in order, g = n-ell-1: each vertex of sigma minus
+tau moves down by the number of positions of P below its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from operator import ge, lt
-from typing import Iterable, Iterator, Union
+from operator import ge
+from typing import Iterable, Iterator, NoReturn, Union
 
 import numpy as np
 
@@ -76,35 +82,52 @@ def subfaces(sigma: Simplex) -> Iterator[Simplex]:
         yield from combinations(sigma, r)
 
 
-@dataclass(frozen=True)
 class SkeletonComplex:
-    """Complex with full (k-1)-skeleton on [n] plus the given k-faces."""
+    """Complex with full (k-1)-skeleton on [n] plus the given k-faces.
 
-    n: int
-    k: int
-    top_faces: frozenset[Simplex]
+    top_faces is an (f, k+1) integer array or any iterable of vertex
+    tuples, in any order and with repeats dropped; it is stored as one
+    sorted array (module docstring).  Every face is checked at once on
+    the array; only a failure runs the per-face loop, which names the
+    first bad face in the input's order.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n - 1:
-            raise DimensionMismatch(f"top dimension {self.k} invalid for n={self.n}")
-        size, n = self.k + 1, self.n
-        # every face at once, over the columns of the faces; only a failure
-        # runs the loop below, which finds the first bad face and its error
-        try:
-            if set(map(len, self.top_faces)) <= {size}:
-                cols = list(zip(*self.top_faces))
-                if not cols or (min(cols[0]) >= 0 and max(cols[-1]) < n and all(
-                        all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
-                    return
-        except TypeError:
-            pass
-        for sigma in self.top_faces:
-            if len(sigma) != size:
-                raise DimensionMismatch(f"face {sigma} does not have dimension {self.k}")
-            if min(sigma) < 0 or max(sigma) >= n:
-                raise VertexOutOfRange(f"face {sigma} leaves [0, {n})")
-            if any(map(ge, sigma, sigma[1:])):
-                raise DimensionMismatch(f"face {sigma} is not strictly increasing")
+    def __init__(self, n: int, k: int, top_faces: Union[np.ndarray, Iterable[Simplex]]):
+        if not 0 <= k <= n - 1:
+            raise DimensionMismatch(f"top dimension {k} invalid for n={n}")
+        tops = _stored_tops(n, k, top_faces)
+        tops.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_tops", tops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SkeletonComplex is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k) \
+            and np.array_equal(self._tops, other._tops)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SkeletonComplex(n={self.n!r}, k={self.k!r}, top_faces={self.top_faces!r})"
+
+    def __reduce__(self):
+        # a copy or unpickled complex goes through the constructor, so its
+        # array is its own and read-only
+        return SkeletonComplex, (self.n, self.k, self._tops)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.k, self._tops.tobytes()))
+
+    @cached_property
+    def top_faces(self) -> frozenset[Simplex]:
+        return frozenset(map(tuple, self._tops.tolist()))
 
     @property
     def ground(self) -> frozenset[int]:
@@ -112,7 +135,7 @@ class SkeletonComplex:
 
     @property
     def dim(self) -> int:
-        return self.k if self.top_faces else self.k - 1
+        return self.k if len(self._tops) else self.k - 1
 
     @property
     def is_void(self) -> bool:
@@ -126,6 +149,53 @@ class SkeletonComplex:
             for v in sigma:
                 out.setdefault(v, []).append(sigma)
         return {v: tuple(fs) for v, fs in out.items()}
+
+
+def _stored_tops(n: int, k: int, top_faces: Union[np.ndarray, Iterable[Simplex]]
+                 ) -> np.ndarray:
+    """top_faces checked and stored as SkeletonComplex keeps them: one
+    C-contiguous int64 (f, k+1) array of distinct rows in lexicographic
+    order."""
+    size = k + 1
+    faces = top_faces if isinstance(top_faces, np.ndarray) else list(top_faces)
+    try:
+        tops = np.array(faces) if len(faces) else np.empty((0, size), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # e.g. faces of several sizes
+        tops = None
+    if tops is None or tops.dtype.kind not in "biu" or tops.shape[1:] != (size,):
+        _first_bad_face(n, k, faces)
+    tops = np.ascontiguousarray(tops, dtype=np.int64)
+    if len(tops) and not (tops[:, 0].min() >= 0 and tops[:, -1].max() < n
+                          and (tops[:, 1:] > tops[:, :-1]).all()):
+        _first_bad_face(n, k, faces)
+    # rows in strictly increasing lexicographic order already, or sorted
+    # with repeats dropped
+    prev, row = tops[:-1], tops[1:]
+    after, tie = np.zeros(len(row), dtype=bool), np.ones(len(row), dtype=bool)
+    for c in range(size):
+        after |= tie & (row[:, c] > prev[:, c])
+        tie &= row[:, c] == prev[:, c]
+    if not after.all():
+        tops = tops[np.lexsort(tops.T[::-1])]
+        tops = tops[np.insert((tops[1:] != tops[:-1]).any(axis=1), 0, True)]
+    return tops
+
+
+def _first_bad_face(n: int, k: int, faces) -> NoReturn:
+    """Raise the error of the first face, in the order of faces, that is
+    not a strictly increasing tuple of k+1 vertices of 0..n-1; a TypeError
+    when no face fails those checks, as when a vertex is a float."""
+    size = k + 1
+    if isinstance(faces, np.ndarray):
+        faces = map(tuple, faces.tolist()) if faces.ndim == 2 else faces.tolist()
+    for sigma in faces:
+        if len(sigma) != size:
+            raise DimensionMismatch(f"face {sigma} does not have dimension {k}")
+        if min(sigma) < 0 or max(sigma) >= n:
+            raise VertexOutOfRange(f"face {sigma} leaves [0, {n})")
+        if any(map(ge, sigma, sigma[1:])):
+            raise DimensionMismatch(f"face {sigma} is not strictly increasing")
+    raise TypeError("top faces must be tuples of int64 vertex ids")
 
 
 @dataclass(frozen=True)
@@ -218,7 +288,7 @@ def iter_faces(X: Complex, j: int) -> Iterator[Simplex]:
         elif j < X.k:
             yield from combinations(range(X.n), j + 1)
         else:
-            yield from sorted(X.top_faces)
+            yield from map(tuple, X._tops.tolist())
     else:
         yield from sorted(X._by_dim.get(j, ()))
 
@@ -235,7 +305,7 @@ def face_count(X: Complex, j: int) -> int:
             return 0
         if j < X.k:
             return comb(X.n, j + 1)
-        return len(X.top_faces)
+        return len(X._tops)
     if j == -1:
         return 0 if X.is_void else 1
     return len(X._by_dim.get(j, ()))
@@ -344,8 +414,9 @@ def _face_array(faces: Iterable[Simplex], f: int, size: int) -> np.ndarray:
 
 
 def _top_array(X: SkeletonComplex) -> np.ndarray:
-    """X's top faces as one (f, k+1) int array, in no particular order."""
-    return _face_array(X.top_faces, len(X.top_faces), X.k + 1)
+    """X's top faces as stored: a read-only int64 (f, k+1) array, its
+    distinct rows in lexicographic order."""
+    return X._tops
 
 
 def _facet_ranks(tops: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -443,12 +514,13 @@ def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex
     s = make_simplex(sigma)
     if s not in X.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")
-    return replace(X, top_faces=X.top_faces - {s})
+    return SkeletonComplex(X.n, X.k, X._tops[(X._tops != s).any(axis=1)])
 
 
 def full_skeleton(n: int, k: int) -> SkeletonComplex:
     """The complete k-skeleton on n vertices as a SkeletonComplex."""
-    return SkeletonComplex(n, k, frozenset(combinations(range(n), k + 1)))
+    return SkeletonComplex(n, k, _face_array(combinations(range(n), k + 1),
+                                             comb(max(n, 0), k + 1), k + 1))
 
 
 def as_skeleton_complex(X: Complex) -> SkeletonComplex:

@@ -415,8 +415,8 @@ def test_construct_jnk(tmp_path):
 def test_construct_xnkl_reports_the_degree_it_built_at(tmp_path):
     # --ell is not an argument of xnkl; the report names the ell it built at
     for extra in ([], ["--ell", "0"], ["--ell", "5"]):
-        code, out = run_main(["construct", "xnkl", "7", "3", "1", "--out", "json",
-                              "--out-file", str(tmp_path / "x.cplx")] + extra)
+        code, out, _ = run_main(["construct", "xnkl", "7", "3", "1", "--out", "json",
+                                 "--out-file", str(tmp_path / "x.cplx")] + extra)
         assert code == 0
         assert json.loads(out)["ell"] == 1, extra
 
@@ -503,18 +503,33 @@ def golden_commands():
         out.append(["garland", "--in", "random(seed=1,n=7,k=3,q=1.0)", "--ell", str(ell)])
     for ell in (-1, 0):
         out.append(["garland", "--in", "random(seed=1,n=6,k=2,q=0.0)", "--ell", str(ell)])
+    # the parser's help, top level and every command, and its usage
+    # errors: no command, an unknown one, sweep without --check and a bad
+    # --out; these also pin stderr (15 cases)
+    out.append(["--help"])
+    for command in ("betti", "links", "lambda", "verify-bound", "verify-dual",
+                    "trichotomy", "garland", "collapse", "construct", "sweep"):
+        out.append([command, "--help"])
+    out += [[], ["bogus"], ["sweep"], ["betti", "--out", "xml"]]
     return out
 
 
 def run_main(argv):
-    """cli.main in this process: (exit code, stdout text)."""
+    """cli.main in this process: (exit code, stdout text, stderr text).
+
+    argparse ends --help and a usage error with SystemExit, whose code
+    is the exit code.
+    """
     buf = io.BytesIO()
     stdout = io.TextIOWrapper(buf, encoding="utf-8")
-    with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
         stdout.flush()
-    return code, buf.getvalue().decode()
+    return code, buf.getvalue().decode(), err.getvalue()
 
 
 def test_golden_cli_output(tmp_path, monkeypatch):
@@ -526,13 +541,18 @@ def test_golden_cli_output(tmp_path, monkeypatch):
     # split of face-level ranks, the gf:5 and k = 1 cases from the code
     # before graph links were read by union-find, the three
     # `construct xnkl` cases from the code that reported the ell it built
-    # at, and the `garland` cases from the code before each link weighed
-    # itself); outputs must stay byte-identical
+    # at, the `garland` cases from the code before each link weighed
+    # itself, and the help and usage cases, with their stderr, from the
+    # code before the common options became one parent parser); outputs
+    # must stay byte-identical.  argparse wraps help to COLUMNS.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [g["argv"] for g in golden] == golden_commands()
     for g in golden:
-        code, out = run_main(g["argv"])
+        code, out, err = run_main(g["argv"])
         assert (code, out) == (g["exit"], g["stdout"]), g["argv"]
+        if "stderr" in g:
+            assert err == g["stderr"], g["argv"]
         for name, text in g.get("files", {}).items():
             assert (tmp_path / name).read_text() == text, (g["argv"], name)

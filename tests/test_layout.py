@@ -198,3 +198,55 @@ def test_no_function_writes_to_a_module_level_container():
     found = {path.name: _written_globals(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+SORTS = {"sorted", "sort", "lexsort", "argsort"}
+TOP_READERS = {"iter_faces", "faces", "_top_array"}
+
+
+def _name(func: ast.expr) -> str:
+    return func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else ""
+
+
+def _resorted_tops(text: str) -> list[int]:
+    """Lines that sort a complex's top faces again: a call of sorted or of
+    a numpy sort whose arguments read .top_faces or call iter_faces, faces
+    or _top_array."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call) or _name(node.func) not in SORTS:
+            continue
+        args = node.args + [kw.value for kw in node.keywords]
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "top_faces"
+               or isinstance(sub, ast.Call) and _name(sub.func) in TOP_READERS
+               for arg in args for sub in ast.walk(arg)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+RESORTED = '''\
+import numpy as np
+
+def a(X):
+    return sorted(X.top_faces)
+
+def b(X):
+    return sorted(iter_faces(X, X.k), reverse=True)
+
+def c(X):
+    tops = _top_array(X)
+    return tops[np.lexsort(_top_array(X).T[::-1])]
+
+def fine(X, tops):
+    return sorted(tops), np.sort(tops, axis=1), list(iter_faces(X, X.k))
+'''
+
+
+def test_no_top_faces_are_sorted_outside_the_constructor():
+    # a SkeletonComplex stores its top faces sorted once, in its
+    # constructor; every reader takes that order as stored
+    assert _resorted_tops(RESORTED) == [4, 7, 11]
+    found = {path.name: _resorted_tops(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,5 +1,8 @@
+import copy
+import pickle
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from hypertree_lab.simplexes import (
     VOID,
     GeneralComplex,
     SkeletonComplex,
+    _top_array,
     all_faces,
     as_general,
     as_skeleton_complex,
@@ -135,6 +139,84 @@ def test_skeleton_complex_errors_match_the_per_face_loop(case):
     n, k, faces = case
     want = _outcome(lambda: _per_face_check(n, k, faces))
     assert _outcome(lambda: SkeletonComplex(n, k, faces)) == want
+
+
+@st.composite
+def _valid_face_lists(draw):
+    """(n, k, faces): a list of k-faces on 0..n-1 in any order, often
+    repeating a face."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, min(3, n - 1)))
+    face = st.sets(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1)
+    faces = draw(st.lists(face.map(lambda f: tuple(sorted(f))), max_size=12))
+    if faces and draw(st.booleans()):
+        faces += draw(st.lists(st.sampled_from(faces), max_size=4))
+    return n, k, draw(st.permutations(faces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_face_lists())
+@example((4, 1, [(2, 3), (0, 1), (2, 3), (0, 3)]))
+@example((3, 2, []))
+def test_skeleton_complex_stores_one_sorted_array_whatever_the_input(case):
+    # array, list, frozenset, unsorted, repeated, int32 and generator
+    # input of the same faces all give the same complex
+    n, k, faces = case
+    want = sorted(set(faces))
+    rows = np.array(faces, dtype=np.int64).reshape(-1, k + 1)
+    inputs = [rows, rows.astype(np.int32), np.asfortranarray(rows), rows[::-1],
+              faces, frozenset(faces), want, iter(faces), tuple(reversed(faces))]
+    built = [SkeletonComplex(n, k, faces_in) for faces_in in inputs]
+    for X in built:
+        assert X == built[0] and hash(X) == hash(built[0])
+        assert X.top_faces == frozenset(faces)
+        assert list(iter_faces(X, k)) == want
+        assert face_count(X, k) == len(want) and X.dim == (k if want else k - 1)
+        tops = _top_array(X)
+        assert tops.dtype == np.int64 and tops.flags.c_contiguous
+        assert not tops.flags.writeable
+        assert tops.tolist() == [list(f) for f in want]
+    # the stored array is the complex's own: the input array may change,
+    # and a copy or an unpickled complex stores its own read-only array
+    rows[...] = 0
+    assert SkeletonComplex(n, k, want) == built[0]
+    for twin in (copy.copy(built[0]), copy.deepcopy(built[0]),
+                 pickle.loads(pickle.dumps(built[0]))):
+        assert twin == built[0] and hash(twin) == hash(built[0])
+        assert not _top_array(twin).flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(_top_face_sets(), st.randoms(use_true_random=False))
+@example((4, 2, frozenset({(0, 1, 3), (5, 1, 0)})), None)
+@example((4, 1, frozenset({(0, 4), (2, 1)})), None)
+def test_bad_array_raises_what_the_tuple_path_raises(case, rnd):
+    # an array of the faces, in the order of a list of them, raises the
+    # error of the same first bad face, type and message
+    n, k, faces = case
+    faces = sorted(faces)
+    if rnd is not None:
+        rnd.shuffle(faces)
+    if len(set(map(len, faces))) != 1:
+        return  # no array holds faces of several sizes
+    want = _outcome(lambda: SkeletonComplex(n, k, faces))
+    assert want == _outcome(lambda: _per_face_check(n, k, faces))
+    for dtype in (np.int64, np.int32):
+        assert _outcome(lambda: SkeletonComplex(n, k, np.array(faces, dtype=dtype))) == want
+
+
+def test_skeleton_complex_refuses_arrays_the_tuple_path_refuses():
+    # wrong width, wrong rank, non-integer vertices: the tuple path's error
+    cases = [(4, 1, [(0, 1, 2)]), (4, 1, [0, 1]), (4, 1, [(0.0, 1.0)]),
+             (4, 1, [(0.0, 1.5)]), (4, 0, [(0,), (2 ** 70,)])]
+    for n, k, faces in cases:
+        with pytest.raises(Exception) as by_tuples:
+            SkeletonComplex(n, k, faces)
+        with pytest.raises(type(by_tuples.value)):
+            SkeletonComplex(n, k, np.array(faces))
+        assert type(by_tuples.value) in (DimensionMismatch, VertexOutOfRange, TypeError)
+    with pytest.raises(TypeError):
+        SkeletonComplex(4, 1, [(0, 1.5)])  # never truncated to a vertex
 
 
 def test_skeleton_complex_membership_is_implicit_below_top():
