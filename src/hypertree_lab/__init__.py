@@ -14,7 +14,7 @@ from .bounds import (
     verify_dual_bound,
     verify_upper_bound,
 )
-from .collapse import collapse, collapses_to_point
+from .collapse import collapse
 from .complex_io import emit_complex, parse_complex_file, parse_complex_text
 from .constructions import (
     FANO_BLOCKS,
@@ -23,16 +23,10 @@ from .constructions import (
     build_X_nkl,
     steiner_complex,
     sum_complex,
-    sum_complex_betti_formula,
 )
 from .errors import HypertreeLabError
 from .fields import GF2, GF3, RATIONALS, FieldSpec, parse_field
-from .garland import (
-    garland_check,
-    garland_weights,
-    laplacian_min_eigenvalue,
-    weighted_laplacian,
-)
+from .garland import garland_check, garland_weights, weighted_laplacian
 from .homology import (
     HypertreeCheck,
     LinkBetti,
@@ -41,7 +35,6 @@ from .homology import (
     betti_table,
     boundary_matrix,
     cycle_basis,
-    is_hypertree,
     link_profile,
 )
 from .randomness import SplitMix64, random_skeleton_complex
@@ -55,7 +48,6 @@ from .simplexes import (
     from_top_faces,
     full_skeleton,
     link,
-    link_tops,
     make_simplex,
     remove_top_face,
 )

@@ -30,6 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .errors import (
     FaceNotInComplex,
     InvariantViolation,
@@ -42,9 +44,10 @@ from .simplexes import (
     Complex,
     Simplex,
     SkeletonComplex,
+    _relabelled_link_tops,
+    _top_array,
     as_skeleton_complex,
     face_count,
-    link_tops,
     make_simplex,
     remove_top_face,
 )
@@ -256,9 +259,15 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     inside = set(s).issuperset
     brackets = tuple(LinkBracket(tau=e.tau, before=e.below, after=e2.below)
                      for e, e2 in zip(before, after) if inside(e.tau))
-    # a link of a sandwiched complex is fixed by its top faces
-    kept = [{tau: set(rests) for tau, rests in link_tops(Y, ell).items()
-             if not inside(tau)} for Y in (S, S2)]
+    # a link of a sandwiched complex is fixed by its top faces; the walk
+    # of sigma alone gives the ids of the faces tau inside it, and the
+    # other pairs of S's walk must be S2's, in the same order
+    touched = _relabelled_link_tops(np.array([s]), S.n, ell)[0]
+    kept = []
+    for Y in (S, S2):
+        ids, rest = _relabelled_link_tops(_top_array(Y), Y.n, ell)
+        out = ~np.isin(ids, touched)
+        kept.append((ids[out], rest[out]))
 
     return MonotonicityVerdict(
         n=S.n, k=k, ell=ell, sigma=s, field_name=field.name,
@@ -268,7 +277,7 @@ def monotonicity_check(X: Complex, sigma, ell: int,
         tb_before=betti(S, k - 1, field),
         tb_after=betti(S2, k - 1, field),
         link_brackets=brackets,
-        untouched_identical=kept[0] == kept[1],
+        untouched_identical=all(map(np.array_equal, kept[0], kept[1])),
     )
 
 

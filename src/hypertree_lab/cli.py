@@ -425,7 +425,7 @@ def cmd_sweep(args) -> list[RunReport]:
         t0 = time.perf_counter()
         seed_i = root.next_u64()
         X = random_skeleton_complex(n, k, q, SplitMix64(seed_i))
-        row = _sweep_row(args, fld, X, seed_i)
+        row = _sweep_row(args.check, ell, fld, X, seed_i)
         if row is None:
             continue
         if args.timing:
@@ -435,24 +435,20 @@ def cmd_sweep(args) -> list[RunReport]:
     return rows
 
 
-def _sweep_row(args, fld, X: SkeletonComplex,
+def _sweep_row(check: str, ell: int, fld, X: SkeletonComplex,
                seed_i: int) -> Optional[RunReport]:
-    check = args.check
     base = dict(n=X.n, k=X.k, field_name=fld.name, f_vector=f_vector(X),
                 seed=seed_i)
     if check == "bound":
-        ell = args.ell if args.ell is not None else 0
         cert = verify_upper_bound(X, ell, fld)
         return RunReport(command="sweep", ell=ell, **base, **_bound_fields(cert))
     if check == "dual":
-        ell = args.ell if args.ell is not None else 0
         v = verify_dual_bound(X, ell, fld)
         return RunReport(command="sweep", ell=ell, **base, **_dual_fields(v))
     if check == "mono":
         tops = list(iter_faces(X, X.k))
         if not tops:
             return None
-        ell = args.ell if args.ell is not None else 0
         sigma = SplitMix64(seed_i ^ 0xABCDEF).choice(tops)
         v = monotonicity_check(X, sigma, ell, fld)
         return RunReport(
@@ -463,7 +459,6 @@ def _sweep_row(args, fld, X: SkeletonComplex,
                    f"holds={v.holds}"),
             failed=not v.holds)
     if check == "garland":
-        ell = args.ell if args.ell is not None else 0
         try:
             g = garland_check(X, ell)
         except NotPure:

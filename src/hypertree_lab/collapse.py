@@ -42,8 +42,3 @@ def collapse(X: Complex) -> tuple[GeneralComplex, CollapseLog]:
         faces.discard(sigma)
         log.append((eta, sigma))
     return GeneralComplex(G.ground, frozenset(faces)), tuple(log)
-
-
-def collapses_to_point(X: Complex) -> bool:
-    core, _ = collapse(X)
-    return len(core.faces) == 2 and core.dim == 0

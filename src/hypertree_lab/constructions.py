@@ -4,11 +4,12 @@ construction, cyclic designs, and Steiner-block complexes.
 The residue-sum family fixes a prime n, a top dimension s, and a set A of
 residues mod n; the top faces are the (s+1)-subsets whose vertex sum falls
 in A.  When A is an interval the Betti numbers are known in closed form
-and concentrate in a single degree, which makes the family the seed for
-the greedy construction: start from an interval complex with a large
-degree-(k-1) Betti number, then add just enough top faces to kill the
-homology of every small link without giving back much of the global
-homology.
+and concentrate in a single degree (Linial, Meshulam and Rosenthal, DCG
+2010; the tests check the formula on every interval for the primes up
+to 13), which makes the family the seed for the greedy construction:
+start from an interval complex with a large degree-(k-1) Betti number,
+then add just enough top faces to kill the homology of every small link
+without giving back much of the global homology.
 
 In lexicographic order the greedy has a closed form.  Fix a degree-ell
 face tau of Y, r = k-ell-1, and the link on the ground set minus tau
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, pairwise
 from math import comb, factorial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -77,8 +78,9 @@ from .simplexes import (
 )
 
 
-# candidate faces sum_complex may reach; the largest README ladder rung,
-# (101, 3, 1), has C(101, 4) = 4,082,925; and the s-subsets it holds at once
+# faces sum_complex may filter or build_J enumerate; the largest README
+# ladder rung, (101, 3, 1), has C(101, 4) = 4,082,925; and the s-subsets
+# sum_complex holds at once
 SUM_BUDGET, _SUM_HEADS = 10 ** 7, 1 << 16
 
 
@@ -103,18 +105,6 @@ class SumComplexSpec:
     @classmethod
     def make(cls, n: int, residues: Iterable[int], s: int) -> "SumComplexSpec":
         return cls(n, frozenset(a % n for a in residues), s)
-
-    @property
-    def r(self) -> int:
-        return len(self.residues) - 1
-
-    def interval_offset(self) -> Optional[int]:
-        """Start t when the residues are {t, t+1, ..., t+r} mod n."""
-        size = len(self.residues)
-        for t in self.residues:
-            if all((t + i) % self.n in self.residues for i in range(size)):
-                return t
-        return None
 
 
 def sum_complex(spec: SumComplexSpec) -> SkeletonComplex:
@@ -159,30 +149,6 @@ def _sum_faces(spec: SumComplexSpec) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def sum_complex_betti_formula(n: int, r: int, s: int, i: int) -> int:
-    """Closed-form Betti number for an interval residue set of size r+1.
-
-    All homology sits in degree s-1 (when r <= s) or degree s (when
-    r >= s); every other degree is 0.  Valid only for prime n, which is
-    also what makes the division exact.
-    """
-    if not is_prime(n):
-        raise NotPrime(f"{n} is not prime")
-    if not 0 <= r <= n - 1:
-        raise ParameterOutOfRange(f"residue count parameter {r} out of range")
-    if not 0 <= s <= n - 2:
-        raise ParameterOutOfRange(f"top dimension {s} out of range")
-    if i == s - 1 and r <= s:
-        value = Fraction((s - r) * comb(n - 1, s), s + 1)
-    elif i == s and r >= s:
-        value = Fraction((r - s) * comb(n - 1, s), s + 1)
-    else:
-        return 0
-    if value.denominator != 1:
-        raise InvariantViolation(f"non-integer closed form {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ConstructionReport:
     """What the greedy saturation did and the certificates it earned."""
@@ -225,7 +191,9 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     order-preserving relabelling keeps the positions of the lexicographic
     order and of the shuffle alike.  In lexicographic order the picks are
     read from the closed form (module docstring); a shuffled order scans
-    its candidates one IncrementalSpan.add at a time.
+    its candidates one IncrementalSpan.add at a time, each column packed
+    once from the candidates' facet ranks, as the closed form packs its
+    own.
     """
     n, k, p = Y.n, Y.k, field.p
     r = k - ell - 1  # top dimension of every degree-ell link
@@ -248,6 +216,18 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     return taus, owner, picked
 
 
+def _boundary_columns(facet: np.ndarray, width: int, p: Optional[int]
+                      ) -> Iterator[Union[int, dict[int, int]]]:
+    """The boundary column of each row of facet in the form
+    IncrementalSpan(p) takes: entry (-1)^i in row facet[a, i] of column a,
+    and no entry for -1.  Over GF(2) the columns come packed by _bitsets
+    as int bitsets below width, otherwise as sparse dicts."""
+    if p == 2:
+        return _bitsets(facet, width)
+    signs = [-1 if i % 2 else 1 for i in range(facet.shape[1])]
+    return ({b: s for b, s in zip(row, signs) if b >= 0} for row in facet.tolist())
+
+
 def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int,
                        r: int, p: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """The faces the lexicographic greedy picks, read from the closed form
@@ -255,9 +235,9 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
 
     link and facet hold the link id and the facet rows of each of Y's link
     tops, sorted by link id, for links on 0..g-1 with r-subsets for rows.
-    The reduced columns go through IncrementalSpan(p).extend, packed ints
-    over GF(2) and signed dicts otherwise.  The picks come sorted by link
-    id, then by face, as an (picks, r+1) array on 0..g-1.
+    The reduced columns go through IncrementalSpan(p).extend, packed by
+    _boundary_columns.  The picks come sorted by link id, then by face, as
+    an (picks, r+1) array on 0..g-1.
     """
     rows = np.array(list(combinations(range(g), r)), dtype=np.int64).reshape(-1, r)
     m, m0 = len(rows), comb(g - 1, r - 1)  # the first m0 rows pass through 0
@@ -268,11 +248,7 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
     # a dropped row becomes -1, which _bitsets reads as no bit
     reduced = np.where(free[link[:, None], facet], -1, facet)
     at = np.searchsorted(link, np.arange(n_links + 1)).tolist()
-    if p == 2:
-        columns = _bitsets(reduced, m)
-    else:
-        signs = [-1 if i % 2 else 1 for i in range(r + 1)]
-        columns = ({b: s for b, s in zip(row, signs) if b >= 0} for row in reduced.tolist())
+    columns = _boundary_columns(reduced, m, p)
     key_links, keys = [], []
     for t, (lo, hi) in enumerate(pairwise(at)):
         span = IncrementalSpan(p)
@@ -291,38 +267,31 @@ def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,
     and the link id of each.
 
     have holds the candidate ranks of Y's link tops among the
-    (r+1)-subsets of 0..g-1, grouped by link at bounds.  A candidate's
-    column is packed with boundary_column on first use and kept for the
-    other links.  The picks come by link id, then in pick order, as an
-    (picks, r+1) array on 0..g-1.
+    (r+1)-subsets of 0..g-1, grouped by link at bounds.  Every
+    candidate's column is packed once, from its facet ranks, by
+    _boundary_columns.  The picks come by link id, then in pick order, as
+    an (picks, r+1) array on 0..g-1.
     """
     target = comb(g - 1, r)  # top-boundary rank of a link hypertree
-    row_index = {f: i for i, f in enumerate(combinations(range(g), r))}
-    cands = list(combinations(range(g), r + 1))
-    cols: list = [None] * len(cands)
-    column = IncrementalSpan(p).boundary_column
+    cands = _face_array(combinations(range(g), r + 1), comb(g, r + 1), r + 1)
+    cols = list(_boundary_columns(_facet_ranks(cands, _binomials(g, r)), comb(g, r), p))
     owner, picks = [], []
     for t, seed in enumerate(seeds):
         span = IncrementalSpan(p)
         existing = set(have[bounds[t]:bounds[t + 1]].tolist())
-        order = [i for i in range(len(cands)) if i not in existing]
+        order = [i for i in range(len(cols)) if i not in existing]
         SplitMix64(seed).shuffle(order)
         for i in sorted(existing):
-            if cols[i] is None:
-                cols[i] = column(cands[i], row_index)
             span.add(cols[i])
         for i in order:
             if span.rank >= target:
                 break
-            if cols[i] is None:
-                cols[i] = column(cands[i], row_index)
             if span.add(cols[i]):
                 owner.append(t)
-                picks.append(cands[i])
+                picks.append(i)
         if span.rank != target:
             raise InvariantViolation(f"saturation stalled at rank {span.rank} of {target}")
-    return (np.array(owner, dtype=np.int64),
-            np.array(picks, dtype=np.int64).reshape(-1, r + 1))
+    return np.array(owner, dtype=np.int64), cands[picks]
 
 
 def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
@@ -392,16 +361,19 @@ def build_J(n: int, k: int) -> SkeletonComplex:
 
     k=1 needs n even (a perfect matching), k=2 needs n = 3t+2, k=3 needs
     n even (antipodal quadruples).  Anything else is a parameter mismatch.
+    More than SUM_BUDGET faces to enumerate is refused before the loop.
     """
     if k == 1:
         if n % 2:
             raise ParameterMismatch(f"dimension 1 needs even n, got {n}")
+        _check_family_size(n, k, n // 2)
         tops = frozenset((2 * i, 2 * i + 1) for i in range(n // 2))
         return SkeletonComplex(n, 1, tops)
     if k == 2:
         if n % 3 != 2:
             raise ParameterMismatch(f"dimension 2 needs n = 3t+2, got {n}")
         t = (n - 2) // 3
+        _check_family_size(n, k, n * t)
         tops = set()
         for i in range(n):
             for j in range(t):
@@ -411,6 +383,7 @@ def build_J(n: int, k: int) -> SkeletonComplex:
         if n % 2:
             raise ParameterMismatch(f"dimension 3 needs even n, got {n}")
         h = n // 2
+        _check_family_size(n, k, h * (h - 1) ** 2)
         tops = set()
         for i in range(h):
             for a in range(1, h):
@@ -419,6 +392,13 @@ def build_J(n: int, k: int) -> SkeletonComplex:
                         i, (i + a) % n, (i + h) % n, (i + h + b) % n}))
         return SkeletonComplex(n, 3, frozenset(tops))
     raise ParameterMismatch(f"no construction in dimension {k}")
+
+
+def _check_family_size(n: int, k: int, count: int) -> None:
+    """Refuse build_J(n, k) when its loop would enumerate count > SUM_BUDGET faces."""
+    if count > SUM_BUDGET:
+        raise TooLarge(f"build_J({n}, {k}) enumerates {count} faces, "
+                       f"more than the budget of {SUM_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -444,7 +424,8 @@ def steiner_complex(blocks: Iterable[Iterable[int]], n: int, k: int) -> SteinerR
         for i in range(len(sigma)):
             f = sigma[:i] + sigma[i + 1:]
             cover[f] = cover.get(f, 0) + 1
-    uncovered = sum(1 for f in combinations(range(n), k) if f not in cover)
+    # every covered (k-1)-face is one of the C(n, k) on [n]
+    uncovered = comb(n, k) - len(cover)
     multi = sum(1 for c in cover.values() if c > 1)
     return SteinerResult(complex=X, uncovered=uncovered, multicovered=multi)
 

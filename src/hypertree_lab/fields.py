@@ -37,10 +37,6 @@ class FieldSpec:
             raise NotPrime(f"{self.p} is not prime")
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def name(self) -> str:
         return "q" if self.p is None else f"gf:{self.p}"
 

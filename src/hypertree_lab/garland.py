@@ -306,11 +306,6 @@ def _min_eigenvalues(L: np.ndarray) -> np.ndarray:
     return np.where(mu > 0.0, mu, 0.0)  # a numerically zero mu never prints as -0
 
 
-def laplacian_min_eigenvalue(X: Complex, j: int) -> float:
-    """Smallest eigenvalue of the symmetrized degree-j Laplacian."""
-    return float(_min_eigenvalues(weighted_laplacian(X, j).matrix[None])[0])
-
-
 GUARD_BAND = 1e-7
 
 

@@ -96,7 +96,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, NotSandwiched, ParameterOutOfRange
+from .errors import InvariantViolation, ParameterOutOfRange
 from .fields import FieldSpec
 from .linalg import (
     IncrementalSpan,
@@ -401,28 +401,3 @@ class HypertreeCheck:
 
     def __bool__(self) -> bool:
         return self.is_hypertree
-
-
-def is_hypertree(Y: Complex, r: int, field: FieldSpec) -> HypertreeCheck:
-    """Test for an r-hypertree: full skeleton below, acyclic in degrees r-1, r.
-
-    Y must contain the complete (r-1)-skeleton of its ground set and have
-    no faces above degree r.  A hypertree on g vertices necessarily has
-    exactly C(g-1, r) top faces; that count is reported as a diagnostic.
-    """
-    if Y.is_void:
-        raise NotSandwiched("void complex cannot be a hypertree candidate")
-    g = Y.n
-    if Y.dim > r:
-        raise NotSandwiched(f"dimension {Y.dim} exceeds {r}")
-    for i in range(r):
-        if face_count(Y, i) != comb(g, i + 1):
-            raise NotSandwiched(f"degree-{i} layer is not complete on {g} vertices")
-    count_ok = face_count(Y, r) == comb(g - 1, r)
-    return HypertreeCheck(
-        r=r,
-        field_name=field.name,
-        face_count_ok=count_ok,
-        tb_below=betti(Y, r - 1, field),
-        tb_top=betti(Y, r, field),
-    )

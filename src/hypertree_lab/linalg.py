@@ -28,8 +28,9 @@ integers by one helper.
 The GF(2) core, _gf2_reduce, takes a run of vectors already packed as
 Python int bitsets and reduces each by XOR against a basis keyed on the
 highest set bit, adding what is left.  It serves IncrementalSpan over
-GF(2), through which the face-level ranks in homology reduce the columns
-numpy packs from arrays of faces, one call per run.
+GF(2), through which the face-level ranks in homology and the saturation
+greedy in constructions reduce the columns numpy packs from arrays of
+faces, one call per run.
 """
 from __future__ import annotations
 
@@ -261,12 +262,10 @@ class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
     Vectors are sparse index -> value dicts; over GF(2) a vector may also
-    come packed as an int bitset, and extend takes only those.
-    boundary_column hands out a face's boundary in the form that suits the
-    field, so callers need not branch on it.  Basis rows are kept reduced
-    enough to have distinct pivots (largest index).  Over GF(2) they are
-    int bitsets reduced by the XOR core, otherwise sparse dicts reduced by
-    the column route's core.  Used where candidates arrive online and only
+    come packed as an int bitset, and extend takes only those.  Basis rows
+    are kept reduced enough to have distinct pivots (largest index).  Over
+    GF(2) they are int bitsets reduced by the XOR core, otherwise sparse
+    dicts reduced by the column route's core.  Used where candidates arrive online and only
     the yes/no answer and the running rank matter; extend takes a run of
     them in one loop and can stop at a known bound on the rank.
     """
@@ -279,25 +278,10 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self.basis)
 
-    def boundary_column(self, face: tuple[int, ...], row_index: dict[tuple[int, ...], int]
-                        ) -> Union[int, dict[int, int]]:
-        """The boundary of face over the rows row_index, in the form add takes.
-
-        Entry (-1)^i sits in the row of face minus its i-th vertex.  Over
-        GF(2) it comes packed as an int bitset, otherwise as a sparse dict.
-        """
-        if self.p == 2:
-            v = 0
-            for i in range(len(face)):
-                v |= 1 << row_index[face[:i] + face[i + 1:]]
-            return v
-        return {row_index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
-                for i in range(len(face))}
-
     def add(self, vec: Union[int, dict[int, object]]) -> bool:
         """Try to add vec to the span; True iff the rank grew.
 
-        Over GF(2) vec may also be a packed int bitset (see boundary_column).
+        Over GF(2) vec may also be a packed int bitset.
         """
         if self.p == 2 and not isinstance(vec, int):
             vec = _gf2_pack(vec.items())

@@ -1,8 +1,10 @@
-"""Deterministic splittable PRNG and random complex generators.
+"""Deterministic PRNG and random complex generators.
 
 SplitMix64 keeps runs reproducible across platforms without dragging in
-Python's global Mersenne Twister state; split() hands an independent
-stream to a sub-task so its draws do not depend on what ran before it.
+Python's global Mersenne Twister state.  A sub-task whose draws must not
+depend on what ran before it gets its own SplitMix64, seeded with one
+next_u64() of its parent: each sweep row and each face the shuffled
+greedy saturates.
 
 random_skeleton_complex(n, k, q, rng) keeps the i-th of the C(n, k+1)
 candidate k-faces, in lexicographic order, exactly when the i-th
@@ -48,9 +50,6 @@ class SplitMix64:
     def below(self, n: int) -> int:
         # rejection-free modulo is fine at these sizes; bias < 2^-50
         return self.next_u64() % n
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the back: for i = len-1 down to 1, swap
@@ -116,4 +115,3 @@ def random_skeleton_complex(n: int, k: int, q: float,
         blocks.append(_face_array(kept, len(kept), k + 1))
     rng.state = (state + total * GAMMA) & MASK
     return SkeletonComplex(n, k, np.concatenate(blocks))
-

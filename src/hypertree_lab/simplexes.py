@@ -228,17 +228,6 @@ class GeneralComplex:
             out.setdefault(len(f) - 1, set()).add(f)
         return {d: frozenset(s) for d, s in out.items()}
 
-    def validate(self) -> None:
-        """Full downward-closure check; cheap checks run on construction."""
-        for f in self.faces:
-            if any(a >= b for a, b in zip(f, f[1:])):
-                raise DimensionMismatch(f"face {f} is not strictly increasing")
-            if any(v not in self.ground for v in f):
-                raise VertexOutOfRange(f"face {f} leaves the ground set")
-            for g in combinations(f, len(f) - 1) if f else ():
-                if g not in self.faces:
-                    raise DimensionMismatch(f"missing subface {g} of {f}")
-
 
 Complex = Union[SkeletonComplex, GeneralComplex]
 
@@ -363,26 +352,6 @@ def link(X: Complex, tau: Iterable[int]) -> GeneralComplex:
         if tset.issubset(sigma):
             out.add(tuple(v for v in sigma if v not in tset))
     return GeneralComplex(X.ground - tset, frozenset(out))
-
-
-def link_tops(X: SkeletonComplex, ell: int) -> dict[Simplex, list[Simplex]]:
-    """tau -> the top faces sigma minus tau of lk(X, tau), per degree-ell face.
-
-    One walk over the top faces of X collects, for every degree-ell face
-    tau of each top face sigma, the complement sigma minus tau.  Every
-    link of X is the complete skeleton below these faces, so they are all
-    a link needs.  A degree-ell face under no top face is absent.
-    """
-    size = ell + 1
-    out: dict[Simplex, list[Simplex]] = {}
-    for sigma in X.top_faces:
-        # complementing reverses lexicographic order, so the i-th
-        # (ell+1)-subset of sigma pairs with the i-th last of the rest
-        rests = list(combinations(sigma, len(sigma) - size))
-        rests.reverse()
-        for tau, rest in zip(combinations(sigma, size), rests):
-            out.setdefault(tau, []).append(rest)
-    return out
 
 
 def _binomials(N: int, s: int) -> np.ndarray:

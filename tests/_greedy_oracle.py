@@ -11,6 +11,11 @@ from math import comb
 from hypertree_lab.linalg import IncrementalSpan
 
 
+def boundary_column(face, rows) -> dict:
+    """Entry (-1)^i in the row of face minus its i-th vertex."""
+    return {rows[face[:i] + face[i + 1:]]: -1 if i % 2 else 1 for i in range(len(face))}
+
+
 def lexicographic_picks(Y, ell: int, p):
     """tau -> the faces the greedy adds to lk(Y, tau), per degree-ell face tau."""
     n, k = Y.n, Y.k
@@ -23,13 +28,13 @@ def lexicographic_picks(Y, ell: int, p):
                 for sigma in Y.top_faces if set(tau) <= set(sigma)}
         span = IncrementalSpan(p)
         for a in sorted(have):
-            span.add(span.boundary_column(a, rows))
+            span.add(boundary_column(a, rows))
         target = comb(len(ground) - 1, r)
         picked = []
         for a in combinations(ground, r + 1):
             if span.rank >= target:
                 break
-            if a not in have and span.add(span.boundary_column(a, rows)):
+            if a not in have and span.add(boundary_column(a, rows)):
                 picked.append(a)
         assert span.rank == target, (tau, span.rank, target)
         out[tau] = tuple(picked)

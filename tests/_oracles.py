@@ -1,0 +1,108 @@
+"""Checks and closed forms that only the tests use.
+
+Each one reaches the library by another route than the one it checks:
+is_hypertree takes a built link complex and its Betti numbers, where the
+library reads links from the top array; sum_complex_betti_formula knows
+nothing of sum_complex; validate walks every face, where the library
+checks only what is cheap.
+"""
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+from typing import Optional
+
+from hypertree_lab import garland
+from hypertree_lab.collapse import collapse
+from hypertree_lab.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotPrime,
+    NotSandwiched,
+    ParameterOutOfRange,
+    VertexOutOfRange,
+)
+from hypertree_lab.fields import FieldSpec, is_prime
+from hypertree_lab.homology import HypertreeCheck, betti
+from hypertree_lab.simplexes import GeneralComplex, face_count
+
+
+def collapses_to_point(X) -> bool:
+    core, _ = collapse(X)
+    return len(core.faces) == 2 and core.dim == 0
+
+
+def is_hypertree(Y, r: int, field: FieldSpec) -> HypertreeCheck:
+    """Test for an r-hypertree: full skeleton below, acyclic in degrees r-1, r.
+
+    Y must contain the complete (r-1)-skeleton of its ground set and have
+    no faces above degree r.  A hypertree on g vertices necessarily has
+    exactly C(g-1, r) top faces; that count is reported as a diagnostic.
+    """
+    if Y.is_void:
+        raise NotSandwiched("void complex cannot be a hypertree candidate")
+    g = Y.n
+    if Y.dim > r:
+        raise NotSandwiched(f"dimension {Y.dim} exceeds {r}")
+    for i in range(r):
+        if face_count(Y, i) != comb(g, i + 1):
+            raise NotSandwiched(f"degree-{i} layer is not complete on {g} vertices")
+    return HypertreeCheck(
+        r=r,
+        field_name=field.name,
+        face_count_ok=face_count(Y, r) == comb(g - 1, r),
+        tb_below=betti(Y, r - 1, field),
+        tb_top=betti(Y, r, field),
+    )
+
+
+def laplacian_min_eigenvalue(X, j: int) -> float:
+    """Smallest eigenvalue of the symmetrized degree-j Laplacian, by the
+    library's eigen step on the Laplacian built from X itself.  Both are
+    read from the garland module at call time, so a test may patch them."""
+    return float(garland._min_eigenvalues(garland.weighted_laplacian(X, j).matrix[None])[0])
+
+
+def sum_complex_betti_formula(n: int, r: int, s: int, i: int) -> int:
+    """Closed-form Betti number for an interval residue set of size r+1.
+
+    All homology sits in degree s-1 (when r <= s) or degree s (when
+    r >= s); every other degree is 0.  Valid only for prime n, which is
+    also what makes the division exact.
+    """
+    if not is_prime(n):
+        raise NotPrime(f"{n} is not prime")
+    if not 0 <= r <= n - 1:
+        raise ParameterOutOfRange(f"residue count parameter {r} out of range")
+    if not 0 <= s <= n - 2:
+        raise ParameterOutOfRange(f"top dimension {s} out of range")
+    if i == s - 1 and r <= s:
+        value = Fraction((s - r) * comb(n - 1, s), s + 1)
+    elif i == s and r >= s:
+        value = Fraction((r - s) * comb(n - 1, s), s + 1)
+    else:
+        return 0
+    if value.denominator != 1:
+        raise InvariantViolation(f"non-integer closed form {value}")
+    return int(value)
+
+
+def interval_offset(spec) -> Optional[int]:
+    """Start t when the residues of a SumComplexSpec are {t, t+1, ..., t+r} mod n."""
+    size = len(spec.residues)
+    for t in spec.residues:
+        if all((t + i) % spec.n in spec.residues for i in range(size)):
+            return t
+    return None
+
+
+def validate(G: GeneralComplex) -> None:
+    """Full downward-closure check; GeneralComplex runs only the cheap
+    checks on construction."""
+    for f in G.faces:
+        if any(a >= b for a, b in zip(f, f[1:])):
+            raise DimensionMismatch(f"face {f} is not strictly increasing")
+        if any(v not in G.ground for v in f):
+            raise VertexOutOfRange(f"face {f} leaves the ground set")
+        for g in combinations(f, len(f) - 1) if f else ():
+            if g not in G.faces:
+                raise DimensionMismatch(f"missing subface {g} of {f}")

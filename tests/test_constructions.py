@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hypertree_lab import constructions, homology
-from hypertree_lab.collapse import collapses_to_point
 from hypertree_lab.constructions import (
     FANO_BLOCKS,
     SUM_BUDGET,
@@ -16,7 +15,6 @@ from hypertree_lab.constructions import (
     build_X_nkl,
     steiner_complex,
     sum_complex,
-    sum_complex_betti_formula,
 )
 from hypertree_lab.errors import (
     NotPrime,
@@ -29,6 +27,7 @@ from hypertree_lab.homology import betti, betti_table
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import _binomials, _lex_ranks, face_count, link
 from _greedy_oracle import lexicographic_picks
+from _oracles import collapses_to_point, interval_offset, sum_complex_betti_formula
 from _registry import track
 
 
@@ -41,15 +40,15 @@ def test_sum_complex_spec_validation():
         SumComplexSpec.make(7, [0], 6)
     spec = SumComplexSpec.make(7, [9, 1], 2)
     assert spec.residues == frozenset({2, 1})
-    assert spec.r == 1
+    assert len(spec.residues) - 1 == 1
 
 
 def test_interval_offset_detection():
-    assert SumComplexSpec.make(7, [3, 4, 5], 1).interval_offset() == 3
+    assert interval_offset(SumComplexSpec.make(7, [3, 4, 5], 1)) == 3
     # wraps around the modulus
-    assert SumComplexSpec.make(7, [6, 0, 1], 1).interval_offset() == 6
-    assert SumComplexSpec.make(7, [0, 2], 1).interval_offset() is None
-    assert SumComplexSpec.make(5, [1], 1).interval_offset() == 1
+    assert interval_offset(SumComplexSpec.make(7, [6, 0, 1], 1)) == 6
+    assert interval_offset(SumComplexSpec.make(7, [0, 2], 1)) is None
+    assert interval_offset(SumComplexSpec.make(5, [1], 1)) == 1
 
 
 def test_sum_complex_face_selection():
@@ -104,7 +103,7 @@ def test_formula_matches_computed_homology_small():
     for n, res, s in ((5, [0], 1), (7, [1, 2], 2), (7, [0, 1, 2, 3], 2)):
         spec = SumComplexSpec.make(n, res, s)
         X = track(sum_complex(spec))
-        r = spec.r
+        r = len(spec.residues) - 1
         for i in range(-1, s + 1):
             want = sum_complex_betti_formula(n, r, s, i)
             assert betti(X, i, RATIONALS) == want

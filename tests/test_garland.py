@@ -22,7 +22,6 @@ from hypertree_lab.garland import (
     check_pure,
     garland_check,
     garland_weights,
-    laplacian_min_eigenvalue,
     weighted_laplacian,
 )
 from hypertree_lab.homology import betti, betti_table
@@ -35,6 +34,7 @@ from hypertree_lab.simplexes import (
     link,
 )
 from _jacobi import jacobi_eigenvalues
+from _oracles import laplacian_min_eigenvalue
 from _random_complexes import random_pure_complex
 from _registry import track
 

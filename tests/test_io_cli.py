@@ -412,6 +412,32 @@ def test_construct_jnk(tmp_path):
     assert code2 == 2 and err.strip()
 
 
+def test_construct_jnk_refuses_a_family_over_budget_at_once(tmp_path):
+    # the antipodal quadruples of n = 2000 number 1000 * 999^2
+    t0 = time.perf_counter()
+    code, _, err = run_main(["construct", "jnk", "2000", "3",
+                             "--out-file", str(tmp_path / "j.cplx")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "build_J(2000, 3) enumerates 998001000 faces, more than the budget" in err
+    assert not (tmp_path / "j.cplx").exists()
+
+
+def test_construct_steiner_counts_uncovered_faces_without_listing_them(tmp_path):
+    # two blocks on vertices up to 100000 leave all but 6 of the C(100001, 2)
+    # edges uncovered; they are counted, not enumerated
+    blocks = tmp_path / "far.blocks"
+    blocks.write_text("0 1 2\n3 4 100000\n")
+    t0 = time.perf_counter()
+    code, out, _ = run_main(["construct", "steiner", str(blocks),
+                             "--out-file", str(tmp_path / "far.cplx")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert "design valid: False (uncovered 5000049994, multicovered 0)" in out
+    X = parse_complex_text((tmp_path / "far.cplx").read_text()).complex
+    assert X.n == 100001 and X.top_faces == frozenset({(0, 1, 2), (3, 4, 100000)})
+
+
 def test_construct_xnkl_reports_the_degree_it_built_at(tmp_path):
     # --ell is not an argument of xnkl; the report names the ell it built at
     for extra in ([], ["--ell", "0"], ["--ell", "5"]):

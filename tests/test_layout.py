@@ -2,41 +2,170 @@
 and keeps no cache the benchmark cannot empty."""
 import ast
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypertree_lab"
 
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda) + COMPREHENSIONS
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of scope outside every function, comprehension or class
+    nested in it; a nested def or class itself is included."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _locals(scope: ast.AST) -> set[str]:
+    """The names a function or comprehension binds itself: its arguments,
+    targets, defs, classes, imports and exception names, less those it
+    declares global or nonlocal."""
+    names, declared = set(), set()
+    if not isinstance(scope, COMPREHENSIONS):
+        names.update(a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg))
+    for node in _own_nodes(scope):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, DEFS):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return names - declared
+
+
+def _loads_and_imports(tree: ast.Module):
+    """Each name load as (scope, name), scope the id of the innermost
+    enclosing function or comprehension that binds the name, else of the
+    module; and each relative import as (scope, module, name, alias)."""
+    loads, imports = set(), []
+
+    def visit(node, chain):
+        if isinstance(node, SCOPES):
+            chain = chain + [(node, _locals(node))]
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            owner = next((s for s, names in reversed(chain) if node.id in names), tree)
+            loads.add((id(owner), node.id))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            scope = id(chain[-1][0] if chain else tree)
+            imports.extend((scope, node.module, a.name, a.asname or a.name)
+                           for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+
+    visit(tree, [])
+    return loads, imports
+
 
 def _unreferenced(src: Path) -> list[str]:
-    """Module-level functions and classes named nowhere else in src.
+    """Module-level functions and classes, and the non-dunder methods and
+    properties of module-level classes, that no module of src but
+    __init__.py uses.
 
-    A name counts as used when any module under src loads it, reads it
-    as an attribute or imports it; its own def does none of these.
+    A function or class is used where its module loads its name at module
+    scope, or where a module imports it and loads the imported name in the
+    scope of the import: a load of a name that the enclosing function or
+    comprehension binds itself reads that local.  A method or property is
+    used where any module reads an attribute of its name.  __init__.py
+    only re-exports, which uses nothing.
     """
-    defined: dict[str, str] = {}
-    used: set[str] = set()
+    defined: dict[tuple[str, str], str] = {}
+    methods: dict[str, list[str]] = {}
+    used: set[tuple[str, str]] = set()
+    attrs: set[str] = set()
     for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return sorted(f"{defined[name]}:{name}" for name in defined.keys() - used)
+            if isinstance(node, DEFS):
+                defined[path.stem, node.name] = f"{path.name}:{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                            and not (item.name.startswith("__") and item.name.endswith("__")):
+                        methods.setdefault(item.name, []).append(
+                            f"{path.name}:{node.name}.{item.name}")
+        loads, imports = _loads_and_imports(tree)
+        used.update((path.stem, name) for scope, name in loads if scope == id(tree))
+        used.update((module, name) for scope, module, name, alias in imports
+                    if (scope, alias) in loads)
+        attrs.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    out = [label for key, label in defined.items() if key not in used]
+    out += [label for name, labels in methods.items() if name not in attrs
+            for label in labels]
+    return sorted(out)
 
 
-# the column route is the independent rank oracle: the tests and the
-# benchmark's output checks call it, and the library must not
-ORACLES = ["linalg.py:rank_by_columns"]
+# what the library keeps that no command reaches, and why
+PUBLIC = {
+    "linalg.py:rank_by_columns":
+        "the independent rank oracle: the tests and perfbench/ call it, the library must not",
+    "randomness.py:SplitMix64.uniform":
+        "the per-candidate draw that the README documents random(...) by",
+    "simplexes.py:full_skeleton": "perfbench/ builds its complete skeleta with it",
+    "simplexes.py:link": "perfbench/ builds the links its Garland check reads",
+    "garland.py:weighted_laplacian": "perfbench/ builds the Laplacians its Garland check reads",
+}
 
 
 def test_every_library_definition_is_used_by_the_library():
     # a helper only the tests call belongs under tests/, like _jacobi.py
-    assert _unreferenced(SRC) == ORACLES
+    assert _unreferenced(SRC) == sorted(PUBLIC)
+
+
+UNUSED = {
+    "__init__.py": "from .core import exported\n",
+    "core.py": '''\
+from .helpers import Check, reached, unread
+
+def exported(): return 1
+
+def is_tree(): return 2
+
+def link(): return 3
+
+def entry(chk: Check, link):
+    if chk.is_tree:
+        return link, reached()
+    return [link for link in ()]
+''',
+    "helpers.py": '''\
+class Check:
+    @property
+    def is_tree(self): return True
+
+    def spare(self): return 0
+
+    def __repr__(self): return "Check()"
+
+def reached(): return 4
+
+def unread(): return 5
+''',
+}
+
+
+def test_unreferenced_sees_through_reexports_locals_and_attributes(tmp_path):
+    # every loophole of a name-only scan: a re-export in __init__.py, an
+    # import never read, an unused method, and a local variable or
+    # argument (link) or an attribute (chk.is_tree) that shares a
+    # function's name
+    for name, text in UNUSED.items():
+        (tmp_path / name).write_text(text)
+    assert _unreferenced(tmp_path) == [
+        "core.py:entry", "core.py:exported", "core.py:is_tree", "core.py:link", "helpers.py:Check.spare",
+        "helpers.py:unread"]
 
 
 MEMOS = {"cache", "lru_cache"}

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from hypertree_lab import linalg
+from hypertree_lab.constructions import _boundary_columns
 from hypertree_lab.homology import boundary_matrix
 from hypertree_lab.linalg import (
     IncrementalSpan,
@@ -11,6 +12,7 @@ from hypertree_lab.linalg import (
     rank_by_rows,
 )
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
+from hypertree_lab.simplexes import _binomials, _facet_ranks, _top_array
 
 
 def dense_rank(entries, n_rows, n_cols, p):
@@ -188,18 +190,20 @@ def test_incremental_span_tracks_rank():
 
 
 def test_boundary_column_matches_boundary_matrix():
-    # the packed GF(2) column and the sparse column hold the boundary_matrix
-    # entries, and add takes either form
+    # the columns the greedy packs from facet ranks, an int bitset over
+    # GF(2) and a sparse dict otherwise, hold the boundary_matrix entries,
+    # and add takes either form
     X = random_skeleton_complex(8, 2, 0.5, SplitMix64(5))
     M = boundary_matrix(X, 2)
-    row_index = {f: i for i, f in enumerate(M.row_faces)}
     cols = {}
     for (i, c), v in M.entries.items():
         cols.setdefault(c, {})[i] = v
+    facet = _facet_ranks(_top_array(X), _binomials(X.n, 2))
     for p in (2, 3, None):
         span, oracle = IncrementalSpan(p), IncrementalSpan(p)
-        for c, face in enumerate(M.col_faces):
-            got = span.boundary_column(face, row_index)
+        packed = list(_boundary_columns(facet, M.n_rows, p))
+        assert len(packed) == M.n_cols
+        for c, got in enumerate(packed):
             if p == 2:
                 assert got == sum(1 << i for i in cols[c])
             else:
