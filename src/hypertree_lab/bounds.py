@@ -162,8 +162,8 @@ class DualBoundVerdict:
         return self.coefficient * self.tb_top <= self.lam_high
 
 
-def check_dual_degree(k: int, ell: int) -> None:
-    """Refuse a dual-bound degree outside [-1, k)."""
+def check_dual_degree(n: int, k: int, ell: int) -> None:
+    """Refuse a dual-bound degree outside [-1, k) for top dimension k."""
     if not -1 <= ell < k:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k})")
 
@@ -176,7 +176,7 @@ def verify_dual_bound(X: Complex, ell: int, field: FieldSpec) -> DualBoundVerdic
     """
     S = as_skeleton_complex(X)
     k = S.k
-    check_dual_degree(k, ell)
+    check_dual_degree(S.n, k, ell)
     return DualBoundVerdict(
         n=S.n, k=k, ell=ell, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
@@ -230,8 +230,8 @@ class MonotonicityVerdict:
                 and all(b.holds for b in self.link_brackets))
 
 
-def check_deletion_degree(k: int, ell: int) -> None:
-    """Refuse a deletion-check degree outside [-1, k-1]."""
+def check_deletion_degree(n: int, k: int, ell: int) -> None:
+    """Refuse a deletion-check degree outside [-1, k-1] for top dimension k."""
     if not -1 <= ell <= k - 1:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 1}]")
 
@@ -249,7 +249,7 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     """
     S = as_skeleton_complex(X)
     k = S.k
-    check_deletion_degree(k, ell)
+    check_deletion_degree(S.n, k, ell)
     s = make_simplex(sigma)
     if s not in S.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")

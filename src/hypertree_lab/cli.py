@@ -67,10 +67,10 @@ DegreeCheck = Callable[[int, int, int], None]
 # the library's check of (n, k, ell) behind each command that takes --ell,
 # run before a random(...) input is drawn
 DEGREE_CHECKS: dict[str, DegreeCheck] = {
-    "links": lambda n, k, ell: check_link_degree(k, ell),
-    "lambda": lambda n, k, ell: check_link_degree(k, ell),
+    "links": check_link_degree,
+    "lambda": check_link_degree,
     "verify-bound": check_bound_degree,
-    "verify-dual": lambda n, k, ell: check_dual_degree(k, ell),
+    "verify-dual": check_dual_degree,
     "trichotomy": check_bound_degree,
     "garland": check_link_size,
 }
@@ -78,8 +78,8 @@ DEGREE_CHECKS: dict[str, DegreeCheck] = {
 # the same for each sweep --check that takes a degree
 SWEEP_DEGREE_CHECKS: dict[str, DegreeCheck] = {
     "bound": check_bound_degree,
-    "dual": DEGREE_CHECKS["verify-dual"],
-    "mono": lambda n, k, ell: check_deletion_degree(k, ell),
+    "dual": check_dual_degree,
+    "mono": check_deletion_degree,
     "garland": check_link_size,
 }
 

@@ -269,8 +269,9 @@ def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,
     have holds the candidate ranks of Y's link tops among the
     (r+1)-subsets of 0..g-1, grouped by link at bounds.  Every
     candidate's column is packed once, from its facet ranks, by
-    _boundary_columns.  The picks come by link id, then in pick order, as
-    an (picks, r+1) array on 0..g-1.
+    _boundary_columns.  A link's tops enter its span in one extend, then
+    the shuffled candidates one add at a time.  The picks come by link id,
+    then in pick order, as an (picks, r+1) array on 0..g-1.
     """
     target = comb(g - 1, r)  # top-boundary rank of a link hypertree
     cands = _face_array(combinations(range(g), r + 1), comb(g, r + 1), r + 1)
@@ -281,8 +282,7 @@ def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,
         existing = set(have[bounds[t]:bounds[t + 1]].tolist())
         order = [i for i in range(len(cols)) if i not in existing]
         SplitMix64(seed).shuffle(order)
-        for i in sorted(existing):
-            span.add(cols[i])
+        span.extend([cols[i] for i in sorted(existing)])
         for i in order:
             if span.rank >= target:
                 break

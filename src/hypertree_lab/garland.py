@@ -97,6 +97,8 @@ from .simplexes import (
 )
 
 SIZE_LIMIT = 5000
+# entries of the link step's table of top faces above each link face
+COUNT_LIMIT = 10 ** 7
 
 # doubles per stacked array of link Laplacians (module docstring)
 _BLOCK_DOUBLES = 1 << 14
@@ -146,12 +148,20 @@ def check_link_size(n: int, k: int, ell: int) -> None:
     """Refuse a degree-ell check on n vertices in dimension k before any work.
 
     Each link Laplacian of the check has one row per degree-(k-ell-2) face
-    of a link on n-ell-1 vertices, C(n-ell-1, k-ell-1) of them, so the
-    bound needs only (n, k, ell): neither X nor its links are built.
+    of a link on n-ell-1 vertices, C(n-ell-1, k-ell-1) of them.  The link
+    step counts the tops above those faces of all C(n, ell+1) links in one
+    table of C(n, k) C(k, ell+1) entries, one per (k-1)-face and
+    ell-face of it, no fewer than the C(n, k) flags of the purity check.
+    So the bounds need only (n, k, ell): neither X nor its links are
+    built.
     """
     if not -1 <= ell <= k - 2:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 2}]")
     _too_large(math.comb(n - ell - 1, k - ell - 1), k - ell - 2)
+    count = math.comb(n, k) * math.comb(k, ell + 1)
+    if count > COUNT_LIMIT:
+        raise TooLarge(f"a table of C({n}, {k}) C({k}, {ell + 1}) = {count} link face "
+                       f"counts exceeds limit {COUNT_LIMIT}")
 
 
 def _boundary(row_index: dict[Simplex, int], cols: Sequence[Simplex]) -> np.ndarray:

@@ -46,17 +46,21 @@ and keeps the rank.  After it, the column of a face alpha through v has
 one entry, in the row alpha minus v, and no other face through v shares
 that row.  So the rank is c + the rank of the other columns with those c
 rows deleted, for c the number of faces through v: those rows are free
-pivots.  _top_rank takes v the least vertex of its faces, and the link
-ranks take v = 0, the least vertex of each relabelled link.
+pivots.  Every top map takes v = 0.
 
-_top_rank numbers its rows in order of first appearance: the faces are
-sorted, the free rows come first, and then every row as the columns
-reach it, position by position.  Each column's bitset is then no wider
-than the rows seen so far.  On the saturated X of (n, k, ell) =
-(61, 3, 1), the GF(2) rank took 0.09 s and peaked at 73 MB this way;
-numbering the rows by plain lexicographic rank took 0.14 s and 94 MB,
-and by reversed lexicographic rank 81 MB (one fresh process each, two
-cores of an x86-64 host, Python 3.11).
+One route ranks every top boundary map, the global ones included: the
+global map of a layer that is not complete is the top map of the link
+of the empty face, the layer itself.  _rank_cached shifts the layer so
+that its least vertex is 0 and hands it to _link_rows and _link_ranks as
+one link.  _link_rows splits off the cone, the tops through 0, and
+numbers each link's other rows in order of first appearance: column by
+column, position by position.  Each column's bitset is then no wider
+than the rows seen so far, and _link_ranks streams the bitsets into
+each link's span.  On the saturated X of (n, k, ell) = (61, 3, 1), the
+command construct xnkl peaked at 72 MB this way, and at 86 MB with each
+link's rows numbered in lexicographic order; at (41, 4, 1) the peaks
+were 310 and 381 MB (one fresh process each, two cores of an x86-64
+host, Python 3.11).
 
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
@@ -75,9 +79,8 @@ grouped by tau, with sigma minus tau relabelled onto 0..g-1 in order
 (simplexes module docstring), which keeps the link's boundary map as it
 is.  f_tau is one count of the tau ids.  A link top through the
 relabelled vertex 0 is a unit column in the row of its facet without 0,
-and the other columns drop those free rows.  Each link numbers the rows
-its other columns touch in lexicographic order, so its bitsets are no
-wider than those rows.
+and the other columns drop those free rows.  The rows are numbered per
+link, so its bitsets are no wider than the rows it touches.
 
 At ell = k-1 (r = 0) no rank is taken.  The link of tau is its f_tau
 points sigma minus tau over the empty face, and its top map is the
@@ -88,6 +91,7 @@ field (above).
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -96,7 +100,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterOutOfRange
+from .errors import InvariantViolation, ParameterOutOfRange, TooLarge
 from .fields import FieldSpec
 from .linalg import (
     IncrementalSpan,
@@ -104,6 +108,7 @@ from .linalg import (
     kernel_basis,
     rank_by_rows,
 )
+from .randomness import FACE_BUDGET
 from .simplexes import (
     Complex,
     Simplex,
@@ -153,7 +158,7 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
 
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
     bounds the rank from the ambient simplex.  bits are the columns as
-    GF(2) bitsets, or None where _packs says the row route runs at once.
+    GF(2) bitsets, or None where the row route runs at once.
     """
     bound = min(len(pos), rows, cap)
     if not bound:
@@ -167,43 +172,12 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
     return rank_by_rows(entries, rows, len(pos), p)
 
 
-def _packs(p: Optional[int], degree: int) -> bool:
-    """Whether a rank over p of a degree-`degree` map reads GF(2) bitsets."""
-    return p is None or p == 2 or degree <= 1
-
-
 def complete_rank(g: int, j: int) -> int:
     """Rank of the degree-j boundary map of the full simplex on g vertices.
 
     C(g-1, j) for 0 <= j <= g-1, else 0 (module docstring).
     """
     return comb(g - 1, j) if 0 <= j <= g - 1 else 0
-
-
-def _top_rank(faces: np.ndarray, p: Optional[int], g: int) -> int:
-    """Rank of the boundary map on faces, rows only where touched.
-
-    faces is an (f, j+1) int array of distinct j-faces on 0..g-1 in sorted
-    order.  The faces through v, the least vertex, are the first c, and
-    their rows faces minus v are free pivots (module docstring).  Rows are
-    numbered in order of first appearance: the c free rows first, then
-    each other face's facets, position by position.
-    """
-    if not len(faces):
-        return 0
-    degree = faces.shape[1] - 1
-    c = int(np.count_nonzero(faces[:, 0] == faces[0, 0]))
-    keys = _facet_keys(faces, g)
-    _, first, inv = np.unique(np.concatenate([keys[:c, 0], keys[c:].ravel()]),
-                              return_index=True, return_inverse=True)
-    width = len(first) - c
-    number = np.empty(len(first), dtype=np.int64)
-    number[np.argsort(first)] = np.arange(-c, width)
-    pos = number[inv.reshape(-1)[c:]].reshape(-1, degree + 1)
-    pos[pos < 0] = -1
-    del keys, first, inv, number  # before the basis grows
-    bits = _bitsets(pos, width) if _packs(p, degree) else None
-    return c + _map_rank(pos, bits, width, complete_rank(g, degree) - c, p)
 
 
 # keyed on the complex, so each entry keeps its complex alive: a few
@@ -220,7 +194,12 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
         # the ground set relabelled onto 0..g-1 in order
         faces = np.searchsorted(np.array(sorted(X.ground), dtype=np.int64),
                                 _face_array(iter_faces(X, j), face_count(X, j), j + 1))
-    return _top_rank(faces, p, g)
+    if len(faces) and faces[0, 0]:
+        # the cone split takes the least vertex, moved to 0
+        faces = faces - faces[0, 0]
+    # the layer is the one link of the empty face (module docstring)
+    f = len(faces)
+    return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g), [f], g, p)[0]
 
 
 def boundary_rank(X: Complex, j: int, field: FieldSpec) -> int:
@@ -260,21 +239,27 @@ class LinkBetti(NamedTuple):
     top: int     # reduced Betti number in degree r
 
 
-def check_link_degree(k: int, ell: int) -> None:
-    """Refuse a link degree outside [-1, k] for top dimension k."""
+def check_link_degree(n: int, k: int, ell: int) -> None:
+    """Refuse a link degree outside [-1, k] for top dimension k, or, below
+    k, more than FACE_BUDGET links of faces on n vertices to walk."""
     if not -1 <= ell <= k:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k}]")
+    count = comb(n, ell + 1)
+    if ell < k and count > FACE_BUDGET:
+        raise TooLarge(f"C({n}, {ell + 1}) = {count} links "
+                       f"exceeds the budget of {FACE_BUDGET}")
 
 
 def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
-               g: int) -> tuple[np.ndarray, list[int], list[int], list[int]]:
+               g: int) -> tuple[np.ndarray, list[int], list[int]]:
     """The rows of every link's top boundary map, numbered per link.
 
-    link and rest are _relabelled_link_tops of X, for links on 0..g-1 with
-    r-subsets for rows, r >= 1 (module docstring).  Returns pos, the rows
-    of the tops avoiding 0, -1 for a free row, grouped by link from at[t]
-    to at[t+1]; free[t], the number of free rows; and rows[t], the number
-    of other rows touched.
+    link and rest are _relabelled_link_tops of X, for links on 0..g-1
+    (module docstring); the global map is the one link of the empty face.
+    Returns pos, the rows of the tops avoiding 0, -1 for a free row,
+    grouped by link from at[t] to at[t+1], and rows[t], the number of
+    other rows touched, which each link numbers in order of first
+    appearance, free rows first.
     """
     r = rest.shape[1] - 1
     keys = _facet_keys(rest, g)
@@ -282,36 +267,47 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
     c = int(np.count_nonzero(cone))
     link_nc = link[~cone]
     # one key per (link, row) pair, the free rows of the cone columns first
-    m = int(keys.max(initial=0)) + 1
-    pairs = np.concatenate([link[cone] * m + keys[cone, 0],
-                            (link_nc[:, None] * m + keys[~cone]).ravel()])
+    keys += link[:, None] * (int(keys.max(initial=0)) + 1)
+    pairs = np.concatenate([keys[:, 0][cone], keys[~cone].ravel()])
     uniq, inv = np.unique(pairs, return_inverse=True)
-    kept = np.ones(len(uniq), dtype=bool)
-    kept[inv[:c]] = False
-    group_link = uniq // m
-    before = np.cumsum(kept) - kept  # kept pairs before each pair
-    number = np.where(kept, before - before[np.searchsorted(group_link, group_link)], -1)
-    return (number[inv[c:]].reshape(-1, r + 1),
-            np.searchsorted(link_nc, np.arange(n_links + 1)).tolist(),
-            np.bincount(group_link[~kept], minlength=n_links).tolist(),
-            np.bincount(group_link[kept], minlength=n_links).tolist())
+    first = np.full(len(uniq), len(pairs))
+    np.minimum.at(first, inv, np.arange(len(pairs)))
+    # seen[i]: the rows first met before pair i, the c free rows among them
+    seen = np.zeros(len(pairs) + 1, dtype=np.int64)
+    seen[first + 1] = 1
+    np.cumsum(seen, out=seen)
+    at = np.searchsorted(link_nc, np.arange(n_links + 1))
+    start = seen[c + (r + 1) * at]  # at each link's first pair
+    met = first[inv[c:]].reshape(-1, r + 1)
+    return (np.where(met < c, -1, seen[met] - start[link_nc][:, None]),
+            at.tolist(), np.diff(start).tolist())
 
 
-def _link_ranks(pos: np.ndarray, at: list[int], free: list[int], rows: list[int],
-                f: list[int], g: int, p: Optional[int]) -> list[int]:
+def _link_ranks(pos: np.ndarray, at: list[int], rows: list[int], f: list[int],
+                g: int, p: Optional[int]) -> list[int]:
     """Rank of the top boundary map of every link, from _link_rows and the
-    number f[t] of each link's tops."""
+    number f[t] of each link's tops.
+
+    The tops of a link that pos leaves out pass through 0, one free row
+    each.  The GF(2) bitsets are packed over GF(2) and Q, and over every
+    field in degree at most 1; else the row route runs at once.  They
+    stream into each link's span, and the columns an early stop leaves
+    are skipped only when another link follows.
+    """
     r = pos.shape[1] - 1
     low, complete = complete_rank(g, r), comb(g, r + 1)
-    bits = _bitsets(pos, max(rows, default=0)) if _packs(p, r) else None
+    bits = _bitsets(pos, max(rows, default=0)) if p in (None, 2) or r <= 1 else None
     out = []
-    for t, (ft, u, w) in enumerate(zip(f, free, rows)):
+    for t, (ft, w) in enumerate(zip(f, rows)):
         lo, hi = at[t], at[t + 1]
-        cols = None if bits is None else list(islice(bits, hi - lo))
+        cols = None if bits is None else islice(bits, hi - lo)
         if ft in (0, complete):
             out.append(low if ft else 0)
         else:
+            u = ft - (hi - lo)
             out.append(u + _map_rank(pos[lo:hi], cols, w, low - u, p))
+        if cols is not None and t + 1 < len(f):
+            deque(cols, maxlen=0)
     return out
 
 
@@ -323,7 +319,7 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     one-face complex).  Every other reduced Betti number of these links
     is 0.
     """
-    check_link_degree(X.k, ell)
+    check_link_degree(X.n, X.k, ell)
     taus = list(iter_faces(X, ell))
     r = X.k - ell - 1
     if r < 0:

@@ -29,7 +29,7 @@ from .simplexes import SkeletonComplex, _face_array
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-FACE_BUDGET = 10 ** 6  # candidate k-faces a random draw may enumerate
+FACE_BUDGET = 10 ** 6  # candidate k-faces a random draw, or links a walk, may enumerate
 BLOCK = 1 << 16  # candidates drawn per numpy block; bounds the draw's memory
 
 

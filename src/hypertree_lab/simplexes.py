@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from operator import ge
 from typing import Iterable, Iterator, NoReturn, Union
@@ -362,8 +362,13 @@ def _binomials(N: int, s: int) -> np.ndarray:
     table holds in int64 whenever C(N, s) does, even where C(N, N/2) would
     not.
     """
-    return np.array([[comb(x, y) if x - y <= N - s else 0 for y in range(s + 1)]
-                     for x in range(N + 1)], dtype=np.int64)
+    out = np.zeros((N + 1, s + 1), dtype=np.int64)
+    col = [1] * (N - s + 1)  # C(y + d, y) for d = 0..N-s, here at y = 0
+    for y in range(s + 1):
+        if y:
+            col = list(accumulate(col))  # the hockey-stick identity
+        out[y:y + len(col), y] = col
+    return out
 
 
 def _lex_ranks(faces: np.ndarray, binom: np.ndarray) -> np.ndarray:

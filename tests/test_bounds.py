@@ -319,12 +319,13 @@ def test_support_property_matches_links_built_one_by_one(S):
 
 @pytest.mark.parametrize("n,k", [(12, 3), (10, 4)])
 def test_verify_bound_at_every_degree_builds_one_facet_table(monkeypatch, n, k):
-    # over two fields and every ell, the global top rank runs once per
-    # field, and each link layer walks the top faces once
+    # over two fields and every ell, the global top rank, which numbers
+    # the rows of the one link of the empty face, runs once per field, and
+    # each link layer walks the top faces once
     calls = Counter()
-    top_rank, walk = homology._top_rank, homology._relabelled_link_tops
-    monkeypatch.setattr(homology, "_top_rank",
-                        lambda *a: calls.update(["rank"]) or top_rank(*a))
+    rows, walk = homology._link_rows, homology._relabelled_link_tops
+    monkeypatch.setattr(homology, "_link_rows",
+                        lambda *a: calls.update(["rank"] * (a[2] == 1)) or rows(*a))
     monkeypatch.setattr(homology, "_relabelled_link_tops",
                         lambda *a: calls.update(["walk"]) or walk(*a))
     homology._rank_cached.cache_clear()

@@ -275,17 +275,19 @@ def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
     # profile and once for the global rank each, and X's reads take X's
     # own top faces, not the greedy's picks
     seen = {"rank": [], "walk": []}
-    top_rank, walk = homology._top_rank, homology._relabelled_link_tops
+    rows, walk = homology._link_rows, homology._relabelled_link_tops
 
-    def rank_spy(faces, p, g):
-        seen["rank"].append(set(map(tuple, faces.tolist())))
-        return top_rank(faces, p, g)
+    def rank_spy(link, rest, n_links, g):
+        # a global rank numbers the rows of the one link of the empty face
+        if n_links == 1:
+            seen["rank"].append(set(map(tuple, rest.tolist())))
+        return rows(link, rest, n_links, g)
 
     def walk_spy(tops, n_, ell_):
         seen["walk"].append(set(map(tuple, tops.tolist())))
         return walk(tops, n_, ell_)
 
-    monkeypatch.setattr(homology, "_top_rank", rank_spy)
+    monkeypatch.setattr(homology, "_link_rows", rank_spy)
     monkeypatch.setattr(homology, "_relabelled_link_tops", walk_spy)
     homology._rank_cached.cache_clear()
     rep = build_X_nkl(n, k, ell, GF2)

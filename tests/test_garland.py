@@ -353,6 +353,9 @@ def test_link_size_is_bounded_before_any_enumeration(monkeypatch, capsys):
         garland_check(full_skeleton(40, 3), -1)
     with pytest.raises(TooLarge, match="9880 faces in degree 2"):
         check_link_size(40, 3, -1)
+    # 193 rows per Laplacian, but a count table of C(200, 8) C(8, 7) entries
+    with pytest.raises(TooLarge, match=f"= {math.comb(200, 8) * 8} link face counts"):
+        check_link_size(200, 8, 6)
     # the command refuses a random input from (n, k, ell), before the draw
     monkeypatch.setattr(cli, "random_skeleton_complex", no_enumeration)
     assert cli.main(["garland", "--in", "random(seed=1,n=40,k=3,q=1.0)",
@@ -432,9 +435,9 @@ def test_complete_skeleton_builds_no_facet_id_table(monkeypatch):
     from hypertree_lab import homology
 
     calls = []
-    top_rank = homology._top_rank
-    monkeypatch.setattr(homology, "_top_rank",
-                        lambda *a: calls.append(1) or top_rank(*a))
+    rows = homology._link_rows
+    monkeypatch.setattr(homology, "_link_rows",
+                        lambda *a: calls.append(a[2]) or rows(*a))
     homology._rank_cached.cache_clear()
     X = full_skeleton(8, 3)
     for ell in (-1, 0, 1):
@@ -450,4 +453,4 @@ def test_complete_skeleton_builds_no_facet_id_table(monkeypatch):
             pass
     assert len(X.top_faces) < math.comb(8, 4)
     garland_check(X, 0)
-    assert calls == [1]
+    assert calls == [1]  # one link, the empty face's

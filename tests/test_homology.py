@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypertree_lab import homology
+from hypertree_lab.constructions import build_X_nkl
 from hypertree_lab.errors import NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.homology import (
@@ -148,11 +149,11 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     # bound or runs the rational row route; both must agree with the
     # column route, and the draws must reach both branches
     calls = {"q": 0, "fallback": 0}
-    top_rank, rank_by_rows = homology._top_rank, homology.rank_by_rows
+    link_ranks, rank_by_rows = homology._link_ranks, homology.rank_by_rows
 
-    def top_rank_spy(faces, p, g):
+    def link_ranks_spy(pos, at, rows, f, g, p):
         calls["q"] += p is None
-        return top_rank(faces, p, g)
+        return link_ranks(pos, at, rows, f, g, p)
 
     def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
         calls["fallback"] += p is None
@@ -182,7 +183,7 @@ def test_boundary_rank_matches_column_route_on_both_branches():
                         (j, fld.name)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_top_rank", top_rank_spy)
+        mp.setattr(homology, "_link_ranks", link_ranks_spy)
         mp.setattr(homology, "rank_by_rows", rank_by_rows_spy)
         check()
     assert calls["fallback"] > 0
@@ -281,15 +282,50 @@ def _sorted_faces(draw):
 @example((5, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]))
 def test_unit_columns_are_free_pivots(case):
     # the faces through the least vertex are unit columns in the rows
-    # through it deleted: _top_rank counts them and ranks the rest without
-    # their rows, which must give the rank of the whole boundary map over
-    # every field
+    # through it deleted: the global rank, taken as the one link of the
+    # empty face, counts them and ranks the rest without their rows, which
+    # must give the rank of the whole boundary map over every field; the
+    # ground set has a vertex more, so that no layer is complete
     m, faces = case
     entries, n_rows, n_cols = _boundary_entries(faces)
-    array = np.array(faces, dtype=np.int64)
+    X = closure(faces, m + 1)
     for fld in (GF2, GF3, RATIONALS):
         want = rank_by_columns(entries, n_rows, n_cols, fld.p)
-        assert homology._top_rank(array, fld.p, m) == want, fld.name
+        assert boundary_rank(X, len(faces[0]) - 1, fld) == want, fld.name
+
+
+def _assert_first_appearance(pos, at, rows):
+    """Each link's rows are numbered in order of first appearance: after
+    each column, the largest row number met is the count of distinct rows
+    met less one."""
+    for t, w in enumerate(rows):
+        met = set()
+        for column in pos[at[t]:at[t + 1]].tolist():
+            met.update(b for b in column if b >= 0)
+            assert max(met, default=-1) == len(met) - 1, (t, column)
+        assert len(met) == w, t
+
+
+def test_global_map_rows_come_in_order_of_first_appearance():
+    # the global map of a saturated X is one link of the empty face, and
+    # its rows are numbered as its columns reach them, the free rows apart
+    X = build_X_nkl(17, 4, 1, GF2).complex
+    faces = _top_array(X)
+    assert faces[0, 0] == 0
+    pos, at, rows = homology._link_rows(np.zeros(len(faces), dtype=np.int64), faces, 1, X.n)
+    assert at == [0, len(pos)] and len(pos) < len(faces)
+    _assert_first_appearance(pos, at, rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
+                 st.integers(1, 4), st.floats(0.0, 1.0)))
+@example(RP2_CONE)
+def test_link_rows_come_in_order_of_first_appearance(S):
+    for ell in range(-1, S.k - 1):
+        ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
+        _assert_first_appearance(*homology._link_rows(
+            ids, rest, comb(S.n, ell + 1), S.n - ell - 1))
 
 
 def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatch):
@@ -422,7 +458,7 @@ def test_graph_links_build_no_facet_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("graph links eliminated or took a global rank")
 
-    for name in ("_top_rank", "rank_by_rows"):
+    for name in ("_rank_cached", "rank_by_rows"):
         monkeypatch.setattr(homology, name, refuse)
     for k in (1, 2, 3, 4):
         X = random_skeleton_complex(9, k, 0.4, SplitMix64(k))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,32 @@ def test_construct_jnk_refuses_a_family_over_budget_at_once(tmp_path):
     assert code == 2
     assert "build_J(2000, 3) enumerates 998001000 faces, more than the budget" in err
     assert not (tmp_path / "j.cplx").exists()
+
+
+# two top faces of dimension 8 on 200 and on 2000 vertices: every degree-3
+# link walk and every degree-6 Garland table is refused from (n, k, ell)
+# before any face is listed
+OVERSIZED = {
+    "links": ("--ell", "3", "C({n}, 4) = {links} links exceeds the budget of 1000000"),
+    "lambda": ("--ell", "3", "C({n}, 4) = {links} links exceeds the budget of 1000000"),
+    "verify-bound": ("--ell", "3", "C({n}, 4) = {links} links exceeds the budget of 1000000"),
+    "garland": ("--ell", "6", "a table of C({n}, 8) C(8, 7) = {table} link face counts "
+                "exceeds limit 10000000"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+@pytest.mark.parametrize("n", [200, 2000])
+def test_oversized_link_work_is_refused_at_once(tmp_path, command, n):
+    path = tmp_path / "big.cplx"
+    path.write_text(f"skeleton {n} 8\n0 1 2 3 4 5 6 7 8\n1 2 3 4 5 6 7 8 9\n")
+    *opts, message = OVERSIZED[command]
+    t0 = time.perf_counter()
+    code, out, err = run_main([command, *opts, "--in", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    want = message.format(n=n, links=comb(n, 4), table=comb(n, 8) * 8)
+    assert err == f"error: {want}\n"
 
 
 def test_construct_steiner_counts_uncovered_faces_without_listing_them(tmp_path):

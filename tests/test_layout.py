@@ -66,6 +66,47 @@ def _loads_and_imports(tree: ast.Module):
     return loads, imports
 
 
+# the attributes of builtin types: a method of one of these names, such as
+# add, extend, get, update or split, is not used by str.split or set.add
+BUILTIN_ATTRS = {name for t in (bool, int, float, complex, str, bytes, bytearray,
+                                list, tuple, dict, set, frozenset) for name in dir(t)}
+
+
+def _instance_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, attribute) for each attribute read on self inside the body
+    of class, on a call of class, as in Span(2).extend, or on a name that
+    the same function, comprehension or module binds to such a call.  A
+    class is named as it is called: by its name or the last attribute."""
+    out = set()
+
+    def visit(node, cls, bound):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, SCOPES):
+            bound = _bound_calls(node)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if isinstance(owner, ast.Call):
+                out.add((_name(owner.func), node.attr))
+            elif isinstance(owner, ast.Name) and owner.id == "self" and cls:
+                out.add((cls, node.attr))
+            elif isinstance(owner, ast.Name) and owner.id in bound:
+                out.add((bound[owner.id], node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, bound)
+
+    visit(tree, None, _bound_calls(tree))
+    return out
+
+
+def _bound_calls(scope: ast.AST) -> dict[str, str]:
+    """name -> the callee's name, for each name that scope itself binds
+    to the result of a call."""
+    return {t.id: _name(node.value.func) for node in _own_nodes(scope)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
 def _unreferenced(src: Path) -> list[str]:
     """Module-level functions and classes, and the non-dunder methods and
     properties of module-level classes, that no module of src but
@@ -75,13 +116,16 @@ def _unreferenced(src: Path) -> list[str]:
     scope, or where a module imports it and loads the imported name in the
     scope of the import: a load of a name that the enclosing function or
     comprehension binds itself reads that local.  A method or property is
-    used where any module reads an attribute of its name.  __init__.py
-    only re-exports, which uses nothing.
+    used where any module reads an attribute of its name, but one that
+    shares its name with an attribute of a builtin type only where
+    _instance_reads finds a read of it on its own class.  __init__.py only
+    re-exports, which uses nothing.
     """
     defined: dict[tuple[str, str], str] = {}
-    methods: dict[str, list[str]] = {}
+    methods: dict[str, list[tuple[str, str]]] = {}
     used: set[tuple[str, str]] = set()
     attrs: set[str] = set()
+    reads: set[tuple[str, str]] = set()
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -94,16 +138,17 @@ def _unreferenced(src: Path) -> list[str]:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                             and not (item.name.startswith("__") and item.name.endswith("__")):
                         methods.setdefault(item.name, []).append(
-                            f"{path.name}:{node.name}.{item.name}")
+                            (node.name, f"{path.name}:{node.name}.{item.name}"))
         loads, imports = _loads_and_imports(tree)
         used.update((path.stem, name) for scope, name in loads if scope == id(tree))
         used.update((module, name) for scope, module, name, alias in imports
                     if (scope, alias) in loads)
         attrs.update(node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        reads |= _instance_reads(tree)
     out = [label for key, label in defined.items() if key not in used]
-    out += [label for name, labels in methods.items() if name not in attrs
-            for label in labels]
+    out += [label for name, owners in methods.items() for cls, label in owners
+            if ((cls, name) not in reads if name in BUILTIN_ATTRS else name not in attrs)]
     return sorted(out)
 
 
@@ -127,7 +172,7 @@ def test_every_library_definition_is_used_by_the_library():
 UNUSED = {
     "__init__.py": "from .core import exported\n",
     "core.py": '''\
-from .helpers import Check, reached, unread
+from .helpers import Check, Span, reached, unread
 
 def exported(): return 1
 
@@ -138,7 +183,10 @@ def link(): return 3
 def entry(chk: Check, link):
     if chk.is_tree:
         return link, reached()
-    return [link for link in ()]
+    set().add(1)
+    span = Span()
+    span.extend(())
+    return [link for link in ()], Span().get(0)
 ''',
     "helpers.py": '''\
 class Check:
@@ -149,7 +197,21 @@ class Check:
 
     def __repr__(self): return "Check()"
 
+    def add(self, x): return x
+
+class Span:
+    def get(self, i): return i
+
+    def extend(self, vecs): return self.update(vecs)
+
+    def update(self, vecs): return 0
+
+    def split(self): return 1
+
 def reached(): return 4
+
+def other():
+    return "a b".split(), {}.update({})
 
 def unread(): return 5
 ''',
@@ -158,14 +220,17 @@ def unread(): return 5
 
 def test_unreferenced_sees_through_reexports_locals_and_attributes(tmp_path):
     # every loophole of a name-only scan: a re-export in __init__.py, an
-    # import never read, an unused method, and a local variable or
-    # argument (link) or an attribute (chk.is_tree) that shares a
-    # function's name
+    # import never read, an unused method, a local variable or argument
+    # (link) or an attribute (chk.is_tree) that shares a function's name,
+    # and a method named like a builtin type's attribute that only the
+    # builtin's attribute reads (set().add, str.split); a Span method is
+    # read on a call of Span, on a name bound to one, or on self in Span
     for name, text in UNUSED.items():
         (tmp_path / name).write_text(text)
     assert _unreferenced(tmp_path) == [
-        "core.py:entry", "core.py:exported", "core.py:is_tree", "core.py:link", "helpers.py:Check.spare",
-        "helpers.py:unread"]
+        "core.py:entry", "core.py:exported", "core.py:is_tree", "core.py:link",
+        "helpers.py:Check.add", "helpers.py:Check.spare", "helpers.py:Span.split",
+        "helpers.py:other", "helpers.py:unread"]
 
 
 MEMOS = {"cache", "lru_cache"}

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypertree_lab.simplexes import (
     VOID,
     GeneralComplex,
     SkeletonComplex,
+    _binomials,
     _relabelled_link_tops,
     _top_array,
     all_faces,
@@ -403,3 +405,14 @@ def test_indexed_link_matches_general_link(seed, n, k, q):
     assert hash(X) == before == hash(twin)
     assert X == twin and twin == X
     assert {X: 1}[twin] == 1
+
+
+def test_binomial_table_holds_exactly_its_band():
+    # entry (x, y) is C(x, y) for y <= s and x - y <= N - s, else 0, built
+    # column by column; s > N leaves no band
+    for N in range(25):
+        for s in range(12):
+            want = [[comb(x, y) if x - y <= N - s else 0 for y in range(s + 1)]
+                    for x in range(N + 1)]
+            assert _binomials(N, s).tolist() == want, (N, s)
+    assert _binomials(70, 69)[70, 69] == 70
