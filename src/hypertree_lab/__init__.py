@@ -28,7 +28,6 @@ from .errors import HypertreeLabError
 from .fields import GF2, GF3, RATIONALS, FieldSpec, parse_field
 from .garland import garland_check, garland_weights, weighted_laplacian
 from .homology import (
-    HypertreeCheck,
     LinkBetti,
     SparseMatrix,
     betti,

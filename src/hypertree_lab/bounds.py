@@ -39,7 +39,7 @@ from .errors import (
     PreconditionLambdaNonzero,
 )
 from .fields import FieldSpec
-from .homology import HypertreeCheck, betti, cycle_basis, link_profile
+from .homology import betti, cycle_basis, link_profile
 from .simplexes import (
     Complex,
     Simplex,
@@ -293,7 +293,6 @@ class TrichotomyReport:
     ceiling_hit: bool        # degree-(k-1) Betti number equals B
     complement_hit: bool     # degree-k Betti number 0 at face count F
     links_are_hypertrees: bool
-    link_checks: tuple[tuple[Simplex, HypertreeCheck], ...]
 
     @property
     def applicable(self) -> bool:
@@ -330,22 +329,13 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
     a = Fraction(tb_below) == B
     b = tb_top == 0 and Fraction(face_count(S, k)) == F
 
-    # each link is sandwiched with top degree r on g = n-ell-1 vertices, so
-    # it is a hypertree exactly when both its Betti numbers vanish, and a
-    # hypertree there has C(g-1, r) top faces
-    r = k - ell - 1
-    hypertree_count = comb(n - ell - 2, r)
-    checks = tuple(
-        (e.tau, HypertreeCheck(r=r, field_name=field.name,
-                               face_count_ok=e.f_top == hypertree_count,
-                               tb_below=e.below, tb_top=e.top))
-        for e in profile)
-    c = all(chk.is_hypertree for _, chk in checks)
+    # each link is sandwiched, so it is a hypertree exactly when both its
+    # Betti numbers vanish
+    c = all(e.below == 0 and e.top == 0 for e in profile)
 
     report = TrichotomyReport(
         n=n, k=k, ell=ell, field_name=field.name, lam_low=lam_low,
         ceiling_hit=a, complement_hit=b, links_are_hypertrees=c,
-        link_checks=checks,
     )
     if lam_low == 0 and not report.all_equivalent:
         raise InvariantViolation(

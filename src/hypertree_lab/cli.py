@@ -31,7 +31,7 @@ from .bounds import (
     verify_upper_bound,
 )
 from .collapse import collapse
-from .complex_io import parse_complex_file, write_complex_file
+from .complex_io import parse_block_file, parse_complex_file, write_complex_file
 from .constructions import (
     SumComplexSpec,
     build_J,
@@ -44,7 +44,6 @@ from .errors import (
     InvariantViolation,
     NotPure,
     ParameterOutOfRange,
-    ParseError,
 )
 from .fields import parse_field
 from .garland import check_link_size, garland_check
@@ -305,22 +304,6 @@ def cmd_collapse(args) -> RunReport:
         seed=seed, lines=tuple(lines))
 
 
-def _parse_block_file(path: str) -> list[tuple[int, ...]]:
-    blocks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                blocks.append(tuple(sorted(int(t) for t in line.split())))
-            except ValueError:
-                raise ParseError("bad block line", line=i) from None
-    if not blocks:
-        raise ParseError(f"{path}: no blocks")
-    return blocks
-
-
 def cmd_construct(args) -> RunReport:
     spec = args.spec
     fld = parse_field(args.field)
@@ -358,7 +341,7 @@ def cmd_construct(args) -> RunReport:
     elif kind == "steiner":
         if len(spec) != 2:
             raise ParameterOutOfRange("usage: construct steiner FILE")
-        blocks = _parse_block_file(spec[1])
+        blocks = parse_block_file(spec[1])
         sizes = {len(b) for b in blocks}
         if len(sizes) != 1:
             raise ParameterOutOfRange(f"blocks of mixed sizes {sorted(sizes)}")
@@ -397,6 +380,8 @@ def _int_list(text: str, what: str) -> list[int]:
 
 
 def cmd_sweep(args) -> list[RunReport]:
+    if args.count < 1:
+        raise ParameterOutOfRange(f"sweep count {args.count} must be at least 1")
     fld = parse_field(args.field)
     ns = _int_list(args.n, "n")
     ks = _int_list(args.k, "k")

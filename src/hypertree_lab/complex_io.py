@@ -5,6 +5,8 @@ Two headers: `skeleton n k` followed by one top face per line, or
 read).  Faces are ascending space-separated integers, `#` starts a
 comment, blank lines are skipped.  Emission is canonical (sorted faces,
 single spaces, trailing newline) so emit(parse(emit(X))) is byte-stable.
+A block file, the input of a Steiner-system complex, has no header: one
+block per line, with the same comments and blank lines.
 """
 from __future__ import annotations
 
@@ -104,6 +106,20 @@ def parse_complex_file(path: str, relabel: bool = False) -> ParsedComplex:
         return parse_complex_text(text, relabel=relabel)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
+
+
+def parse_block_file(path: str) -> list[Simplex]:
+    """The blocks of a design file: one block of vertex ids a line, each
+    sorted, with comments and blank lines as in a complex file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _content_lines(fh.read())
+    try:
+        blocks = [tuple(sorted(_ints(line, ln))) for ln, line in lines]
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
+    if not blocks:
+        raise ParseError(f"{path}: no blocks")
+    return blocks
 
 
 def _maximal_faces(X: GeneralComplex) -> list[Simplex]:

@@ -1,4 +1,4 @@
-"""Boundary matrices, reduced Betti numbers, and hypertree testing.
+"""Boundary matrices, reduced Betti numbers, and link homology.
 
 All homology here is reduced: the chain complex is augmented, so the empty
 simplex spans a one-dimensional chain group in degree -1 and the complex
@@ -19,12 +19,11 @@ closed form against the column route.
 Every other face-level rank reads an int array of faces, one row per
 face, and numbers the rows of the boundary map with numpy.  Over GF(2)
 and Q each column is packed into a Python int bitset and reduced by
-IncrementalSpan(2).extend over the one XOR core, linalg._gf2_reduce,
-which stops once the rank reaches min(columns, rows touched, C(g-1, j))
-for j-faces on g vertices.  Over Q that GF(2) rank r2 is returned when
-the map has degree at most 1 (below) or r2 meets that bound, as
-r2 <= rank_Q <= the bound; else, and at once for odd p,
-linalg.rank_by_rows runs on the same rows.
+IncrementalSpan(2).extend over the one XOR core, linalg._gf2_reduce.
+Over Q that GF(2) rank r2 is returned when the map has degree at most 1
+(below) or r2 meets the bound min(columns, rows touched, C(g-1, j)) for
+j-faces on g vertices, as r2 <= rank_Q <= the bound; else, and at once
+for odd p, linalg.rank_by_rows runs on the same rows.
 
 In degree at most 1 the rank is the same over every field.  A column of
 such a map has one entry, the augmentation, or the two entries +1 and -1
@@ -91,7 +90,6 @@ field (above).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -161,10 +159,8 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
     GF(2) bitsets, or None where the row route runs at once.
     """
     bound = min(len(pos), rows, cap)
-    if not bound:
-        return 0
     if bits is not None:
-        r2 = IncrementalSpan(2).extend(bits, bound)
+        r2 = IncrementalSpan(2).extend(bits)
         if p == 2 or r2 == bound or pos.shape[1] <= 2:
             return r2
     a, i = np.nonzero(pos >= 0)
@@ -290,24 +286,20 @@ def _link_ranks(pos: np.ndarray, at: list[int], rows: list[int], f: list[int],
 
     The tops of a link that pos leaves out pass through 0, one free row
     each.  The GF(2) bitsets are packed over GF(2) and Q, and over every
-    field in degree at most 1; else the row route runs at once.  They
-    stream into each link's span, and the columns an early stop leaves
-    are skipped only when another link follows.
+    field in degree at most 1; else the row route runs at once.  Every
+    link takes this one route: a link with no tops has no columns, and in
+    a complete link every row avoiding 0 is the free row of a cone top,
+    so no column keeps a live row and the rank is C(g-1, r).
     """
     r = pos.shape[1] - 1
-    low, complete = complete_rank(g, r), comb(g, r + 1)
+    low = complete_rank(g, r)
     bits = _bitsets(pos, max(rows, default=0)) if p in (None, 2) or r <= 1 else None
     out = []
     for t, (ft, w) in enumerate(zip(f, rows)):
         lo, hi = at[t], at[t + 1]
         cols = None if bits is None else islice(bits, hi - lo)
-        if ft in (0, complete):
-            out.append(low if ft else 0)
-        else:
-            u = ft - (hi - lo)
-            out.append(u + _map_rank(pos[lo:hi], cols, w, low - u, p))
-        if cols is not None and t + 1 < len(f):
-            deque(cols, maxlen=0)
+        u = ft - (hi - lo)
+        out.append(u + _map_rank(pos[lo:hi], cols, w, low - u, p))
     return out
 
 
@@ -380,20 +372,3 @@ def cycle_basis(X: Complex, j: int, field: FieldSpec) -> list[dict[Simplex, obje
             f"cycle basis size {len(reps)} != Betti number {expected} in degree {j}")
     return reps
 
-
-@dataclass(frozen=True)
-class HypertreeCheck:
-    """Outcome of testing whether a complex is an r-hypertree."""
-
-    r: int
-    field_name: str
-    face_count_ok: bool
-    tb_below: int
-    tb_top: int
-
-    @property
-    def is_hypertree(self) -> bool:
-        return self.tb_below == 0 and self.tb_top == 0
-
-    def __bool__(self) -> bool:
-        return self.is_hypertree

@@ -30,7 +30,9 @@ Python int bitsets and reduces each by XOR against a basis keyed on the
 highest set bit, adding what is left.  It serves IncrementalSpan over
 GF(2), through which the face-level ranks in homology and the saturation
 greedy in constructions reduce the columns numpy packs from arrays of
-faces, one call per run.
+faces, one call per run.  Every vector of a run is reduced: stopping
+once the rank reached a bound the caller knows saved no measurable time
+on the saturation ladder.
 """
 from __future__ import annotations
 
@@ -51,13 +53,13 @@ def _gf2_pack(vec: Iterable[tuple[int, object]]) -> int:
     return v
 
 
-def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int], stop: int = -1) -> None:
+def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int]) -> None:
     """Reduce each GF(2) bitset of vecs against basis and keep what is left.
 
     basis maps the highest set bit of each basis vector to that vector.
     A vector XORs away the basis vector at its highest bit until it is 0,
     when it lay in the span, or reaches a highest bit no basis vector has,
-    when it joins basis there.  Stops once basis holds stop vectors.
+    when it joins basis there.
     """
     get = basis.get
     for v in vecs:
@@ -66,8 +68,6 @@ def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int], stop: int = -1) -> N
             b = get(top)
             if b is None:
                 basis[top] = v
-                if len(basis) == stop:
-                    return
                 break
             v ^= b
 
@@ -265,9 +265,9 @@ class IncrementalSpan:
     come packed as an int bitset, and extend takes only those.  Basis rows
     are kept reduced enough to have distinct pivots (largest index).  Over
     GF(2) they are int bitsets reduced by the XOR core, otherwise sparse
-    dicts reduced by the column route's core.  Used where candidates arrive online and only
-    the yes/no answer and the running rank matter; extend takes a run of
-    them in one loop and can stop at a known bound on the rank.
+    dicts reduced by the column route's core.  Used where candidates
+    arrive online and only the yes/no answer and the running rank matter;
+    extend takes a run of them in one loop.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -288,22 +288,19 @@ class IncrementalSpan:
         rank = len(self.basis)
         return self.extend((vec,)) > rank
 
-    def extend(self, vecs: Iterable[Union[int, dict[int, object]]], stop: int = -1) -> int:
-        """Add each of vecs in turn until the rank reaches stop; returns the rank.
+    def extend(self, vecs: Iterable[Union[int, dict[int, object]]]) -> int:
+        """Add each of vecs in turn; returns the rank.
 
         Over GF(2) vecs are packed int bitsets, the whole run reduced by
-        one call of the XOR core.  A caller that knows a bound on the rank
-        passes it as stop, as the vectors left then add nothing.
+        one call of the XOR core.
         """
         p, basis = self.p, self.basis
         if p == 2:
-            _gf2_reduce(basis, vecs, stop)
+            _gf2_reduce(basis, vecs)
             return len(basis)
         for vec in vecs:
             vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}
             low = _reduce_low(vec, basis, p)
             if low is not None:
                 basis[low] = vec
-                if len(basis) == stop:
-                    break
         return len(basis)

@@ -141,15 +141,6 @@ class SkeletonComplex:
     def is_void(self) -> bool:
         return False
 
-    @cached_property
-    def _tops_through(self) -> dict[int, tuple[Simplex, ...]]:
-        """Vertex -> the top faces that contain it."""
-        out: dict[int, list[Simplex]] = {}
-        for sigma in self.top_faces:
-            for v in sigma:
-                out.setdefault(v, []).append(sigma)
-        return {v: tuple(fs) for v, fs in out.items()}
-
 
 def _stored_tops(n: int, k: int, top_faces: Union[np.ndarray, Iterable[Simplex]]
                  ) -> np.ndarray:
@@ -324,33 +315,15 @@ def link(X: Complex, tau: Iterable[int]) -> GeneralComplex:
     """Faces disjoint from tau whose union with tau lies in X.
 
     The result lives on the ground set of X minus tau.  The link of a facet
-    is the one-face complex {empty simplex}, not the void complex.  On a
-    SkeletonComplex only the top faces through one vertex of tau are tested,
-    read from an index built once per complex.
+    is the one-face complex {empty simplex}, not the void complex.  One
+    scan over every face of X serves both kinds of complex.
     """
     t = make_simplex(tau)
     if not contains(X, t):
         raise FaceNotInComplex(f"{t} is not a face")
     tset = set(t)
-    if isinstance(X, SkeletonComplex):
-        ground = frozenset(range(X.n)) - tset
-        rest = sorted(ground)
-        out: set[Simplex] = set()
-        for r in range(0, X.k + 1 - len(t)):
-            out.update(combinations(rest, r))
-        if t:
-            through = X._tops_through
-            tops = min((through.get(v, ()) for v in t), key=len)
-        else:
-            tops = X.top_faces
-        for sigma in tops:
-            if tset.issubset(sigma):
-                out.add(tuple(v for v in sigma if v not in tset))
-        return GeneralComplex(ground, frozenset(out))
-    out = set()
-    for sigma in X.faces:
-        if tset.issubset(sigma):
-            out.add(tuple(v for v in sigma if v not in tset))
+    out = {tuple(v for v in sigma if v not in tset)
+           for sigma in all_faces(X) if tset.issubset(sigma)}
     return GeneralComplex(X.ground - tset, frozenset(out))
 
 

@@ -6,6 +6,7 @@ library reads links from the top array; sum_complex_betti_formula knows
 nothing of sum_complex; validate walks every face, where the library
 checks only what is cheap.
 """
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,13 +23,31 @@ from hypertree_lab.errors import (
     VertexOutOfRange,
 )
 from hypertree_lab.fields import FieldSpec, is_prime
-from hypertree_lab.homology import HypertreeCheck, betti
+from hypertree_lab.homology import betti
 from hypertree_lab.simplexes import GeneralComplex, face_count
 
 
 def collapses_to_point(X) -> bool:
     core, _ = collapse(X)
     return len(core.faces) == 2 and core.dim == 0
+
+
+@dataclass(frozen=True)
+class HypertreeCheck:
+    """Outcome of testing whether a complex is an r-hypertree."""
+
+    r: int
+    field_name: str
+    face_count_ok: bool
+    tb_below: int
+    tb_top: int
+
+    @property
+    def is_hypertree(self) -> bool:
+        return self.tb_below == 0 and self.tb_top == 0
+
+    def __bool__(self) -> bool:
+        return self.is_hypertree
 
 
 def is_hypertree(Y, r: int, field: FieldSpec) -> HypertreeCheck:

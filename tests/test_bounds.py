@@ -232,7 +232,9 @@ def test_trichotomy_on_point_line_design():
     assert rep.applicable
     assert rep.ceiling_hit and rep.complement_hit and rep.links_are_hypertrees
     assert rep.all_equivalent
-    assert len(rep.link_checks) == comb(7, 2)
+    # every one of the C(7, 2) edge links is a hypertree: both Betti numbers 0
+    profile = link_profile(X, 1, GF2)
+    assert sum(e.below == 0 and e.top == 0 for e in profile) == comb(7, 2)
 
 
 def test_trichotomy_breaks_coherently_after_deletion():

@@ -224,6 +224,10 @@ def _random_skeleton(seed, n, k, q):
 @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(1, 10),
                  st.integers(0, 4), st.floats(0.0, 1.0)))
 @example(RP2_CONE)
+@example(full_skeleton(8, 3))  # every link is complete
+# the first links at ell = 0 and 1 have no tops, and the later ones do
+@example(SkeletonComplex(8, 3, frozenset(
+    c for c in combinations(range(2, 8), 4) if sum(c) % 3)))
 def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
     # the link tops of the numpy walk, relabelled onto 0..g-1 in order,
     # spell a map with the rank of the general link's boundary

@@ -223,6 +223,17 @@ def test_sweep_checks_every_shape_before_its_first_draw(argv, message,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sweep_refuses_a_count_below_one_before_any_draw(count, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a complex before checking the count")
+
+    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    code, out, err = run_main(["sweep", "--check", "bound", "--count", str(count)])
+    assert code == 2 and out == ""
+    assert err == f"error: sweep count {count} must be at least 1\n"
+
+
 def test_sweep_checks_only_the_shapes_it_draws(monkeypatch):
     # rows pair n and k by index: (9, 3) and (4, 2) are drawn, (4, 3) is not
     drawn = []
@@ -400,6 +411,16 @@ def test_construct_steiner_from_blocks(tmp_path):
     assert code == 0
     X = parse_complex_text(out_file.read_text()).complex
     assert len(X.top_faces) == 7
+
+
+def test_construct_steiner_names_the_file_line_and_token_of_a_bad_block(tmp_path):
+    blocks = tmp_path / "bad.blocks"
+    blocks.write_text("# two blocks\n0 1 3\n1 x 4\n")
+    code, out, err = run_main(["construct", "steiner", str(blocks),
+                               "--out-file", str(tmp_path / "bad.cplx")])
+    assert code == 2 and out == ""
+    assert err == f"error: {blocks}: line 3: bad integer 'x'\n"
+    assert not (tmp_path / "bad.cplx").exists()
 
 
 def test_construct_jnk(tmp_path):
