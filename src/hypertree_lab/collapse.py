@@ -1,25 +1,26 @@
 """Elementary collapses down to a minimal core."""
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .simplexes import Complex, GeneralComplex, Simplex, as_general, subfaces
 
 CollapseLog = tuple[tuple[Simplex, Simplex], ...]
 
 
-def _free_pairs(faces: set[Simplex]) -> dict[Simplex, Simplex]:
-    """Nonempty faces with exactly one proper coface, mapped to that coface.
+def _coface_counts(faces: set[Simplex]) -> dict[Simplex, int]:
+    """The proper cofaces of every nonempty face.
 
-    A single proper coface is automatically one dimension up: anything two
-    or more dimensions up would bring intermediate cofaces with it.
+    A face with a single proper coface is free: that coface is
+    automatically one dimension up, since anything two or more dimensions
+    up would bring intermediate cofaces with it.
     """
     count: dict[Simplex, int] = {}
-    over: dict[Simplex, Simplex] = {}
     for sigma in faces:
         for eta in subfaces(sigma):
             if eta != sigma and eta:
                 count[eta] = count.get(eta, 0) + 1
-                over[eta] = sigma
-    return {eta: over[eta] for eta, c in count.items() if c == 1}
+    return count
 
 
 def collapse(X: Complex) -> tuple[GeneralComplex, CollapseLog]:
@@ -28,17 +29,32 @@ def collapse(X: Complex) -> tuple[GeneralComplex, CollapseLog]:
     Candidates are ordered by plain tuple comparison, so shorter faces win
     ties against their own extensions.  Returns the collapsed core and the
     removal log in order.
+
+    The coface counts are taken once.  Removing a free face eta with its
+    coface sigma = eta + v changes only the counts of sigma's other
+    proper faces: each loses sigma, and those without v lose eta too.
+    Counts only fall, so a face turns free at most once; a heap keeps the
+    free faces, and one that was removed or lost its coface since is
+    skipped when it comes up.
     """
     G = as_general(X)
     faces = set(G.faces)
+    count = _coface_counts(faces)
+    free = [eta for eta, c in count.items() if c == 1]
+    heapify(free)
     log: list[tuple[Simplex, Simplex]] = []
-    while True:
-        free = _free_pairs(faces)
-        if not free:
-            break
-        eta = min(free)
-        sigma = free[eta]
+    while free:
+        eta = heappop(free)
+        if eta not in faces or count[eta] != 1:
+            continue
+        v, sigma = next((v, s) for v in G.ground if v not in eta
+                        and (s := tuple(sorted(eta + (v,)))) in faces)
         faces.discard(eta)
         faces.discard(sigma)
         log.append((eta, sigma))
+        for x in subfaces(sigma):
+            if x and x != sigma and x != eta:
+                count[x] -= 1 if v in x else 2
+                if count[x] == 1:
+                    heappush(free, x)
     return GeneralComplex(G.ground, frozenset(faces)), tuple(log)

@@ -108,13 +108,24 @@ def parse_complex_file(path: str, relabel: bool = False) -> ParsedComplex:
         raise ParseError(f"{path}: {e}") from None
 
 
+def _block(line: str, lineno: int) -> Simplex:
+    """One block line as a sorted tuple of distinct vertex ids, at least 0."""
+    block = tuple(sorted(_ints(line, lineno)))
+    if block and block[0] < 0:
+        raise ParseError(f"negative vertex {block[0]}", line=lineno)
+    for a, b in zip(block, block[1:]):
+        if a == b:
+            raise ParseError(f"repeated vertex {a}", line=lineno)
+    return block
+
+
 def parse_block_file(path: str) -> list[Simplex]:
-    """The blocks of a design file: one block of vertex ids a line, each
-    sorted, with comments and blank lines as in a complex file."""
+    """The blocks of a design file: one block of distinct vertex ids a
+    line, each sorted, with comments and blank lines as in a complex file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _content_lines(fh.read())
     try:
-        blocks = [tuple(sorted(_ints(line, ln))) for ln, line in lines]
+        blocks = [_block(line, ln) for ln, line in lines]
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
     if not blocks:

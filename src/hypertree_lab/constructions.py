@@ -324,9 +324,12 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     taus, owner, picked = _saturate_links(Y, ell, field, order_seed)
     counts = np.bincount(owner, minlength=len(taus)).tolist()
     # each tau back into its picks; a face picked through two taus is
-    # one face of X
+    # one face of X, which takes its tops sorted by lexicographic rank, an
+    # int64 below C(n, k+1) <= SUM_BUDGET
     picked = np.sort(np.concatenate((taus[owner], picked), axis=1), axis=1)
-    X = SkeletonComplex(n, k, np.concatenate((_top_array(Y), picked)))
+    tops = np.concatenate((_top_array(Y), picked))
+    _, first = np.unique(_lex_ranks(tops, _binomials(n, k + 1)), return_index=True)
+    X = SkeletonComplex(n, k, tops[first])
 
     # re-verify through the homology of Y and X, read from their own top
     # faces, not the greedy state

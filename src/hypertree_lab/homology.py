@@ -17,13 +17,42 @@ C(g, j) - C(g-1, j-1) = C(g-1, j) gives rank d_j = C(g-1, j) for
 closed form against the column route.
 
 Every other face-level rank reads an int array of faces, one row per
-face, and numbers the rows of the boundary map with numpy.  Over GF(2)
-and Q each column is packed into a Python int bitset and reduced by
-IncrementalSpan(2).extend over the one XOR core, linalg._gf2_reduce.
-Over Q that GF(2) rank r2 is returned when the map has degree at most 1
-(below) or r2 meets the bound min(columns, rows touched, C(g-1, j)) for
-j-faces on g vertices, as r2 <= rank_Q <= the bound; else, and at once
-for odd p, linalg.rank_by_rows runs on the same rows.
+face, and numbers the rows of the boundary map with numpy.  Its unit
+pivots are peeled first (below), and only the core they leave is
+eliminated.  Over GF(2) and Q each core column is packed into a Python
+int bitset and reduced by IncrementalSpan(2).extend over the one XOR
+core, linalg._gf2_reduce.  Over Q that GF(2) rank r2 is returned when
+the map has degree at most 1 (below) or r2 meets the core's own bound
+min(core columns, rows the core meets, C(g-1, j) less the pivots taken)
+for j-faces on g vertices, as r2 <= rank_Q <= the bound; else, and at
+once for odd p, linalg.rank_by_rows runs on the core.
+
+Every entry of a boundary map is +-1, a unit in every field, so two
+rules take a pivot with no elimination, over every field alike:
+
+- a row rho met by one column c: rho is zero outside c, so
+  rank M = 1 + rank(M - c - rho).  On a top map this is an elementary
+  collapse of c through its free facet rho.
+- a column c with one row rho: adding multiples of c clears rho from
+  every other column, so again rank M = 1 + rank(M - c - rho); another
+  column whose one row was rho is left empty.
+
+Either rule deletes one row and one column and leaves every other entry
+as it was, so the core is a submatrix of M and rank M = pivots +
+rank(core) over every field.  Pivots taken at once, each with its own
+row and column, form a diagonal block of +-1 with zeros beside it in
+their rows (first rule) or their columns (second rule), so a round
+takes them all.  Read M as a bipartite graph on its rows and columns:
+each rule removes a vertex of degree 1 with its one neighbour, which is
+leaf removal (Bauer and Golinelli, Eur. Phys. J. B 24, 2001).  The core
+does not depend on the order of removal.  Two removals either touch
+four distinct vertices, and then either one can still follow the other;
+or take the same edge; or share the neighbour, and then both orders
+remove the same three, the third left empty.  As removal ends, Newman's
+lemma gives one core.  The rules are the weight-1 pre-pass of
+structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO 1990),
+and the first is the collapse step of Aronshtam, Linial, Luczak and
+Meshulam (DCG 2013).
 
 In degree at most 1 the rank is the same over every field.  A column of
 such a map has one entry, the augmentation, or the two entries +1 and -1
@@ -53,13 +82,20 @@ of the empty face, the layer itself.  _rank_cached shifts the layer so
 that its least vertex is 0 and hands it to _link_rows and _link_ranks as
 one link.  _link_rows splits off the cone, the tops through 0, and
 numbers each link's other rows in order of first appearance: column by
-column, position by position.  Each column's bitset is then no wider
-than the rows seen so far, and _link_ranks streams the bitsets into
-each link's span.  On the saturated X of (n, k, ell) = (61, 3, 1), the
-command construct xnkl peaked at 72 MB this way, and at 86 MB with each
-link's rows numbered in lexicographic order; at (41, 4, 1) the peaks
-were 310 and 381 MB (one fresh process each, two cores of an x86-64
-host, Python 3.11).
+column, position by position, each link after the rows of the links
+before it.  That is one block-diagonal stack of every link's map, and
+_link_ranks peels it with one _peel, whose rounds each take a few numpy
+calls over the whole stack, not per link.  Each link's core keeps its
+rows in that order, numbered from 0, so each core column's bitset is no
+wider than the core rows seen so far, and _link_ranks streams the
+bitsets into each link's span.  Before the peel, construct xnkl peaked
+at 72 MB this way on the saturated X of (n, k, ell) = (61, 3, 1), and
+at 86 MB with each link's rows numbered in lexicographic order; at
+(41, 4, 1) the peaks were 310 and 381 MB.  With the peel they are 54
+and 188 MB, and at (101, 3, 1) 133 MB where the GF(2) bases of the
+unpeeled maps took 840 MB: every global and link map of that rung
+peels away (one fresh process each, two cores of an x86-64 host,
+Python 3.11).
 
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
@@ -155,8 +191,9 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
     docstring).
 
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
-    bounds the rank from the ambient simplex.  bits are the columns as
-    GF(2) bitsets, or None where the row route runs at once.
+    bounds the rank: the ambient simplex's bound less the pivots already
+    taken.  bits are the columns as GF(2) bitsets, or None where the row
+    route runs at once.
     """
     bound = min(len(pos), rows, cap)
     if bits is not None:
@@ -248,14 +285,14 @@ def check_link_degree(n: int, k: int, ell: int) -> None:
 
 def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
                g: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """The rows of every link's top boundary map, numbered per link.
+    """The rows of every link's top boundary map, as one block-diagonal stack.
 
     link and rest are _relabelled_link_tops of X, for links on 0..g-1
     (module docstring); the global map is the one link of the empty face.
     Returns pos, the rows of the tops avoiding 0, -1 for a free row,
-    grouped by link from at[t] to at[t+1], and rows[t], the number of
-    other rows touched, which each link numbers in order of first
-    appearance, free rows first.
+    grouped by link from at[t] to at[t+1], and start: link t's other rows
+    are numbered from start[t] to start[t+1]-1 in order of first
+    appearance, after the free rows of every link.
     """
     r = rest.shape[1] - 1
     keys = _facet_keys(rest, g)
@@ -275,32 +312,107 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
     at = np.searchsorted(link_nc, np.arange(n_links + 1))
     start = seen[c + (r + 1) * at]  # at each link's first pair
     met = first[inv[c:]].reshape(-1, r + 1)
-    return (np.where(met < c, -1, seen[met] - start[link_nc][:, None]),
-            at.tolist(), np.diff(start).tolist())
+    return np.where(met < c, -1, seen[met]), at.tolist(), start.tolist()
 
 
-def _link_ranks(pos: np.ndarray, at: list[int], rows: list[int], f: list[int],
+def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit pivots of the map whose column a meets row pos[a, i], -1
+    for no row, with rows below n_rows (module docstring).
+
+    Taking a column by the row rule changes no other column, and taking
+    a row by the column rule changes no other row, so neither rule makes
+    work for the other: the row rule runs to the end first, then the
+    column rule.  The row rule follows a front of rows of degree 1, whose
+    one live column is the sum of the row's live columns, so its rounds
+    touch the columns they take and nothing else.  The column rule takes
+    the row of every column of degree 1, one pivot per such row, in
+    rounds over the entries left.  Returns pivot, the columns taken with
+    a pivot; core, the columns left; and live, the rows the core meets,
+    with one more entry, False, for -1 to read.
+    """
+    m, w = pos.shape
+    row = pos.ravel()
+    col = np.repeat(np.arange(m), w)[row >= 0]
+    row = row[row >= 0]
+    # the live entries of each row, and the sum of their columns
+    rdeg = np.bincount(row, minlength=n_rows + 1)
+    csum = np.zeros(n_rows + 1, dtype=np.int64)
+    np.add.at(csum, row, col)
+    pivot = np.zeros(m, dtype=bool)
+    first = np.empty(m, dtype=np.int64)
+    front = np.flatnonzero(rdeg == 1)
+    while len(front):
+        cols = csum[front[rdeg[front] == 1]]
+        # each column once, however many rows of degree 1 it holds
+        at = np.arange(len(cols))
+        first[cols] = at
+        cols = cols[first[cols] == at]
+        pivot[cols] = True
+        rows = pos[cols].ravel()
+        kept = rows >= 0
+        rows = rows[kept]
+        np.subtract.at(rdeg, rows, 1)
+        np.subtract.at(csum, rows, np.repeat(cols, w)[kept])
+        front = rows[rdeg[rows] == 1]
+    kept = ~pivot[col]
+    col, row = col[kept], row[kept]
+    cdeg = np.bincount(col, minlength=m)
+    owner = np.empty(n_rows, dtype=np.int64)
+    while True:
+        single = cdeg[col] == 1
+        hit = row[single]
+        if not len(hit):
+            return pivot, cdeg > 0, np.bincount(row, minlength=n_rows + 1) > 0
+        # one column per row takes the pivot, and the others are left empty
+        owner[hit] = col[single]
+        pivot[owner[hit]] = True
+        rdeg[hit] = 0
+        gone = rdeg[row] == 0
+        np.subtract.at(cdeg, col[gone], 1)
+        col, row = col[~gone], row[~gone]
+
+
+def _running(mask: np.ndarray) -> np.ndarray:
+    """Entry i: the True entries of mask before i."""
+    return np.concatenate(([0], np.cumsum(mask)))
+
+
+def _link_ranks(pos: np.ndarray, at: list[int], start: list[int], f: list[int],
                 g: int, p: Optional[int]) -> list[int]:
     """Rank of the top boundary map of every link, from _link_rows and the
     number f[t] of each link's tops.
 
     The tops of a link that pos leaves out pass through 0, one free row
-    each.  The GF(2) bitsets are packed over GF(2) and Q, and over every
-    field in degree at most 1; else the row route runs at once.  Every
-    link takes this one route: a link with no tops has no columns, and in
-    a complete link every row avoiding 0 is the free row of a cone top,
-    so no column keeps a live row and the rank is C(g-1, r).
+    each.  One _peel of the whole stack takes the unit pivots of every
+    link.  A link's rank is its units, its tops through 0 and its peeled
+    pivots, plus the rank of the core it keeps, if any: the core's rows
+    are renumbered from 0 in their order, and its columns are packed as
+    GF(2) bitsets over GF(2) and Q, and over every field in degree at
+    most 1; else the row route runs at once.  A link with no tops keeps
+    no core, nor does a complete link, whose every row avoiding 0 is the
+    free row of a cone top.
     """
     r = pos.shape[1] - 1
     low = complete_rank(g, r)
-    bits = _bitsets(pos, max(rows, default=0)) if p in (None, 2) or r <= 1 else None
-    out = []
-    for t, (ft, w) in enumerate(zip(f, rows)):
-        lo, hi = at[t], at[t + 1]
-        cols = None if bits is None else islice(bits, hi - lo)
-        u = ft - (hi - lo)
-        out.append(u + _map_rank(pos[lo:hi], cols, w, low - u, p))
-    return out
+    pivot, core, live = _peel(pos, start[-1])
+    # per link: its units, the tops through 0 and the peeled pivots, then
+    # its core's columns and rows; below[x] counts the live rows under x
+    ranks = (np.array(f) - np.diff(at) + np.diff(_running(pivot)[at])).tolist()
+    cols = np.diff(_running(core)[at])
+    below = _running(live)
+    rows = np.diff(below[start])
+    pos = pos[core]
+    pos = np.where(live[pos], below[pos] - np.repeat(below[start[:-1]], cols)[:, None], -1)
+    del pivot, core, live, below  # the peel's arrays go before the packing
+    bits = _bitsets(pos, int(rows.max(initial=0))) \
+        if p in (None, 2) or r <= 1 else None
+    # a link's rank is its units plus the rank of its core, if any
+    ends = np.cumsum(cols).tolist()
+    for t in np.flatnonzero(cols).tolist():
+        lo, hi = ends[t] - int(cols[t]), ends[t]
+        core_bits = None if bits is None else islice(bits, hi - lo)
+        ranks[t] += _map_rank(pos[lo:hi], core_bits, int(rows[t]), low - ranks[t], p)
+    return ranks
 
 
 def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:

@@ -2,7 +2,10 @@
 
 Each one reaches the library by another route than the one it checks:
 is_hypertree takes a built link complex and its Betti numbers, where the
-library reads links from the top array; sum_complex_betti_formula knows
+library reads links from the top array; collapse_by_rescan finds the free
+faces afresh after every removal, where the library keeps coface counts;
+peel_one_at_a_time takes one unit pivot at a time in a drawn order, where
+the library peels in vectorised rounds; sum_complex_betti_formula knows
 nothing of sum_complex; validate walks every face, where the library
 checks only what is cheap.
 """
@@ -24,7 +27,60 @@ from hypertree_lab.errors import (
 )
 from hypertree_lab.fields import FieldSpec, is_prime
 from hypertree_lab.homology import betti
-from hypertree_lab.simplexes import GeneralComplex, face_count
+from hypertree_lab.simplexes import GeneralComplex, as_general, face_count, subfaces
+
+
+def collapse_by_rescan(X):
+    """collapse as a plain loop: walk every face for the free pairs, take
+    the smallest free face and its one coface, and walk again."""
+    G = as_general(X)
+    faces = set(G.faces)
+    log = []
+    while True:
+        count, over = {}, {}
+        for sigma in faces:
+            for eta in subfaces(sigma):
+                if eta != sigma and eta:
+                    count[eta] = count.get(eta, 0) + 1
+                    over[eta] = sigma
+        free = [eta for eta, c in count.items() if c == 1]
+        if not free:
+            break
+        eta = min(free)
+        faces.discard(eta)
+        faces.discard(over[eta])
+        log.append((eta, over[eta]))
+    return GeneralComplex(G.ground, frozenset(faces)), tuple(log)
+
+
+def peel_one_at_a_time(columns, rng):
+    """Peel unit pivots one at a time: take a row met by one live column,
+    with that column, or a column with one live row, with that row, drawn
+    by rng.choice among all that apply, until none does.
+
+    columns lists each column's rows as a set.  Returns the pivots taken,
+    the columns left and the rows they meet."""
+    live = {c: set(rows) for c, rows in enumerate(columns) if rows}
+    pivots = 0
+    while True:
+        by_row = {}
+        for c, rows in live.items():
+            for x in rows:
+                by_row.setdefault(x, []).append(c)
+        moves = sorted([(0, x) for x, cs in by_row.items() if len(cs) == 1]
+                       + [(1, c) for c, rows in live.items() if len(rows) == 1])
+        if not moves:
+            return pivots, set(live), set(by_row)
+        kind, a = rng.choice(moves)
+        pivots += 1
+        if kind == 0:
+            del live[by_row[a][0]]
+            continue
+        (x,) = live[a]
+        for c in by_row[x]:
+            live[c].discard(x)
+            if not live[c]:
+                del live[c]
 
 
 def collapses_to_point(X) -> bool:

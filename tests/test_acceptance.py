@@ -6,10 +6,14 @@ check sweeps the shared registry of every complex the suite built, so
 this module is ordered to the end by the conftest hook and the sweep is
 the last test in the file.
 """
+import ast
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
+
+import pytest
 
 from hypertree_lab.bounds import (
     equality_trichotomy,
@@ -371,6 +375,37 @@ class ColumnLinkDefects:
             low += chains_below - rk
             high += len(alphas) - rk
         return low, high
+
+
+def test_the_column_oracles_never_peel(monkeypatch):
+    # rank_by_columns, ColumnLinkDefects and the loops of tests/_oracles.py
+    # are what the peel is checked against, so none of them reaches
+    # homology._peel: the first two run with it refused, and the oracles'
+    # source names it nowhere (is_hypertree reads the library's Betti
+    # numbers by design: it checks the link complex it is handed)
+    from hypertree_lab import homology
+
+    def refuse(*args):
+        raise AssertionError("an oracle reached homology._peel")
+
+    monkeypatch.setattr(homology, "_peel", refuse)
+    X = random_skeleton_complex(9, 3, 0.5, SplitMix64(4))
+    for fld in (GF2, GF3, RATIONALS):
+        route = ColumnLinkDefects(fld.p)
+        for ell in range(X.k):
+            route.lambdas(X, ell)
+        for j in range(X.k + 1):
+            M = boundary_matrix(X, j)
+            rank_by_columns(M.entries, M.n_rows, M.n_cols, fld.p)
+    homology._rank_cached.cache_clear()
+    with pytest.raises(AssertionError, match="reached"):
+        boundary_rank(X, X.k, GF2)
+    tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names}
+    assert "_peel" not in names
 
 
 def test_check_05_step_and_shift_identities_on_registry():

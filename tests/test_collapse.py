@@ -1,9 +1,12 @@
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from hypertree_lab.collapse import collapse
 from hypertree_lab.fields import GF2, RATIONALS
 from hypertree_lab.homology import betti_table
-from hypertree_lab.randomness import SplitMix64
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import as_general, closure
-from _oracles import collapses_to_point
+from _oracles import collapse_by_rescan, collapses_to_point
 from _random_complexes import random_general_complex
 from _registry import track
 
@@ -69,3 +72,25 @@ def test_collapse_preserves_homology():
             # tables may cover different degree ranges; absent means zero
             for j in set(a) | set(b):
                 assert a.get(j, 0) == b.get(j, 0)
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 8), st.integers(0, 4), st.integers(1, 12))
+@example(seed=1, n=6, dim=2, count=10)
+def test_collapse_keeps_the_log_of_the_rescanning_loop(seed, n, dim, count):
+    # the kept coface counts give the same pairs in the same order as
+    # finding every free pair afresh after each removal
+    X = random_general_complex(n, min(dim, n - 1), count, SplitMix64(seed))
+    assert collapse(X) == collapse_by_rescan(X)
+
+
+@pytest.mark.parametrize("X", [
+    closure(RP2_FACETS, 6),
+    closure(RP2_FACETS[:7], 6),
+    closure([(0, 1, 2, 3), (2, 3, 4), (4, 5)], 6),
+    random_skeleton_complex(9, 3, 0.3, SplitMix64(1)),
+    random_skeleton_complex(12, 2, 0.2, SplitMix64(2)),
+])
+def test_collapse_keeps_the_log_of_the_rescanning_loop_on_fixed_complexes(X):
+    assert collapse(X) == collapse_by_rescan(X)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -36,7 +37,7 @@ from hypertree_lab.simplexes import (
     link,
     subfaces,
 )
-from _oracles import is_hypertree, validate
+from _oracles import is_hypertree, peel_one_at_a_time, validate
 from _random_complexes import random_general_complex
 from _registry import track
 
@@ -298,16 +299,143 @@ def test_unit_columns_are_free_pivots(case):
         assert boundary_rank(X, len(faces[0]) - 1, fld) == want, fld.name
 
 
-def _assert_first_appearance(pos, at, rows):
-    """Each link's rows are numbered in order of first appearance: after
-    each column, the largest row number met is the count of distinct rows
-    met less one."""
-    for t, w in enumerate(rows):
+def _stacked(size, blocks, cut):
+    """The block-diagonal stack of the boundary maps of blocks, each a list
+    of faces of size vertices ranked as its own link: every block numbers
+    its rows from 0 in order of first appearance, offset by the rows of the
+    blocks before, as _link_rows numbers them, and where cut[t] block t
+    deletes its rows through vertex 0, -1 in pos.  Returns pos, at, start
+    and each block's (entries, rows, columns) with its own row numbers."""
+    pos, at, start, maps = [], [0], [0], []
+    for faces, drop in zip(blocks, cut):
+        rows, entries = {}, {}
+        for c, alpha in enumerate(faces):
+            column = []
+            for i in range(size):
+                facet = alpha[:i] + alpha[i + 1:]
+                if drop and 0 in facet:
+                    column.append(-1)
+                    continue
+                x = rows.setdefault(facet, len(rows))
+                column.append(start[-1] + x)
+                entries[(x, c)] = -1 if i % 2 else 1
+            pos.append(column)
+        maps.append((entries, len(rows), len(faces)))
+        at.append(len(pos))
+        start.append(start[-1] + len(rows))
+    return np.array(pos, dtype=np.int64).reshape(-1, size), at, start, maps
+
+
+def _check_peel(pos, at, start, maps, seed):
+    """_peel against the column route and the one-at-a-time loop: per
+    block, the pivots plus the core's rank are the block's rank over
+    GF(2), GF(3) and Q; no rule applies to the core; and the core and
+    the pivot count are those of the loop in a drawn order."""
+    pivot, core, live = homology._peel(pos, start[-1])
+    assert not live[-1]
+    for t, (entries, n_rows, n_cols) in enumerate(maps):
+        lo = at[t]
+        kept = {(x, c): v for (x, c), v in entries.items()
+                if core[lo + c] and live[start[t] + x]}
+        for fld in (GF2, GF3, RATIONALS):
+            assert int(pivot[lo:at[t + 1]].sum()) + rank_by_columns(kept, n_rows, n_cols, fld.p) \
+                == rank_by_columns(entries, n_rows, n_cols, fld.p), (t, fld.name)
+        per_col = Counter(c for _, c in kept)
+        per_row = Counter(x for x, _ in kept)
+        assert min(per_col.values(), default=2) >= 2 and min(per_row.values(), default=2) >= 2
+        assert sorted(per_col) == [c for c in range(n_cols) if core[lo + c]]
+    columns = [set(column) - {-1} for column in pos.tolist()]
+    pivots, cols, rows = peel_one_at_a_time(columns, random.Random(seed))
+    assert int(pivot.sum()) == pivots
+    assert set(np.flatnonzero(core).tolist()) == cols
+    assert set(np.flatnonzero(live).tolist()) == rows
+
+
+# blocks that keep a core: a cycle, RP^2_6, whose every edge lies in two
+# triangles, and the boundary of the 4-simplex
+_CORES = {2: [(0, 1), (1, 2), (0, 2)], 3: sorted(RP2_FACETS),
+          4: list(combinations(range(5), 4))}
+
+
+@st.composite
+def _stacks(draw):
+    size = draw(st.integers(1, 4))
+    m = draw(st.integers(6, 8))
+    pool = list(combinations(range(m), size))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        faces = set(draw(st.lists(st.sampled_from(pool), max_size=12, unique=True)))
+        if size > 1 and draw(st.booleans()):
+            faces |= set(_CORES[size])
+        blocks.append(sorted(faces))
+    cut = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    return size, blocks, cut
+
+
+_RP2_CONE_TOPS = [t + (6,) for t in sorted(RP2_FACETS)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacks(), st.integers(0, 2**32))
+@example((3, [sorted(RP2_FACETS)], [False]), 0)          # RP^2_6: all core
+@example((4, [_RP2_CONE_TOPS], [False]), 0)              # its cone: no core
+@example((3, [sorted(RP2_FACETS)] * 3, [False, True, False]), 1)  # repeats
+@example((3, [sorted(RP2_FACETS) + [(0, 1, 6), (1, 6, 7)], [], [(0, 1, 2)]],
+          [False, False, False]), 2)  # a core with a tail, an empty block
+@example((4, [_CORES[4], _CORES[4][:3]], [False, False]), 3)
+def test_peel_pivots_and_core_rank_give_each_blocks_rank(case, seed):
+    size, blocks, cut = case
+    _check_peel(*_stacked(size, blocks, cut), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+@example((3, [sorted(RP2_FACETS)] * 2, [False, True]))
+def test_link_ranks_of_a_stack_match_the_column_route(case):
+    # the whole route of _link_ranks on a stack drawn here: the peel, each
+    # block's core renumbered from 0, packing, the Q certificate on the
+    # core's own bound and the row route on the core; g = 40 leaves the
+    # ambient cap C(39, r) above every rank
+    size, blocks, cut = case
+    pos, at, start, maps = _stacked(size, blocks, cut)
+    f = [n_cols for _, _, n_cols in maps]
+    for fld in (GF2, GF3, RATIONALS):
+        want = [rank_by_columns(entries, n_rows, n_cols, fld.p)
+                for entries, n_rows, n_cols in maps]
+        assert homology._link_ranks(pos, at, start, f, 40, fld.p) == want, fld.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
+                 st.integers(1, 4), st.floats(0.0, 1.0)), st.integers(0, 2**32))
+@example(RP2_CONE, 0)
+@example(SkeletonComplex(6, 2, frozenset(RP2_FACETS)), 0)
+def test_peel_of_every_link_stack_of_random_complexes(S, seed):
+    # the stacks _link_rows builds, global maps included (ell = -1): each
+    # link's map is its tops avoiding 0 without the free rows
+    for ell in range(-1, S.k - 1):
+        ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
+        pos, at, start = homology._link_rows(ids, rest, comb(S.n, ell + 1), S.n - ell - 1)
+        maps = []
+        for t in range(len(at) - 1):
+            block = pos[at[t]:at[t + 1]]
+            entries = {(x - start[t], c): -1 if i % 2 else 1
+                       for c, column in enumerate(block.tolist())
+                       for i, x in enumerate(column) if x >= 0}
+            maps.append((entries, start[t + 1] - start[t], len(block)))
+        _check_peel(pos, at, start, maps, seed)
+
+
+def _assert_first_appearance(pos, at, start):
+    """Each link's rows are numbered in order of first appearance from
+    start[t]: after each column, the largest row number met is start[t]
+    plus the count of distinct rows met, less one."""
+    for t in range(len(at) - 1):
         met = set()
         for column in pos[at[t]:at[t + 1]].tolist():
             met.update(b for b in column if b >= 0)
-            assert max(met, default=-1) == len(met) - 1, (t, column)
-        assert len(met) == w, t
+            assert max(met, default=start[t] - 1) == start[t] + len(met) - 1, (t, column)
+        assert len(met) == start[t + 1] - start[t], t
 
 
 def test_global_map_rows_come_in_order_of_first_appearance():
@@ -316,9 +444,9 @@ def test_global_map_rows_come_in_order_of_first_appearance():
     X = build_X_nkl(17, 4, 1, GF2).complex
     faces = _top_array(X)
     assert faces[0, 0] == 0
-    pos, at, rows = homology._link_rows(np.zeros(len(faces), dtype=np.int64), faces, 1, X.n)
+    pos, at, start = homology._link_rows(np.zeros(len(faces), dtype=np.int64), faces, 1, X.n)
     assert at == [0, len(pos)] and len(pos) < len(faces)
-    _assert_first_appearance(pos, at, rows)
+    _assert_first_appearance(pos, at, start)
 
 
 @settings(max_examples=30, deadline=None)

@@ -423,6 +423,23 @@ def test_construct_steiner_names_the_file_line_and_token_of_a_bad_block(tmp_path
     assert not (tmp_path / "bad.cplx").exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("0 0 1", "repeated vertex 0"),
+    ("2 5 2", "repeated vertex 2"),
+    ("-1 2 3", "negative vertex -1"),
+    ("4 -3 -3", "negative vertex -3"),
+])
+def test_construct_steiner_names_the_file_and_line_of_a_repeated_or_negative_vertex(
+        tmp_path, line, message):
+    blocks = tmp_path / "bad.blocks"
+    blocks.write_text(f"0 1 3\n\n{line}  # the bad block\n1 2 4\n")
+    code, out, err = run_main(["construct", "steiner", str(blocks),
+                               "--out-file", str(tmp_path / "bad.cplx")])
+    assert code == 2 and out == ""
+    assert err == f"error: {blocks}: line 3: {message}\n"
+    assert not (tmp_path / "bad.cplx").exists()
+
+
 def test_construct_jnk(tmp_path):
     out_file = tmp_path / "j.cplx"
     code, out, _ = run_cli(
