@@ -81,21 +81,24 @@ global map of a layer that is not complete is the top map of the link
 of the empty face, the layer itself.  _rank_cached shifts the layer so
 that its least vertex is 0 and hands it to _link_rows and _link_ranks as
 one link.  _link_rows splits off the cone, the tops through 0, and
-numbers each link's other rows in order of first appearance: column by
-column, position by position, each link after the rows of the links
-before it.  That is one block-diagonal stack of every link's map, and
-_link_ranks peels it with one _peel, whose rounds each take a few numpy
-calls over the whole stack, not per link.  Each link's core keeps its
-rows in that order, numbered from 0, so each core column's bitset is no
-wider than the core rows seen so far, and _link_ranks streams the
-bitsets into each link's span.  Before the peel, construct xnkl peaked
-at 72 MB this way on the saturated X of (n, k, ell) = (61, 3, 1), and
-at 86 MB with each link's rows numbered in lexicographic order; at
-(41, 4, 1) the peaks were 310 and 381 MB.  With the peel they are 54
-and 188 MB, and at (101, 3, 1) 133 MB where the GF(2) bases of the
-unpeeled maps took 840 MB: every global and link map of that rung
-peels away (one fresh process each, two cores of an x86-64 host,
-Python 3.11).
+numbers each row by the key of its facet (simplexes._facet_keys, smaller
+for a lexicographically smaller facet): row link * width + key, for
+width the largest key plus one, so link t's rows start at t * width.
+That is one block-diagonal stack of every link's map, numbered with no
+sort.  Where that key space, links times width, is larger than the
+entries, one order-keeping np.unique first compacts the keys met, so no
+array is as large as the key space, not even a bool per key: two tops
+on 1,000 vertices have 499,500 links of 998 keys each at ell = 1.
+_link_ranks peels the stack with one _peel, whose rounds each take a
+few numpy calls over the whole stack, not per link.  Each link's core
+keeps its rows in key order, renumbered from 0, and _link_ranks streams
+the bitsets into each link's span.  Numbered this way, construct xnkl
+peaks at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 131 MB
+on (41, 4, 1) and at 94 MB on (101, 3, 1), where the GF(2) bases of the
+unpeeled maps took 840 MB: every global and link map of that rung peels
+away (one fresh process each, two cores of an x86-64 host, Python 3.11).
+Rows numbered in order of first appearance, which took one np.unique
+over every (link, row) pair, peaked at 54, 188 and 133 MB.
 
 link_profile reads the link homology of a complex X between consecutive
 skeleta without building a link.  The link of a degree-ell face tau is
@@ -114,8 +117,9 @@ grouped by tau, with sigma minus tau relabelled onto 0..g-1 in order
 (simplexes module docstring), which keeps the link's boundary map as it
 is.  f_tau is one count of the tau ids.  A link top through the
 relabelled vertex 0 is a unit column in the row of its facet without 0,
-and the other columns drop those free rows.  The rows are numbered per
-link, so its bitsets are no wider than the rows it touches.
+and the other columns drop those free rows.  Each link's core rows are
+renumbered from 0, so its bitsets are no wider than the rows its core
+touches.
 
 At ell = k-1 (r = 0) no rank is taken.  The link of tau is its f_tau
 points sigma minus tau over the empty face, and its top map is the
@@ -290,29 +294,29 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
     link and rest are _relabelled_link_tops of X, for links on 0..g-1
     (module docstring); the global map is the one link of the empty face.
     Returns pos, the rows of the tops avoiding 0, -1 for a free row,
-    grouped by link from at[t] to at[t+1], and start: link t's other rows
-    are numbered from start[t] to start[t+1]-1 in order of first
-    appearance, after the free rows of every link.
+    grouped by link from at[t] to at[t+1], and start: link t's rows are
+    numbered from start[t] to start[t+1]-1 in increasing key order.  A
+    row's number is link * width + key, width the largest key plus one,
+    so start[t] = t * width and no sort is needed; where that key space
+    is larger than the entries, one order-keeping np.unique first
+    compacts the keys met, before any array is sized by the rows (module
+    docstring).
     """
-    r = rest.shape[1] - 1
     keys = _facet_keys(rest, g)
+    width = int(keys.max(initial=0)) + 1
+    keys += link[:, None] * width
+    start = np.arange(n_links + 1) * width
+    if n_links * width > keys.size:
+        met, inv = np.unique(keys, return_inverse=True)
+        keys = inv.reshape(keys.shape)
+        start = np.searchsorted(met, start)
     cone = rest[:, 0] == 0
-    c = int(np.count_nonzero(cone))
-    link_nc = link[~cone]
-    # one key per (link, row) pair, the free rows of the cone columns first
-    keys += link[:, None] * (int(keys.max(initial=0)) + 1)
-    pairs = np.concatenate([keys[:, 0][cone], keys[~cone].ravel()])
-    uniq, inv = np.unique(pairs, return_inverse=True)
-    first = np.full(len(uniq), len(pairs))
-    np.minimum.at(first, inv, np.arange(len(pairs)))
-    # seen[i]: the rows first met before pair i, the c free rows among them
-    seen = np.zeros(len(pairs) + 1, dtype=np.int64)
-    seen[first + 1] = 1
-    np.cumsum(seen, out=seen)
-    at = np.searchsorted(link_nc, np.arange(n_links + 1))
-    start = seen[c + (r + 1) * at]  # at each link's first pair
-    met = first[inv[c:]].reshape(-1, r + 1)
-    return np.where(met < c, -1, seen[met]), at.tolist(), start.tolist()
+    # the row of each cone top's facet without 0 is free
+    free = np.zeros(int(start[-1]), dtype=bool)
+    free[keys[cone, 0]] = True
+    keys = keys[~cone]
+    at = np.searchsorted(link[~cone], np.arange(n_links + 1))
+    return np.where(free[keys], -1, keys), at.tolist(), start.tolist()
 
 
 def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -441,7 +441,10 @@ def _relabelled_link_tops(tops: np.ndarray, n: int,
     tops is _top_array(X) for X on n vertices.  Per position pattern P,
     tau = sigma[P] and sigma minus tau is relabelled onto 0..g-1, g =
     n-ell-1 (module docstring).  The pairs come sorted by tau id, stably,
-    as an int array and a (pairs, k-ell) int array.
+    as an int array and a (pairs, k-ell) int array.  The sort is least
+    significant digit first over 16-bit digits, each pass a stable argsort
+    of uint16, which numpy sorts by radix: one pass per 16 bits of the
+    largest id, none when every id is 0.
     """
     k1 = tops.shape[1]
     size = ell + 1
@@ -452,9 +455,13 @@ def _relabelled_link_tops(tops: np.ndarray, n: int,
         shift = [sum(q < i for q in P) for i in rest]
         links.append(_lex_ranks(tops[:, list(P)], tau_binom))
         rests.append(tops[:, rest] - shift)
-    link = np.concatenate(links)
-    order = np.argsort(link, kind="stable")
-    return link[order], np.concatenate(rests)[order]
+    link, rest = np.concatenate(links), np.concatenate(rests)
+    del links, rests  # the per-pattern arrays go before the gather
+    order = np.arange(len(link))
+    for low in range(0, int(link.max(initial=0)).bit_length(), 16):
+        step = np.argsort((link >> low).astype(np.uint16), kind="stable")
+        order, link = order[step], link[step]
+    return link, rest[order]
 
 
 def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -24,6 +25,7 @@ from hypertree_lab.linalg import rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
+    _facet_keys,
     _relabelled_link_tops,
     _top_array,
     VOID,
@@ -303,7 +305,8 @@ def _stacked(size, blocks, cut):
     """The block-diagonal stack of the boundary maps of blocks, each a list
     of faces of size vertices ranked as its own link: every block numbers
     its rows from 0 in order of first appearance, offset by the rows of the
-    blocks before, as _link_rows numbers them, and where cut[t] block t
+    blocks before (_link_rows numbers them by key instead; the peel and
+    the ranks read any numbering of each block), and where cut[t] block t
     deletes its rows through vertex 0, -1 in pos.  Returns pos, at, start
     and each block's (entries, rows, columns) with its own row numbers."""
     pos, at, start, maps = [], [0], [0], []
@@ -426,38 +429,96 @@ def test_peel_of_every_link_stack_of_random_complexes(S, seed):
         _check_peel(pos, at, start, maps, seed)
 
 
-def _assert_first_appearance(pos, at, start):
-    """Each link's rows are numbered in order of first appearance from
-    start[t]: after each column, the largest row number met is start[t]
-    plus the count of distinct rows met, less one."""
-    for t in range(len(at) - 1):
-        met = set()
-        for column in pos[at[t]:at[t + 1]].tolist():
-            met.update(b for b in column if b >= 0)
-            assert max(met, default=start[t] - 1) == start[t] + len(met) - 1, (t, column)
-        assert len(met) == start[t + 1] - start[t], t
+def _check_numbering(ids, rest, n_links, g):
+    """_link_rows of a walk: each link's rows lie in [start[t], start[t+1])
+    in the lexicographic order of their facets, one number per facet, and
+    a row is free (-1) exactly when it is the facet without 0 of a top of
+    the same link through 0.  The same walk with links added that have
+    no tops, so that the key space outgrows the entries, is compacted
+    first; it must number the rows in the same order and give the same
+    peel and the same ranks.  Returns whether the first call numbered
+    the rows by key: start[t] = t * width then."""
+    pos, at, start = homology._link_rows(ids, rest, n_links, g)
+    tops = rest[rest[:, 0] > 0]
+    for t in range(n_links):
+        free = {tuple(top[1:]) for top in rest[ids == t].tolist() if top[0] == 0}
+        number = {}
+        for column, top in zip(pos[at[t]:at[t + 1]].tolist(), tops[at[t]:at[t + 1]].tolist()):
+            for i, x in enumerate(column):
+                facet = tuple(top[:i] + top[i + 1:])
+                assert (x < 0) == (facet in free), (t, facet)
+                if x >= 0:
+                    assert start[t] <= x < start[t + 1], (t, x)
+                    assert number.setdefault(facet, x) == x, (t, facet)
+        numbers = [number[facet] for facet in sorted(number)]
+        assert numbers == sorted(set(numbers)), t
+    width = start[1] - start[0]
+    keyed = n_links * width <= rest.size and start == [t * width for t in range(n_links + 1)]
+    pad = rest.size + 1
+    wide, wide_at, wide_start = homology._link_rows(ids, rest, n_links + pad, g)
+    assert wide_start[-1] <= rest.size
+    assert wide_at == at + [len(pos)] * pad
+    assert np.array_equal(wide < 0, pos < 0)
+    kept = pos >= 0
+    assert np.array_equal(np.unique(wide[kept], return_inverse=True)[1],
+                          np.unique(pos[kept], return_inverse=True)[1])
+    pivot, core, live = homology._peel(pos, start[-1])
+    wide_pivot, wide_core, wide_live = homology._peel(wide, wide_start[-1])
+    assert np.array_equal(pivot, wide_pivot) and np.array_equal(core, wide_core)
+    assert np.array_equal(live[pos], wide_live[wide])
+    f = np.bincount(ids, minlength=n_links).tolist()
+    for fld in (GF2, GF3, RATIONALS):
+        assert homology._link_ranks(wide, wide_at, wide_start, f + [0] * pad, g, fld.p) \
+            == homology._link_ranks(pos, at, start, f, g, fld.p) + [0] * pad, fld.name
+    return keyed
 
 
-def test_global_map_rows_come_in_order_of_first_appearance():
-    # the global map of a saturated X is one link of the empty face, and
-    # its rows are numbered as its columns reach them, the free rows apart
+def test_global_map_rows_are_numbered_by_key():
+    # the global map of a saturated X is one link of the empty face; its
+    # rows are numbered by their facets' keys, the free rows apart
     X = build_X_nkl(17, 4, 1, GF2).complex
     faces = _top_array(X)
     assert faces[0, 0] == 0
-    pos, at, start = homology._link_rows(np.zeros(len(faces), dtype=np.int64), faces, 1, X.n)
-    assert at == [0, len(pos)] and len(pos) < len(faces)
-    _assert_first_appearance(pos, at, start)
+    ids = np.zeros(len(faces), dtype=np.int64)
+    assert _check_numbering(ids, faces, 1, X.n)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
-                 st.integers(1, 4), st.floats(0.0, 1.0)))
-@example(RP2_CONE)
-def test_link_rows_come_in_order_of_first_appearance(S):
-    for ell in range(-1, S.k - 1):
-        ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
-        _assert_first_appearance(*homology._link_rows(
-            ids, rest, comb(S.n, ell + 1), S.n - ell - 1))
+def test_link_rows_are_numbered_by_key_on_both_branches():
+    keyed = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
+                     st.integers(1, 4), st.floats(0.0, 1.0)))
+    @example(RP2_CONE)
+    @example(full_skeleton(8, 3))  # keyed at every ell
+    @example(SkeletonComplex(10, 3, [(6, 7, 8, 9)]))  # compacted at ell >= 0
+    def check(S):
+        for ell in range(-1, S.k - 1):
+            ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
+            keyed.append(_check_numbering(ids, rest, comb(S.n, ell + 1), S.n - ell - 1))
+
+    check()
+    # the walks reach both branches without the added links
+    assert any(keyed) and not all(keyed)
+
+
+def test_sparse_link_rows_allocate_nothing_the_size_of_the_key_space():
+    # two tops on 100 vertices: 4,950 links at ell = 1, each with keys up
+    # to about C(98, 2), against 60 entries; the keys met are compacted
+    # before any array is sized, not even a bool per key is allocated
+    X = SkeletonComplex(100, 4, [(95, 96, 97, 98, 99), (91, 93, 95, 97, 99)])
+    ids, rest = _relabelled_link_tops(_top_array(X), X.n, 1)
+    key_space = comb(X.n, 2) * (int(_facet_keys(rest, X.n - 2).max()) + 1)
+    assert key_space >= 100 * rest.size
+    tracemalloc.start()
+    try:
+        profile = link_profile(X, 1, GF2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < key_space // 10, (peak, key_space)
+    assert sum(e.f_top for e in profile) == 2 * comb(5, 2)
+    assert all(e.top == 0 and e.below == comb(X.n - 3, 2) - e.f_top for e in profile)
 
 
 def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatch):

@@ -405,6 +405,52 @@ def test_indexed_link_matches_general_link(seed, n, k, q):
     assert {X: 1}[twin] == 1
 
 
+def _walk_by_pattern(X, ell):
+    """The pairs of _relabelled_link_tops before grouping: position
+    pattern by pattern, top by top, each tau id read from a table of the
+    (ell+1)-subsets in order and sigma minus tau relabelled by hand."""
+    taus = {tau: t for t, tau in enumerate(combinations(range(X.n), ell + 1))}
+    ids, rests = [], []
+    for P in combinations(range(X.k + 1), ell + 1):
+        for sigma in _top_array(X).tolist():
+            tau = tuple(sigma[i] for i in P)
+            ground = [v for v in range(X.n) if v not in tau]
+            ids.append(taus[tau])
+            rests.append([ground.index(v) for v in sigma if v not in tau])
+    return np.array(ids, dtype=np.int64), np.array(rests, dtype=np.int64).reshape(len(ids), X.k - ell)
+
+
+def _assert_grouped_as_by_argsort(X, ell):
+    ids, rest = _relabelled_link_tops(_top_array(X), X.n, ell)
+    want_ids, want_rest = _walk_by_pattern(X, ell)
+    order = np.argsort(want_ids, kind="stable")
+    assert np.array_equal(ids, want_ids[order]) and np.array_equal(rest, want_rest[order])
+    return ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**62), st.integers(2, 9), st.integers(0, 3),
+       st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+def test_walk_groups_pairs_as_a_stable_argsort(seed, n, k, q):
+    # the radix passes group the pairs by tau id exactly as one stable
+    # argsort of the ids does, at every ell, the global walk included
+    X = random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+    for ell in range(-1, X.k + 1):
+        _assert_grouped_as_by_argsort(X, ell)
+
+
+def test_walk_groups_ids_of_two_digits_and_of_none():
+    # C(40, 4) = 91,390 tau ids at ell = 3 need a second 16-bit pass; at
+    # ell = -1 every id is 0 and no pass runs, so the walk keeps its order
+    rng = np.random.default_rng(5)
+    tops = {tuple(sorted(rng.choice(40, 5, replace=False).tolist())) for _ in range(300)}
+    X = SkeletonComplex(40, 4, tops)
+    ids = _assert_grouped_as_by_argsort(X, 3)
+    assert ids.max() >= 1 << 16 and (ids < 1 << 16).any()
+    ids = _assert_grouped_as_by_argsort(X, -1)
+    assert not ids.any()
+
+
 def test_binomial_table_holds_exactly_its_band():
     # entry (x, y) is C(x, y) for y <= s and x - y <= N - s, else 0, built
     # column by column; s > N leaves no band
