@@ -39,7 +39,7 @@ from .errors import (
     PreconditionLambdaNonzero,
 )
 from .fields import FieldSpec
-from .homology import betti, cycle_basis, link_profile
+from .homology import _link_betti, betti, cycle_basis, link_profile
 from .simplexes import (
     Complex,
     Simplex,
@@ -54,13 +54,14 @@ from .simplexes import (
 
 
 def lambda_pair(X: Complex, ell: int, field: FieldSpec) -> tuple[int, int]:
-    """(lam at j = k-ell-2, lam at j = k-ell-1) from one link profile.
+    """(lam at j = k-ell-2, lam at j = k-ell-1), summed from the link
+    arrays of homology._link_betti.
 
     The links of degree-ell faces have homology in those two degrees only,
     so lam is 0 at every other j.
     """
-    profile = link_profile(as_skeleton_complex(X), ell, field)
-    return sum(e.below for e in profile), sum(e.top for e in profile)
+    _, below, top = _link_betti(as_skeleton_complex(X), ell, field)
+    return int(below.sum()), int(top.sum())
 
 
 def check_bound_degree(n: int, k: int, ell: int) -> None:

@@ -45,6 +45,7 @@ nothing.  No step depends on the field.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, pairwise
@@ -61,7 +62,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import GF2, FieldSpec, is_prime
-from .homology import betti, link_profile
+from .homology import _link_betti, betti
 from .linalg import IncrementalSpan
 from .randomness import SplitMix64
 from .simplexes import (
@@ -249,14 +250,14 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
     reduced = np.where(free[link[:, None], facet], -1, facet)
     at = np.searchsorted(link, np.arange(n_links + 1)).tolist()
     columns = _boundary_columns(reduced, m, p)
-    key_links, keys = [], []
-    for t, (lo, hi) in enumerate(pairwise(at)):
+    # each link's key count and keys, 8 bytes an entry
+    ranks, keys = array("q"), array("q")
+    for lo, hi in pairwise(at):
         span = IncrementalSpan(p)
-        span.extend(islice(columns, hi - lo))
-        key_links += [t] * span.rank
-        keys += span.basis
+        ranks.append(span.extend(islice(columns, hi - lo)))
+        keys.extend(span.basis)
     taken = free  # free rows, then keys: every row not picked
-    taken[key_links, keys] = True
+    taken[np.repeat(np.arange(n_links), ranks), np.asarray(keys, dtype=np.int64)] = True
     t, b = np.nonzero(~taken[:, m0:])
     return t, np.insert(rows[b + m0], 0, 0, axis=1)
 
@@ -307,7 +308,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     The report is only returned after three facts are re-verified through
     homology rather than the greedy state: the accumulated link defect of
     the result is 0 and each face's addition count equals the link's Betti
-    number in the starting complex (one link profile of each complex), and
+    number in the starting complex (the link arrays of each complex), and
     the global Betti number dropped by at most the total number of
     additions.
     """
@@ -322,7 +323,7 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     Y = sum_complex(spec)
 
     taus, owner, picked = _saturate_links(Y, ell, field, order_seed)
-    counts = np.bincount(owner, minlength=len(taus)).tolist()
+    counts = np.bincount(owner, minlength=len(taus))
     # each tau back into its picks; a face picked through two taus is
     # one face of X, which takes its tops sorted by lexicographic rank, an
     # int64 below C(n, k+1) <= SUM_BUDGET
@@ -335,11 +336,13 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
     # faces, not the greedy state
     from .bounds import bound_B
     base_tb = betti(Y, k - 1, field)
-    for e, count in zip(link_profile(Y, ell, field), counts):
-        if count != e.below:
-            raise InvariantViolation(
-                f"added {count} at {e.tau}, link Betti number is {e.below}")
-    lam = sum(e.below for e in link_profile(X, ell, field))
+    below = _link_betti(Y, ell, field)[1]
+    bad = np.flatnonzero(counts != below)
+    if len(bad):
+        t = bad[0]
+        raise InvariantViolation(f"added {counts[t]} at {tuple(taus[t].tolist())}, "
+                                 f"link Betti number is {below[t]}")
+    lam = int(_link_betti(X, ell, field)[1].sum())
     if lam != 0:
         raise InvariantViolation(f"link defect {lam} after saturation")
     added = len(owner)
@@ -348,13 +351,13 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
         raise InvariantViolation(
             f"Betti number fell from {base_tb} to {tb_after} with {added} additions")
 
-    s_sizes = tuple(zip(map(tuple, taus.tolist()), counts))
+    counts = counts.tolist()
     cap = Fraction((ell + 1) * (k - ell), factorial(k - ell - 1)) * n ** (k - ell - 2)
     return ConstructionReport(
         n=n, k=k, ell=ell, field_name=field.name, complex=X,
         base_tb=base_tb, tb_after=tb_after, added_total=added,
-        s_sizes=s_sizes, per_tau_cap=cap,
-        cap_ok=all(c <= cap for _, c in s_sizes),
+        s_sizes=tuple(zip(map(tuple, taus.tolist()), counts)), per_tau_cap=cap,
+        cap_ok=max(counts, default=0) <= cap,
         bound_value=bound_B(n, k, ell), lam_low=lam,
     )
 

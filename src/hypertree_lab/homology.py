@@ -100,9 +100,13 @@ away (one fresh process each, two cores of an x86-64 host, Python 3.11).
 Rows numbered in order of first appearance, which took one np.unique
 over every (link, row) pair, peaked at 54, 188 and 133 MB.
 
-link_profile reads the link homology of a complex X between consecutive
-skeleta without building a link.  The link of a degree-ell face tau is
-again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
+_link_betti reads the link homology of a complex X between consecutive
+skeleta without building a link, as three arrays with one entry per
+link: f_tau, b_{r-1} and b_r below.  lambda_pair sums them and
+build_X_nkl compares them with its pick counts, so neither builds a
+tuple per face; link_profile is the per-face view of the same arrays,
+one LinkBetti each, for the callers that name the faces.  The link of a
+degree-ell face tau is again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
 vertices plus the r-faces sigma minus tau for the top faces sigma above
 tau, with r = k-ell-1.  Its reduced homology lives in degrees r-1 and r
 only, and the rank of its top boundary map gives both Betti numbers:
@@ -344,19 +348,20 @@ def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     np.add.at(csum, row, col)
     pivot = np.zeros(m, dtype=bool)
     first = np.empty(m, dtype=np.int64)
+    # the front: rows of degree 1, read right after the round that made
+    # them so; a -1 in pos reads the spare slot n_rows, whose degree only
+    # falls below 0, so it never joins the front
     front = np.flatnonzero(rdeg == 1)
     while len(front):
-        cols = csum[front[rdeg[front] == 1]]
+        cols = csum[front]
         # each column once, however many rows of degree 1 it holds
         at = np.arange(len(cols))
         first[cols] = at
         cols = cols[first[cols] == at]
         pivot[cols] = True
         rows = pos[cols].ravel()
-        kept = rows >= 0
-        rows = rows[kept]
         np.subtract.at(rdeg, rows, 1)
-        np.subtract.at(csum, rows, np.repeat(cols, w)[kept])
+        np.subtract.at(csum, rows, np.repeat(cols, w))
         front = rows[rdeg[rows] == 1]
     kept = ~pivot[col]
     col, row = col[kept], row[kept]
@@ -419,41 +424,53 @@ def _link_ranks(pos: np.ndarray, at: list[int], start: list[int], f: list[int],
     return ranks
 
 
-def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:
-    """Betti numbers b_{r-1}, b_r of the link of every degree-ell face of X.
+def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_top, below, top) of the link of every degree-ell face of X, as
+    arrays in iter_faces(X, ell) order: its r-faces and its Betti numbers
+    b_{r-1} and b_r, r = k-ell-1.
 
-    One entry per face in iter_faces(X, ell) order; ell may run from -1
-    (the link of the empty face is X) to k (the link of a top face is the
-    one-face complex).  Every other reduced Betti number of these links
-    is 0.
+    ell may run from -1 (the link of the empty face is X) to k (the link
+    of a top face is the one-face complex).  below is an object array of
+    Python ints where its sum over the links could reach 2^63, else
+    int64, as are f_top and top.
     """
     check_link_degree(X.n, X.k, ell)
-    taus = list(iter_faces(X, ell))
+    n_links = face_count(X, ell)
     r = X.k - ell - 1
     if r < 0:
         # the link of a top face is the empty face alone
-        return [LinkBetti(tau, 1, 0, 1) for tau in taus]
+        ones = np.ones(n_links, dtype=np.int64)
+        return ones, np.zeros(n_links, dtype=np.int64), ones
     g = X.n - ell - 1
     # every link has the complete (r-1)-skeleton on g vertices, so
     # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank, and
     # C(g-1, r) also caps the rank of the link's top map
     low = complete_rank(g, r)
     link, rest = _relabelled_link_tops(_top_array(X), X.n, ell)
-    f = np.bincount(link, minlength=len(taus)).tolist()
+    f = np.bincount(link, minlength=n_links)
     if r == 0:
         # the top map is the augmentation, of rank min(f_tau, 1)
-        ranks = [min(ft, 1) for ft in f]
+        ranks = np.minimum(f, 1)
     else:
-        numbered = _link_rows(link, rest, len(taus), g)
+        numbered = _link_rows(link, rest, n_links, g)
         del link, rest  # the walk's arrays go before the columns are packed
-        ranks = _link_ranks(*numbered, f, g, field.p)
-    out = []
-    for tau, ft, rk in zip(taus, f, ranks):
-        if low < rk:
-            raise InvariantViolation(
-                f"negative Betti number {low - rk} in degree {r - 1} of a link")
-        out.append(LinkBetti(tau, ft, low - rk, ft - rk))
-    return out
+        ranks = np.array(_link_ranks(*numbered, f.tolist(), g, field.p), dtype=np.int64)
+    below = (low if low * n_links < 1 << 63 else np.array(low, dtype=object)) - ranks
+    negative = below < 0
+    if negative.any():
+        raise InvariantViolation(
+            f"negative Betti number {below[negative][0]} in degree {r - 1} of a link")
+    return f, below, f - ranks
+
+
+def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBetti]:
+    """Betti numbers b_{r-1}, b_r of the link of every degree-ell face of X,
+    one LinkBetti per face in iter_faces(X, ell) order (_link_betti).
+    Every other reduced Betti number of these links is 0.
+    """
+    f, below, top = _link_betti(X, ell, field)
+    return list(map(LinkBetti, iter_faces(X, ell), f.tolist(), below.tolist(), top.tolist()))
 
 
 def cycle_basis(X: Complex, j: int, field: FieldSpec) -> list[dict[Simplex, object]]:

@@ -9,23 +9,24 @@ greedy saturates.
 random_skeleton_complex(n, k, q, rng) keeps the i-th of the C(n, k+1)
 candidate k-faces, in lexicographic order, exactly when the i-th
 rng.uniform() would be below q, and leaves rng advanced by C(n, k+1)
-steps, as if it had called uniform() once per candidate.  SplitMix64 is
-add, xorshift and multiply mod 2^64 (Steele, Lea and Flood, OOPSLA 2014),
-so step i of the state is state + i*GAMMA and numpy uint64 arrays compute
-a whole block of outputs with the same wrapping arithmetic.  The cast of
-an output to float64 rounds to nearest, as Python's float(z) does, and
-the division by 2^64 is exact, so the block test is the scalar test.
-SplitMix64.shuffle reads its outputs from the same blocks.
+steps, as if it had called uniform() once per candidate.  Only the kept
+ranks i become faces, unranked by simplexes._lex_unrank, so no candidate
+is enumerated.  SplitMix64 is add, xorshift and multiply mod 2^64
+(Steele, Lea and Flood, OOPSLA 2014), so step i of the state is
+state + i*GAMMA and numpy uint64 arrays compute a whole block of outputs
+with the same wrapping arithmetic.  The cast of an output to float64
+rounds to nearest, as Python's float(z) does, and the division by 2^64
+is exact, so the block test is the scalar test.  SplitMix64.shuffle
+reads its outputs from the same blocks.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress, islice
 from math import comb
 
 import numpy as np
 
 from .errors import ParameterOutOfRange, TooLarge
-from .simplexes import SkeletonComplex, _face_array
+from .simplexes import SkeletonComplex, _lex_unrank
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -97,21 +98,19 @@ def random_skeleton_complex(n: int, k: int, q: float,
                             rng: SplitMix64) -> SkeletonComplex:
     """Full (k-1)-skeleton plus each k-face independently with probability q.
 
-    Faces are visited in lexicographic order so a seed pins the complex;
-    the draw is the per-candidate uniform() < q test, made in blocks of
-    BLOCK candidates (module docstring).  Both q and the number of
+    Candidates are tested in lexicographic order so a seed pins the
+    complex; the draw is the per-candidate uniform() < q test, made in
+    blocks of BLOCK candidates, and the kept ranks are unranked (module
+    docstring).  Both q and the number of
     candidate faces are checked before any draw.
     """
     check_draw(n, k, q)
-    candidates = combinations(range(n), k + 1)
     total = comb(max(n, 0), k + 1)
     state = rng.state
     blocks = [np.empty((0, k + 1), dtype=np.int64)]
     for start in range(0, total, BLOCK):
-        count = min(BLOCK, total - start)
-        z = _outputs((state + start * GAMMA) & MASK, count)
-        keep = z.astype(np.float64) / 2.0 ** 64 < q
-        kept = list(compress(islice(candidates, count), keep.tolist()))
-        blocks.append(_face_array(kept, len(kept), k + 1))
+        z = _outputs((state + start * GAMMA) & MASK, min(BLOCK, total - start))
+        ranks = start + np.flatnonzero(z.astype(np.float64) / 2.0 ** 64 < q)
+        blocks.append(_lex_unrank(ranks, n, k + 1))
     rng.state = (state + total * GAMMA) & MASK
     return SkeletonComplex(n, k, np.concatenate(blocks))

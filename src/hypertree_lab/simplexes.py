@@ -354,6 +354,30 @@ def _lex_ranks(faces: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return binom[N, s] - 1 - terms
 
 
+def _lex_unrank(ranks: np.ndarray, N: int, s: int) -> np.ndarray:
+    """The s-subsets of 0..N-1 with the given lexicographic ranks, as an
+    (f, s) int64 array: the inverse of _lex_ranks.
+
+    R = C(N, s) - 1 - rank is sum_i C(x_i, s-i) with x_i = N-1-c_i
+    strictly decreasing, R's representation in the combinatorial number
+    system, so x_0 is the largest x with C(x, s) <= R, and so on down
+    R - C(x_0, s) (module docstring).  Position i reads column y = s-i of
+    _binomials(N, s) from x = y-1 to N-s+y-1, the range x_i can take,
+    where the column strictly increases from C(y-1, y) = 0: one
+    searchsorted per position.
+    """
+    binom = _binomials(N, s)
+    rest = binom[N, s] - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), s), dtype=np.int64)
+    for i in range(s):
+        y = s - i
+        column = binom[y - 1:N - s + y, y]
+        x = np.searchsorted(column, rest, side="right") + y - 2
+        rest = rest - binom[x, y]
+        out[:, i] = N - 1 - x
+    return out
+
+
 def _face_array(faces: Iterable[Simplex], f: int, size: int) -> np.ndarray:
     """The f faces, each of size vertices, as one (f, size) int array in their order."""
     return np.fromiter(chain.from_iterable(faces), dtype=np.int64,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypertree_lab import homology
+from hypertree_lab.bounds import lambda_pair
 from hypertree_lab.constructions import build_X_nkl
 from hypertree_lab.errors import NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
@@ -764,6 +765,50 @@ def test_array_route_on_a_wide_file_complex():
             assert (len(profile), sum(e.f_top for e in profile)) == (n_links, f_top)
             assert sum(e.below for e in profile) == below[ell], (ell, fld.name)
             assert sum(e.top for e in profile) == (15 if ell == 8 else 0), (ell, fld.name)
+
+
+def _check_link_arrays(X, ell, fld):
+    """homology._link_betti against link_profile at one degree: one entry
+    per face of iter_faces(X, ell), the same three numbers per link, and
+    sums that are exact Python ints, as lambda_pair returns them."""
+    f, below, top = homology._link_betti(X, ell, fld)
+    profile = link_profile(X, ell, fld)
+    assert [e.tau for e in profile] == list(iter_faces(X, ell))
+    assert list(zip(f.tolist(), below.tolist(), top.tolist())) == \
+        [(e.f_top, e.below, e.top) for e in profile], (ell, fld.name)
+    assert int(below.sum()) == sum(e.below for e in profile)
+    assert int(top.sum()) == sum(e.top for e in profile)
+    assert lambda_pair(X, ell, fld) == (int(below.sum()), int(top.sum()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(1, 9),
+                 st.integers(0, 4), st.floats(0.0, 1.0)))
+@example(RP2_CONE)
+@example(full_skeleton(6, 3))
+def test_link_arrays_match_the_link_profile(S):
+    for ell in range(-1, S.k + 1):
+        for fld in (GF2, GF3, RATIONALS):
+            _check_link_arrays(S, ell, fld)
+
+
+def test_link_arrays_where_their_sums_outgrow_int64():
+    # C(g-1, r) * links reaches 2^63 at ell = -1 and 0 of the wide file
+    # complex, where below is an object array of Python ints
+    from hypertree_lab.complex_io import parse_complex_text
+    X = parse_complex_text(WIDE_FACES).complex
+    for fld in (GF2, GF3, RATIONALS):
+        for ell in (-1, 0, 8):
+            _check_link_arrays(X, ell, fld)
+        assert homology._link_betti(X, 0, fld)[1].dtype == object
+        assert homology._link_betti(X, 8, fld)[1].dtype == np.int64
+    # C(198, 11) < 2^63, but 200 links of it sum past 2^63
+    rng = np.random.default_rng(3)
+    X = SkeletonComplex(200, 12, {tuple(sorted(rng.choice(200, 13, replace=False).tolist()))
+                                  for _ in range(6)})
+    for fld in (GF2, GF3, RATIONALS):
+        _check_link_arrays(X, 0, fld)
+        assert lambda_pair(X, 0, fld)[0] > 1 << 63
 
 
 def test_full_skeleton_betti_closed_form():

@@ -535,6 +535,14 @@ def test_collapse_subcommand():
     assert "core" in out.lower()
 
 
+def test_one_command_parser_is_cached_and_holds_that_command_alone():
+    parser = cli.build_parser("verify-bound")
+    assert parser is cli.build_parser("verify-bound")
+    assert parser is not cli.build_parser()
+    assert "{verify-bound}" in parser.format_usage()
+    assert "{" + ",".join(cli.HANDLERS) + "}" in cli.build_parser().format_usage()
+
+
 # ------------------------------------------------------------- golden output
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -647,3 +655,38 @@ def test_golden_cli_output(tmp_path, monkeypatch):
             assert err == g["stderr"], g["argv"]
         for name, text in g.get("files", {}).items():
             assert (tmp_path / name).read_text() == text, (g["argv"], name)
+
+
+def _parity_argvs():
+    """Argvs whose every byte out must not depend on which parser ran:
+    every command's help, and every command with each of an unknown
+    option, a bad --out, a stray positional and a bad --ell; sweep
+    without --check; and argvs the full parser takes at once."""
+    base = ["--in", "random(seed=1,n=6,k=2,q=0.5)"]
+    out = []
+    for command in cli.HANDLERS:
+        out.append([command, "--help"])
+        for tail in (["--bogus"], ["--out", "xml"], ["stray"], ["--ell", "one"]):
+            out.append([command, *base, *tail])
+    out += [["sweep"], ["sweep", "--count", "2"], [], ["-h"], ["bogus"],
+            ["--timing", "betti", *base], ["betti", *base, "--out", "json"]]
+    return out
+
+
+def test_one_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
+    # run_command parses with the first token's own parser; forcing the
+    # full parser everywhere must give the same exit code, stdout and
+    # stderr, and leftover tokens must reach the full parser's usage
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = _parity_argvs()
+    lazy = [run_main(argv) for argv in argvs]
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    for argv, got in zip(argvs, lazy):
+        assert got == run_main(argv), argv
+    code, out, err = lazy[argvs.index(["verify-bound", "--in", "random(seed=1,n=6,k=2,q=0.5)",
+                                       "--bogus"])]
+    assert code == 2 and out == ""
+    assert "{" + ",".join(cli.HANDLERS) + "}" in err
+    assert "unrecognized arguments: --bogus" in err

@@ -20,6 +20,8 @@ from hypertree_lab.simplexes import (
     GeneralComplex,
     SkeletonComplex,
     _binomials,
+    _lex_ranks,
+    _lex_unrank,
     _relabelled_link_tops,
     _top_array,
     all_faces,
@@ -460,3 +462,25 @@ def test_binomial_table_holds_exactly_its_band():
                     for x in range(N + 1)]
             assert _binomials(N, s).tolist() == want, (N, s)
     assert _binomials(70, 69)[70, 69] == 70
+
+
+def test_unranking_lists_every_subset_in_lexicographic_order():
+    # s = 0 and s = N included: one subset each, the empty one and 0..N-1
+    for N in range(10):
+        for s in range(N + 1):
+            want = np.array(list(combinations(range(N), s)), dtype=np.int64)
+            got = _lex_unrank(np.arange(comb(N, s)), N, s)
+            assert np.array_equal(got, want.reshape(comb(N, s), s)), (N, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.data())
+def test_unranking_inverts_the_lexicographic_rank(N, data):
+    # C(60, 12) < 2^41, far inside int64
+    s = data.draw(st.integers(0, min(N, 12)))
+    ranks = np.array(data.draw(st.lists(st.integers(0, comb(N, s) - 1), max_size=30)),
+                     dtype=np.int64)
+    faces = _lex_unrank(ranks, N, s)
+    assert faces.shape == (len(ranks), s)
+    assert (faces[:, 1:] > faces[:, :-1]).all() and (faces >= 0).all() and (faces < N).all()
+    assert np.array_equal(_lex_ranks(faces, _binomials(N, s)), ranks)
