@@ -36,7 +36,6 @@ from .errors import (
     FaceNotInComplex,
     InvariantViolation,
     ParameterOutOfRange,
-    PreconditionLambdaNonzero,
 )
 from .fields import FieldSpec
 from .homology import _link_betti, betti, cycle_basis, link_profile
@@ -255,15 +254,15 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     if s not in S.top_faces:
         raise FaceNotInComplex(f"{s} is not a top face")
     S2 = remove_top_face(S, s)
-    before = link_profile(S, ell, field)
-    after = link_profile(S2, ell, field)
-    inside = set(s).issuperset
-    brackets = tuple(LinkBracket(tau=e.tau, before=e.below, after=e2.below)
-                     for e, e2 in zip(before, after) if inside(e.tau))
+    before = _link_betti(S, ell, field)[1]
+    after = _link_betti(S2, ell, field)[1]
     # a link of a sandwiched complex is fixed by its top faces; the walk
-    # of sigma alone gives the ids of the faces tau inside it, and the
-    # other pairs of S's walk must be S2's, in the same order
+    # of sigma alone gives the ids of the faces tau inside it, in the
+    # order of combinations(s, ell + 1), and the other pairs of S's walk
+    # must be S2's, in the same order
     touched = _relabelled_link_tops(np.array([s]), S.n, ell)[0]
+    brackets = tuple(LinkBracket(tau=tau, before=int(before[t]), after=int(after[t]))
+                     for tau, t in zip(combinations(s, ell + 1), touched.tolist()))
     kept = []
     for Y in (S, S2):
         ids, rest = _relabelled_link_tops(_top_array(Y), Y.n, ell)
@@ -273,8 +272,8 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     return MonotonicityVerdict(
         n=S.n, k=k, ell=ell, sigma=s, field_name=field.name,
         coefficient=comb(k + 1, ell + 1),
-        lam_before=sum(e.below for e in before),
-        lam_after=sum(e.below for e in after),
+        lam_before=int(before.sum()),
+        lam_after=int(after.sum()),
         tb_before=betti(S, k - 1, field),
         tb_after=betti(S2, k - 1, field),
         link_brackets=brackets,
@@ -304,24 +303,20 @@ class TrichotomyReport:
         return self.ceiling_hit == self.complement_hit == self.links_are_hypertrees
 
 
-def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
-                        require_zero_defect: bool = True) -> TrichotomyReport:
+def equality_trichotomy(X: Complex, ell: int, field: FieldSpec) -> TrichotomyReport:
     """Evaluate the three extremality conditions at degree ell.
 
-    The equivalence is a theorem only when the low defect vanishes, so by
-    default a nonzero defect raises.  Passing require_zero_defect=False
-    evaluates the three conditions anyway (they may then disagree); the
-    report's applicable flag records which regime the complex was in.
-    When the defect is zero the three answers are asserted equal.
+    The equivalence is a theorem only when the low defect vanishes; with
+    a nonzero defect the three conditions are evaluated anyway and may
+    disagree, and the report's applicable flag records which regime the
+    complex was in.  When the defect is zero the three answers are
+    asserted equal.
     """
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
     check_bound_degree(n, k, ell)
-    profile = link_profile(S, ell, field)
-    lam_low = sum(e.below for e in profile)
-    if lam_low != 0 and require_zero_defect:
-        raise PreconditionLambdaNonzero(
-            f"accumulated link defect is {lam_low}, not 0")
+    _, below, top = _link_betti(S, ell, field)
+    lam_low = int(below.sum())
 
     tb_below = betti(S, k - 1, field)
     tb_top = betti(S, k, field)
@@ -332,7 +327,7 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec,
 
     # each link is sandwiched, so it is a hypertree exactly when both its
     # Betti numbers vanish
-    c = all(e.below == 0 and e.top == 0 for e in profile)
+    c = not (below.any() or top.any())
 
     report = TrichotomyReport(
         n=n, k=k, ell=ell, field_name=field.name, lam_low=lam_low,

@@ -259,7 +259,7 @@ def cmd_trichotomy(args) -> RunReport:
     fld = parse_field(args.field)
     X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
-    rep = equality_trichotomy(X, ell, fld, require_zero_defect=False)
+    rep = equality_trichotomy(X, ell, fld)
     lines = list(notes)
     if not rep.applicable:
         lines.append(

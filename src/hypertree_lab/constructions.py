@@ -15,14 +15,13 @@ In lexicographic order the greedy has a closed form.  Fix a degree-ell
 face tau of Y, r = k-ell-1, and the link on the ground set minus tau
 relabelled onto 0..g-1 in order, g = n-ell-1, with its rows (the
 r-subsets) and candidates (the (r+1)-subsets) numbered lexicographically.
-The rows through 0 are the first m0 = C(g-1, r-1).  Call a row beta
-avoiding 0 free when 0 + beta is a top face of lk(Y, tau).  Reduce every
-other link top: drop from its boundary column the rows through 0 and the
-free rows.  Let the keys be the largest indices of the vectors of a basis
-of the reduced columns' span whose vectors have distinct largest indices
-(IncrementalSpan's basis).  Then, over every field, the greedy picks
-exactly the candidates 0 + beta for the rows beta >= m0 that are neither
-free nor keys, in increasing order of beta.
+The rows through 0 are the first m0 = C(g-1, r-1).  Drop the rows
+through 0 from the boundary column of every top face of lk(Y, tau), and
+let the keys be the largest indices of the vectors of a basis of what is
+left whose vectors have distinct largest indices (IncrementalSpan's
+basis).  Then, over every field, the greedy picks exactly the candidates
+0 + beta for the rows beta >= m0 that are not keys, in increasing order
+of beta.
 
 Proof.  A cone candidate 0 + beta has boundary +-beta plus rows through
 0, and every cone candidate comes before every candidate avoiding 0, in
@@ -31,17 +30,17 @@ cone columns to +-e_beta, a basis of the coordinates left, so the cone
 columns are independent and span a space W of dimension C(g-1, r), the
 rank of the whole top boundary map (homology.complete_rank).  Hence W is
 that map's column space: every column lies in W, pi is injective on W,
-and independence may be tested after pi.  There a link top 0 + beta is
-+-e_beta, and the cone candidates alone reach the target, so the greedy
-never scans past them.  Quotient by the free e_beta, which leaves the
-reduced columns with span V, and scan the other rows beta >= m0 upwards,
-assuming the span so far is V plus every e_gamma for the rows gamma < beta
-scanned.  e_beta lies in that span iff some vector of V equals e_beta up
-to coordinates below beta, that is, iff some vector of V has largest
-index beta: iff beta is a key.  A key is skipped and any other row is
-picked, and either way the assumption holds at the next row.  After the
-last pick the span is all of W, so stopping at the target rank changes
-nothing.  No step depends on the field.
+and independence may be tested after pi.  There the cone candidates
+alone reach the target, so the greedy never scans past them.  Let V be
+the span of the link tops' columns after pi; a link top 0 + beta is
++-e_beta, one more vector of V, so its row beta is a key.  Scan the rows
+beta >= m0 upwards, assuming the span so far is V plus every e_gamma for
+the rows gamma < beta scanned.  e_beta lies in that span iff some vector
+of V equals e_beta up to coordinates below beta, that is, iff some
+vector of V has largest index beta: iff beta is a key.  A key is skipped
+and any other row is picked, and either way the assumption holds at the
+next row.  After the last pick the span is all of W, so stopping at the
+target rank changes nothing.  No step depends on the field.
 """
 from __future__ import annotations
 
@@ -73,6 +72,7 @@ from .simplexes import (
     _face_array,
     _facet_ranks,
     _lex_ranks,
+    _lex_unrank,
     _relabelled_link_tops,
     _top_array,
     make_simplex,
@@ -236,30 +236,27 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
 
     link and facet hold the link id and the facet rows of each of Y's link
     tops, sorted by link id, for links on 0..g-1 with r-subsets for rows.
-    The reduced columns go through IncrementalSpan(p).extend, packed by
-    _boundary_columns.  The picks come sorted by link id, then by face, as
-    an (picks, r+1) array on 0..g-1.
+    Every top's column, with the rows through 0 dropped, goes through
+    IncrementalSpan(p).extend, packed by _boundary_columns.  The picks are
+    unranked from the rows that are not keys and come sorted by link id,
+    then by face, as an (picks, r+1) array on 0..g-1.
     """
-    rows = np.array(list(combinations(range(g), r)), dtype=np.int64).reshape(-1, r)
-    m, m0 = len(rows), comb(g - 1, r - 1)  # the first m0 rows pass through 0
-    cone = facet[:, 1] < m0  # a top through 0 has every facet but its base through 0
-    free = np.zeros((n_links, m), dtype=bool)
-    free[link[cone], facet[cone, 0]] = True
-    link, facet = link[~cone], facet[~cone]
-    # a dropped row becomes -1, which _bitsets reads as no bit
-    reduced = np.where(free[link[:, None], facet], -1, facet)
+    m0 = comb(g - 1, r - 1)  # the first m0 rows pass through 0
+    width = comb(g, r) - m0
+    # drop the rows through 0, shift the others to start at 0; a dropped
+    # row becomes -1, which _bitsets reads as no bit
+    columns = _boundary_columns(np.where(facet >= m0, facet - m0, -1), width, p)
     at = np.searchsorted(link, np.arange(n_links + 1)).tolist()
-    columns = _boundary_columns(reduced, m, p)
     # each link's key count and keys, 8 bytes an entry
     ranks, keys = array("q"), array("q")
     for lo, hi in pairwise(at):
         span = IncrementalSpan(p)
         ranks.append(span.extend(islice(columns, hi - lo)))
         keys.extend(span.basis)
-    taken = free  # free rows, then keys: every row not picked
+    taken = np.zeros((n_links, width), dtype=bool)
     taken[np.repeat(np.arange(n_links), ranks), np.asarray(keys, dtype=np.int64)] = True
-    t, b = np.nonzero(~taken[:, m0:])
-    return t, np.insert(rows[b + m0], 0, 0, axis=1)
+    t, b = np.nonzero(~taken)
+    return t, np.insert(_lex_unrank(b + m0, g, r), 0, 0, axis=1)
 
 
 def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,

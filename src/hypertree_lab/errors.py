@@ -41,10 +41,6 @@ class ParameterMismatch(HypertreeLabError):
     """Parameters are individually valid but mutually inconsistent."""
 
 
-class PreconditionLambdaNonzero(HypertreeLabError):
-    """The zero-local-defect precondition of the equality test fails."""
-
-
 class InvariantViolation(HypertreeLabError):
     """A mathematically guaranteed property failed to hold.
 

@@ -93,7 +93,7 @@ _link_ranks peels the stack with one _peel, whose rounds each take a
 few numpy calls over the whole stack, not per link.  Each link's core
 keeps its rows in key order, renumbered from 0, and _link_ranks streams
 the bitsets into each link's span.  Numbered this way, construct xnkl
-peaks at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 131 MB
+peaks at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 128 MB
 on (41, 4, 1) and at 94 MB on (101, 3, 1), where the GF(2) bases of the
 unpeeled maps took 840 MB: every global and link map of that rung peels
 away (one fresh process each, two cores of an x86-64 host, Python 3.11).
@@ -102,10 +102,12 @@ over every (link, row) pair, peaked at 54, 188 and 133 MB.
 
 _link_betti reads the link homology of a complex X between consecutive
 skeleta without building a link, as three arrays with one entry per
-link: f_tau, b_{r-1} and b_r below.  lambda_pair sums them and
-build_X_nkl compares them with its pick counts, so neither builds a
-tuple per face; link_profile is the per-face view of the same arrays,
-one LinkBetti each, for the callers that name the faces.  The link of a
+link: f_tau, b_{r-1} and b_r below.  lambda_pair and
+equality_trichotomy sum them, monotonicity_check indexes them by the
+faces inside sigma and build_X_nkl compares them with its pick counts,
+so none builds a tuple per face; link_profile is the per-face view of
+the same arrays, one LinkBetti each, for the callers that name the
+faces.  The link of a
 degree-ell face tau is again sandwiched: the complete (r-1)-skeleton on the g = n-ell-1 other
 vertices plus the r-faces sigma minus tau for the top faces sigma above
 tau, with r = k-ell-1.  Its reduced homology lives in degrees r-1 and r

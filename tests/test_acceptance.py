@@ -270,7 +270,7 @@ def test_check_10_extremal_trichotomy():
                 and rep.links_are_hypertrees):
             bad.append((name, "expected all three true"))
         X2 = track(remove_top_face(X, sorted(X.top_faces)[0]))
-        rep2 = equality_trichotomy(X2, ell, GF2, require_zero_defect=False)
+        rep2 = equality_trichotomy(X2, ell, GF2)
         if rep2.ceiling_hit or rep2.complement_hit or rep2.links_are_hypertrees:
             bad.append((name, "expected all three false after deletion"))
     record(10, not bad, f"5 families and their deletions, {len(bad)} upsets")

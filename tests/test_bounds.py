@@ -22,11 +22,7 @@ from hypertree_lab.bounds import (
     verify_upper_bound,
 )
 from hypertree_lab.constructions import FANO_BLOCKS, build_J, steiner_complex
-from hypertree_lab.errors import (
-    FaceNotInComplex,
-    ParameterOutOfRange,
-    PreconditionLambdaNonzero,
-)
+from hypertree_lab.errors import FaceNotInComplex, ParameterOutOfRange
 from hypertree_lab.fields import GF2, GF3, RATIONALS
 from hypertree_lab.homology import betti, cycle_basis, link_profile
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
@@ -242,9 +238,7 @@ def test_trichotomy_breaks_coherently_after_deletion():
     X = remove_top_face(res.complex, sorted(res.complex.top_faces)[0])
     track(X)
     # three edges lost their only block, so the low defect is nonzero now
-    with pytest.raises(PreconditionLambdaNonzero):
-        equality_trichotomy(X, 1, GF2)
-    rep = equality_trichotomy(X, 1, GF2, require_zero_defect=False)
+    rep = equality_trichotomy(X, 1, GF2)
     assert not rep.applicable
     assert not rep.ceiling_hit
     assert not rep.complement_hit

@@ -25,7 +25,7 @@ from hypertree_lab.errors import (
 from hypertree_lab.fields import GF2, GF3, RATIONALS, is_prime
 from hypertree_lab.homology import betti, betti_table
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
-from hypertree_lab.simplexes import _binomials, _lex_ranks, face_count, link
+from hypertree_lab.simplexes import _TABLE_BITS, _binomials, _lex_ranks, face_count, link
 from _greedy_oracle import lexicographic_picks
 from _oracles import collapses_to_point, interval_offset, sum_complex_betti_formula
 from _registry import track
@@ -211,9 +211,10 @@ def test_sum_complex_betti_table_concentration():
 
 # sha256 of repr((sorted top faces, s_sizes, tb_after)), first 16 hex
 # digits, recorded from the tuple-keyed saturate loop that the relabelled
-# one replaced, and the lexicographic "q" and "gf3" entries from the
-# candidate-scanning loop that the closed form replaced: the greedy picks
-# must not move
+# one replaced, the lexicographic "q" and "gf3" entries from the
+# candidate-scanning loop that the closed form replaced, and (23, 4, 0)
+# from the closed form that split off free rows: the greedy picks must
+# not move
 PICKS = {
     ((11, 3, 0), "gf2", None): "9cad3b8c2ee85564",
     ((11, 3, 0), "gf2", 1): "f958f6a87c256b68",
@@ -257,6 +258,7 @@ PICKS = {
     ((11, 4, 0), "gf3", None): "b4fd95c0681ec94a",
     ((29, 3, 1), "q", None): "144a7fca606b9d04",
     ((29, 3, 1), "gf3", None): "144a7fca606b9d04",
+    ((23, 4, 0), "gf2", None): "46c92b792cdbef1e",
 }
 
 
@@ -318,6 +320,15 @@ def test_closed_form_picks_equal_the_scanning_greedy(n, field):
             assert [tau for tau, _ in got] == list(want)
             for tau, picked in got:
                 assert picked == want[tau], (n, k, ell, field.name, tau)
+
+
+def test_closed_form_picks_equal_the_scanning_greedy_past_the_bitset_table():
+    # (23, 4, 0) has links of C(22, 3) - C(21, 2) = 1330 rows once the
+    # rows through 0 are dropped, more than simplexes._TABLE_BITS, so the
+    # closed form's columns are packed one shift at a time
+    Y = sum_complex(SumComplexSpec.make(23, range(4), 4))
+    assert comb(22, 3) - comb(21, 2) > _TABLE_BITS
+    assert dict(_saturated_links(Y, 0, GF2)) == lexicographic_picks(Y, 0, 2)
 
 
 def test_sum_complex_refuses_candidates_over_budget():

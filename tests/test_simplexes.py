@@ -19,7 +19,9 @@ from hypertree_lab.simplexes import (
     VOID,
     GeneralComplex,
     SkeletonComplex,
+    _TABLE_BITS,
     _binomials,
+    _bitsets,
     _lex_ranks,
     _lex_unrank,
     _relabelled_link_tops,
@@ -484,3 +486,14 @@ def test_unranking_inverts_the_lexicographic_rank(N, data):
     assert faces.shape == (len(ranks), s)
     assert (faces[:, 1:] > faces[:, :-1]).all() and (faces >= 0).all() and (faces < N).all()
     assert np.array_equal(_lex_ranks(faces, _binomials(N, s)), ranks)
+
+
+@pytest.mark.parametrize("width", [_TABLE_BITS, _TABLE_BITS + 1])
+def test_bitsets_pack_rows_on_both_sides_of_the_table(width):
+    # up to _TABLE_BITS bits each row is ORed from a table of 1 << b, past
+    # it one shift at a time; either way -1 sets no bit
+    rng = np.random.default_rng(width)
+    pos = np.array([rng.choice(width + 1, 5, replace=False) - 1 for _ in range(300)])
+    pos[0], pos[1] = [width - 1, 0, -1, 63, 64], -1
+    want = [sum(1 << b for b in row if b >= 0) for row in pos.tolist()]
+    assert list(_bitsets(pos, width)) == want
