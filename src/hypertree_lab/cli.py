@@ -14,7 +14,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Callable, Optional, Union
 
 from .bounds import (
@@ -63,39 +62,23 @@ RANDOM_INPUT = re.compile(
 
 DegreeCheck = Callable[[int, int, int], None]
 
-# the library's check of (n, k, ell) behind each command that takes --ell,
-# run before a random(...) input is drawn
-DEGREE_CHECKS: dict[str, DegreeCheck] = {
-    "links": check_link_degree,
-    "lambda": check_link_degree,
-    "verify-bound": check_bound_degree,
-    "verify-dual": check_dual_degree,
-    "trichotomy": check_bound_degree,
-    "garland": check_link_size,
-}
-
-# the same for each sweep --check that takes a degree
-SWEEP_DEGREE_CHECKS: dict[str, DegreeCheck] = {
+# every sweep --check, with the library's check of (n, k, ell) behind
+# each one that takes a degree, run before the sweep's first draw
+SWEEP_CHECKS: dict[str, Optional[DegreeCheck]] = {
     "bound": check_bound_degree,
     "dual": check_dual_degree,
     "mono": check_deletion_degree,
     "garland": check_link_size,
+    "support": None,
 }
 
 
-@cache
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command line parser, built once per process and argument.
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser: every command of HANDLERS, in order.
 
-    parse_args never changes a parser, so every call may share it.  The
-    options every command takes are built once, in a parent parser.  With
-    command None the parser holds every command of HANDLERS, in order;
-    with a command's name it holds that command's subparser alone, the
-    same as the full parser's, built in 0.45 ms against 1.6 ms (x86-64,
-    Python 3.11).  Its top-level usage would list that one command, so
-    run_command hands to the full parser every argv whose error or help
-    is not the subparser's own: a missing or unknown command, a
-    top-level -h, and leftover arguments.
+    The options every command takes are built once, in a parent parser.
+    The program parses with PARSER, this parser built at import: it
+    depends on no input, and parse_args never changes it.
     """
     parser = argparse.ArgumentParser(
         prog="hypertree-lab",
@@ -119,14 +102,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     common.add_argument("--out-file", default=None,
                         help="construct: where to write the complex file")
 
-    for name in HANDLERS if command is None else (command,):
+    for name in HANDLERS:
         p = sub.add_parser(name, parents=[common])
         if name == "construct":
             p.add_argument("spec", nargs="+",
                            help="sum n A s | xnkl n k l | jnk n k | steiner FILE")
         elif name == "sweep":
-            p.add_argument("--check", required=True,
-                           choices=("bound", "dual", "mono", "garland", "support"))
+            p.add_argument("--check", required=True, choices=tuple(SWEEP_CHECKS))
             p.add_argument("--count", type=int, default=20)
             p.add_argument("--n", default="7", help="comma list of vertex counts")
             p.add_argument("--k", default="2", help="comma list of top dimensions")
@@ -143,14 +125,18 @@ def _int(tok: str, what: str) -> int:
 
 
 def _load_complex(args) -> tuple[Complex, Optional[int], tuple[str, ...]]:
-    """The --in complex; random(...) is drawn after DEGREE_CHECKS passes."""
+    """The --in complex; random(...) is drawn after HANDLERS' degree check."""
     if args.input is None:
         raise ParameterOutOfRange(f"{args.command} requires --in")
-    m = RANDOM_INPUT.match(args.input)
-    if m:
-        seed, n, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        q = float(m.group(4))
-        check = DEGREE_CHECKS.get(args.command)
+    if args.input.startswith("random("):
+        m = RANDOM_INPUT.match(args.input)
+        try:
+            seed, n, k, q = int(m[1]), int(m[2]), int(m[3]), float(m[4])
+        except (TypeError, ValueError):  # no match, or q is not a float
+            raise ParameterOutOfRange(
+                f"bad --in {args.input!r}: expected "
+                "random(seed=S,n=N,k=K,q=Q)") from None
+        check = HANDLERS[args.command][1]
         if check is not None:
             check(n, k, _need_ell(args))
         X = random_skeleton_complex(n, k, q, SplitMix64(seed))
@@ -390,7 +376,7 @@ def cmd_sweep(args) -> list[RunReport]:
     ks = _int_list(args.k, "k")
     qs = _float_list(args.q, "q")
     ell = args.ell if args.ell is not None else 0
-    check = SWEEP_DEGREE_CHECKS.get(args.check)
+    check = SWEEP_CHECKS[args.check]
     # row i draws (ns[i % len], ks[i % len], qs[i % len]); every triple
     # the sweep reaches is checked before its first draw
     for i in range(min(args.count, len(ns) * len(ks) * len(qs))):
@@ -455,31 +441,34 @@ def _sweep_row(check: str, ell: int, fld, X: SkeletonComplex,
             command="sweep", ell=ell, **base, betti={g.k - 1: g.betti_q},
             lines=(f"min_mu={g.min_mu:.9f}", f"premise={g.premise}",
                    f"conclusion={g.conclusion}"))
-    if check == "support":
-        tb_top = betti(X, X.k, fld)
-        if tb_top == 0:
-            return RunReport(
-                command="sweep", **base, betti={X.k: 0},
-                lines=("b_k=0: support property vacuous",))
-        ok = support_property_holds(X, fld)
+    # support, the last of SWEEP_CHECKS; the parser refuses any other
+    tb_top = betti(X, X.k, fld)
+    if tb_top == 0:
         return RunReport(
-            command="sweep", **base, betti={X.k: tb_top},
-            lines=(f"support property holds: {ok}",), failed=not ok)
-    raise ParameterOutOfRange(f"unknown check {check!r}")
+            command="sweep", **base, betti={X.k: 0},
+            lines=("b_k=0: support property vacuous",))
+    ok = support_property_holds(X, fld)
+    return RunReport(
+        command="sweep", **base, betti={X.k: tb_top},
+        lines=(f"support property holds: {ok}",), failed=not ok)
 
 
-HANDLERS = {
-    "betti": cmd_betti,
-    "links": cmd_links,
-    "lambda": cmd_lambda,
-    "verify-bound": cmd_verify_bound,
-    "verify-dual": cmd_verify_dual,
-    "trichotomy": cmd_trichotomy,
-    "garland": cmd_garland,
-    "collapse": cmd_collapse,
-    "construct": cmd_construct,
-    "sweep": cmd_sweep,
+# each command's handler, and the library's check of (n, k, ell) behind
+# each command that takes --ell, run before a random(...) input is drawn
+HANDLERS: dict[str, tuple[Callable, Optional[DegreeCheck]]] = {
+    "betti": (cmd_betti, None),
+    "links": (cmd_links, check_link_degree),
+    "lambda": (cmd_lambda, check_link_degree),
+    "verify-bound": (cmd_verify_bound, check_bound_degree),
+    "verify-dual": (cmd_verify_dual, check_dual_degree),
+    "trichotomy": (cmd_trichotomy, check_bound_degree),
+    "garland": (cmd_garland, check_link_size),
+    "collapse": (cmd_collapse, None),
+    "construct": (cmd_construct, None),
+    "sweep": (cmd_sweep, None),
 }
+
+PARSER = build_parser()
 
 
 @dataclass(frozen=True)
@@ -490,20 +479,10 @@ class CommandOutcome:
 
 
 def run_command(argv) -> CommandOutcome:
-    """Parse argv (sys.argv[1:] when None) and run its command.
-
-    A first token that names a command is parsed by that command's own
-    parser; anything that parser leaves over, like every other argv,
-    goes to the full parser, whose errors and help are the program's
-    (build_parser).
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in HANDLERS else None
-    args, rest = build_parser(command).parse_known_args(argv)
-    if rest:
-        args = build_parser().parse_args(argv)
+    """Parse argv (sys.argv[1:] when None) with PARSER and run its command."""
+    args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
-    report = HANDLERS[args.command](args)
+    report = HANDLERS[args.command][0](args)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.timing and not isinstance(report, list):
         report = replace(report, elapsed_ms=elapsed)  # sweep rows carry their own

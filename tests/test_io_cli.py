@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -196,6 +197,26 @@ def test_bad_degree_or_field_exits_two_before_the_draw(argv, message,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "random(seed=1,n=5,k=2)",
+    "random(seed=-1,n=5,k=2,q=0.5)",
+    "random(seed=1,n=5,k=2,q=0.5",
+    "random(seed=1,n=5,k=2,q=0.5)x",
+    "random(seed=1,n=5,k=2,q=.)",
+])
+def test_a_malformed_random_input_exits_two_before_any_draw_or_open(spec,
+                                                                    monkeypatch):
+    # a value that starts random( is never read as a file name
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or opened before checking the input")
+
+    monkeypatch.setattr(cli, "random_skeleton_complex", refuse)
+    monkeypatch.setattr(cli, "parse_complex_file", refuse)
+    code, out, err = run_main(["betti", "--in", spec])
+    assert code == 2 and out == ""
+    assert err == f"error: bad --in {spec!r}: expected random(seed=S,n=N,k=K,q=Q)\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--check", "bound", "--n", "9,70", "--k", "3", "--ell", "3"],
      "need 0 <= ell < k < n, got ell=3 k=3 n=9"),
@@ -303,20 +324,30 @@ def test_sweep_rows_carry_their_own_time():
 
 
 def test_cached_parser_carries_nothing_between_commands():
-    # the parser is built once per process; flags and values of one
-    # command must not reach the next
-    assert cli.build_parser() is cli.build_parser()
+    # PARSER is built once, at import; flags and values of one command
+    # must not reach the next
     argv = ["betti", "--in", "random(seed=1,n=6,k=2,q=0.5)"]
     first = cli.run_command(argv + ["--timing", "--out", "json"])
     assert first.format == "json" and first.report.elapsed_ms is not None
     second = cli.run_command(argv)
     assert second.format == "text" and second.report.elapsed_ms is None
-    args = vars(cli.build_parser().parse_args(argv))
-    cli.build_parser.cache_clear()
-    assert args == vars(cli.build_parser().parse_args(argv))
+    assert vars(cli.PARSER.parse_args(argv)) == \
+        vars(cli.build_parser().parse_args(argv))
     fresh = cli.run_command(argv)
     assert emit_report(second.report, second.format) == \
         emit_report(fresh.report, fresh.format)
+
+
+def test_run_command_builds_no_parser(monkeypatch):
+    # the parser is built at import, where a process pays for it once;
+    # a command must not build another
+    def no_parser(*args, **kwargs):
+        raise AssertionError("run_command built a parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    out = cli.run_command(["verify-bound", "--in", "random(seed=1,n=6,k=2,q=0.5)",
+                           "--ell", "0"])
+    assert out.exit_code == 0 and out.report.command == "verify-bound"
 
 
 def test_sweep_garland_fails_on_invariant_violation(monkeypatch, capsys):
@@ -535,14 +566,6 @@ def test_collapse_subcommand():
     assert "core" in out.lower()
 
 
-def test_one_command_parser_is_cached_and_holds_that_command_alone():
-    parser = cli.build_parser("verify-bound")
-    assert parser is cli.build_parser("verify-bound")
-    assert parser is not cli.build_parser()
-    assert "{verify-bound}" in parser.format_usage()
-    assert "{" + ",".join(cli.HANDLERS) + "}" in cli.build_parser().format_usage()
-
-
 # ------------------------------------------------------------- golden output
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -657,36 +680,13 @@ def test_golden_cli_output(tmp_path, monkeypatch):
             assert (tmp_path / name).read_text() == text, (g["argv"], name)
 
 
-def _parity_argvs():
-    """Argvs whose every byte out must not depend on which parser ran:
-    every command's help, and every command with each of an unknown
-    option, a bad --out, a stray positional and a bad --ell; sweep
-    without --check; and argvs the full parser takes at once."""
-    base = ["--in", "random(seed=1,n=6,k=2,q=0.5)"]
-    out = []
-    for command in cli.HANDLERS:
-        out.append([command, "--help"])
-        for tail in (["--bogus"], ["--out", "xml"], ["stray"], ["--ell", "one"]):
-            out.append([command, *base, *tail])
-    out += [["sweep"], ["sweep", "--count", "2"], [], ["-h"], ["bogus"],
-            ["--timing", "betti", *base], ["betti", *base, "--out", "json"]]
-    return out
-
-
-def test_one_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
-    # run_command parses with the first token's own parser; forcing the
-    # full parser everywhere must give the same exit code, stdout and
-    # stderr, and leftover tokens must reach the full parser's usage
-    monkeypatch.chdir(tmp_path)
+def test_a_leftover_argument_gets_the_usage_of_every_command(monkeypatch):
+    # the error names the leftover token under a usage that lists all
+    # ten commands
     monkeypatch.setenv("COLUMNS", "80")
-    argvs = _parity_argvs()
-    lazy = [run_main(argv) for argv in argvs]
-    full = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
-    for argv, got in zip(argvs, lazy):
-        assert got == run_main(argv), argv
-    code, out, err = lazy[argvs.index(["verify-bound", "--in", "random(seed=1,n=6,k=2,q=0.5)",
-                                       "--bogus"])]
+    code, out, err = run_main(["verify-bound", "--in", "random(seed=1,n=6,k=2,q=0.5)",
+                               "--bogus"])
     assert code == 2 and out == ""
-    assert "{" + ",".join(cli.HANDLERS) + "}" in err
+    assert ("{betti,links,lambda,verify-bound,verify-dual,trichotomy,garland,"
+            "collapse,construct,sweep}") in err
     assert "unrecognized arguments: --bogus" in err
