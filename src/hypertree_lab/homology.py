@@ -24,8 +24,33 @@ int bitset and reduced by IncrementalSpan(2).extend over the one XOR
 core, linalg._gf2_reduce.  Over Q that GF(2) rank r2 is returned when
 the map has degree at most 1 (below) or r2 meets the core's own bound
 min(core columns, rows the core meets, C(g-1, j) less the pivots taken)
-for j-faces on g vertices, as r2 <= rank_Q <= the bound; else, and at
-once for odd p, linalg.rank_by_rows runs on the core.
+for j-faces on g vertices, as r2 <= rank_Q <= the bound; else when
+integer kernel vectors lifted from GF(2) prove rank_Q = r2 (below).
+Only the rest, torsion such as that of the projective plane included,
+and at once every core over odd p, runs linalg.rank_by_rows.
+
+The lifted kernel proves rank_Q <= r2; r2 <= rank_Q always holds, as a
+minor of the integer map that is nonzero mod 2 is nonzero.  Take the
+side of the core with fewer lines, n of them: its columns, or the rows
+it meets.  Line t packs as (v << n) | (1 << t), v its bitset over the
+other side, and one IncrementalSpan(2).extend reduces them all.  A
+basis vector kept below bit n has lost its v: it is a GF(2) dependency,
+the set of lines that sums to 0 mod 2, and there are n - r2 of them, as
+the lines have GF(2) rank r2.  Each dependency is lifted to a vector of
++-1 on its lines.  Every line of the other side must meet it in 0 or 2
+entries, and each such pair fixes the relative sign of its two lines; a
+walk over the dependency's lines then assigns the signs.  A meeting of 4
+or more, or a sign that conflicts, means no lift, and the row route
+runs.  Each lifted vector is then checked against the map's entries in
+integers, and a failure raises InvariantViolation.  The lifted vectors
+reduce mod 2 to the dependencies, which are independent, as each holds
+its own highest line; so the lifted vectors are independent over Q, and
+the kernel on that side has dimension at least n - r2 over Q, which
+gives rank_Q <= r2.  So no core with rank_Q > r2 lifts, such as one
+with the 2-torsion of the projective plane: the 10 triangles of RP^2_6
+sum to 0 mod 2, but no signs make them a cycle.  Random complexes rarely
+carry torsion (Luczak and Peled, DCG 2018), so nearly every core lifts.
+The proof bounds the rational rank alone, so odd p keeps the row route.
 
 Every entry of a boundary map is +-1, a unit in every field, so two
 rules take a pivot with no elimination, over every field alike:
@@ -203,16 +228,98 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
     bounds the rank: the ambient simplex's bound less the pivots already
     taken.  bits are the columns as GF(2) bitsets, or None where the row
-    route runs at once.
+    route runs at once.  Their GF(2) rank r2 is the rank over GF(2), in
+    degree at most 1, and where it meets min(columns, rows, cap).  Over Q
+    it is the rank also where _lifts proves it, and else the row route
+    runs, as it does for odd p.
     """
     bound = min(len(pos), rows, cap)
     if bits is not None:
         r2 = IncrementalSpan(2).extend(bits)
         if p == 2 or r2 == bound or pos.shape[1] <= 2:
             return r2
+        if p is None and _lifts(pos, rows, r2):
+            return r2
     a, i = np.nonzero(pos >= 0)
     entries = dict(zip(zip(pos[a, i].tolist(), a.tolist()), np.where(i % 2, -1, 1).tolist()))
     return rank_by_rows(entries, rows, len(pos), p)
+
+
+def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
+    """Whether +-1 integer kernel vectors prove that the map of _map_rank,
+    of GF(2) rank r2, has rational rank r2 (module docstring).
+
+    The lines are the map's columns or its rows, whichever are fewer, and
+    the other side's lines meet them.  One IncrementalSpan(2) run over the
+    lines packed as (v << n) | (1 << t) leaves the GF(2) dependencies as
+    its basis vectors below bit n.  Each is lifted by a walk over its
+    lines and checked against the map's entries in integers; False comes
+    at the first that does not lift.
+    """
+    cols = pos.tolist()
+    # each line's entries: (other line, parity of the sign's exponent)
+    if len(cols) <= rows:
+        n, n_other = len(cols), rows
+        lines = [[(o, i & 1) for i, o in enumerate(c) if o >= 0] for c in cols]
+    else:
+        n, n_other = rows, len(cols)
+        lines = [[] for _ in range(n)]
+        for a, c in enumerate(cols):
+            for i, o in enumerate(c):
+                if o >= 0:
+                    lines[o].append((a, i & 1))
+    bitsets = []
+    for meet in lines:
+        v = 0
+        for o, _ in meet:
+            v |= 1 << o
+        bitsets.append(v)
+    span = IncrementalSpan(2)
+    span.extend(v << n | 1 << t for t, v in enumerate(bitsets))
+    deps = [v for key, v in span.basis.items() if key < n]
+    if len(deps) != n - r2:
+        raise InvariantViolation(f"{len(deps)} GF(2) dependencies among {n} lines of rank {r2}")
+    for dep in deps:
+        support = []
+        while dep:
+            t = dep.bit_length() - 1
+            support.append(t)
+            dep ^= 1 << t
+        # each other line's entries in the support
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for t in support:
+            for o, s in lines[t]:
+                ends.setdefault(o, []).append((t, s))
+        # x_t = (-1)^y[t]: (-1)^s x_t + (-1)^z x_u = 0 flips y by s ^ z ^ 1
+        nbrs: dict[int, list[tuple[int, int]]] = {t: [] for t in support}
+        for pair in ends.values():
+            if len(pair) != 2:
+                return False
+            (t, s), (u, z) = pair
+            nbrs[t].append((u, s ^ z ^ 1))
+            nbrs[u].append((t, s ^ z ^ 1))
+        y: dict[int, int] = {}
+        for root in support:
+            if root in y:
+                continue
+            y[root] = 0
+            stack = [root]
+            while stack:
+                t = stack.pop()
+                for u, flip in nbrs[t]:
+                    if u not in y:
+                        y[u] = y[t] ^ flip
+                        stack.append(u)
+                    elif y[u] != y[t] ^ flip:
+                        return False
+        # the lifted vector times the map, from every entry of its lines
+        out = [0] * n_other
+        for t, v in y.items():
+            for o, s in lines[t]:
+                out[o] += 1 - 2 * (s ^ v)
+        if any(out):
+            raise InvariantViolation("a lifted GF(2) dependency is no integer kernel vector")
+    return True
 
 
 def complete_rank(g: int, j: int) -> int:
@@ -399,16 +506,20 @@ def _link_ranks(pos: np.ndarray, at: list[int], start: list[int], f: list[int],
     pivots, plus the rank of the core it keeps, if any: the core's rows
     are renumbered from 0 in their order, and its columns are packed as
     GF(2) bitsets over GF(2) and Q, and over every field in degree at
-    most 1; else the row route runs at once.  A link with no tops keeps
-    no core, nor does a complete link, whose every row avoiding 0 is the
-    free row of a cone top.
+    most 1, for _map_rank; else the row route runs at once.  A link with
+    no tops keeps no core, nor does a complete link, whose every row
+    avoiding 0 is the free row of a cone top.  Where the peel leaves no
+    core at all, the ranks return right after it, with no renumbering
+    and no packing.
     """
     r = pos.shape[1] - 1
     low = complete_rank(g, r)
     pivot, core, live = _peel(pos, start[-1])
-    # per link: its units, the tops through 0 and the peeled pivots, then
-    # its core's columns and rows; below[x] counts the live rows under x
+    # per link: its units, the tops through 0 and the peeled pivots
     ranks = (np.array(f) - np.diff(at) + np.diff(_running(pivot)[at])).tolist()
+    if not core.any():
+        return ranks
+    # per link: its core's columns and rows; below[x] counts the live rows under x
     cols = np.diff(_running(core)[at])
     below = _running(live)
     rows = np.diff(below[start])

@@ -377,18 +377,19 @@ class ColumnLinkDefects:
         return low, high
 
 
-def test_the_column_oracles_never_peel(monkeypatch):
-    # rank_by_columns, ColumnLinkDefects and the loops of tests/_oracles.py
-    # are what the peel is checked against, so none of them reaches
-    # homology._peel: the first two run with it refused, and the oracles'
-    # source names it nowhere (is_hypertree reads the library's Betti
-    # numbers by design: it checks the link complex it is handed)
+def _check_oracles_avoid(monkeypatch, name, field):
+    """rank_by_columns, ColumnLinkDefects and the loops of tests/_oracles.py
+    are what the library's rank route is checked against, so none of them
+    reaches homology.<name>: the first two run with it refused, while the
+    library's own rank over field does reach it, and the oracles' source
+    names it nowhere (is_hypertree reads the library's Betti numbers by
+    design: it checks the link complex it is handed)."""
     from hypertree_lab import homology
 
     def refuse(*args):
-        raise AssertionError("an oracle reached homology._peel")
+        raise AssertionError(f"an oracle reached homology.{name}")
 
-    monkeypatch.setattr(homology, "_peel", refuse)
+    monkeypatch.setattr(homology, name, refuse)
     X = random_skeleton_complex(9, 3, 0.5, SplitMix64(4))
     for fld in (GF2, GF3, RATIONALS):
         route = ColumnLinkDefects(fld.p)
@@ -399,13 +400,23 @@ def test_the_column_oracles_never_peel(monkeypatch):
             rank_by_columns(M.entries, M.n_rows, M.n_cols, fld.p)
     homology._rank_cached.cache_clear()
     with pytest.raises(AssertionError, match="reached"):
-        boundary_rank(X, X.k, GF2)
+        boundary_rank(X, X.k, field)
     tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for a in node.names}
-    assert "_peel" not in names
+    assert name not in names
+
+
+def test_the_column_oracles_never_peel(monkeypatch):
+    _check_oracles_avoid(monkeypatch, "_peel", GF2)
+
+
+def test_the_column_oracles_never_lift(monkeypatch):
+    # the rational rank of the same X takes a lifted kernel (homology
+    # docstring), which the oracles must not share
+    _check_oracles_avoid(monkeypatch, "_lifts", RATIONALS)
 
 
 def test_check_05_step_and_shift_identities_on_registry():

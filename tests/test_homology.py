@@ -22,10 +22,11 @@ from hypertree_lab.homology import (
     cycle_basis,
     link_profile,
 )
-from hypertree_lab.linalg import rank_by_columns, rank_by_rows
+from hypertree_lab.linalg import IncrementalSpan, rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
+    _bitsets,
     _facet_keys,
     _relabelled_link_tops,
     _top_array,
@@ -149,24 +150,36 @@ def _glue_projective_plane(S, rng):
 
 
 def test_boundary_rank_matches_column_route_on_both_branches():
-    # boundary_rank over Q either returns a GF(2) rank that meets its upper
-    # bound or runs the rational row route; both must agree with the
-    # column route, and the draws must reach both branches
-    calls = {"q": 0, "fallback": 0}
-    link_ranks, rank_by_rows = homology._link_ranks, homology.rank_by_rows
+    # boundary_rank over Q takes a core's rank from one of three branches:
+    # a GF(2) rank that meets its upper bound, a GF(2) rank that lifted
+    # kernel vectors prove, or the rational row route; all must agree
+    # with the column route, and the draws must reach every branch
+    calls = Counter()
+    map_rank, lifts, rank_by_rows = homology._map_rank, homology._lifts, homology.rank_by_rows
 
-    def link_ranks_spy(pos, at, rows, f, g, p):
-        calls["q"] += p is None
-        return link_ranks(pos, at, rows, f, g, p)
+    def map_rank_spy(pos, bits, rows, cap, p):
+        before = calls["lift"] + calls["rows"]
+        rank = map_rank(pos, bits, rows, cap, p)
+        # neither later branch ran on a core past degree 1: the bound did
+        calls["bound"] += p is None and pos.shape[1] > 2 and \
+            calls["lift"] + calls["rows"] == before
+        return rank
+
+    def lifts_spy(pos, rows, r2):
+        ok = lifts(pos, rows, r2)
+        calls["lift"] += ok
+        return ok
 
     def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
-        calls["fallback"] += p is None
+        calls["rows"] += p is None
         return rank_by_rows(entries, n_rows, n_cols, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**62), st.integers(2, 10), st.integers(1, 4),
            st.floats(0.0, 1.0), st.booleans())
     @example(seed=1, n=6, k=2, q=0.0, glue=True)  # RP^2_6 alone
+    @example(seed=1, n=9, k=2, q=0.4, glue=False)  # a core meets its bound
+    @example(seed=2, n=8, k=3, q=0.4, glue=False)  # two cores lift
     def check(seed, n, k, q, glue):
         k = min(k, n - 1)
         rng = SplitMix64(seed)
@@ -187,11 +200,11 @@ def test_boundary_rank_matches_column_route_on_both_branches():
                         (j, fld.name)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_link_ranks", link_ranks_spy)
+        mp.setattr(homology, "_map_rank", map_rank_spy)
+        mp.setattr(homology, "_lifts", lifts_spy)
         mp.setattr(homology, "rank_by_rows", rank_by_rows_spy)
         check()
-    assert calls["fallback"] > 0
-    assert calls["q"] - calls["fallback"] > 0
+    assert calls["bound"] > 0 and calls["lift"] > 0 and calls["rows"] > 0, calls
 
 
 def _boundary_entries(faces):
@@ -409,6 +422,28 @@ def test_link_ranks_of_a_stack_match_the_column_route(case):
         assert homology._link_ranks(pos, at, start, f, 40, fld.p) == want, fld.name
 
 
+def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
+    # with no core left after the peel, _link_ranks returns the ranks at
+    # once: it packs no bitset and ranks no core, over every field; so
+    # does the global map of a saturated X, whose every map peels away
+    pos, at, start, maps = _stacked(4, [_RP2_CONE_TOPS, _CORES[4][:3], []], [False] * 3)
+    assert not homology._peel(pos, start[-1])[1].any()
+    X = build_X_nkl(11, 3, 1, GF2).complex
+    want = {fld.name: column_rank(boundary_matrix(X, 3), fld) for fld in (GF2, GF3, RATIONALS)}
+
+    def refuse(*args):
+        raise AssertionError("a core was packed or ranked")
+
+    monkeypatch.setattr(homology, "_bitsets", refuse)
+    monkeypatch.setattr(homology, "_map_rank", refuse)
+    f = [n_cols for _, _, n_cols in maps]
+    homology._rank_cached.cache_clear()
+    for fld in (GF2, GF3, RATIONALS):
+        assert homology._link_ranks(pos, at, start, f, 40, fld.p) == \
+            [rank_by_columns(entries, n_rows, n_cols, fld.p) for entries, n_rows, n_cols in maps]
+        assert boundary_rank(X, 3, fld) == want[fld.name], fld.name
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
                  st.integers(1, 4), st.floats(0.0, 1.0)), st.integers(0, 2**32))
@@ -537,6 +572,145 @@ def test_facet_id_link_rank_falls_back_over_q_on_the_projective_plane(monkeypatc
     assert (apex["gf:2"].f_top, apex["gf:2"].top) == (10, 1)
     assert (apex["q"].f_top, apex["q"].top) == (10, 0)
     assert calls == [None]
+
+
+# the octahedron, a 2-sphere on 1..6: one vertex of each antipodal pair
+OCTAHEDRON = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+
+
+def _entries(columns):
+    """The entries of the map whose column c has (-1)^i in row
+    columns[c][i], as _lifts reads pos; -1 is no row."""
+    return {(x, c): -1 if i % 2 else 1
+            for c, column in enumerate(columns) for i, x in enumerate(column) if x >= 0}
+
+
+def _lift_case(faces):
+    """The boundary map of faces as _lifts reads it, rows numbered from 0
+    in order of first appearance: (pos, rows, GF(2) rank, entries)."""
+    pos, _, start, maps = _stacked(len(faces[0]), [faces], [False])
+    rows = start[1]
+    return pos, rows, IncrementalSpan(2).extend(_bitsets(pos, rows)), maps[0][0]
+
+
+def _check_refused(pos, rows, r2, entries):
+    """_lifts refuses the map, and _map_rank's row route still gives the
+    column route's rational rank, with a cap above every rank."""
+    assert not homology._lifts(pos, rows, r2)
+    want = rank_by_columns(entries, rows, len(pos))
+    assert homology._map_rank(pos, _bitsets(pos, rows), rows, len(pos) + rows, None) == want
+
+
+def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypatch):
+    # the 8 triangles of the octahedron sum to 0 mod 2 and, signed, to its
+    # fundamental cycle; (0, 1, 2) adds rows of its own, so the GF(2) rank
+    # 8 misses min(9 columns, 15 rows) and the proof is needed
+    faces = [(0, 1, 2)] + OCTAHEDRON
+    pos, rows, r2, entries = _lift_case(faces)
+    assert (len(pos), rows, r2) == (9, 15, 8)
+    assert homology._lifts(pos, rows, r2)
+    assert rank_by_columns(entries, rows, len(pos)) == r2
+    # from the rows side: the 15 edges of the complete 2-skeleton on 6
+    # vertices are fewer than its 20 triangles, and their 5 dependencies
+    # are the vertex stars, which lift to coboundaries
+    pos, rows, r2, entries = _lift_case(list(combinations(range(6), 3)))
+    assert (len(pos), rows, r2) == (20, 15, 10)
+    assert homology._lifts(pos, rows, r2)
+    assert rank_by_columns(entries, rows, len(pos)) == r2
+    # only the rows prove this one: among the columns, the dependency of
+    # columns 0 and 3 meets rows 0, 2 and 3 with signs no lift satisfies
+    columns = [[0, 3, 2], [0, 3, 2], [2, 3, 1], [3, 0, 2], [2, 0, 1]]
+    entries = _entries(columns)
+    pos = np.array(columns, dtype=np.int64)
+    r2 = IncrementalSpan(2).extend(_bitsets(pos, 4))
+    assert (r2, rank_by_columns(entries, 4, 5)) == (3, 3)
+    assert homology._lifts(pos, 4, r2)
+    # the global map: the cone split takes (0, 1, 2) alone, and the
+    # octahedron is left as a core of GF(2) rank 7 < 8 that the proof
+    # settles, with no row route
+    lifted = []
+    lifts = homology._lifts
+
+    def spy(*args):
+        lifted.append(lifts(*args))
+        return lifted[-1]
+
+    def refuse(*args):
+        raise AssertionError("the row route ran")
+
+    monkeypatch.setattr(homology, "_lifts", spy)
+    monkeypatch.setattr(homology, "rank_by_rows", refuse)
+    X = track(closure(faces, 7))
+    homology._rank_cached.cache_clear()
+    assert boundary_rank(X, 2, RATIONALS) == 8
+    assert lifted == [True]
+
+
+def test_lifted_kernel_refuses_the_projective_plane_from_both_sides():
+    # RP^2_6 alone has fewer columns (10) than rows (15); beside a disjoint
+    # complete 2-skeleton on 7 vertices it has more (45 against 36), and
+    # its extra GF(2) dependency among the rows is the mod-2 class that
+    # no integer cocycle lifts
+    k7 = [tuple(v + 6 for v in t) for t in combinations(range(7), 3)]
+    for faces, shape in ((sorted(RP2_FACETS), (10, 15)), (sorted(RP2_FACETS) + k7, (45, 36))):
+        pos, rows, r2, entries = _lift_case(faces)
+        assert (len(pos), rows) == shape
+        _check_refused(pos, rows, r2, entries)
+        X = track(closure(faces, 13))
+        homology._rank_cached.cache_clear()
+        assert boundary_rank(X, 2, RATIONALS) == column_rank(boundary_matrix(X, 2), RATIONALS)
+
+
+def test_lifted_kernel_refuses_a_dependency_that_meets_a_line_four_times():
+    # four columns around row 0: their one GF(2) dependency meets row 0 in
+    # all four, so it is refused, whether the four are independent over Q
+    # (the first) or not (the second, whose signs would cancel in row 0)
+    for columns, rank_q in (([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 1, 4]], 4),
+                            ([[0, 1, 2], [0, 3, 2], [0, 3, 4], [0, 1, 4]], 3)):
+        pos = np.array(columns, dtype=np.int64)
+        entries = _entries(columns)
+        r2 = IncrementalSpan(2).extend(_bitsets(pos, 5))
+        assert (r2, rank_by_columns(entries, 5, 4)) == (3, rank_q)
+        _check_refused(pos, 5, r2, entries)
+
+
+def test_a_lift_means_the_rational_rank_is_the_gf2_rank():
+    # whatever complex reaches the proof, random, with RP^2_6 glued in, or
+    # a cone over either, a map it proves has the column route's rational
+    # rank r2, and the draws reach both a proof and a refusal
+    seen = Counter()
+    lifts = homology._lifts
+
+    def spy(pos, rows, r2):
+        ok = lifts(pos, rows, r2)
+        seen[ok] += 1
+        if ok:
+            assert rank_by_columns(_entries(pos.tolist()), rows, len(pos)) == r2
+        return ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**62), st.integers(4, 9), st.integers(2, 4),
+           st.floats(0.1, 0.9), st.booleans(), st.booleans())
+    @example(seed=1, n=6, k=2, q=0.0, glue=True, cone=True)  # the cone over RP^2_6
+    @example(seed=3, n=9, k=3, q=0.4, glue=False, cone=False)  # three cores lift
+    def check(seed, n, k, q, glue, cone):
+        k = min(k, n - 1)
+        rng = SplitMix64(seed)
+        S = random_skeleton_complex(n, k, q, rng)
+        if glue and 2 <= k <= n - 4:
+            S, _ = _glue_projective_plane(S, rng)
+        if cone:
+            S = SkeletonComplex(S.n + 1, S.k + 1, frozenset(t + (S.n,) for t in S.top_faces))
+        homology._rank_cached.cache_clear()
+        for j in range(S.k + 1):
+            boundary_rank(S, j, RATIONALS)
+        for ell in range(S.k - 2):
+            link_profile(S, ell, RATIONALS)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_lifts", spy)
+        check()
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):
