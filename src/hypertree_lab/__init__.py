@@ -27,15 +27,7 @@ from .constructions import (
 from .errors import HypertreeLabError
 from .fields import GF2, GF3, RATIONALS, FieldSpec, parse_field
 from .garland import garland_check, garland_weights, weighted_laplacian
-from .homology import (
-    LinkBetti,
-    SparseMatrix,
-    betti,
-    betti_table,
-    boundary_matrix,
-    cycle_basis,
-    link_profile,
-)
+from .homology import LinkBetti, betti, betti_table, link_profile
 from .randomness import SplitMix64, random_skeleton_complex
 from .simplexes import (
     GeneralComplex,

@@ -38,7 +38,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .fields import FieldSpec
-from .homology import _link_betti, betti, cycle_basis, link_profile
+from .homology import _cycle_support, _link_betti, betti
 from .simplexes import (
     Complex,
     Simplex,
@@ -340,20 +340,21 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec) -> TrichotomyRep
 
 
 def support_property_holds(X: SkeletonComplex, field: FieldSpec) -> bool:
-    """Every face in every basis cycle has links with homology all the way down.
+    """Every face inside a cycle's support has homology atop its link.
 
-    For each top face sigma in the support of a degree-k homology basis
-    element and every tau inside sigma, the link of tau must have nonzero
-    Betti number in degree k - dim(tau) - 2, the top degree of that link.
+    For each top face sigma in the support of some degree-k cycle and
+    every tau inside sigma, the link of tau must have nonzero Betti number
+    in degree k - dim(tau) - 2, the top degree of that link; for tau =
+    sigma that is the empty face's b_{-1} = 1, so it is not read.  Those
+    top faces are the ones that are no coloop of the degree-k boundary
+    map, the union of the supports of every basis of the cycles
+    (homology._cycle_support), so the verdict does not depend on a basis.
+    Each supported top face is checked once per degree, by indexing the
+    top array of _link_betti with the ids of the faces tau inside it.
     """
     S = as_skeleton_complex(X)
-    k = S.k
-    # tops[size][tau]: top Betti number of the link of tau, |tau| = size
-    tops = [{e.tau: e.top for e in link_profile(S, size - 1, field)}
-            for size in range(k + 2)]
-    for chain in cycle_basis(S, k, field):
-        for sigma in chain:
-            for size, top in enumerate(tops):
-                if any(top[tau] <= 0 for tau in combinations(sigma, size)):
-                    return False
-    return True
+    degrees = range(-1, S.k)
+    tops = [_link_betti(S, ell, field)[2] for ell in degrees]
+    supported = _cycle_support(S, field.p)
+    return all((top[_relabelled_link_tops(supported, S.n, ell)[0]] > 0).all()
+               for ell, top in zip(degrees, tops))

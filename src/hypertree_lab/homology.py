@@ -1,4 +1,4 @@
-"""Boundary matrices, reduced Betti numbers, and link homology.
+"""Boundary ranks, reduced Betti numbers, link homology and cycle supports.
 
 All homology here is reduced: the chain complex is augmented, so the empty
 simplex spans a one-dimensional chain group in degree -1 and the complex
@@ -33,15 +33,15 @@ The lifted kernel proves rank_Q <= r2; r2 <= rank_Q always holds, as a
 minor of the integer map that is nonzero mod 2 is nonzero.  Take the
 side of the core with fewer lines, n of them: its columns, or the rows
 it meets.  Line t packs as (v << n) | (1 << t), v its bitset over the
-other side, and one IncrementalSpan(2).extend reduces them all.  A
-basis vector kept below bit n has lost its v: it is a GF(2) dependency,
-the set of lines that sums to 0 mod 2, and there are n - r2 of them, as
-the lines have GF(2) rank r2.  Each dependency is lifted to a vector of
-+-1 on its lines.  Every line of the other side must meet it in 0 or 2
-entries, and each such pair fixes the relative sign of its two lines; a
-walk over the dependency's lines then assigns the signs.  A meeting of 4
-or more, or a sign that conflicts, means no lift, and the row route
-runs.  Each lifted vector is then checked against the map's entries in
+other side, and one IncrementalSpan(2).extend reduces them all
+(_dependencies).  A basis vector kept below bit n has lost its v: it is
+a GF(2) dependency, the set of lines that sums to 0 mod 2, and there are
+n - r2 of them, as the lines have GF(2) rank r2.  Each dependency is
+lifted to a vector of +-1 on its lines.  Every line of the other side
+must meet it in 0 or 2 entries, and each such pair fixes the relative
+sign of its two lines; a walk over the dependency's lines then assigns
+the signs.  A meeting of 4 or more, or a sign that conflicts, means no
+lift, and the row route runs.  Each lifted vector is then checked against the map's entries in
 integers, and a failure raises InvariantViolation.  The lifted vectors
 reduce mod 2 to the dependencies, which are independent, as each holds
 its own highest line; so the lifted vectors are independent over Q, and
@@ -152,6 +152,21 @@ and the other columns drop those free rows.  Each link's core rows are
 renumbered from 0, so its bitsets are no wider than the rows its core
 touches.
 
+The cycle support of a sandwiched X is the set of top faces in the
+support of some degree-k cycle.  X has no (k+1)-faces, so its degree-k
+cycles are the kernel of the top map d_k, and a top face sigma lies in
+the support of some kernel vector exactly when its column lies in the
+span of the others: when sigma is no coloop of the column matroid of d_k
+(Oxley, Matroid Theory, 2nd ed., 2011).  So every basis of the kernel
+has the same union of supports, and _cycle_support reads that union
+from one kernel run with no basis kept.  Over GF(2) the columns are
+packed and _dependencies, the lift's reduction, hands back the
+dependencies among them, whose union is the support: each is a kernel
+vector, and they span the kernel.  Over odd p and Q one
+linalg.kernel_basis run does the same on the map's +-1 entries.  The
+coloops depend on the field: RP^2_6 with one more triangle has 10
+supported top faces over GF(2) and 11 over GF(3) and Q.
+
 At ell = k-1 (r = 0) no rank is taken.  The link of tau is its f_tau
 points sigma minus tau over the empty face, and its top map is the
 augmentation, whose columns are all the one row of the empty face: its
@@ -161,7 +176,6 @@ field (above).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import comb
@@ -171,12 +185,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, TooLarge
 from .fields import FieldSpec
-from .linalg import (
-    IncrementalSpan,
-    _columns,
-    kernel_basis,
-    rank_by_rows,
-)
+from .linalg import IncrementalSpan, kernel_basis, rank_by_rows
 from .randomness import FACE_BUDGET
 from .simplexes import (
     Complex,
@@ -190,34 +199,6 @@ from .simplexes import (
     face_count,
     iter_faces,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Sparse integer matrix with simplex labels on both axes."""
-
-    n_rows: int
-    n_cols: int
-    entries: dict[tuple[int, int], int]
-    row_faces: tuple[Simplex, ...]
-    col_faces: tuple[Simplex, ...]
-
-
-def boundary_matrix(X: Complex, j: int) -> SparseMatrix:
-    """The degree-j boundary map; rows are (j-1)-faces, columns j-faces.
-
-    Signs alternate with the position of the dropped vertex.  In degree 0
-    the single row is the empty simplex and every entry is +1.
-    """
-    rows = tuple(iter_faces(X, j - 1))
-    cols = tuple(iter_faces(X, j))
-    row_index = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for c, sigma in enumerate(cols):
-        for i in range(len(sigma)):
-            face = sigma[:i] + sigma[i + 1:]
-            entries[(row_index[face], c)] = -1 if i % 2 else 1
-    return SparseMatrix(len(rows), len(cols), entries, rows, cols)
 
 
 def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: int,
@@ -240,9 +221,14 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
             return r2
         if p is None and _lifts(pos, rows, r2):
             return r2
+    return rank_by_rows(_entries(pos), rows, len(pos), p)
+
+
+def _entries(pos: np.ndarray) -> dict[tuple[int, int], int]:
+    """The entries of the map whose column a has (-1)^i in row pos[a, i],
+    none for -1, keyed (row, column) and inserted column by column."""
     a, i = np.nonzero(pos >= 0)
-    entries = dict(zip(zip(pos[a, i].tolist(), a.tolist()), np.where(i % 2, -1, 1).tolist()))
-    return rank_by_rows(entries, rows, len(pos), p)
+    return dict(zip(zip(pos[a, i].tolist(), a.tolist()), np.where(i % 2, -1, 1).tolist()))
 
 
 def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
@@ -274,9 +260,7 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
         for o, _ in meet:
             v |= 1 << o
         bitsets.append(v)
-    span = IncrementalSpan(2)
-    span.extend(v << n | 1 << t for t, v in enumerate(bitsets))
-    deps = [v for key, v in span.basis.items() if key < n]
+    deps = _dependencies(bitsets, n)
     if len(deps) != n - r2:
         raise InvariantViolation(f"{len(deps)} GF(2) dependencies among {n} lines of rank {r2}")
     for dep in deps:
@@ -320,6 +304,19 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
         if any(out):
             raise InvariantViolation("a lifted GF(2) dependency is no integer kernel vector")
     return True
+
+
+def _dependencies(bitsets: Iterable[int], n: int) -> list[int]:
+    """The GF(2) dependencies among n lines, given as bitsets over the
+    other side: each a bitset over the lines that sum to 0 mod 2, with
+    distinct highest lines, n less the lines' GF(2) rank of them.
+
+    One IncrementalSpan(2) run over line t packed as (v << n) | (1 << t)
+    leaves them as its basis vectors below bit n (module docstring).
+    """
+    span = IncrementalSpan(2)
+    span.extend(v << n | 1 << t for t, v in enumerate(bitsets))
+    return [v for key, v in span.basis.items() if key < n]
 
 
 def complete_rank(g: int, j: int) -> int:
@@ -586,35 +583,26 @@ def link_profile(X: SkeletonComplex, ell: int, field: FieldSpec) -> list[LinkBet
     return list(map(LinkBetti, iter_faces(X, ell), f.tolist(), below.tolist(), top.tolist()))
 
 
-def cycle_basis(X: Complex, j: int, field: FieldSpec) -> list[dict[Simplex, object]]:
-    """Chains representing a basis of degree-j homology.
+def _cycle_support(X: SkeletonComplex, p: Optional[int]) -> np.ndarray:
+    """The rows of _top_array(X) in the support of some degree-k cycle over
+    GF(p), or Q for p None: the top faces that are no coloop of the top
+    boundary map (module docstring).  Every basis of the cycles has this
+    union of supports, so no basis is built.
 
-    Kernel vectors of the degree-j boundary map are filtered against the
-    image of the next boundary map: a representative is kept exactly when
-    it enlarges the span of that image plus the representatives already
-    accepted.  The number kept must equal the Betti number.
+    The map's rows are numbered by _facet_keys, in lexicographic order.
+    Over GF(2) the support is the union of the columns' dependencies;
+    else the union of the keys of one kernel_basis run.
     """
-    if X.is_void or j < -1 or j > X.dim:
-        return []
-    p = field.p
-    Mj = boundary_matrix(X, j)
-    kern = kernel_basis(Mj.entries, Mj.n_rows, Mj.n_cols, p)
-
-    span = IncrementalSpan(p)
-    if j + 1 <= X.dim:
-        Mup = boundary_matrix(X, j + 1)
-        # rows of the upper map and columns of Mj list the j-faces in the
-        # same lexicographic order, so indices line up
-        for vec in _columns(Mup.entries, Mup.n_cols, p):
-            span.add(vec)
-
-    reps: list[dict[Simplex, object]] = []
-    for vec in kern:
-        if span.add(vec):
-            reps.append({Mj.col_faces[t]: coef for t, coef in sorted(vec.items())})
-    expected = betti(X, j, field)
-    if len(reps) != expected:
-        raise InvariantViolation(
-            f"cycle basis size {len(reps)} != Betti number {expected} in degree {j}")
-    return reps
-
+    tops = _top_array(X)
+    keys = _facet_keys(tops, X.n)
+    f, width = len(tops), int(keys.max(initial=0)) + 1
+    if p == 2:
+        union = 0
+        for dep in _dependencies(_bitsets(keys, width), f):
+            union |= dep
+        held = np.unpackbits(np.frombuffer(union.to_bytes(-(-f // 8), "little"), dtype=np.uint8),
+                             count=f, bitorder="little").astype(bool)
+    else:
+        held = np.zeros(f, dtype=bool)
+        held[[t for vec in kernel_basis(_entries(keys), width, f, p) for t in vec]] = True
+    return tops[held]

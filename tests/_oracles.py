@@ -1,7 +1,9 @@
 """Checks and closed forms that only the tests use.
 
 Each one reaches the library by another route than the one it checks:
-is_hypertree takes a built link complex and its Betti numbers, where the
+boundary_matrix builds a boundary map as a dict over the faces that
+iter_faces lists, where the library numbers rows by facet keys from the
+top array; is_hypertree takes a built link complex and its Betti numbers, where the
 library reads links from the top array; collapse_by_rescan finds the free
 faces afresh after every removal, where the library keeps coface counts;
 peel_one_at_a_time takes one unit pivot at a time in a drawn order, where
@@ -27,7 +29,43 @@ from hypertree_lab.errors import (
 )
 from hypertree_lab.fields import FieldSpec, is_prime
 from hypertree_lab.homology import betti
-from hypertree_lab.simplexes import GeneralComplex, as_general, face_count, subfaces
+from hypertree_lab.simplexes import (
+    Complex,
+    GeneralComplex,
+    Simplex,
+    as_general,
+    face_count,
+    iter_faces,
+    subfaces,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Sparse integer matrix with simplex labels on both axes."""
+
+    n_rows: int
+    n_cols: int
+    entries: dict[tuple[int, int], int]
+    row_faces: tuple[Simplex, ...]
+    col_faces: tuple[Simplex, ...]
+
+
+def boundary_matrix(X: Complex, j: int) -> SparseMatrix:
+    """The degree-j boundary map; rows are (j-1)-faces, columns j-faces.
+
+    Signs alternate with the position of the dropped vertex.  In degree 0
+    the single row is the empty simplex and every entry is +1.
+    """
+    rows = tuple(iter_faces(X, j - 1))
+    cols = tuple(iter_faces(X, j))
+    row_index = {f: i for i, f in enumerate(rows)}
+    entries: dict[tuple[int, int], int] = {}
+    for c, sigma in enumerate(cols):
+        for i in range(len(sigma)):
+            face = sigma[:i] + sigma[i + 1:]
+            entries[(row_index[face], c)] = -1 if i % 2 else 1
+    return SparseMatrix(len(rows), len(cols), entries, rows, cols)
 
 
 def collapse_by_rescan(X):

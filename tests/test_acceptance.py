@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from hypertree_lab import bounds, homology
 from hypertree_lab.bounds import (
     equality_trichotomy,
     monotonicity_check,
@@ -32,11 +33,7 @@ from hypertree_lab.constructions import (
 from hypertree_lab.errors import NotPure, NotSandwiched
 from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.garland import GUARD_BAND, check_pure, garland_check
-from hypertree_lab.homology import (
-    betti,
-    boundary_matrix,
-    boundary_rank,
-)
+from hypertree_lab.homology import betti, boundary_rank
 from hypertree_lab.linalg import rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
@@ -45,7 +42,12 @@ from hypertree_lab.simplexes import (
     link,
     remove_top_face,
 )
-from _oracles import collapses_to_point, is_hypertree, sum_complex_betti_formula
+from _oracles import (
+    boundary_matrix,
+    collapses_to_point,
+    is_hypertree,
+    sum_complex_betti_formula,
+)
 from _random_complexes import random_general_complex
 from _registry import ACCEPTANCE_LINES, GENERATED, track
 
@@ -377,19 +379,18 @@ class ColumnLinkDefects:
         return low, high
 
 
-def _check_oracles_avoid(monkeypatch, name, field):
+def _check_oracles_avoid(monkeypatch, module, name, reach):
     """rank_by_columns, ColumnLinkDefects and the loops of tests/_oracles.py
     are what the library's rank route is checked against, so none of them
-    reaches homology.<name>: the first two run with it refused, while the
-    library's own rank over field does reach it, and the oracles' source
-    names it nowhere (is_hypertree reads the library's Betti numbers by
-    design: it checks the link complex it is handed)."""
-    from hypertree_lab import homology
+    reaches module.<name>: the first two and boundary_matrix run with it
+    refused, while reach(X), the library's own route, does reach it, and
+    the oracles' source names it nowhere (is_hypertree reads the library's
+    Betti numbers by design: it checks the link complex it is handed)."""
 
     def refuse(*args):
-        raise AssertionError(f"an oracle reached homology.{name}")
+        raise AssertionError(f"an oracle reached {module.__name__}.{name}")
 
-    monkeypatch.setattr(homology, name, refuse)
+    monkeypatch.setattr(module, name, refuse)
     X = random_skeleton_complex(9, 3, 0.5, SplitMix64(4))
     for fld in (GF2, GF3, RATIONALS):
         route = ColumnLinkDefects(fld.p)
@@ -400,7 +401,7 @@ def _check_oracles_avoid(monkeypatch, name, field):
             rank_by_columns(M.entries, M.n_rows, M.n_cols, fld.p)
     homology._rank_cached.cache_clear()
     with pytest.raises(AssertionError, match="reached"):
-        boundary_rank(X, X.k, field)
+        reach(X)
     tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -410,13 +411,24 @@ def _check_oracles_avoid(monkeypatch, name, field):
 
 
 def test_the_column_oracles_never_peel(monkeypatch):
-    _check_oracles_avoid(monkeypatch, "_peel", GF2)
+    _check_oracles_avoid(monkeypatch, homology, "_peel",
+                         lambda X: boundary_rank(X, X.k, GF2))
 
 
 def test_the_column_oracles_never_lift(monkeypatch):
     # the rational rank of the same X takes a lifted kernel (homology
     # docstring), which the oracles must not share
-    _check_oracles_avoid(monkeypatch, "_lifts", RATIONALS)
+    _check_oracles_avoid(monkeypatch, homology, "_lifts",
+                         lambda X: boundary_rank(X, X.k, RATIONALS))
+
+
+@pytest.mark.parametrize("module,name", [(bounds, "_cycle_support"),
+                                         (homology, "_dependencies")])
+def test_the_column_oracles_never_read_the_cycle_support(monkeypatch, module, name):
+    # the support check reads its top faces through _cycle_support, whose
+    # GF(2) half shares _dependencies with the lift
+    _check_oracles_avoid(monkeypatch, module, name,
+                         lambda X: support_property_holds(X, GF2))
 
 
 def test_check_05_step_and_shift_identities_on_registry():

@@ -24,9 +24,10 @@ from hypertree_lab.bounds import (
 from hypertree_lab.constructions import FANO_BLOCKS, build_J, steiner_complex
 from hypertree_lab.errors import FaceNotInComplex, ParameterOutOfRange
 from hypertree_lab.fields import GF2, GF3, RATIONALS
-from hypertree_lab.homology import betti, cycle_basis, link_profile
+from hypertree_lab.homology import _cycle_support, betti, link_profile
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
+    _top_array,
     SkeletonComplex,
     as_general,
     face_count,
@@ -272,11 +273,11 @@ def monotonicity_by_links(S, sigma, ell, field):
     )
 
 
-def support_by_links(S, field, chains):
-    """support_property_holds for the given chains, one link per (sigma, tau)."""
+def support_by_links(S, field, supported):
+    """support_property_holds for the given top faces, one link per (sigma, tau)."""
     k = S.k
     return all(betti(link(S, tau), k - size, field) > 0
-               for chain in chains for sigma in chain
+               for sigma in supported
                for size in range(k + 2) for tau in combinations(sigma, size))
 
 
@@ -302,15 +303,17 @@ def test_monotonicity_check_matches_links_built_one_by_one(S, pick):
 @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
                  st.integers(1, 3), st.floats(0.2, 1.0)))
 def test_support_property_matches_links_built_one_by_one(S):
-    # the homology basis, then every top face as a one-face chain: the
+    # the cycle support, then every top face injected in its place: the
     # latter fails wherever a face of some top face has an acyclic link
-    every = [{sigma: 1} for sigma in sorted(S.top_faces)]
+    every = _top_array(S)
     for fld in (GF2, GF3, RATIONALS):
-        basis = cycle_basis(S, S.k, fld)
-        assert support_property_holds(S, fld) == support_by_links(S, fld, basis)
+        supported = _cycle_support(S, fld.p)
+        assert support_property_holds(S, fld) == \
+            support_by_links(S, fld, map(tuple, supported.tolist()))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "cycle_basis", lambda X, k, field: every)
-            assert support_property_holds(S, fld) == support_by_links(S, fld, every)
+            mp.setattr(bounds, "_cycle_support", lambda X, p: every)
+            assert support_property_holds(S, fld) == \
+                support_by_links(S, fld, map(tuple, every.tolist()))
 
 
 @pytest.mark.parametrize("n,k", [(12, 3), (10, 4)])

@@ -16,10 +16,8 @@ from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec
 from hypertree_lab.homology import (
     betti,
     betti_table,
-    boundary_matrix,
     boundary_rank,
     complete_rank,
-    cycle_basis,
     link_profile,
 )
 from hypertree_lab.linalg import IncrementalSpan, rank_by_columns, rank_by_rows
@@ -34,6 +32,7 @@ from hypertree_lab.simplexes import (
     GeneralComplex,
     SkeletonComplex,
     as_general,
+    as_skeleton_complex,
     closure,
     face_count,
     full_skeleton,
@@ -41,7 +40,7 @@ from hypertree_lab.simplexes import (
     link,
     subfaces,
 )
-from _oracles import is_hypertree, peel_one_at_a_time, validate
+from _oracles import boundary_matrix, is_hypertree, peel_one_at_a_time, validate
 from _random_complexes import random_general_complex
 from _registry import track
 
@@ -1034,29 +1033,55 @@ def test_betti_of_skeleton_complex_equals_general_form():
         assert betti_table(X, fld) == betti_table(G, fld)
 
 
-def test_cycle_basis_spans_the_right_dimension():
-    C = cycle_graph(6)
-    for fld in (GF2, RATIONALS):
-        basis = cycle_basis(C, 1, fld)
-        assert len(basis) == 1
-        vec = basis[0]
-        expected_support = {tuple(sorted((i, (i + 1) % 6))) for i in range(6)}
-        assert set(vec) == expected_support
-        # a cycle: boundary of the chain vanishes
-        M = boundary_matrix(C, 1)
-        col_of = {f: j for j, f in enumerate(M.col_faces)}
-        sums = {}
-        for (i, j), v in M.entries.items():
-            for f, c in vec.items():
-                if col_of[f] == j:
-                    sums[i] = sums.get(i, 0) + v * c
-        p = fld.p
-        assert all((s % p if p else s) == 0 for s in sums.values())
+def support_by_rows(S, fld):
+    """The top faces of S whose column lies in the span of the others:
+    deleting it keeps the rank of the top map, by rank_by_rows."""
+    M = boundary_matrix(S, S.k)
+    rank = rank_by_rows(M.entries, M.n_rows, M.n_cols, fld.p)
+    return [sigma for c, sigma in enumerate(M.col_faces)
+            if rank_by_rows({key: x for key, x in M.entries.items() if key[1] != c},
+                            M.n_rows, M.n_cols, fld.p) == rank]
 
 
-def test_cycle_basis_empty_when_acyclic():
-    X = closure([(0, 1, 2)], 3)
-    assert cycle_basis(X, 1, GF2) == []
+def _maybe_cone(S, cone):
+    """S, or the cone over S with apex n when cone is set."""
+    if not cone:
+        return S
+    return SkeletonComplex(S.n + 1, S.k + 1, frozenset(t + (S.n,) for t in S.top_faces))
+
+
+# RP^2_6 plus the non-face (0, 1, 3): over GF(2) the sum of RP^2_6's
+# triangles is the one cycle, 10 faces; over GF(3) and Q RP^2_6 has none,
+# and the one cycle runs through all 11
+RP2_PLUS = SkeletonComplex(6, 2, frozenset(RP2_FACETS) | {(0, 1, 3)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_maybe_cone,
+                 st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
+                           st.integers(1, 3), st.floats(0.2, 1.0)),
+                 st.booleans()))
+@example(as_skeleton_complex(cycle_graph(6)))  # all 6 edges
+@example(SkeletonComplex(3, 2, frozenset({(0, 1, 2)})))  # acyclic: no support
+@example(RP2_PLUS)
+def test_cycle_support_is_the_tops_that_are_no_coloop(S):
+    # a top face lies in the support of a top cycle exactly when its
+    # column is no coloop: deleting it keeps the rank, read by the row
+    # route, which shares no code with kernel_basis or the XOR core
+    track(S)
+    for fld in (GF2, GF3, RATIONALS):
+        support = homology._cycle_support(S, fld.p)
+        assert list(map(tuple, support.tolist())) == support_by_rows(S, fld), fld.name
+
+
+def test_a_support_is_read_over_its_own_field():
+    # RP2_PLUS has the same Betti numbers over GF(2) and Q, not the same
+    # support: over GF(2) its new triangle (0, 1, 3) is a coloop
+    assert betti_table(RP2_PLUS, GF2) == betti_table(RP2_PLUS, RATIONALS)
+    supports = [homology._cycle_support(RP2_PLUS, fld.p).tolist()
+                for fld in (GF2, GF3, RATIONALS)]
+    assert supports[0] == sorted(map(list, RP2_FACETS))
+    assert supports[1] == supports[2] == sorted(map(list, RP2_PLUS.top_faces))
 
 
 def test_is_hypertree_on_spanning_trees():

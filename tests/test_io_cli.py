@@ -586,6 +586,10 @@ def golden_commands():
             out.append(["sweep", "--check", check, "--count", "4", "--seed", "5",
                         "--n", "7,8", "--k", "2,3", "--q", "0.5", "--field", "q",
                         "--out", fmt])
+    # the support check's GF(2) and odd-p branches (2 cases)
+    for fld in ("gf:2", "gf:3"):
+        out.append(["sweep", "--check", "support", "--count", "4", "--seed", "5",
+                    "--n", "7,8", "--k", "2,3", "--q", "0.5", "--field", fld])
     # the odd-p row route, and k = 4 links over Q, where the link maps have
     # degree up to 3 (38 cases, about 0.1 s together)
     for command in ("links", "verify-bound"):
@@ -659,14 +663,15 @@ def test_golden_cli_output(tmp_path, monkeypatch):
     # golden command, and the file `construct` wrote, as recorded from the
     # code before the link-profile path (the `sweep` cases from the code
     # before the sweep rows shared their report mapping with the single
-    # commands, the gf:3 and k = 4 cases from the code before the cone
-    # split of face-level ranks, the gf:5 and k = 1 cases from the code
-    # before graph links were read by union-find, the three
-    # `construct xnkl` cases from the code that reported the ell it built
-    # at, the `garland` cases from the code before each link weighed
-    # itself, and the help and usage cases, with their stderr, from the
-    # code before the common options became one parent parser); outputs
-    # must stay byte-identical.  argparse wraps help to COLUMNS.
+    # commands, the gf:2 and gf:3 `sweep --check support` cases from the
+    # code that built a homology basis for the check, the gf:3 and k = 4
+    # cases from the code before the cone split of face-level ranks, the
+    # gf:5 and k = 1 cases from the code before graph links were read by
+    # union-find, the three `construct xnkl` cases from the code that
+    # reported the ell it built at, the `garland` cases from the code
+    # before each link weighed itself, and the help and usage cases, with
+    # their stderr, from the code before the common options became one
+    # parent parser); outputs must stay byte-identical.  argparse wraps help to COLUMNS.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(GOLDEN_PATH.read_text())

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypertree_lab import linalg
 from hypertree_lab.constructions import _boundary_columns
-from hypertree_lab.homology import boundary_matrix
 from hypertree_lab.linalg import (
     IncrementalSpan,
     kernel_basis,
@@ -13,6 +12,7 @@ from hypertree_lab.linalg import (
 )
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import _binomials, _facet_ranks, _top_array
+from _oracles import boundary_matrix
 
 
 def dense_rank(entries, n_rows, n_cols, p):
