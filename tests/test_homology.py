@@ -1074,6 +1074,24 @@ def test_cycle_support_is_the_tops_that_are_no_coloop(S):
         assert list(map(tuple, support.tolist())) == support_by_rows(S, fld), fld.name
 
 
+def test_cycle_basis_spans_the_right_dimension():
+    # the 6-cycle's top cycles are one-dimensional, and that one cycle runs
+    # through all 6 edges over every field
+    C = as_skeleton_complex(cycle_graph(6))
+    edges = sorted(tuple(sorted((i, (i + 1) % 6))) for i in range(6))
+    for fld in (GF2, GF3, RATIONALS):
+        assert betti(C, 1, fld) == 1
+        assert list(map(tuple, homology._cycle_support(C, fld.p).tolist())) == edges
+
+
+def test_cycle_basis_empty_when_acyclic():
+    # a filled triangle has no top cycle, so no top face is supported
+    X = closure([(0, 1, 2)], 3)
+    assert betti(X, 1, GF2) == betti(X, 2, GF2) == 0
+    for fld in (GF2, GF3, RATIONALS):
+        assert homology._cycle_support(as_skeleton_complex(X), fld.p).size == 0
+
+
 def test_a_support_is_read_over_its_own_field():
     # RP2_PLUS has the same Betti numbers over GF(2) and Q, not the same
     # support: over GF(2) its new triangle (0, 1, 3) is a coloop
