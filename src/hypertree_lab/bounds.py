@@ -43,7 +43,7 @@ from .simplexes import (
     Complex,
     Simplex,
     SkeletonComplex,
-    _relabelled_link_tops,
+    _link_pairs,
     _top_array,
     as_skeleton_complex,
     face_count,
@@ -259,13 +259,13 @@ def monotonicity_check(X: Complex, sigma, ell: int,
     # a link of a sandwiched complex is fixed by its top faces; the walk
     # of sigma alone gives the ids of the faces tau inside it, in the
     # order of combinations(s, ell + 1), and the other pairs of S's walk
-    # must be S2's, in the same order
-    touched = _relabelled_link_tops(np.array([s]), S.n, ell)[0]
+    # must be S2's, in the same order: pattern by pattern, top by top
+    touched = _link_pairs(np.array([s]), S.n, ell)[0]
     brackets = tuple(LinkBracket(tau=tau, before=int(before[t]), after=int(after[t]))
                      for tau, t in zip(combinations(s, ell + 1), touched.tolist()))
     kept = []
     for Y in (S, S2):
-        ids, rest = _relabelled_link_tops(_top_array(Y), Y.n, ell)
+        ids, rest = _link_pairs(_top_array(Y), Y.n, ell)
         out = ~np.isin(ids, touched)
         kept.append((ids[out], rest[out]))
 
@@ -351,10 +351,13 @@ def support_property_holds(X: SkeletonComplex, field: FieldSpec) -> bool:
     (homology._cycle_support), so the verdict does not depend on a basis.
     Each supported top face is checked once per degree, by indexing the
     top array of _link_betti with the ids of the faces tau inside it.
+    The empty face's link is S itself, whose top array is b_k(S), read
+    through betti and its memo.
     """
     S = as_skeleton_complex(X)
     degrees = range(-1, S.k)
-    tops = [_link_betti(S, ell, field)[2] for ell in degrees]
+    tops = [np.array([betti(S, S.k, field)])]
+    tops += [_link_betti(S, ell, field)[2] for ell in degrees[1:]]
     supported = _cycle_support(S, field.p)
-    return all((top[_relabelled_link_tops(supported, S.n, ell)[0]] > 0).all()
+    return all((top[_link_pairs(supported, S.n, ell)[0]] > 0).all()
                for ell, top in zip(degrees, tops))

@@ -19,15 +19,17 @@ closed form against the column route.
 Every other face-level rank reads an int array of faces, one row per
 face, and numbers the rows of the boundary map with numpy.  Its unit
 pivots are peeled first (below), and only the core they leave is
-eliminated.  Over GF(2) and Q each core column is packed into a Python
-int bitset and reduced by IncrementalSpan(2).extend over the one XOR
-core, linalg._gf2_reduce.  Over Q that GF(2) rank r2 is returned when
-the map has degree at most 1 (below) or r2 meets the core's own bound
+eliminated.  Over GF(2), and over every field in degree at most 1
+(below), each core column is packed into a Python int bitset and
+reduced by IncrementalSpan(2).extend over the one XOR core,
+linalg._gf2_reduce, and that GF(2) rank r2 is the rank.  Over Q, in
+degree 2 and up, one tagged IncrementalSpan(2) run over the core
+(_lifts, below) gives r2, returned where it meets the core's own bound
 min(core columns, rows the core meets, C(g-1, j) less the pivots taken)
-for j-faces on g vertices, as r2 <= rank_Q <= the bound; else when
+for j-faces on g vertices, as r2 <= rank_Q <= the bound; else where
 integer kernel vectors lifted from GF(2) prove rank_Q = r2 (below).
 Only the rest, torsion such as that of the projective plane included,
-and at once every core over odd p, runs linalg.rank_by_rows.
+and at once every such core over odd p, runs linalg.rank_by_rows.
 
 The lifted kernel proves rank_Q <= r2; r2 <= rank_Q always holds, as a
 minor of the integer map that is nonzero mod 2 is nonzero.  Take the
@@ -36,7 +38,9 @@ it meets.  Line t packs as (v << n) | (1 << t), v its bitset over the
 other side, and one IncrementalSpan(2).extend reduces them all
 (_dependencies).  A basis vector kept below bit n has lost its v: it is
 a GF(2) dependency, the set of lines that sums to 0 mod 2, and there are
-n - r2 of them, as the lines have GF(2) rank r2.  Each dependency is
+n - r2 of them, as the lines have GF(2) rank r2.  So the one run gives
+both r2 and the dependencies, and no other GF(2) pass reads the core;
+the lift runs only where r2 misses the bound.  Each dependency is
 lifted to a vector of +-1 on its lines.  Every line of the other side
 must meet it in 0 or 2 entries, and each such pair fixes the relative
 sign of its two lines; a walk over the dependency's lines then assigns
@@ -102,24 +106,29 @@ rows deleted, for c the number of faces through v: those rows are free
 pivots.  Every top map takes v = 0.
 
 One route ranks every top boundary map, the global ones included: the
-global map of a layer that is not complete is the top map of the link
-of the empty face, the layer itself.  _rank_cached shifts the layer so
-that its least vertex is 0 and hands it to _link_rows and _link_ranks as
-one link.  _link_rows splits off the cone, the tops through 0, and
-numbers each row by the key of its facet (simplexes._facet_keys, smaller
-for a lexicographically smaller facet): row link * width + key, for
-width the largest key plus one, so link t's rows start at t * width.
-That is one block-diagonal stack of every link's map, numbered with no
-sort.  Where that key space, links times width, is larger than the
-entries, one order-keeping np.unique first compacts the keys met, so no
-array is as large as the key space, not even a bool per key: two tops
-on 1,000 vertices have 499,500 links of 998 keys each at ell = 1.
-_link_ranks peels the stack with one _peel, whose rounds each take a
-few numpy calls over the whole stack, not per link.  Each link's core
-keeps its rows in key order, renumbered from 0, and _link_ranks streams
-the bitsets into each link's span.  Numbered this way, construct xnkl
-peaks at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 128 MB
-on (41, 4, 1) and at 94 MB on (101, 3, 1), where the GF(2) bases of the
+global map of a layer that is not complete is the top map of the link of
+the empty face, the layer itself.  _rank_cached shifts the layer so that
+its least vertex is 0 and hands it to _link_rows and _link_ranks as one
+link.  _link_rows splits off the cone, the tops through 0, and numbers
+each row by the key of its facet (simplexes._facet_keys, smaller for a
+lexicographically smaller facet): row link * width + key, for width the
+largest key plus one, so link t's rows start at t * width.  That is one
+block-diagonal stack of every link's map, numbered with no sort.  Where
+that key space, links times width, is larger than the entries, one
+order-keeping np.unique first compacts the keys met, so no array is as
+large as the key space, not even a bool per key: two tops on 1,000
+vertices have 499,500 links of 998 keys each at ell = 1.  The stack's
+columns come in the walk's order, each with its link id, and no step
+needs a link's columns side by side but the last.  _link_ranks peels the
+stack with one _peel, whose rounds each take a few numpy calls over the
+whole stack, not per link, and counts each link's columns and pivots
+with np.bincount of the ids.  Nothing is grouped by link but the core
+columns the peel leaves, by one stable argsort of their ids; on the
+lexicographic ladder's stacks there are none.  Each link's core keeps
+its rows in key order, renumbered from 0, and _link_ranks streams the
+bitsets into each link's span.  Numbered this way, construct xnkl peaks
+at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 128 MB on
+(41, 4, 1) and at 94 MB on (101, 3, 1), where the GF(2) bases of the
 unpeeled maps took 840 MB: every global and link map of that rung peels
 away (one fresh process each, two cores of an x86-64 host, Python 3.11).
 Rows numbered in order of first appearance, which took one np.unique
@@ -143,14 +152,14 @@ only, and the rank of its top boundary map gives both Betti numbers:
 
 where f_tau counts the link's r-faces.  The complete-layer ranks are the
 closed form above, so b_{r-1} = C(g-1, r) - rank.  One walk over X's top
-array gives every pair of a top face and a degree-ell face tau of it,
-grouped by tau, with sigma minus tau relabelled onto 0..g-1 in order
-(simplexes module docstring), which keeps the link's boundary map as it
-is.  f_tau is one count of the tau ids.  A link top through the
-relabelled vertex 0 is a unit column in the row of its facet without 0,
-and the other columns drop those free rows.  Each link's core rows are
-renumbered from 0, so its bitsets are no wider than the rows its core
-touches.
+array (simplexes._link_pairs) gives every pair of a top face and a
+degree-ell face tau of it, pattern by pattern with no sort, with sigma
+minus tau relabelled onto 0..g-1 in order (simplexes module docstring),
+which keeps the link's boundary map as it is.  f_tau is one count of the
+tau ids.  A link top through the relabelled vertex 0 is a unit column in
+the row of its facet without 0, and the other columns drop those free
+rows.  Each link's core rows are renumbered from 0, so its bitsets are
+no wider than the rows its core touches.
 
 The cycle support of a sandwiched X is the set of top faces in the
 support of some degree-k cycle.  X has no (k+1)-faces, so its degree-k
@@ -194,7 +203,7 @@ from .simplexes import (
     _bitsets,
     _face_array,
     _facet_keys,
-    _relabelled_link_tops,
+    _link_pairs,
     _top_array,
     face_count,
     iter_faces,
@@ -208,18 +217,17 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
 
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
     bounds the rank: the ambient simplex's bound less the pivots already
-    taken.  bits are the columns as GF(2) bitsets, or None where the row
-    route runs at once.  Their GF(2) rank r2 is the rank over GF(2), in
-    degree at most 1, and where it meets min(columns, rows, cap).  Over Q
-    it is the rank also where _lifts proves it, and else the row route
-    runs, as it does for odd p.
+    taken.  bits are the columns as GF(2) bitsets, packed over GF(2) and
+    in degree at most 1, where their GF(2) rank is the rank.  Over Q,
+    _lifts reads the GF(2) rank and returns it where it meets
+    min(columns, rows, cap) or lifted kernel vectors prove it; else the
+    row route runs, as it does at once for odd p.
     """
-    bound = min(len(pos), rows, cap)
     if bits is not None:
-        r2 = IncrementalSpan(2).extend(bits)
-        if p == 2 or r2 == bound or pos.shape[1] <= 2:
-            return r2
-        if p is None and _lifts(pos, rows, r2):
+        return IncrementalSpan(2).extend(bits)
+    if p is None:
+        r2 = _lifts(pos, rows, min(len(pos), rows, cap))
+        if r2 is not None:
             return r2
     return rank_by_rows(_entries(pos), rows, len(pos), p)
 
@@ -231,16 +239,17 @@ def _entries(pos: np.ndarray) -> dict[tuple[int, int], int]:
     return dict(zip(zip(pos[a, i].tolist(), a.tolist()), np.where(i % 2, -1, 1).tolist()))
 
 
-def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
-    """Whether +-1 integer kernel vectors prove that the map of _map_rank,
-    of GF(2) rank r2, has rational rank r2 (module docstring).
+def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
+    """The rational rank of the map of _map_rank where its GF(2) rank r2
+    meets bound or +-1 integer kernel vectors prove it, else None (module
+    docstring).
 
     The lines are the map's columns or its rows, whichever are fewer, and
     the other side's lines meet them.  One IncrementalSpan(2) run over the
-    lines packed as (v << n) | (1 << t) leaves the GF(2) dependencies as
-    its basis vectors below bit n.  Each is lifted by a walk over its
-    lines and checked against the map's entries in integers; False comes
-    at the first that does not lift.
+    n lines packed as (v << n) | (1 << t) leaves the GF(2) dependencies as
+    its basis vectors below bit n, and r2 is n less their count.  Below
+    bound, each is lifted by a walk over its lines and checked against the
+    map's entries in integers; None comes at the first that does not lift.
     """
     cols = pos.tolist()
     # each line's entries: (other line, parity of the sign's exponent)
@@ -261,8 +270,9 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
             v |= 1 << o
         bitsets.append(v)
     deps = _dependencies(bitsets, n)
-    if len(deps) != n - r2:
-        raise InvariantViolation(f"{len(deps)} GF(2) dependencies among {n} lines of rank {r2}")
+    r2 = n - len(deps)
+    if r2 == bound:
+        return r2
     for dep in deps:
         support = []
         while dep:
@@ -278,7 +288,7 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
         nbrs: dict[int, list[tuple[int, int]]] = {t: [] for t in support}
         for pair in ends.values():
             if len(pair) != 2:
-                return False
+                return None
             (t, s), (u, z) = pair
             nbrs[t].append((u, s ^ z ^ 1))
             nbrs[u].append((t, s ^ z ^ 1))
@@ -295,7 +305,7 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
                         y[u] = y[t] ^ flip
                         stack.append(u)
                     elif y[u] != y[t] ^ flip:
-                        return False
+                        return None
         # the lifted vector times the map, from every entry of its lines
         out = [0] * n_other
         for t, v in y.items():
@@ -303,7 +313,7 @@ def _lifts(pos: np.ndarray, rows: int, r2: int) -> bool:
                 out[o] += 1 - 2 * (s ^ v)
         if any(out):
             raise InvariantViolation("a lifted GF(2) dependency is no integer kernel vector")
-    return True
+    return r2
 
 
 def _dependencies(bitsets: Iterable[int], n: int) -> list[int]:
@@ -398,13 +408,13 @@ def check_link_degree(n: int, k: int, ell: int) -> None:
 
 
 def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
-               g: int) -> tuple[np.ndarray, list[int], list[int]]:
+               g: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The rows of every link's top boundary map, as one block-diagonal stack.
 
-    link and rest are _relabelled_link_tops of X, for links on 0..g-1
+    link and rest are _link_pairs of X, in any order, for links on 0..g-1
     (module docstring); the global map is the one link of the empty face.
-    Returns pos, the rows of the tops avoiding 0, -1 for a free row,
-    grouped by link from at[t] to at[t+1], and start: link t's rows are
+    Returns pos, the rows of the tops avoiding 0 in their order, -1 for a
+    free row; the int32 link id of each; and start: link t's rows are
     numbered from start[t] to start[t+1]-1 in increasing key order.  A
     row's number is link * width + key, width the largest key plus one,
     so start[t] = t * width and no sort is needed; where that key space
@@ -425,8 +435,7 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
     free = np.zeros(int(start[-1]), dtype=bool)
     free[keys[cone, 0]] = True
     keys = keys[~cone]
-    at = np.searchsorted(link[~cone], np.arange(n_links + 1))
-    return np.where(free[keys], -1, keys), at.tolist(), start.tolist()
+    return np.where(free[keys], -1, keys), link[~cone].astype(np.int32), start.tolist()
 
 
 def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -492,39 +501,44 @@ def _running(mask: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(mask)))
 
 
-def _link_ranks(pos: np.ndarray, at: list[int], start: list[int], f: list[int],
+def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int],
                 g: int, p: Optional[int]) -> list[int]:
     """Rank of the top boundary map of every link, from _link_rows and the
     number f[t] of each link's tops.
 
     The tops of a link that pos leaves out pass through 0, one free row
     each.  One _peel of the whole stack takes the unit pivots of every
-    link.  A link's rank is its units, its tops through 0 and its peeled
-    pivots, plus the rank of the core it keeps, if any: the core's rows
-    are renumbered from 0 in their order, and its columns are packed as
-    GF(2) bitsets over GF(2) and Q, and over every field in degree at
-    most 1, for _map_rank; else the row route runs at once.  A link with
-    no tops keeps no core, nor does a complete link, whose every row
-    avoiding 0 is the free row of a cone top.  Where the peel leaves no
-    core at all, the ranks return right after it, with no renumbering
-    and no packing.
+    link, and the per-link counts of the columns and pivots are two
+    bincounts of the link ids.  A link's rank is its units, its tops
+    through 0 and its peeled pivots, plus the rank of the core it keeps,
+    if any.  Only the core columns are grouped by link, by one stable
+    argsort of their ids, and each link's core rows are renumbered from 0
+    in their order; the columns are packed as GF(2) bitsets over GF(2)
+    and in degree at most 1, for _map_rank.  A link with no tops keeps no
+    core, nor does a complete link, whose every row avoiding 0 is the
+    free row of a cone top.  Where the peel leaves no core at all, the
+    ranks return right after it, with no grouping, renumbering or packing.
     """
     r = pos.shape[1] - 1
     low = complete_rank(g, r)
+    n_links = len(f)
     pivot, core, live = _peel(pos, start[-1])
     # per link: its units, the tops through 0 and the peeled pivots
-    ranks = (np.array(f) - np.diff(at) + np.diff(_running(pivot)[at])).tolist()
+    ranks = (np.array(f) - np.bincount(link, minlength=n_links)
+             + np.bincount(link[pivot], minlength=n_links)).tolist()
     if not core.any():
         return ranks
-    # per link: its core's columns and rows; below[x] counts the live rows under x
-    cols = np.diff(_running(core)[at])
+    # the core's columns grouped by link, each link's in their order, and
+    # per link its core's columns and rows; below[x] counts the live rows under x
+    order = np.flatnonzero(core)[np.argsort(link[core], kind="stable")]
+    link = link[order]
+    cols = np.bincount(link, minlength=n_links)
     below = _running(live)
     rows = np.diff(below[start])
-    pos = pos[core]
-    pos = np.where(live[pos], below[pos] - np.repeat(below[start[:-1]], cols)[:, None], -1)
+    pos = pos[order]
+    pos = np.where(live[pos], below[pos] - below[start[:-1]][link][:, None], -1)
     del pivot, core, live, below  # the peel's arrays go before the packing
-    bits = _bitsets(pos, int(rows.max(initial=0))) \
-        if p in (None, 2) or r <= 1 else None
+    bits = _bitsets(pos, int(rows.max(initial=0))) if p == 2 or r <= 1 else None
     # a link's rank is its units plus the rank of its core, if any
     ends = np.cumsum(cols).tolist()
     for t in np.flatnonzero(cols).tolist():
@@ -557,7 +571,7 @@ def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
     # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank, and
     # C(g-1, r) also caps the rank of the link's top map
     low = complete_rank(g, r)
-    link, rest = _relabelled_link_tops(_top_array(X), X.n, ell)
+    link, rest = _link_pairs(_top_array(X), X.n, ell)
     f = np.bincount(link, minlength=n_links)
     if r == 0:
         # the top map is the augmentation, of rank min(f_tau, 1)

@@ -37,6 +37,15 @@ the rank of tau among the (ell+1)-subsets of n, and sigma minus tau is a
 top face of lk(X, tau).  The link lives on the ground set minus tau,
 relabelled onto 0..g-1 in order, g = n-ell-1: each vertex of sigma minus
 tau moves down by the number of positions of P below its own.
+
+_link_pairs walks those pairs pattern by pattern with no sort.  Its
+consumers only count, index or number by the link ids: the link ranks
+and Betti numbers of homology, and the bounds' lookups of the faces
+inside a top face.  _relabelled_link_tops sorts the same pairs by tau id,
+for the two consumers that need each link's tops side by side: the
+Laplacian stacks of garland, which cut runs of consecutive links into
+blocks, and constructions._saturate_links, whose closed form and greedy
+spans read each link's tops as one contiguous span.
 """
 from __future__ import annotations
 
@@ -458,29 +467,47 @@ def _bitsets(pos: np.ndarray, width: int) -> Iterator[int]:
             yield v
 
 
-def _relabelled_link_tops(tops: np.ndarray, n: int,
-                          ell: int) -> tuple[np.ndarray, np.ndarray]:
+def _link_pairs(tops: np.ndarray, n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """(tau ids, link tops) of every pair of a top face sigma and an ell-face tau of it.
 
     tops is _top_array(X) for X on n vertices.  Per position pattern P,
     tau = sigma[P] and sigma minus tau is relabelled onto 0..g-1, g =
-    n-ell-1 (module docstring).  The pairs come sorted by tau id, stably,
-    as an int array and a (pairs, k-ell) int array.  The sort is least
-    significant digit first over 16-bit digits, each pass a stable argsort
-    of uint16, which numpy sorts by radix: one pass per 16 bits of the
-    largest id, none when every id is 0.
+    n-ell-1 (module docstring).  The pairs come pattern by pattern, in
+    the order of combinations(range(k+1), ell+1), and top by top within a
+    pattern, with no sort: an int64 array of ids and a (pairs, k-ell)
+    int64 array.  Every pattern is read at once: row j of the tables P
+    and R holds pattern j's positions and the others, and each position
+    of P or R is one gather over every pattern.  Position c of R holds
+    R[j, c] - c positions of P below it, its shift.
     """
-    k1 = tops.shape[1]
-    size = ell + 1
+    f, k1 = tops.shape
+    size, width = ell + 1, k1 - ell - 1
+    m = comb(k1, size)
+    P = np.array(list(combinations(range(k1), size)), dtype=np.intp).reshape(m, size)
+    R = np.array([[i for i in range(k1) if i not in p] for p in P.tolist()],
+                 dtype=np.intp).reshape(m, width)
+    shift = R - np.arange(width)
+    cols = np.ascontiguousarray(tops.T)
     tau_binom = _binomials(n, size)
-    links, rests = [], []
-    for P in combinations(range(k1), size):
-        rest = [i for i in range(k1) if i not in P]
-        shift = [sum(q < i for q in P) for i in rest]
-        links.append(_lex_ranks(tops[:, list(P)], tau_binom))
-        rests.append(tops[:, rest] - shift)
-    link, rest = np.concatenate(links), np.concatenate(rests)
-    del links, rests  # the per-pattern arrays go before the gather
+    x = n - 1 - cols
+    link = np.full((m, f), tau_binom[n, size] - 1, dtype=np.int64)
+    for i in range(size):
+        link -= tau_binom[x[P[:, i]], size - i]
+    rest = np.empty((m, f, width), dtype=np.int64)
+    for c in range(width):
+        np.subtract(cols[R[:, c]], shift[:, c, None], out=rest[:, :, c])
+    return link.reshape(m * f), rest.reshape(m * f, width)
+
+
+def _relabelled_link_tops(tops: np.ndarray, n: int,
+                          ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of _link_pairs, sorted by tau id, stably.
+
+    The sort is least significant digit first over 16-bit digits, each
+    pass a stable argsort of uint16, which numpy sorts by radix: one pass
+    per 16 bits of the largest id, none when every id is 0.
+    """
+    link, rest = _link_pairs(tops, n, ell)
     order = np.arange(len(link))
     for low in range(0, int(link.max(initial=0)).bit_length(), 16):
         step = np.argsort((link >> low).astype(np.uint16), kind="stable")

@@ -277,7 +277,7 @@ def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
     # profile and once for the global rank each, and X's reads take X's
     # own top faces, not the greedy's picks
     seen = {"rank": [], "walk": []}
-    rows, walk = homology._link_rows, homology._relabelled_link_tops
+    rows, walk = homology._link_rows, homology._link_pairs
 
     def rank_spy(link, rest, n_links, g):
         # a global rank numbers the rows of the one link of the empty face
@@ -290,7 +290,7 @@ def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
         return walk(tops, n_, ell_)
 
     monkeypatch.setattr(homology, "_link_rows", rank_spy)
-    monkeypatch.setattr(homology, "_relabelled_link_tops", walk_spy)
+    monkeypatch.setattr(homology, "_link_pairs", walk_spy)
     homology._rank_cached.cache_clear()
     rep = build_X_nkl(n, k, ell, GF2)
     Y = sum_complex(SumComplexSpec.make(n, range(k - ell), k))

@@ -26,6 +26,7 @@ from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
     _bitsets,
     _facet_keys,
+    _link_pairs,
     _relabelled_link_tops,
     _top_array,
     VOID,
@@ -152,22 +153,17 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     # boundary_rank over Q takes a core's rank from one of three branches:
     # a GF(2) rank that meets its upper bound, a GF(2) rank that lifted
     # kernel vectors prove, or the rational row route; all must agree
-    # with the column route, and the draws must reach every branch
+    # with the column route, and the draws must reach every branch.  A
+    # lift proves a GF(2) rank below its bound, as one that meets the
+    # bound returns before any lift
     calls = Counter()
-    map_rank, lifts, rank_by_rows = homology._map_rank, homology._lifts, homology.rank_by_rows
+    lifts, rank_by_rows = homology._lifts, homology.rank_by_rows
 
-    def map_rank_spy(pos, bits, rows, cap, p):
-        before = calls["lift"] + calls["rows"]
-        rank = map_rank(pos, bits, rows, cap, p)
-        # neither later branch ran on a core past degree 1: the bound did
-        calls["bound"] += p is None and pos.shape[1] > 2 and \
-            calls["lift"] + calls["rows"] == before
-        return rank
-
-    def lifts_spy(pos, rows, r2):
-        ok = lifts(pos, rows, r2)
-        calls["lift"] += ok
-        return ok
+    def lifts_spy(pos, rows, bound):
+        r2 = lifts(pos, rows, bound)
+        calls["bound"] += r2 == bound
+        calls["lift"] += r2 is not None and r2 < bound
+        return r2
 
     def rank_by_rows_spy(entries, n_rows, n_cols, p=None):
         calls["rows"] += p is None
@@ -199,7 +195,6 @@ def test_boundary_rank_matches_column_route_on_both_branches():
                         (j, fld.name)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_map_rank", map_rank_spy)
         mp.setattr(homology, "_lifts", lifts_spy)
         mp.setattr(homology, "rank_by_rows", rank_by_rows_spy)
         check()
@@ -342,6 +337,12 @@ def _stacked(size, blocks, cut):
     return np.array(pos, dtype=np.int64).reshape(-1, size), at, start, maps
 
 
+def _link_ids(at):
+    """The int32 link id of each column of a stack whose link t holds the
+    columns at[t] to at[t+1]-1, as _link_rows returns them."""
+    return np.repeat(np.arange(len(at) - 1, dtype=np.int32), np.diff(at))
+
+
 def _check_peel(pos, at, start, maps, seed):
     """_peel against the column route and the one-at-a-time loop: per
     block, the pivots plus the core's rank are the block's rank over
@@ -418,7 +419,7 @@ def test_link_ranks_of_a_stack_match_the_column_route(case):
     for fld in (GF2, GF3, RATIONALS):
         want = [rank_by_columns(entries, n_rows, n_cols, fld.p)
                 for entries, n_rows, n_cols in maps]
-        assert homology._link_ranks(pos, at, start, f, 40, fld.p) == want, fld.name
+        assert homology._link_ranks(pos, _link_ids(at), start, f, 40, fld.p) == want, fld.name
 
 
 def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
@@ -438,7 +439,7 @@ def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
     f = [n_cols for _, _, n_cols in maps]
     homology._rank_cached.cache_clear()
     for fld in (GF2, GF3, RATIONALS):
-        assert homology._link_ranks(pos, at, start, f, 40, fld.p) == \
+        assert homology._link_ranks(pos, _link_ids(at), start, f, 40, fld.p) == \
             [rank_by_columns(entries, n_rows, n_cols, fld.p) for entries, n_rows, n_cols in maps]
         assert boundary_rank(X, 3, fld) == want[fld.name], fld.name
 
@@ -453,7 +454,9 @@ def test_peel_of_every_link_stack_of_random_complexes(S, seed):
     # link's map is its tops avoiding 0 without the free rows
     for ell in range(-1, S.k - 1):
         ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
-        pos, at, start = homology._link_rows(ids, rest, comb(S.n, ell + 1), S.n - ell - 1)
+        pos, link_ids, start = homology._link_rows(ids, rest, comb(S.n, ell + 1), S.n - ell - 1)
+        # the grouped walk keeps each link's columns together
+        at = np.searchsorted(link_ids, np.arange(len(start))).tolist()
         maps = []
         for t in range(len(at) - 1):
             block = pos[at[t]:at[t + 1]]
@@ -465,20 +468,22 @@ def test_peel_of_every_link_stack_of_random_complexes(S, seed):
 
 
 def _check_numbering(ids, rest, n_links, g):
-    """_link_rows of a walk: each link's rows lie in [start[t], start[t+1])
-    in the lexicographic order of their facets, one number per facet, and
-    a row is free (-1) exactly when it is the facet without 0 of a top of
-    the same link through 0.  The same walk with links added that have
-    no tops, so that the key space outgrows the entries, is compacted
-    first; it must number the rows in the same order and give the same
-    peel and the same ranks.  Returns whether the first call numbered
-    the rows by key: start[t] = t * width then."""
-    pos, at, start = homology._link_rows(ids, rest, n_links, g)
+    """_link_rows of a walk: the columns are the tops avoiding 0 in their
+    order, each with its int32 link id; each link's rows lie in
+    [start[t], start[t+1]) in the lexicographic order of their facets,
+    one number per facet, and a row is free (-1) exactly when it is the
+    facet without 0 of a top of the same link through 0.  The same walk
+    with links added that have no tops, so that the key space outgrows
+    the entries, is compacted first; it must number the rows in the same
+    order and give the same peel and the same ranks.  Returns whether the
+    first call numbered the rows by key: start[t] = t * width then."""
+    pos, link_ids, start = homology._link_rows(ids, rest, n_links, g)
     tops = rest[rest[:, 0] > 0]
+    assert link_ids.dtype == np.int32 and np.array_equal(link_ids, ids[rest[:, 0] > 0])
     for t in range(n_links):
         free = {tuple(top[1:]) for top in rest[ids == t].tolist() if top[0] == 0}
         number = {}
-        for column, top in zip(pos[at[t]:at[t + 1]].tolist(), tops[at[t]:at[t + 1]].tolist()):
+        for column, top in zip(pos[link_ids == t].tolist(), tops[link_ids == t].tolist()):
             for i, x in enumerate(column):
                 facet = tuple(top[:i] + top[i + 1:])
                 assert (x < 0) == (facet in free), (t, facet)
@@ -490,9 +495,9 @@ def _check_numbering(ids, rest, n_links, g):
     width = start[1] - start[0]
     keyed = n_links * width <= rest.size and start == [t * width for t in range(n_links + 1)]
     pad = rest.size + 1
-    wide, wide_at, wide_start = homology._link_rows(ids, rest, n_links + pad, g)
+    wide, wide_ids, wide_start = homology._link_rows(ids, rest, n_links + pad, g)
     assert wide_start[-1] <= rest.size
-    assert wide_at == at + [len(pos)] * pad
+    assert np.array_equal(wide_ids, link_ids)
     assert np.array_equal(wide < 0, pos < 0)
     kept = pos >= 0
     assert np.array_equal(np.unique(wide[kept], return_inverse=True)[1],
@@ -503,8 +508,8 @@ def _check_numbering(ids, rest, n_links, g):
     assert np.array_equal(live[pos], wide_live[wide])
     f = np.bincount(ids, minlength=n_links).tolist()
     for fld in (GF2, GF3, RATIONALS):
-        assert homology._link_ranks(wide, wide_at, wide_start, f + [0] * pad, g, fld.p) \
-            == homology._link_ranks(pos, at, start, f, g, fld.p) + [0] * pad, fld.name
+        assert homology._link_ranks(wide, wide_ids, wide_start, f + [0] * pad, g, fld.p) \
+            == homology._link_ranks(pos, link_ids, start, f, g, fld.p) + [0] * pad, fld.name
     return keyed
 
 
@@ -535,6 +540,39 @@ def test_link_rows_are_numbered_by_key_on_both_branches():
     check()
     # the walks reach both branches without the added links
     assert any(keyed) and not all(keyed)
+
+
+def test_link_ranks_read_no_order_of_the_stack():
+    # _link_ranks groups nothing but the core: the stack of the unsorted
+    # walk, its columns then permuted together with their link ids, gives
+    # the ranks of the grouped walk's stack over GF(2), GF(3) and Q, and
+    # the draws keep cores, so that the core grouping runs
+    seen = Counter()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 10),
+                     st.integers(1, 4), st.floats(0.0, 1.0)), st.integers(0, 2**32))
+    @example(RP2_CONE, 0)  # lk(cone, (6,)) keeps RP^2_6 as a core over every field
+    @example(SkeletonComplex(6, 2, frozenset(RP2_FACETS)), 1)
+    def check(S, seed):
+        rng = np.random.default_rng(seed)
+        for ell in range(-1, S.k - 1):
+            n_links, g = comb(S.n, ell + 1), S.n - ell - 1
+            f = np.bincount(_link_pairs(_top_array(S), S.n, ell)[0], minlength=n_links).tolist()
+            stacks = [homology._link_rows(*walk(_top_array(S), S.n, ell), n_links, g)
+                      for walk in (_relabelled_link_tops, _link_pairs)]
+            pos, link_ids, start = stacks[1]
+            perm = rng.permutation(len(pos))
+            stacks.append((pos[perm], link_ids[perm], start))
+            seen["core"] += bool(homology._peel(pos, start[-1])[1].any())
+            seen["stack"] += 1
+            for fld in (GF2, GF3, RATIONALS):
+                want = homology._link_ranks(*stacks[0], f, g, fld.p)
+                for stack in stacks[1:]:
+                    assert homology._link_ranks(*stack, f, g, fld.p) == want, (ell, fld.name)
+
+    check()
+    assert 0 < seen["core"] < seen["stack"], seen
 
 
 def test_sparse_link_rows_allocate_nothing_the_size_of_the_key_space():
@@ -593,11 +631,13 @@ def _lift_case(faces):
 
 
 def _check_refused(pos, rows, r2, entries):
-    """_lifts refuses the map, and _map_rank's row route still gives the
-    column route's rational rank, with a cap above every rank."""
-    assert not homology._lifts(pos, rows, r2)
+    """_lifts refuses the map, of GF(2) rank r2 below its bound, and
+    _map_rank's row route still gives the column route's rational rank,
+    with a cap above every rank."""
+    bound = min(len(pos), rows)
+    assert r2 < bound and homology._lifts(pos, rows, bound) is None
     want = rank_by_columns(entries, rows, len(pos))
-    assert homology._map_rank(pos, _bitsets(pos, rows), rows, len(pos) + rows, None) == want
+    assert homology._map_rank(pos, None, rows, len(pos) + rows, None) == want
 
 
 def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypatch):
@@ -607,14 +647,14 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     faces = [(0, 1, 2)] + OCTAHEDRON
     pos, rows, r2, entries = _lift_case(faces)
     assert (len(pos), rows, r2) == (9, 15, 8)
-    assert homology._lifts(pos, rows, r2)
+    assert homology._lifts(pos, rows, 9) == r2
     assert rank_by_columns(entries, rows, len(pos)) == r2
     # from the rows side: the 15 edges of the complete 2-skeleton on 6
     # vertices are fewer than its 20 triangles, and their 5 dependencies
     # are the vertex stars, which lift to coboundaries
     pos, rows, r2, entries = _lift_case(list(combinations(range(6), 3)))
     assert (len(pos), rows, r2) == (20, 15, 10)
-    assert homology._lifts(pos, rows, r2)
+    assert homology._lifts(pos, rows, 15) == r2
     assert rank_by_columns(entries, rows, len(pos)) == r2
     # only the rows prove this one: among the columns, the dependency of
     # columns 0 and 3 meets rows 0, 2 and 3 with signs no lift satisfies
@@ -623,7 +663,7 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     pos = np.array(columns, dtype=np.int64)
     r2 = IncrementalSpan(2).extend(_bitsets(pos, 4))
     assert (r2, rank_by_columns(entries, 4, 5)) == (3, 3)
-    assert homology._lifts(pos, 4, r2)
+    assert homology._lifts(pos, 4, 4) == r2
     # the global map: the cone split takes (0, 1, 2) alone, and the
     # octahedron is left as a core of GF(2) rank 7 < 8 that the proof
     # settles, with no row route
@@ -642,7 +682,7 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     X = track(closure(faces, 7))
     homology._rank_cached.cache_clear()
     assert boundary_rank(X, 2, RATIONALS) == 8
-    assert lifted == [True]
+    assert lifted == [7]
 
 
 def test_lifted_kernel_refuses_the_projective_plane_from_both_sides():
@@ -675,17 +715,18 @@ def test_lifted_kernel_refuses_a_dependency_that_meets_a_line_four_times():
 
 def test_a_lift_means_the_rational_rank_is_the_gf2_rank():
     # whatever complex reaches the proof, random, with RP^2_6 glued in, or
-    # a cone over either, a map it proves has the column route's rational
-    # rank r2, and the draws reach both a proof and a refusal
+    # a cone over either, a map whose GF(2) rank r2 meets its bound or is
+    # proved has the column route's rational rank r2, and the draws reach
+    # a proof below the bound and a refusal
     seen = Counter()
     lifts = homology._lifts
 
-    def spy(pos, rows, r2):
-        ok = lifts(pos, rows, r2)
-        seen[ok] += 1
-        if ok:
+    def spy(pos, rows, bound):
+        r2 = lifts(pos, rows, bound)
+        seen["refused" if r2 is None else "bound" if r2 == bound else "lifted"] += 1
+        if r2 is not None:
             assert rank_by_columns(_entries(pos.tolist()), rows, len(pos)) == r2
-        return ok
+        return r2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**62), st.integers(4, 9), st.integers(2, 4),
@@ -709,7 +750,7 @@ def test_a_lift_means_the_rational_rank_is_the_gf2_rank():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_lifts", spy)
         check()
-    assert seen[True] > 0 and seen[False] > 0
+    assert seen["lifted"] > 0 and seen["refused"] > 0, seen
 
 
 def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):

@@ -24,6 +24,7 @@ from hypertree_lab.simplexes import (
     _bitsets,
     _lex_ranks,
     _lex_unrank,
+    _link_pairs,
     _relabelled_link_tops,
     _top_array,
     all_faces,
@@ -410,9 +411,10 @@ def test_indexed_link_matches_general_link(seed, n, k, q):
 
 
 def _walk_by_pattern(X, ell):
-    """The pairs of _relabelled_link_tops before grouping: position
-    pattern by pattern, top by top, each tau id read from a table of the
-    (ell+1)-subsets in order and sigma minus tau relabelled by hand."""
+    """The pairs of _link_pairs, as _relabelled_link_tops reads them before
+    grouping: position pattern by pattern, top by top, each tau id read
+    from a table of the (ell+1)-subsets in order and sigma minus tau
+    relabelled by hand."""
     taus = {tau: t for t, tau in enumerate(combinations(range(X.n), ell + 1))}
     ids, rests = [], []
     for P in combinations(range(X.k + 1), ell + 1):
@@ -425,10 +427,14 @@ def _walk_by_pattern(X, ell):
 
 
 def _assert_grouped_as_by_argsort(X, ell):
+    # the grouped walk is _link_pairs sorted stably by tau id, and
+    # _link_pairs is the walk by pattern
     ids, rest = _relabelled_link_tops(_top_array(X), X.n, ell)
+    pair_ids, pair_rest = _link_pairs(_top_array(X), X.n, ell)
     want_ids, want_rest = _walk_by_pattern(X, ell)
-    order = np.argsort(want_ids, kind="stable")
-    assert np.array_equal(ids, want_ids[order]) and np.array_equal(rest, want_rest[order])
+    assert np.array_equal(pair_ids, want_ids) and np.array_equal(pair_rest, want_rest)
+    order = np.argsort(pair_ids, kind="stable")
+    assert np.array_equal(ids, pair_ids[order]) and np.array_equal(rest, pair_rest[order])
     return ids
 
 
@@ -441,6 +447,37 @@ def test_walk_groups_pairs_as_a_stable_argsort(seed, n, k, q):
     X = random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
     for ell in range(-1, X.k + 1):
         _assert_grouped_as_by_argsort(X, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 9), st.integers(0, 4),
+       st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+@example(seed=0, n=7, k=3, q=0.0)  # zero tops at every ell
+@example(seed=1, n=1, k=0, q=1.0)  # one vertex: ell = -1 and ell = k alone
+def test_link_pairs_hold_every_pair_once_pattern_by_pattern(seed, n, k, q):
+    # every pair of a top face sigma and an ell-face tau inside it comes
+    # once, as tau's lexicographic rank and sigma minus tau relabelled
+    # onto the vertices outside tau, pattern by pattern and top by top;
+    # ell = -1 has one empty pattern, every id 0, and ell = k a zero-width rest
+    X = random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+    tops = list(map(tuple, _top_array(X).tolist()))
+    for ell in range(-1, X.k + 1):
+        ids, rest = _link_pairs(_top_array(X), X.n, ell)
+        width = X.k - ell
+        assert ids.dtype == rest.dtype == np.int64
+        assert rest.shape == (len(tops) * comb(X.k + 1, ell + 1), width)
+        taus = list(combinations(range(X.n), ell + 1))
+        pairs = []
+        for t, row in zip(ids.tolist(), rest.tolist()):
+            ground = [v for v in range(X.n) if v not in taus[t]]
+            sigma = tuple(sorted(taus[t] + tuple(ground[v] for v in row)))
+            pairs.append((sigma, taus[t]))
+        assert sorted(pairs) == sorted((sigma, tau) for sigma in tops
+                                       for tau in combinations(sigma, ell + 1))
+        want_ids, want_rest = _walk_by_pattern(X, ell)
+        assert np.array_equal(ids, want_ids) and np.array_equal(rest, want_rest)
+        if ell == -1:
+            assert not ids.any()
 
 
 def test_walk_groups_ids_of_two_digits_and_of_none():
