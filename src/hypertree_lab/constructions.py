@@ -41,6 +41,26 @@ vector of V has largest index beta: iff beta is a key.  A key is skipped
 and any other row is picked, and either way the assumption holds at the
 next row.  After the last pick the span is all of W, so stopping at the
 target rank changes nothing.  No step depends on the field.
+
+Where every link is a graph (r = 1, ell = k-2), the rows are the g
+vertices, row 0 alone passes through 0, and the keys are read from the
+link's components, isolated vertices included, with no elimination:
+with row 0 deleted, a vertex beta > 0 is not a key iff it is the least
+vertex of a component that avoids 0.
+
+Proof.  After pi the column of an edge ab is +-(e_b - e_a), read with
+e_0 = 0.  If beta's component holds a vertex gamma < beta, 0 included,
+the columns of a path from beta to gamma sum, with signs, to e_beta -
+e_gamma, a vector of V with largest index beta: beta is a key.  Else
+beta is the least vertex of a component C that avoids 0.  A vector of V
+is a combination of the link tops' columns, and only the columns of C's
+edges reach C's coordinates, each +-(e_b - e_a) with a and b in C, so
+its entries there sum to 0.  A vector with largest index beta is 0 on
+C's coordinates above beta, and C has none below beta, so its part on C
+is c * e_beta with c = 0, and its entry at beta is 0 after all.  So beta
+is not a key.  An isolated vertex is a component of its own, so it gets
+a pick: the greedy picks the edge 0 + beta for the least vertex beta of
+every component that avoids 0, which joins that component to 0's.
 """
 from __future__ import annotations
 
@@ -61,7 +81,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import GF2, FieldSpec, is_prime
-from .homology import _link_betti, betti
+from .homology import _components, _link_betti, betti
 from .linalg import IncrementalSpan
 from .randomness import SplitMix64
 from .simplexes import (
@@ -73,6 +93,7 @@ from .simplexes import (
     _facet_ranks,
     _lex_ranks,
     _lex_unrank,
+    _link_pairs,
     _relabelled_link_tops,
     _top_array,
     make_simplex,
@@ -188,28 +209,38 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     order, and their seeds are drawn from order_seed in that order.  Every
     link is saturated on the ground set minus tau relabelled onto 0..g-1
     in order, so that rows and candidates are numbered once per call.  Y's
-    link tops come from one numpy walk, grouped by tau.  The
-    order-preserving relabelling keeps the positions of the lexicographic
-    order and of the shuffle alike.  In lexicographic order the picks are
-    read from the closed form (module docstring); a shuffled order scans
-    its candidates one IncrementalSpan.add at a time, each column packed
-    once from the candidates' facet ranks, as the closed form packs its
-    own.
+    link tops come from one numpy walk, grouped by tau but for graph links
+    in lexicographic order.  The order-preserving relabelling keeps the
+    positions of the lexicographic order and of the shuffle alike.  In
+    lexicographic order the picks are read from the closed form (module
+    docstring), for graph links (r = 1) from one labelling of their
+    components, which reads the walk's pairs in no order; a shuffled order
+    scans its candidates one IncrementalSpan.add at a time, each column
+    packed once from the candidates' facet ranks, as the closed form packs
+    its own.
     """
     n, k, p = Y.n, Y.k, field.p
     r = k - ell - 1  # top dimension of every degree-ell link
     g = n - ell - 1
-    link, rest = _relabelled_link_tops(_top_array(Y), n, ell)
     taus = _face_array(combinations(range(n), ell + 1), comb(n, ell + 1), ell + 1)
-    if order_seed is None:
-        facet = _facet_ranks(rest, _binomials(g, r))
-        owner, picked = _closed_form_picks(link, facet, len(taus), g, r, p)
+    if order_seed is None and r == 1:
+        # every link is a graph: its picks need no tau sort
+        link, ends = _link_pairs(_top_array(Y), n, ell)
+        # each edge end as node link * g + vertex, over the walk's array
+        ends += link[:, None] * g
+        del link
+        owner, picked = _graph_picks(ends, len(taus), g)
     else:
-        root = SplitMix64(order_seed)
-        seeds = [root.next_u64() for _ in range(len(taus))]
-        bounds = np.searchsorted(link, np.arange(len(taus) + 1)).tolist()
-        have = _lex_ranks(rest, _binomials(g, r + 1))
-        owner, picked = _greedy_picks(have, bounds, g, r, seeds, p)
+        link, rest = _relabelled_link_tops(_top_array(Y), n, ell)
+        if order_seed is None:
+            facet = _facet_ranks(rest, _binomials(g, r))
+            owner, picked = _closed_form_picks(link, facet, len(taus), g, r, p)
+        else:
+            root = SplitMix64(order_seed)
+            seeds = [root.next_u64() for _ in range(len(taus))]
+            bounds = np.searchsorted(link, np.arange(len(taus) + 1)).tolist()
+            have = _lex_ranks(rest, _binomials(g, r + 1))
+            owner, picked = _greedy_picks(have, bounds, g, r, seeds, p)
     # undo the relabelling: the v-th vertex outside tau is v plus the
     # number of tau's vertices tau_j with tau_j - j <= v
     below = taus - np.arange(ell + 1)
@@ -257,6 +288,26 @@ def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int
     taken[np.repeat(np.arange(n_links), ranks), np.asarray(keys, dtype=np.int64)] = True
     t, b = np.nonzero(~taken)
     return t, np.insert(_lex_unrank(b + m0, g, r), 0, 0, axis=1)
+
+
+def _graph_picks(ends: np.ndarray, n_links: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges the lexicographic greedy picks in links that are graphs
+    (r = 1), read from the closed form's graph case (module docstring),
+    and the link id of each.
+
+    Row a of ends holds the two ends of one of Y's link tops, each as
+    node link * g + vertex, in any order.  homology._components labels
+    every vertex of every link with the least node of its component, and
+    each vertex beta > 0 that is its own label, the least vertex of a
+    component that avoids 0, gets the edge (0, beta).  The picks come
+    sorted by link id, then by beta, as a (picks, 2) array, as
+    _closed_form_picks gives them.
+    """
+    nodes = n_links * g
+    least = _components(nodes, ends[:, 0], ends[:, 1]) == np.arange(nodes)
+    least[::g] = False  # vertex 0 of every link
+    owner, beta = np.divmod(np.flatnonzero(least), g)
+    return owner, np.column_stack((np.zeros_like(beta), beta))
 
 
 def _greedy_picks(have: np.ndarray, bounds: list[int], g: int, r: int,

@@ -16,14 +16,15 @@ C(g, j) - C(g-1, j-1) = C(g-1, j) gives rank d_j = C(g-1, j) for
 0 <= j <= g-1; no other degree has a nonzero map.  The tests check the
 closed form against the column route.
 
-Every other face-level rank reads an int array of faces, one row per
-face, and numbers the rows of the boundary map with numpy.  Its unit
-pivots are peeled first (below), and only the core they leave is
-eliminated.  Over GF(2), and over every field in degree at most 1
-(below), each core column is packed into a Python int bitset and
-reduced by IncrementalSpan(2).extend over the one XOR core,
-linalg._gf2_reduce, and that GF(2) rank r2 is the rank.  Over Q, in
-degree 2 and up, one tagged IncrementalSpan(2) run over the core
+A map of degree at most 1 takes no elimination either: the augmentation
+has rank min(f, 1) for its f columns, and a degree-1 map is a graph's,
+ranked by its components (below).  Every other face-level rank reads an
+int array of faces, one row per face, and numbers the rows of the
+boundary map with numpy.  Its unit pivots are peeled first (below), and
+only the core they leave is eliminated.  Over GF(2) each core column is
+packed into a Python int bitset and reduced by IncrementalSpan(2).extend
+over the one XOR core, linalg._gf2_reduce, and that GF(2) rank r2 is the
+rank.  Over Q one tagged IncrementalSpan(2) run over the core
 (_lifts, below) gives r2, returned where it meets the core's own bound
 min(core columns, rows the core meets, C(g-1, j) less the pivots taken)
 for j-faces on g vertices, as r2 <= rank_Q <= the bound; else where
@@ -83,14 +84,24 @@ structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO 1990),
 and the first is the collapse step of Aronshtam, Linial, Luczak and
 Meshulam (DCG 2013).
 
-In degree at most 1 the rank is the same over every field.  A column of
-such a map has one entry, the augmentation, or the two entries +1 and -1
-of an edge, so the map is a graph's signed incidence matrix or a
-submatrix of one, such as the map with some rows deleted.  Such a matrix
-is totally unimodular (Poincare 1900): every square submatrix has
-determinant 0 or +-1.  A determinant +-1 is nonzero in every field, so
-the largest nonsingular square submatrix, whose size is the rank, is the
-same over every field, GF(2) included.
+A degree-1 map is a graph's signed incidence matrix: the column of an
+edge ab has +-1 in row a and -+1 in row b.  Over every field its left
+kernel is spanned by the indicators of its components, isolated vertices
+included: y kills the column of ab iff y_a = y_b, so y kills every
+column iff it is constant on each component.  So its rank is the
+vertices less the components, or, as an isolated vertex is a component
+of its own, the vertices its edges meet less their components, the same
+over every field.  _components labels every node of a graph with the
+least node of its component by hook and jump (Shiloach and Vishkin,
+J. Algorithms 3, 1982), in a few rounds of numpy calls over every edge
+at once, and the rank is the count of nodes that are not their own
+label: every node met but the least of its component.  _graph_ranks
+takes a stack of graphs at once, as the link maps below, with node
+link * g + vertex for each vertex of each link, so one _components run
+labels every link and a bincount of the link of each such node gives
+every rank.  Where that node space, links times g, is larger than the
+edge ends, one order-keeping np.unique first compacts the nodes met, as
+with the keys below.
 
 Before any packing, a cone lemma splits off the faces through one vertex,
 over every field.  Take j-faces on a ground set V and a vertex v in V.
@@ -105,12 +116,13 @@ that row.  So the rank is c + the rank of the other columns with those c
 rows deleted, for c the number of faces through v: those rows are free
 pivots.  Every top map takes v = 0.
 
-One route ranks every top boundary map, the global ones included: the
-global map of a layer that is not complete is the top map of the link of
-the empty face, the layer itself.  _rank_cached shifts the layer so that
-its least vertex is 0 and hands it to _link_rows and _link_ranks as one
-link.  _link_rows splits off the cone, the tops through 0, and numbers
-each row by the key of its facet (simplexes._facet_keys, smaller for a
+One route ranks every top boundary map of degree 2 and up, the global
+ones included: the global map of a layer that is not complete is the
+top map of the link of the empty face, the layer itself.  _rank_cached
+reads a layer of degree 0 or 1 as above, and shifts any other layer so
+that its least vertex is 0 and hands it to _link_rows and _link_ranks
+as one link.  _link_rows splits off the cone, the tops through 0, and
+numbers each row by the key of its facet (simplexes._facet_keys, smaller for a
 lexicographically smaller facet): row link * width + key, for width the
 largest key plus one, so link t's rows start at t * width.  That is one
 block-diagonal stack of every link's map, numbered with no sort.  Where
@@ -126,13 +138,14 @@ with np.bincount of the ids.  Nothing is grouped by link but the core
 columns the peel leaves, by one stable argsort of their ids; on the
 lexicographic ladder's stacks there are none.  Each link's core keeps
 its rows in key order, renumbered from 0, and _link_ranks streams the
-bitsets into each link's span.  Numbered this way, construct xnkl peaks
-at 46 MB on the saturated X of (n, k, ell) = (61, 3, 1), at 128 MB on
-(41, 4, 1) and at 94 MB on (101, 3, 1), where the GF(2) bases of the
-unpeeled maps took 840 MB: every global and link map of that rung peels
-away (one fresh process each, two cores of an x86-64 host, Python 3.11).
-Rows numbered in order of first appearance, which took one np.unique
-over every (link, row) pair, peaked at 54, 188 and 133 MB.
+bitsets into each link's span.  Numbered this way, construct xnkl peaked
+at 128 MB on the saturated X of (n, k, ell) = (41, 4, 1), whose link and
+global maps all peel away (one fresh process, two cores of an x86-64
+host, Python 3.11); rows numbered in order of first appearance, which
+took one np.unique over every (link, row) pair, peaked at 188 MB.  At
+(101, 3, 1) the global maps peel away and the link maps are graphs, and
+the rung peaks at 80 MB, where the GF(2) bases of the unpeeled
+maps took 840 MB.
 
 _link_betti reads the link homology of a complex X between consecutive
 skeleta without building a link, as three arrays with one entry per
@@ -180,8 +193,9 @@ At ell = k-1 (r = 0) no rank is taken.  The link of tau is its f_tau
 points sigma minus tau over the empty face, and its top map is the
 augmentation, whose columns are all the one row of the empty face: its
 rank is min(f_tau, 1) over every field, read from the count.  At
-ell = k-2 (r = 1) every link is a graph, so its GF(2) rank serves every
-field (above).
+ell = k-2 (r = 1) every link is a graph, and one _graph_ranks run over
+the walk's edges, numbered as nodes in place, ranks them all (above):
+no row is numbered by key, peeled or packed.
 """
 from __future__ import annotations
 
@@ -217,11 +231,10 @@ def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: in
 
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
     bounds the rank: the ambient simplex's bound less the pivots already
-    taken.  bits are the columns as GF(2) bitsets, packed over GF(2) and
-    in degree at most 1, where their GF(2) rank is the rank.  Over Q,
-    _lifts reads the GF(2) rank and returns it where it meets
-    min(columns, rows, cap) or lifted kernel vectors prove it; else the
-    row route runs, as it does at once for odd p.
+    taken.  bits are the columns as GF(2) bitsets, packed over GF(2)
+    alone.  Over Q, _lifts reads the GF(2) rank and returns it where it
+    meets min(columns, rows, cap) or lifted kernel vectors prove it; else
+    the row route runs, as it does at once for odd p.
     """
     if bits is not None:
         return IncrementalSpan(2).extend(bits)
@@ -342,20 +355,26 @@ def complete_rank(g: int, j: int) -> int:
 @lru_cache(maxsize=8)
 def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     g = X.n
-    if face_count(X, j) == comb(g, j + 1):
+    f = face_count(X, j)
+    if f == comb(g, j + 1):
         return complete_rank(g, j)
+    if j == 0:
+        # the augmentation, of rank min(f, 1)
+        return min(f, 1)
     if isinstance(X, SkeletonComplex):
         # every layer below the top is complete, and the top array is sorted
         faces = _top_array(X)
     else:
         # the ground set relabelled onto 0..g-1 in order
         faces = np.searchsorted(np.array(sorted(X.ground), dtype=np.int64),
-                                _face_array(iter_faces(X, j), face_count(X, j), j + 1))
+                                _face_array(iter_faces(X, j), f, j + 1))
+    if j == 1:
+        # a graph: its vertices are the nodes of one link
+        return int(_graph_ranks(faces, 1, g)[0])
     if len(faces) and faces[0, 0]:
         # the cone split takes the least vertex, moved to 0
         faces = faces - faces[0, 0]
     # the layer is the one link of the empty face (module docstring)
-    f = len(faces)
     return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g), [f], g, p)[0]
 
 
@@ -438,6 +457,64 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int,
     return np.where(free[keys], -1, keys), link[~cone].astype(np.int32), start.tolist()
 
 
+def _components(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least node of the component of every node 0..n_nodes-1 of the
+    graph with an edge from u[e] to v[e], by hook and jump (Shiloach and
+    Vishkin, J. Algorithms 3, 1982).
+
+    When a round starts every label is a root, a node that is its own
+    label, and every edge left joins two roots.  Each edge hooks its
+    larger root onto the smaller, by one np.minimum.at; then every label
+    jumps to its label's label until nothing moves, which makes each
+    label a root again, and each edge's ends move to their labels.  An
+    edge whose ends now share a label is dropped.  A label is always a
+    node of the same component and never above the node, so labels only
+    fall, and a component's least node is always its own label.  Each
+    round that does not finish hooks at least one root onto a smaller
+    one, so the roots fall in number and the rounds end, when no edge
+    has two labels: then each component's nodes share one label, which
+    is its least node.
+    """
+    label = np.arange(n_nodes)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    while len(lo):
+        np.minimum.at(label, hi, lo)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        lo, hi = label[lo], label[hi]
+        apart = np.flatnonzero(lo != hi)
+        lo, hi = lo[apart], hi[apart]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    return label
+
+
+def _graph_ranks(ends: np.ndarray, n_links: int, g: int) -> np.ndarray:
+    """Rank of the incidence map of every link that is a graph: the
+    vertices its edges meet less their components (module docstring).
+
+    Row a of ends holds the two ends of an edge, each as node link * g +
+    vertex for its link's vertex on 0..g-1, in any order; that numbers
+    every vertex of every link with no sort.  Where that node space is
+    larger than the edge ends, one order-keeping np.unique first compacts
+    the nodes met, as _link_rows does with its keys.  Every node met but
+    the least of its component is not its own label, and there is one
+    such per edge of a spanning forest, so that count per link is its
+    rank.
+    """
+    size, met = n_links * g, None
+    if size > ends.size:
+        met, inv = np.unique(ends, return_inverse=True)
+        size, ends = len(met), inv.reshape(ends.shape)
+    label = _components(size, ends[:, 0], ends[:, 1])
+    hooked = np.flatnonzero(label != np.arange(size))
+    if met is not None:
+        hooked = met[hooked]
+    return np.bincount(hooked // g, minlength=n_links)
+
+
 def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unit pivots of the map whose column a meets row pos[a, i], -1
     for no row, with rows below n_rows (module docstring).
@@ -514,10 +591,12 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     if any.  Only the core columns are grouped by link, by one stable
     argsort of their ids, and each link's core rows are renumbered from 0
     in their order; the columns are packed as GF(2) bitsets over GF(2)
-    and in degree at most 1, for _map_rank.  A link with no tops keeps no
-    core, nor does a complete link, whose every row avoiding 0 is the
-    free row of a cone top.  Where the peel leaves no core at all, the
-    ranks return right after it, with no grouping, renumbering or packing.
+    alone, for _map_rank.  The maps are of degree 2 and up, as those of
+    degree 1 are graphs, ranked by _graph_ranks.  A link with no tops
+    keeps no core, nor does a complete link, whose every row avoiding 0
+    is the free row of a cone top.  Where the peel leaves no core at all,
+    the ranks return right after it, with no grouping, renumbering or
+    packing.
     """
     r = pos.shape[1] - 1
     low = complete_rank(g, r)
@@ -538,7 +617,7 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     pos = pos[order]
     pos = np.where(live[pos], below[pos] - below[start[:-1]][link][:, None], -1)
     del pivot, core, live, below  # the peel's arrays go before the packing
-    bits = _bitsets(pos, int(rows.max(initial=0))) if p == 2 or r <= 1 else None
+    bits = _bitsets(pos, int(rows.max(initial=0))) if p == 2 else None
     # a link's rank is its units plus the rank of its core, if any
     ends = np.cumsum(cols).tolist()
     for t in np.flatnonzero(cols).tolist():
@@ -576,6 +655,11 @@ def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
     if r == 0:
         # the top map is the augmentation, of rank min(f_tau, 1)
         ranks = np.minimum(f, 1)
+    elif r == 1:
+        # each edge end as node link * g + vertex, over the walk's array
+        rest += link[:, None] * g
+        del link
+        ranks = _graph_ranks(rest, n_links, g)
     else:
         numbered = _link_rows(link, rest, n_links, g)
         del link, rest  # the walk's arrays go before the columns are packed

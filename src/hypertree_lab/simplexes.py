@@ -40,12 +40,16 @@ tau moves down by the number of positions of P below its own.
 
 _link_pairs walks those pairs pattern by pattern with no sort.  Its
 consumers only count, index or number by the link ids: the link ranks
-and Betti numbers of homology, and the bounds' lookups of the faces
-inside a top face.  _relabelled_link_tops sorts the same pairs by tau id,
-for the two consumers that need each link's tops side by side: the
-Laplacian stacks of garland, which cut runs of consecutive links into
-blocks, and constructions._saturate_links, whose closed form and greedy
-spans read each link's tops as one contiguous span.
+and Betti numbers of homology, the bounds' lookups of the faces inside a
+top face, and the lexicographic picks of constructions._saturate_links
+where every link is a graph, which label the components of all links at
+once.  _relabelled_link_tops sorts the same pairs by tau id, for the
+callers that need each link's tops side by side: the Laplacian stacks of
+garland._link_laplacians, which cut runs of consecutive links into
+blocks, and constructions._saturate_links for links of dimension 2 and
+up in lexicographic order, whose closed form reads each link's tops as
+one contiguous span, and for every shuffled order, whose greedy scans
+each link's candidates against its own tops.
 """
 from __future__ import annotations
 

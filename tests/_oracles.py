@@ -7,7 +7,9 @@ top array; is_hypertree takes a built link complex and its Betti numbers, where 
 library reads links from the top array; collapse_by_rescan finds the free
 faces afresh after every removal, where the library keeps coface counts;
 peel_one_at_a_time takes one unit pivot at a time in a drawn order, where
-the library peels in vectorised rounds; sum_complex_betti_formula knows
+the library peels in vectorised rounds; least_in_component joins one edge
+at a time by union-find, where the library hooks and jumps every edge at
+once in numpy rounds; sum_complex_betti_formula knows
 nothing of sum_complex; validate walks every face, where the library
 checks only what is cheap.
 """
@@ -66,6 +68,24 @@ def boundary_matrix(X: Complex, j: int) -> SparseMatrix:
             face = sigma[:i] + sigma[i + 1:]
             entries[(row_index[face], c)] = -1 if i % 2 else 1
     return SparseMatrix(len(rows), len(cols), entries, rows, cols)
+
+
+def least_in_component(n_nodes: int, edges) -> list[int]:
+    """The least node of the component of each node 0..n_nodes-1, by
+    union-find: each edge joins its ends' two sets, and every set's
+    representative is its least node."""
+    parent = list(range(n_nodes))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n_nodes)]
 
 
 def collapse_by_rescan(X):

@@ -319,20 +319,24 @@ def test_support_property_matches_links_built_one_by_one(S):
 def test_support_check_reads_the_top_betti_number_from_the_rank_memo(monkeypatch):
     # the link of the empty face is S, whose top array is b_k(S): once
     # betti has ranked the global top map, the support check ranks only
-    # links, one walk per degree from 0 to k-1, and no global map again
+    # links, one walk per degree from 0 to k-1, and no global map again;
+    # the links of degree k-3 and below number their rows, and those of
+    # degree k-2, graphs, are labelled by their components
     S = random_skeleton_complex(12, 3, 0.4, SplitMix64(3))
     calls = Counter()
-    rows, walk = homology._link_rows, homology._link_pairs
+    rows, walk, components = homology._link_rows, homology._link_pairs, homology._components
     monkeypatch.setattr(homology, "_link_rows",
                         lambda *a: calls.update(["rank" if a[2] == 1 else "links"]) or rows(*a))
     monkeypatch.setattr(homology, "_link_pairs", lambda *a: calls.update(["walk"]) or walk(*a))
+    monkeypatch.setattr(homology, "_components",
+                        lambda *a: calls.update(["graphs"]) or components(*a))
     for fld in (GF2, GF3, RATIONALS):
         homology._rank_cached.cache_clear()
         calls.clear()
         b_k = betti(S, S.k, fld)
         assert calls.pop("rank") == 1
         holds = support_property_holds(S, fld)
-        assert calls == {"walk": S.k, "links": S.k - 1}, fld.name
+        assert calls == {"walk": S.k, "links": S.k - 2, "graphs": 1}, fld.name
         # the oracle's links are ranked through the same spies
         assert b_k > 0 and holds == support_by_links(
             S, fld, map(tuple, _cycle_support(S, fld.p).tolist())), fld.name

@@ -1,5 +1,6 @@
 import hashlib
 import time
+from collections import Counter
 from itertools import combinations, islice
 from math import comb
 
@@ -25,7 +26,17 @@ from hypertree_lab.errors import (
 from hypertree_lab.fields import GF2, GF3, RATIONALS, is_prime
 from hypertree_lab.homology import betti, betti_table
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
-from hypertree_lab.simplexes import _TABLE_BITS, _binomials, _lex_ranks, face_count, link
+from hypertree_lab.simplexes import (
+    _TABLE_BITS,
+    _binomials,
+    _facet_ranks,
+    _lex_ranks,
+    _link_pairs,
+    _relabelled_link_tops,
+    _top_array,
+    face_count,
+    link,
+)
 from _greedy_oracle import lexicographic_picks
 from _oracles import collapses_to_point, interval_offset, sum_complex_betti_formula
 from _registry import track
@@ -329,6 +340,51 @@ def test_closed_form_picks_equal_the_scanning_greedy_past_the_bitset_table():
     Y = sum_complex(SumComplexSpec.make(23, range(4), 4))
     assert comb(22, 3) - comb(21, 2) > _TABLE_BITS
     assert dict(_saturated_links(Y, 0, GF2)) == lexicographic_picks(Y, 0, 2)
+
+
+# every r = 1 shape of the saturation ladder: k = 3 up to n = 29 and
+# k = 4 up to n = 17, at ell = k - 2
+GRAPH_RUNGS = [(n, 3) for n in (5, 7, 11, 13, 17, 19, 23, 29)] + [(n, 4) for n in (7, 11, 13, 17)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=lambda f: f.name)
+def test_graph_picks_equal_the_xor_closed_form(field):
+    # where every link is a graph, the least vertices of the components
+    # that avoid 0 are the rows that are not keys: the components' picks
+    # equal the general closed form's on the same link tops, which reads
+    # them through IncrementalSpan over the field, in the same order
+    for n, k in GRAPH_RUNGS:
+        ell, g = k - 2, n - k + 1
+        Y = sum_complex(SumComplexSpec.make(n, range(k - ell), k))
+        n_links = comb(n, ell + 1)
+        link, rest = _relabelled_link_tops(_top_array(Y), n, ell)
+        want = constructions._closed_form_picks(link, _facet_ranks(rest, _binomials(g, 1)),
+                                                n_links, g, 1, field.p)
+        ids, ends = _link_pairs(_top_array(Y), n, ell)
+        got = constructions._graph_picks(ends + ids[:, None] * g, n_links, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), (n, k, field.name)
+
+
+@pytest.mark.parametrize("n,k,ell,seed,route", [
+    (13, 3, 1, None, "_graph_picks"), (13, 4, 2, None, "_graph_picks"),
+    (13, 3, 0, None, "_closed_form_picks"), (13, 4, 1, None, "_closed_form_picks"),
+    (13, 3, 1, 7, "_greedy_picks"), (13, 4, 2, 7, "_greedy_picks"),
+    (13, 3, 0, 7, "_greedy_picks"),
+])
+def test_saturation_takes_the_graph_route_only_in_lexicographic_order(
+        monkeypatch, n, k, ell, seed, route):
+    # the components read the lexicographic picks of graph links alone;
+    # a shuffled order scans its candidates at every degree
+    calls = Counter()
+    for name in ("_graph_picks", "_closed_form_picks", "_greedy_picks", "_components"):
+        fn = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name,
+                            lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    Y = sum_complex(SumComplexSpec.make(n, range(k - ell), k))
+    constructions._saturate_links(Y, ell, GF2, seed)
+    want = {route: 1, "_components": 1} if route == "_graph_picks" else {route: 1}
+    assert calls == want
 
 
 def test_sum_complex_refuses_candidates_over_budget():

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import comb
 
 import numpy as np
@@ -24,8 +24,10 @@ from hypertree_lab.linalg import IncrementalSpan, rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
+    _binomials,
     _bitsets,
     _facet_keys,
+    _lex_ranks,
     _link_pairs,
     _relabelled_link_tops,
     _top_array,
@@ -41,7 +43,13 @@ from hypertree_lab.simplexes import (
     link,
     subfaces,
 )
-from _oracles import boundary_matrix, is_hypertree, peel_one_at_a_time, validate
+from _oracles import (
+    boundary_matrix,
+    is_hypertree,
+    least_in_component,
+    peel_one_at_a_time,
+    validate,
+)
 from _random_complexes import random_general_complex
 from _registry import track
 
@@ -754,8 +762,9 @@ def test_a_lift_means_the_rational_rank_is_the_gf2_rank():
 
 
 def test_degree_one_ranks_over_q_run_no_rational_elimination(monkeypatch):
-    # graph incidence and augmentation maps are totally unimodular, so over
-    # Q the GF(2) rank is the answer even where it misses its upper bound
+    # a graph's incidence map is ranked from its components and the
+    # augmentation from its count, over every field alike, so over Q no
+    # row elimination runs even where the rank misses its upper bound
     fallback_degrees = []
 
     def spy(entries, n_rows, n_cols, p=None):
@@ -844,7 +853,7 @@ def test_point_links_build_no_facet_table(monkeypatch):
 @example(full_skeleton(7, 2))
 def test_graph_links_match_the_column_route(X):
     # at ell = k-2 every link is a graph; its Betti numbers come from its
-    # GF(2) rank over every field, checked here against link() and the
+    # components over every field, checked here against link() and the
     # column route on the link's own incidence map
     ell = X.k - 2
     g = X.n - ell - 1
@@ -860,13 +869,13 @@ def test_graph_links_match_the_column_route(X):
 
 
 def test_graph_links_build_no_facet_table(monkeypatch):
-    # a graph's incidence map is totally unimodular, so at ell = k-2 the
-    # GF(2) rank serves every field: no row elimination runs, and no
-    # global rank either
+    # a graph's rank is the vertices its edges meet less its components,
+    # over every field, so at ell = k-2 no row is numbered, packed or
+    # eliminated, and no global rank is taken either
     def refuse(*args):
         raise AssertionError("graph links eliminated or took a global rank")
 
-    for name in ("_rank_cached", "rank_by_rows"):
+    for name in ("_rank_cached", "_link_rows", "_link_ranks", "_bitsets", "rank_by_rows"):
         monkeypatch.setattr(homology, name, refuse)
     for k in (1, 2, 3, 4):
         X = random_skeleton_complex(9, k, 0.4, SplitMix64(k))
@@ -876,6 +885,180 @@ def test_graph_links_build_no_facet_table(monkeypatch):
                 comb(k + 1, 2) * len(X.top_faces)
     with pytest.raises(AssertionError):
         link_profile(X, 1, GF3)
+
+
+@st.composite
+def _graphs(draw):
+    """(nodes, edges): isolated nodes, repeated edges and loops, which no
+    link has and which change nothing, or no edge at all."""
+    n = draw(st.integers(0, 40))
+    if not n:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=8))
+    return n, edges
+
+
+def _ends(edges):
+    """The two ends of every edge as int64 arrays."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+@example((0, []))                               # no node
+@example((7, []))                               # no edge: every node alone
+@example((5, [(3, 1)] * 4 + [(2, 2)]))          # repeats and a loop
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_components_label_every_node_with_the_least_node_of_its_component(case):
+    n, edges = case
+    assert homology._components(n, *_ends(edges)).tolist() == least_in_component(n, edges)
+
+
+def _halving_path(m):
+    """The nodes along a path of 2^m nodes, numbered so that each round of
+    hook and jump joins only pairs: the odd places hold the larger half,
+    each the larger neighbour of two smaller ones, and the even places
+    repeat the pattern on the smaller half, which is the path left after
+    the round."""
+    if not m:
+        return [0]
+    half = 1 << (m - 1)
+    out = [0] * (2 * half)
+    out[::2] = _halving_path(m - 1)
+    out[1::2] = range(2 * half - 1, half - 1, -1)
+    return out
+
+
+class _CountedMinimum:
+    """np.minimum, counting its .at calls: one per round of hook and jump."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.minimum(*args, **kwargs)
+
+    def at(self, *args):
+        self.rounds += 1
+        np.minimum.at(*args)
+
+
+class _CountingNumpy:
+    """numpy as homology sees it, with np.minimum counted."""
+
+    def __init__(self):
+        self.minimum = _CountedMinimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name,n,edges,rounds", [
+    # numbered along the path, each node hooks onto the one before it in
+    # one round, and the jumps flatten the chain
+    ("ordered path", 1024, list(pairwise(range(1024))), 1),
+    # each round halves the roots: log2 of the nodes
+    ("halving path", 1024, list(pairwise(_halving_path(10))), 10),
+    # the largest node at the centre hooks onto 0, then every leaf does
+    ("star", 1024, [(1023, leaf) for leaf in range(1023)], 2),
+    ("star from 0", 1024, [(0, leaf) for leaf in range(1, 1024)], 1),
+])
+def test_components_rounds_on_paths_and_stars(monkeypatch, name, n, edges, rounds):
+    # the number of rounds hook and jump takes, recorded on an adversarial
+    # numbering of each shape and on a kind one
+    counting = _CountingNumpy()
+    monkeypatch.setattr(homology, "np", counting)
+    label = homology._components(n, *_ends(edges))
+    assert label.tolist() == [0] * n, name
+    assert counting.minimum.rounds == rounds, name
+
+
+def _graph_link_arrays(n, k, tops, fld):
+    """(f_top, below, top) of every link of a (k-2)-face of the complex on
+    n vertices with these tops, in lexicographic order of the faces: a
+    link with no tops is g bare vertices, b_0 = g - 1, and each other link
+    is built from its own tops and ranked by the column route."""
+    ell, g = k - 2, n - k + 1
+    n_links = comb(n, ell + 1)
+    f, below, top = (np.zeros(n_links, dtype=np.int64), np.full(n_links, g - 1),
+                     np.zeros(n_links, dtype=np.int64))
+    edges = {}
+    for sigma in tops:
+        for tau in combinations(sigma, ell + 1):
+            edges.setdefault(tau, []).append(tuple(v for v in sigma if v not in tau))
+    taus = sorted(edges)
+    for t, tau in zip(_lex_ranks(np.array(taus, dtype=np.int64).reshape(-1, ell + 1),
+                                 _binomials(n, ell + 1)).tolist(), taus):
+        rk = column_rank(boundary_matrix(closure(edges[tau], n), 1), fld)
+        f[t], below[t], top[t] = len(edges[tau]), g - 1 - rk, len(edges[tau]) - rk
+    return f, below, top
+
+
+@pytest.mark.parametrize("n,k,tops", [
+    # ell = 0: 200 links of 199 vertices, most with no tops
+    (200, 2, [(0, 1, 2), (0, 2, 199), (1, 2, 199), (50, 60, 70), (0, 50, 199)]),
+    # ell = 1: 19,900 links, a triangle and a path through (3, 4)
+    (200, 3, [(3, 4, 10, 11), (3, 4, 11, 12), (3, 4, 10, 12), (3, 4, 150, 199),
+              (3, 4, 198, 199), (5, 6, 7, 8)]),
+    # ell = 1: 79,800 links of 398 vertices each
+    (400, 3, [(0, 1, 2, 399), (1, 2, 3, 399), (2, 3, 200, 399)]),
+    # ell = 0 on 1,000 vertices, one top through vertex 0 of its links
+    (1000, 2, [(0, 1, 999), (1, 2, 999), (0, 2, 999), (5, 6, 7)]),
+])
+def test_sparse_graph_links_match_the_column_route(n, k, tops):
+    # a few tops on hundreds of vertices at ell = k-2: the links times
+    # their vertices outgrow the edge ends, so the nodes met are compacted
+    X = SkeletonComplex(n, k, frozenset(tops))
+    for fld in (GF2, GF3, RATIONALS):
+        want = _graph_link_arrays(n, k, X.top_faces, fld)
+        got = homology._link_betti(X, k - 2, fld)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist(), fld.name
+
+
+def test_sparse_graph_links_allocate_nothing_the_size_of_the_node_space():
+    # two tops on 300 vertices: 44,850 links at ell = 1, each with 298
+    # vertices, against 24 edge ends; the nodes met are compacted before
+    # any array is sized, and not even a bool per node is allocated: the
+    # peak is the few arrays of one entry per link
+    X = SkeletonComplex(300, 3, [(295, 296, 297, 298), (0, 10, 150, 299)])
+    node_space = comb(X.n, 2) * (X.n - 2)
+    ids, ends = _link_pairs(_top_array(X), X.n, 1)
+    assert node_space >= 10 ** 5 * ends.size
+    tracemalloc.start()
+    try:
+        f, below, top = homology._link_betti(X, 1, GF2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < node_space // 4, (peak, node_space)
+    assert f.sum() == 2 * comb(4, 2) and not top.any()
+    assert (below == X.n - 3 - f).all()
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, RATIONALS], ids=lambda f: f.name)
+def test_global_graph_maps_match_the_column_route(fld):
+    # the degree-1 map of a k = 1 complex, and the edge layer of a general
+    # complex on a ground set with gaps and bare vertices, ranked by their
+    # components, against the column route; the sparse one on 1,000
+    # vertices compacts the vertices met
+    rng = SplitMix64(41)
+    graphs = [random_skeleton_complex(n, 1, q, rng) for n, q in ((6, 0.3), (9, 0.2), (12, 0.5))]
+    graphs += [SkeletonComplex(8, 1, frozenset()), SkeletonComplex(1000, 1, [(3, 999), (3, 7)])]
+    graphs += [random_general_complex(10, 2, 7, rng) for _ in range(6)]
+    graphs += [GeneralComplex(frozenset({2, 5, 9, 40, 41}),
+                              frozenset(closure([(5, 9), (9, 41), (5, 41), (2,)], 42).faces)),
+               closure([(0, 998), (1, 2), (2, 998), (500,)], 1000)]
+    for X in graphs:
+        homology._rank_cached.cache_clear()
+        for j in (-1, 0, 1):
+            want = face_count(X, j) - sum(column_rank(boundary_matrix(X, i), fld)
+                                          for i in (j, j + 1) if 0 <= i <= X.dim)
+            assert betti(X, j, fld) == want, (X, j)
 
 
 def _oracle_profile(X, ell, fld):
