@@ -44,7 +44,7 @@ from .errors import (
     NotPure,
     ParameterOutOfRange,
 )
-from .fields import parse_field
+from .fields import RATIONALS, FieldSpec, parse_field
 from .garland import check_link_size, garland_check
 from .homology import betti, betti_table, check_link_degree, link_profile
 from .randomness import SplitMix64, check_draw, random_skeleton_complex
@@ -171,35 +171,39 @@ def cmd_betti(args) -> RunReport:
         seed=seed, lines=notes)
 
 
-def cmd_links(args) -> RunReport:
-    fld = parse_field(args.field)
+def _ell_command(args, field: bool = True
+                 ) -> tuple[SkeletonComplex, FieldSpec, RunReport]:
+    """(S, fld, base) for a command that takes --ell.
+
+    Parses --field, then --in, then --ell; garland passes field False and
+    reads over the rationals, with no --field parsed.  S is the input
+    between consecutive skeleta, and base the report with the fields
+    every such command shares: n, k, ell, field, f-vector, seed and the
+    input's notes.
+    """
+    fld = parse_field(args.field) if field else RATIONALS
     X, seed, notes = _load_complex(args)
     ell = _need_ell(args)
     S = as_skeleton_complex(X)
-    profile = link_profile(S, ell, fld)
-    j_low, j_high = S.k - ell - 2, S.k - ell - 1
-    lines = list(notes)
-    for e in profile:
-        lines.append(
-            f"tau=({','.join(map(str, e.tau))}) "
-            f"b_{j_low}={e.below} b_{j_high}={e.top}")
-    return RunReport(
-        command="links", n=S.n, k=S.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(S), lam_low=sum(e.below for e in profile),
-        lam_high=sum(e.top for e in profile),
-        seed=seed, lines=tuple(lines))
+    return S, fld, RunReport(
+        command=args.command, n=S.n, k=S.k, ell=ell, field_name=fld.name,
+        f_vector=f_vector(S), seed=seed, lines=notes)
+
+
+def cmd_links(args) -> RunReport:
+    S, fld, base = _ell_command(args)
+    profile = link_profile(S, base.ell, fld)
+    j_low, j_high = S.k - base.ell - 2, S.k - base.ell - 1
+    lines = tuple(f"tau=({','.join(map(str, e.tau))}) b_{j_low}={e.below} b_{j_high}={e.top}"
+                  for e in profile)
+    return replace(base, lam_low=sum(e.below for e in profile),
+                   lam_high=sum(e.top for e in profile), lines=base.lines + lines)
 
 
 def cmd_lambda(args) -> RunReport:
-    fld = parse_field(args.field)
-    X, seed, notes = _load_complex(args)
-    ell = _need_ell(args)
-    S = as_skeleton_complex(X)
-    lam_low, lam_high = lambda_pair(S, ell, fld)
-    return RunReport(
-        command="lambda", n=S.n, k=S.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(S), lam_low=lam_low, lam_high=lam_high,
-        seed=seed, lines=notes)
+    S, fld, base = _ell_command(args)
+    lam_low, lam_high = lambda_pair(S, base.ell, fld)
+    return replace(base, lam_low=lam_low, lam_high=lam_high)
 
 
 def _bound_fields(cert) -> dict:
@@ -220,61 +224,40 @@ def _dual_fields(v) -> dict:
 
 
 def cmd_verify_bound(args) -> RunReport:
-    fld = parse_field(args.field)
-    X, seed, notes = _load_complex(args)
-    ell = _need_ell(args)
-    cert = verify_upper_bound(X, ell, fld)
-    return RunReport(
-        command="verify-bound", n=cert.n, k=cert.k, ell=ell,
-        field_name=fld.name, f_vector=f_vector(as_skeleton_complex(X)),
-        seed=seed, lines=notes, **_bound_fields(cert))
+    S, fld, base = _ell_command(args)
+    return replace(base, **_bound_fields(verify_upper_bound(S, base.ell, fld)))
 
 
 def cmd_verify_dual(args) -> RunReport:
-    fld = parse_field(args.field)
-    X, seed, notes = _load_complex(args)
-    ell = _need_ell(args)
-    v = verify_dual_bound(X, ell, fld)
-    return RunReport(
-        command="verify-dual", n=v.n, k=v.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(as_skeleton_complex(X)), seed=seed,
-        lines=notes + (f"coefficient={v.coefficient}",), **_dual_fields(v))
+    S, fld, base = _ell_command(args)
+    v = verify_dual_bound(S, base.ell, fld)
+    return replace(base, lines=base.lines + (f"coefficient={v.coefficient}",),
+                   **_dual_fields(v))
 
 
 def cmd_trichotomy(args) -> RunReport:
-    fld = parse_field(args.field)
-    X, seed, notes = _load_complex(args)
-    ell = _need_ell(args)
-    rep = equality_trichotomy(X, ell, fld)
-    lines = list(notes)
+    S, fld, base = _ell_command(args)
+    ell = base.ell
+    rep = equality_trichotomy(S, ell, fld)
+    lines = base.lines
     if not rep.applicable:
-        lines.append(
-            f"link defect is {rep.lam_low}, not 0: "
-            "the three conditions need not agree here")
-    return RunReport(
-        command="trichotomy", n=rep.n, k=rep.k, ell=ell, field_name=fld.name,
-        f_vector=f_vector(as_skeleton_complex(X)), lam_low=rep.lam_low,
-        bound_value=bound_B(rep.n, rep.k, ell),
-        complement_value=bound_F(rep.n, rep.k, ell),
+        lines += (f"link defect is {rep.lam_low}, not 0: "
+                  "the three conditions need not agree here",)
+    return replace(
+        base, lam_low=rep.lam_low, bound_value=bound_B(S.n, S.k, ell),
+        complement_value=bound_F(S.n, S.k, ell),
         tri=(rep.ceiling_hit, rep.complement_hit, rep.links_are_hypertrees),
-        seed=seed, lines=tuple(lines))
+        lines=lines)
 
 
 def cmd_garland(args) -> RunReport:
-    X, seed, notes = _load_complex(args)
-    ell = _need_ell(args)
-    S = as_skeleton_complex(X)
-    g = garland_check(S, ell)
-    lines = list(notes)
-    lines.append(f"threshold={g.threshold} ({float(g.threshold):.6f})")
-    for tau, mu in g.entries:
-        lines.append(f"mu(({','.join(map(str, tau))}))={mu:.9f}")
+    S, _, base = _ell_command(args, field=False)
+    g = garland_check(S, base.ell)
+    lines = [f"threshold={g.threshold} ({float(g.threshold):.6f})"]
+    lines.extend(f"mu(({','.join(map(str, tau))}))={mu:.9f}" for tau, mu in g.entries)
     lines.append(f"min_mu={g.min_mu:.9f} premise={g.premise}")
     lines.append(f"rational b_{g.k - 1}={g.betti_q}")
-    return RunReport(
-        command="garland", n=g.n, k=g.k, ell=ell, field_name="q",
-        f_vector=f_vector(S), betti={g.k - 1: g.betti_q},
-        seed=seed, lines=tuple(lines))
+    return replace(base, betti={g.k - 1: g.betti_q}, lines=base.lines + tuple(lines))
 
 
 def cmd_collapse(args) -> RunReport:

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .simplexes import Complex, GeneralComplex, Simplex, as_general, subfaces
+from .errors import TooLarge
+from .randomness import FACE_BUDGET
+from .simplexes import Complex, GeneralComplex, Simplex, as_general, f_vector, subfaces
 
 CollapseLog = tuple[tuple[Simplex, Simplex], ...]
 
@@ -36,7 +38,13 @@ def collapse(X: Complex) -> tuple[GeneralComplex, CollapseLog]:
     Counts only fall, so a face turns free at most once; a heap keeps the
     free faces, and one that was removed or lost its coface since is
     skipped when it comes up.
+
+    More than FACE_BUDGET faces, counted from the f-vector before any
+    face is built, are refused.
     """
+    n_faces = sum(f_vector(X))
+    if n_faces > FACE_BUDGET:
+        raise TooLarge(f"{n_faces} faces exceed the budget of {FACE_BUDGET}")
     G = as_general(X)
     faces = set(G.faces)
     count = _coface_counts(faces)

@@ -2,7 +2,8 @@
 
 Two headers: `skeleton n k` followed by one top face per line, or
 `facets n` followed by maximal faces (downward closure is applied on
-read).  Faces are ascending space-separated integers, `#` starts a
+read; n above FACE_BUDGET is refused there, as the ground set is built
+whole).  Faces are ascending space-separated integers, `#` starts a
 comment, blank lines are skipped.  Emission is canonical (sorted faces,
 single spaces, trailing newline) so emit(parse(emit(X))) is byte-stable.
 A block file, the input of a Steiner-system complex, has no header: one
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ParseError, UnrepresentableComplex, VertexOutOfRange
+from .errors import ParseError, TooLarge, UnrepresentableComplex, VertexOutOfRange
+from .randomness import FACE_BUDGET
 from .simplexes import (
     Complex,
     GeneralComplex,
@@ -65,6 +67,10 @@ def parse_complex_text(text: str, relabel: bool = False) -> ParsedComplex:
         if len(toks) != 2:
             raise ParseError("header must be 'facets n'", line=lineno)
         n = _ints(toks[1], lineno)[0]
+        if n > FACE_BUDGET:
+            # the ground set is built whole, before any facet is read
+            raise TooLarge(f"facets header: {n} vertices exceed the budget "
+                           f"of {FACE_BUDGET}")
         k = None
         body = lines[1:]
     else:

@@ -21,16 +21,18 @@ has rank min(f, 1) for its f columns, and a degree-1 map is a graph's,
 ranked by its components (below).  Every other face-level rank reads an
 int array of faces, one row per face, and numbers the rows of the
 boundary map with numpy.  Its unit pivots are peeled first (below), and
-only the core they leave is eliminated.  Over GF(2) each core column is
-packed into a Python int bitset and reduced by IncrementalSpan(2).extend
-over the one XOR core, linalg._gf2_reduce, and that GF(2) rank r2 is the
-rank.  Over Q one tagged IncrementalSpan(2) run over the core
-(_lifts, below) gives r2, returned where it meets the core's own bound
-min(core columns, rows the core meets, C(g-1, j) less the pivots taken)
-for j-faces on g vertices, as r2 <= rank_Q <= the bound; else where
-integer kernel vectors lifted from GF(2) prove rank_Q = r2 (below).
-Only the rest, torsion such as that of the projective plane included,
-and at once every such core over odd p, runs linalg.rank_by_rows.
+only the core they leave is eliminated, by _map_rank, which chooses
+each core's route.  Over GF(2) it packs the core's columns into Python
+int bitsets, one simplexes._bitsets call per core, and reduces them by
+IncrementalSpan(2).extend over the one XOR core, linalg._gf2_reduce;
+that GF(2) rank r2 is the rank.  Over Q one tagged IncrementalSpan(2)
+run over the core (_lifts, below) gives r2, returned where it meets the
+core's own bound min(core columns, rows the core meets, C(g-1, j) less
+the pivots taken) for j-faces on g vertices, as r2 <= rank_Q <= the
+bound; else where integer kernel vectors lifted from GF(2) prove
+rank_Q = r2 (below).  Only the rest, torsion such as that of the
+projective plane included, and at once every such core over odd p, runs
+linalg.rank_by_rows.
 
 The lifted kernel proves rank_Q <= r2; r2 <= rank_Q always holds, as a
 minor of the integer map that is nonzero mod 2 is nonzero.  Take the
@@ -137,15 +139,14 @@ whole stack, not per link, and counts each link's columns and pivots
 with np.bincount of the ids.  Nothing is grouped by link but the core
 columns the peel leaves, by one stable argsort of their ids; on the
 lexicographic ladder's stacks there are none.  Each link's core keeps
-its rows in key order, renumbered from 0, and _link_ranks streams the
-bitsets into each link's span.  Numbered this way, construct xnkl peaked
-at 128 MB on the saturated X of (n, k, ell) = (41, 4, 1), whose link and
-global maps all peel away (one fresh process, two cores of an x86-64
-host, Python 3.11); rows numbered in order of first appearance, which
-took one np.unique over every (link, row) pair, peaked at 188 MB.  At
-(101, 3, 1) the global maps peel away and the link maps are graphs, and
-the rung peaks at 80 MB, where the GF(2) bases of the unpeeled
-maps took 840 MB.
+its rows in key order, renumbered from 0, and _map_rank ranks it.
+Numbered this way, construct xnkl peaked at 128 MB on the saturated X
+of (n, k, ell) = (41, 4, 1), whose link and global maps all peel away
+(one fresh process, two cores of an x86-64 host, Python 3.11); rows
+numbered in order of first appearance, which took one np.unique over
+every (link, row) pair, peaked at 188 MB.  At (101, 3, 1) the global
+maps peel away and the link maps are graphs, and the rung peaks at
+80 MB, where the GF(2) bases of the unpeeled maps took 840 MB.
 
 _link_betti reads the link homology of a complex X between consecutive
 skeleta without building a link, as three arrays with one entry per
@@ -200,7 +201,6 @@ no row is numbered by key, peeled or packed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
@@ -224,20 +224,20 @@ from .simplexes import (
 )
 
 
-def _map_rank(pos: np.ndarray, bits: Optional[Iterable[int]], rows: int, cap: int,
-              p: Optional[int]) -> int:
+def _map_rank(pos: np.ndarray, rows: int, cap: int, p: Optional[int]) -> int:
     """Rank of the map whose column a has (-1)^i in row pos[a, i] (module
     docstring).
 
     pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
     bounds the rank: the ambient simplex's bound less the pivots already
-    taken.  bits are the columns as GF(2) bitsets, packed over GF(2)
-    alone.  Over Q, _lifts reads the GF(2) rank and returns it where it
-    meets min(columns, rows, cap) or lifted kernel vectors prove it; else
-    the row route runs, as it does at once for odd p.
+    taken.  Over GF(2) the columns are packed as bitsets, one _bitsets
+    call per core, and reduced by the XOR core.  Over Q, _lifts reads the
+    GF(2) rank and returns it where it meets min(columns, rows, cap) or
+    lifted kernel vectors prove it; else the row route runs, as it does
+    at once for odd p.
     """
-    if bits is not None:
-        return IncrementalSpan(2).extend(bits)
+    if p == 2:
+        return IncrementalSpan(2).extend(_bitsets(pos, rows))
     if p is None:
         r2 = _lifts(pos, rows, min(len(pos), rows, cap))
         if r2 is not None:
@@ -292,19 +292,14 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
             t = dep.bit_length() - 1
             support.append(t)
             dep ^= 1 << t
-        # each other line's entries in the support
+        # each other line's entries in the support, which must be two
         ends: dict[int, list[tuple[int, int]]] = {}
         for t in support:
             for o, s in lines[t]:
                 ends.setdefault(o, []).append((t, s))
+        if any(len(pair) != 2 for pair in ends.values()):
+            return None
         # x_t = (-1)^y[t]: (-1)^s x_t + (-1)^z x_u = 0 flips y by s ^ z ^ 1
-        nbrs: dict[int, list[tuple[int, int]]] = {t: [] for t in support}
-        for pair in ends.values():
-            if len(pair) != 2:
-                return None
-            (t, s), (u, z) = pair
-            nbrs[t].append((u, s ^ z ^ 1))
-            nbrs[u].append((t, s ^ z ^ 1))
         y: dict[int, int] = {}
         for root in support:
             if root in y:
@@ -313,11 +308,13 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
             stack = [root]
             while stack:
                 t = stack.pop()
-                for u, flip in nbrs[t]:
+                for o, _ in lines[t]:
+                    (a, s), (b, z) = ends[o]
+                    u, want = a + b - t, y[t] ^ s ^ z ^ 1
                     if u not in y:
-                        y[u] = y[t] ^ flip
+                        y[u] = want
                         stack.append(u)
-                    elif y[u] != y[t] ^ flip:
+                    elif y[u] != want:
                         return None
         # the lifted vector times the map, from every entry of its lines
         out = [0] * n_other
@@ -573,11 +570,6 @@ def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         col, row = col[~gone], row[~gone]
 
 
-def _running(mask: np.ndarray) -> np.ndarray:
-    """Entry i: the True entries of mask before i."""
-    return np.concatenate(([0], np.cumsum(mask)))
-
-
 def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int],
                 g: int, p: Optional[int]) -> list[int]:
     """Rank of the top boundary map of every link, from _link_rows and the
@@ -590,13 +582,12 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     through 0 and its peeled pivots, plus the rank of the core it keeps,
     if any.  Only the core columns are grouped by link, by one stable
     argsort of their ids, and each link's core rows are renumbered from 0
-    in their order; the columns are packed as GF(2) bitsets over GF(2)
-    alone, for _map_rank.  The maps are of degree 2 and up, as those of
-    degree 1 are graphs, ranked by _graph_ranks.  A link with no tops
-    keeps no core, nor does a complete link, whose every row avoiding 0
-    is the free row of a cone top.  Where the peel leaves no core at all,
-    the ranks return right after it, with no grouping, renumbering or
-    packing.
+    in their order for _map_rank.  The maps are of degree 2 and up, as
+    those of degree 1 are graphs, ranked by _graph_ranks.  A link with
+    no tops keeps no core, nor does a complete link, whose every row
+    avoiding 0 is the free row of a cone top.  Where the peel leaves no
+    core at all, the ranks return right after it, with no grouping,
+    renumbering or packing.
     """
     r = pos.shape[1] - 1
     low = complete_rank(g, r)
@@ -612,18 +603,16 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     order = np.flatnonzero(core)[np.argsort(link[core], kind="stable")]
     link = link[order]
     cols = np.bincount(link, minlength=n_links)
-    below = _running(live)
+    below = np.concatenate(([0], np.cumsum(live)))
     rows = np.diff(below[start])
     pos = pos[order]
     pos = np.where(live[pos], below[pos] - below[start[:-1]][link][:, None], -1)
     del pivot, core, live, below  # the peel's arrays go before the packing
-    bits = _bitsets(pos, int(rows.max(initial=0))) if p == 2 else None
     # a link's rank is its units plus the rank of its core, if any
     ends = np.cumsum(cols).tolist()
     for t in np.flatnonzero(cols).tolist():
         lo, hi = ends[t] - int(cols[t]), ends[t]
-        core_bits = None if bits is None else islice(bits, hi - lo)
-        ranks[t] += _map_rank(pos[lo:hi], core_bits, int(rows[t]), low - ranks[t], p)
+        ranks[t] += _map_rank(pos[lo:hi], int(rows[t]), low - ranks[t], p)
     return ranks
 
 

@@ -28,11 +28,12 @@ integers by one helper.
 The GF(2) core, _gf2_reduce, takes a run of vectors already packed as
 Python int bitsets and reduces each by XOR against a basis keyed on the
 highest set bit, adding what is left.  It serves IncrementalSpan over
-GF(2), through which the face-level ranks in homology and the saturation
-greedy in constructions reduce the columns numpy packs from arrays of
-faces, one call per run.  Every vector of a run is reduced: stopping
-once the rank reached a bound the caller knows saved no measurable time
-on the saturation ladder.
+GF(2), whose add and extend both take packed ints only.  Through it the
+face-level ranks in homology, where _map_rank packs each core it ranks,
+and the saturation greedy in constructions reduce the columns numpy
+packs from arrays of faces, one call per run.  Every vector of a run is
+reduced: stopping once the rank reached a bound the caller knows saved
+no measurable time on the saturation ladder.
 """
 from __future__ import annotations
 
@@ -42,15 +43,6 @@ from math import gcd
 from typing import Iterable, Optional, Union
 
 Entries = dict[tuple[int, int], int]
-
-
-def _gf2_pack(vec: Iterable[tuple[int, object]]) -> int:
-    """The GF(2) bitset of vec: bit j is set for each odd entry at index j."""
-    v = 0
-    for j, x in vec:
-        if x % 2:
-            v |= 1 << j
-    return v
 
 
 def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int]) -> None:
@@ -261,13 +253,12 @@ def kernel_basis(entries: Entries, n_rows: int, n_cols: int,
 class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
-    Vectors are sparse index -> value dicts; over GF(2) a vector may also
-    come packed as an int bitset, and extend takes only those.  Basis rows
-    are kept reduced enough to have distinct pivots (largest index).  Over
-    GF(2) they are int bitsets reduced by the XOR core, otherwise sparse
-    dicts reduced by the column route's core.  Used where candidates
-    arrive online and only the yes/no answer and the running rank matter;
-    extend takes a run of them in one loop.
+    Over GF(2) vectors are packed int bitsets, reduced by the XOR core;
+    otherwise sparse index -> value dicts, reduced by the column route's
+    core.  Basis rows are kept reduced enough to have distinct pivots
+    (largest index).  Used where candidates arrive online and only the
+    yes/no answer and the running rank matter; extend takes a run of them
+    in one loop.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -279,12 +270,7 @@ class IncrementalSpan:
         return len(self.basis)
 
     def add(self, vec: Union[int, dict[int, object]]) -> bool:
-        """Try to add vec to the span; True iff the rank grew.
-
-        Over GF(2) vec may also be a packed int bitset.
-        """
-        if self.p == 2 and not isinstance(vec, int):
-            vec = _gf2_pack(vec.items())
+        """Try to add vec to the span; True iff the rank grew."""
         rank = len(self.basis)
         return self.extend((vec,)) > rank
 

@@ -91,25 +91,24 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# the parts of each nested value of report_to_dict, one CSV cell apiece
+_CSV_PARTS = {"B": 2, "F": 2, "trichotomy": 3}
+
+
 def _csv_row(r: RunReport) -> str:
-    d = report_to_dict(r)
-    cells = [
-        d["command"], d["n"], d["k"], d["ell"], d["field"],
-        " ".join(map(str, d["f_vector"])) if d["f_vector"] is not None else None,
-        (" ".join(f"{dim}:{v}" for dim, v in d["betti"].items())
-         if d["betti"] is not None else None),
-        d["lambda_km2"], d["lambda_km1"],
-        d["B"]["num"] if d["B"] else None,
-        d["B"]["den"] if d["B"] else None,
-        d["F"]["num"] if d["F"] else None,
-        d["F"]["den"] if d["F"] else None,
-        d["eq1_holds"], d["eq5_holds"], d["eq6_holds"], d["eq8_holds"],
-        d["trichotomy"]["a"] if d["trichotomy"] else None,
-        d["trichotomy"]["b"] if d["trichotomy"] else None,
-        d["trichotomy"]["c"] if d["trichotomy"] else None,
-        d["seed"], d["elapsed_ms"],
-    ]
-    return ",".join(_csv_cell(c) for c in cells)
+    """r's CSV cells, read from report_to_dict in key order: a list or
+    the Betti numbers in one cell, a nested value in one cell per part."""
+    cells = []
+    for key, v in report_to_dict(r).items():
+        if key in _CSV_PARTS:
+            cells.extend(v.values() if v else [None] * _CSV_PARTS[key])
+        elif isinstance(v, list):
+            cells.append(" ".join(map(str, v)))
+        elif isinstance(v, dict):
+            cells.append(" ".join(f"{dim}:{b}" for dim, b in v.items()))
+        else:
+            cells.append(v)
+    return ",".join(map(_csv_cell, cells))
 
 
 def _text_block(r: RunReport) -> str:

@@ -9,11 +9,14 @@ from itertools import combinations
 from math import comb
 
 from hypertree_lab.linalg import IncrementalSpan
+from _oracles import span_vector
 
 
-def boundary_column(face, rows) -> dict:
-    """Entry (-1)^i in the row of face minus its i-th vertex."""
-    return {rows[face[:i] + face[i + 1:]]: -1 if i % 2 else 1 for i in range(len(face))}
+def boundary_column(face, rows, p):
+    """Entry (-1)^i in the row of face minus its i-th vertex, as
+    IncrementalSpan(p) takes it (span_vector)."""
+    return span_vector({rows[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
+                        for i in range(len(face))}, p)
 
 
 def lexicographic_picks(Y, ell: int, p):
@@ -28,13 +31,13 @@ def lexicographic_picks(Y, ell: int, p):
                 for sigma in Y.top_faces if set(tau) <= set(sigma)}
         span = IncrementalSpan(p)
         for a in sorted(have):
-            span.add(boundary_column(a, rows))
+            span.add(boundary_column(a, rows, p))
         target = comb(len(ground) - 1, r)
         picked = []
         for a in combinations(ground, r + 1):
             if span.rank >= target:
                 break
-            if a not in have and span.add(boundary_column(a, rows)):
+            if a not in have and span.add(boundary_column(a, rows, p)):
                 picked.append(a)
         assert span.rank == target, (tau, span.rank, target)
         out[tau] = tuple(picked)

@@ -7,7 +7,8 @@ top array; is_hypertree takes a built link complex and its Betti numbers, where 
 library reads links from the top array; collapse_by_rescan finds the free
 faces afresh after every removal, where the library keeps coface counts;
 peel_one_at_a_time takes one unit pivot at a time in a drawn order, where
-the library peels in vectorised rounds; least_in_component joins one edge
+the library peels in vectorised rounds; span_vector packs a GF(2) vector
+one entry at a time, where the library packs numpy arrays of faces; least_in_component joins one edge
 at a time by union-find, where the library hooks and jumps every edge at
 once in numpy rounds; sum_complex_betti_formula knows
 nothing of sum_complex; validate walks every face, where the library
@@ -68,6 +69,15 @@ def boundary_matrix(X: Complex, j: int) -> SparseMatrix:
             face = sigma[:i] + sigma[i + 1:]
             entries[(row_index[face], c)] = -1 if i % 2 else 1
     return SparseMatrix(len(rows), len(cols), entries, rows, cols)
+
+
+def span_vector(vec: dict, p: Optional[int]):
+    """vec as IncrementalSpan(p) takes it: over GF(2) the int bitset of
+    its odd entries, with bit j for index j; over any other field the
+    sparse dict itself."""
+    if p != 2:
+        return vec
+    return sum(1 << j for j, x in vec.items() if x % 2)
 
 
 def least_in_component(n_nodes: int, edges) -> list[int]:

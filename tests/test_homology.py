@@ -24,6 +24,7 @@ from hypertree_lab.linalg import IncrementalSpan, rank_by_columns, rank_by_rows
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     EMPTY_SIMPLEX,
+    _TABLE_BITS,
     _binomials,
     _bitsets,
     _facet_keys,
@@ -645,7 +646,7 @@ def _check_refused(pos, rows, r2, entries):
     bound = min(len(pos), rows)
     assert r2 < bound and homology._lifts(pos, rows, bound) is None
     want = rank_by_columns(entries, rows, len(pos))
-    assert homology._map_rank(pos, None, rows, len(pos) + rows, None) == want
+    assert homology._map_rank(pos, rows, len(pos) + rows, None) == want
 
 
 def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypatch):
@@ -719,6 +720,34 @@ def test_lifted_kernel_refuses_a_dependency_that_meets_a_line_four_times():
         r2 = IncrementalSpan(2).extend(_bitsets(pos, 5))
         assert (r2, rank_by_columns(entries, 5, 4)) == (3, rank_q)
         _check_refused(pos, 5, r2, entries)
+
+
+@pytest.mark.parametrize("g", [30, 50])
+def test_gf2_map_rank_packs_each_core_on_either_side_of_the_table(monkeypatch, g):
+    # _map_rank packs a GF(2) core itself, one _bitsets call as wide as
+    # the core's rows: the 435 edges of 30 vertices fit the table of
+    # _TABLE_BITS bits and the 1,225 of 50 do not.  Rows through vertex 0
+    # are deleted, -1, as the cone split leaves them, so the triangles
+    # through 0 are unit columns; two tetrahedra's boundaries among the
+    # random triangles make the rank fall short of the columns
+    edges = {e: i for i, e in enumerate(combinations(range(g), 2))}
+    assert (len(edges) < _TABLE_BITS) == (g == 30)
+    spheres = list(combinations(range(1, 5), 3)) + list(combinations(range(g - 4, g), 3))
+    tops = sorted(set(random.Random(g).sample(list(combinations(range(g), 3)), 2 * g) + spheres))
+    pos = np.array([[edges[t[:i] + t[i + 1:]] for i in range(3)] for t in tops])
+    pos[pos < g - 1] = -1
+    entries = _entries(pos.tolist())
+    widths = []
+
+    def spy(pos, width):
+        widths.append(width)
+        return _bitsets(pos, width)
+
+    monkeypatch.setattr(homology, "_bitsets", spy)
+    rank = homology._map_rank(pos, len(edges), len(tops), 2)
+    assert widths == [len(edges)]
+    assert rank == rank_by_columns(entries, len(edges), len(tops), 2)
+    assert rank < len(tops)
 
 
 def test_a_lift_means_the_rational_rank_is_the_gf2_rank():

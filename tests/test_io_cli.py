@@ -519,6 +519,29 @@ def test_oversized_link_work_is_refused_at_once(tmp_path, command, n):
     assert err == f"error: {want}\n"
 
 
+FACETS_2M = "facets 2000000\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text,command,message", [
+    # collapse builds every face of its input: one top face over the
+    # complete 2-skeleton on 400 vertices is refused from the f-vector
+    ("skeleton 400 3\n0 1 2 3\n", "collapse",
+     f"{400 + comb(400, 2) + comb(400, 3) + 1} faces exceed the budget of 1000000"),
+    # a facets header's ground set is built whole, so n is refused there,
+    # before any facet is read, whatever the command
+    (FACETS_2M, "collapse", "facets header: 2000000 vertices exceed the budget of 1000000"),
+    (FACETS_2M, "betti", "facets header: 2000000 vertices exceed the budget of 1000000"),
+])
+def test_oversized_inputs_are_refused_at_once(tmp_path, text, command, message):
+    path = tmp_path / "big.cplx"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code, out, err = run_main([command, "--in", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_steiner_counts_uncovered_faces_without_listing_them(tmp_path):
     # two blocks on vertices up to 100000 leave all but 6 of the C(100001, 2)
     # edges uncovered; they are counted, not enumerated

@@ -12,7 +12,7 @@ from hypertree_lab.linalg import (
 )
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import _binomials, _facet_ranks, _top_array
-from _oracles import boundary_matrix
+from _oracles import boundary_matrix, span_vector
 
 
 def dense_rank(entries, n_rows, n_cols, p):
@@ -184,15 +184,15 @@ def test_incremental_span_tracks_rank():
     assert span.rank == 3
 
     span2 = IncrementalSpan(2)
-    assert span2.add({0: 1, 1: 1})
-    assert not span2.add({0: 3, 1: 5})  # same vector mod 2
+    assert span2.add(span_vector({0: 1, 1: 1}, 2))
+    assert not span2.add(span_vector({0: 3, 1: 5}, 2))  # same vector mod 2
     assert span2.rank == 1
 
 
 def test_boundary_column_matches_boundary_matrix():
     # the columns the greedy packs from facet ranks, an int bitset over
     # GF(2) and a sparse dict otherwise, hold the boundary_matrix entries,
-    # and add takes either form
+    # and add takes them as it takes the entries through span_vector
     X = random_skeleton_complex(8, 2, 0.5, SplitMix64(5))
     M = boundary_matrix(X, 2)
     cols = {}
@@ -208,7 +208,7 @@ def test_boundary_column_matches_boundary_matrix():
                 assert got == sum(1 << i for i in cols[c])
             else:
                 assert got == cols[c]
-            assert span.add(got) == oracle.add(cols[c])
+            assert span.add(got) == oracle.add(span_vector(cols[c], p))
         assert span.rank == oracle.rank == rank_by_columns(
             M.entries, M.n_rows, M.n_cols, p)
 
@@ -281,7 +281,7 @@ def test_gf2_incremental_span_rank_and_membership(seed, n_vecs, n_cols):
     for (i, j), v in entries.items():
         vecs[i][j] = v
     span = IncrementalSpan(2)
-    grew = sum(span.add(vec) for vec in vecs)
+    grew = sum(span.add(span_vector(vec, 2)) for vec in vecs)
     rank = rank_by_columns(entries, n_vecs, n_cols, 2)
     assert span.rank == grew == rank
 
@@ -295,7 +295,8 @@ def test_gf2_incremental_span_rank_and_membership(seed, n_vecs, n_cols):
         probe.basis = dict(span.basis)
         stacked = dict(entries)
         stacked.update({(n_vecs, j): v for j, v in vec.items()})
-        assert probe.add(vec) == (rank_by_columns(stacked, n_vecs + 1, n_cols, 2) > rank)
+        assert probe.add(span_vector(vec, 2)) == \
+            (rank_by_columns(stacked, n_vecs + 1, n_cols, 2) > rank)
     assert span.rank == rank
 
 
