@@ -4,8 +4,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import TooLarge
-from .randomness import FACE_BUDGET
-from .simplexes import Complex, GeneralComplex, Simplex, as_general, f_vector, subfaces
+from .simplexes import FACE_BUDGET, Complex, GeneralComplex, Simplex, as_general, f_vector, subfaces
 
 CollapseLog = tuple[tuple[Simplex, Simplex], ...]
 

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ParseError, TooLarge, UnrepresentableComplex, VertexOutOfRange
-from .randomness import FACE_BUDGET
 from .simplexes import (
+    FACE_BUDGET,
     Complex,
     GeneralComplex,
     SkeletonComplex,
     Simplex,
+    _top_array,
     closure,
     from_top_faces,
-    iter_faces,
 )
 
 
@@ -152,9 +152,10 @@ def _maximal_faces(X: GeneralComplex) -> list[Simplex]:
 def emit_complex(X: Complex) -> str:
     """Canonical text form; raises when the format cannot express X."""
     if isinstance(X, SkeletonComplex):
-        out = [f"skeleton {X.n} {X.k}"]
-        out.extend(" ".join(map(str, f)) for f in iter_faces(X, X.k))
-        return "\n".join(out) + "\n"
+        # one % format over the sorted top array, no tuple per face
+        tops = _top_array(X)
+        line = " ".join(["%d"] * (X.k + 1)) + "\n"
+        return f"skeleton {X.n} {X.k}\n" + line * len(tops) % tuple(tops.ravel().tolist())
     if sorted(X.ground) != list(range(X.n)):
         raise UnrepresentableComplex("ground set is not 0..n-1; relabel first")
     if X.dim == -1:

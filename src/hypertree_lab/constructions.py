@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, pairwise
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -81,14 +81,13 @@ from .errors import (
     TooLarge,
 )
 from .fields import GF2, FieldSpec, is_prime
-from .homology import _components, _link_betti, betti
+from .homology import _boundary_columns, _components, _link_betti, betti
 from .linalg import IncrementalSpan
 from .randomness import SplitMix64
 from .simplexes import (
     Simplex,
     SkeletonComplex,
     _binomials,
-    _bitsets,
     _face_array,
     _facet_ranks,
     _lex_ranks,
@@ -246,18 +245,6 @@ def _saturate_links(Y: SkeletonComplex, ell: int, field: FieldSpec,
     below = taus - np.arange(ell + 1)
     picked = picked + (below[owner][:, None, :] <= picked[:, :, None]).sum(axis=2)
     return taus, owner, picked
-
-
-def _boundary_columns(facet: np.ndarray, width: int, p: Optional[int]
-                      ) -> Iterator[Union[int, dict[int, int]]]:
-    """The boundary column of each row of facet in the form
-    IncrementalSpan(p) takes: entry (-1)^i in row facet[a, i] of column a,
-    and no entry for -1.  Over GF(2) the columns come packed by _bitsets
-    as int bitsets below width, otherwise as sparse dicts."""
-    if p == 2:
-        return _bitsets(facet, width)
-    signs = [-1 if i % 2 else 1 for i in range(facet.shape[1])]
-    return ({b: s for b, s in zip(row, signs) if b >= 0} for row in facet.tolist())
 
 
 def _closed_form_picks(link: np.ndarray, facet: np.ndarray, n_links: int, g: int,

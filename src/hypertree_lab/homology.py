@@ -182,13 +182,17 @@ the support of some kernel vector exactly when its column lies in the
 span of the others: when sigma is no coloop of the column matroid of d_k
 (Oxley, Matroid Theory, 2nd ed., 2011).  So every basis of the kernel
 has the same union of supports, and _cycle_support reads that union
-from one kernel run with no basis kept.  Over GF(2) the columns are
-packed and _dependencies, the lift's reduction, hands back the
-dependencies among them, whose union is the support: each is a kernel
-vector, and they span the kernel.  Over odd p and Q one
-linalg.kernel_basis run does the same on the map's +-1 entries.  The
-coloops depend on the field: RP^2_6 with one more triangle has 10
-supported top faces over GF(2) and 11 over GF(3) and Q.
+from one kernel run with no basis kept.  The rows through vertex 0 are
+deleted first: by the cone lemma above that is injective on the column
+space, so it keeps the kernel, and a top through 0 keeps one entry of
+its k+1.  Then _dependencies, the lift's reduction, hands back the
+dependencies among the columns, whose union is the support: each is a
+kernel vector, and they span the kernel.  Over GF(2) the columns are
+packed and tagged as the lift tags them; over odd p and Q one
+linalg._tagged_kernel run reduces the map's +-1 columns by the
+fraction-free update, each carrying its combination of the columns in a
+dict of its own.  The coloops depend on the field: RP^2_6 with one more
+triangle has 10 supported top faces over GF(2) and 11 over GF(3) and Q.
 
 At ell = k-1 (r = 0) no rank is taken.  The link of tau is its f_tau
 points sigma minus tau over the empty face, and its top map is the
@@ -200,17 +204,18 @@ no row is numbered by key, peeled or packed.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from typing import Iterable, NamedTuple, Optional
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, TooLarge
 from .fields import FieldSpec
-from .linalg import IncrementalSpan, kernel_basis, rank_by_rows
-from .randomness import FACE_BUDGET
+from .linalg import IncrementalSpan, _tagged_kernel, rank_by_rows
 from .simplexes import (
+    FACE_BUDGET,
     Complex,
     Simplex,
     SkeletonComplex,
@@ -282,7 +287,7 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
         for o, _ in meet:
             v |= 1 << o
         bitsets.append(v)
-    deps = _dependencies(bitsets, n)
+    deps = _dependencies(bitsets, n, 2)
     r2 = n - len(deps)
     if r2 == bound:
         return r2
@@ -326,16 +331,35 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
     return r2
 
 
-def _dependencies(bitsets: Iterable[int], n: int) -> list[int]:
-    """The GF(2) dependencies among n lines, given as bitsets over the
-    other side: each a bitset over the lines that sum to 0 mod 2, with
-    distinct highest lines, n less the lines' GF(2) rank of them.
+def _boundary_columns(facet: np.ndarray, width: int, p: Optional[int]
+                      ) -> Iterator[Union[int, dict[int, int]]]:
+    """The boundary column of each row of facet in the form
+    IncrementalSpan(p) takes: entry (-1)^i in row facet[a, i] of column a,
+    and no entry for -1.  Over GF(2) the columns come packed by _bitsets
+    as int bitsets below width, otherwise as sparse dicts."""
+    if p == 2:
+        return _bitsets(facet, width)
+    signs = [-1 if i % 2 else 1 for i in range(facet.shape[1])]
+    return ({b: s for b, s in zip(row, signs) if b >= 0} for row in facet.tolist())
 
-    One IncrementalSpan(2) run over line t packed as (v << n) | (1 << t)
-    leaves them as its basis vectors below bit n (module docstring).
+
+def _dependencies(lines: Iterable[Union[int, dict[int, int]]], n: int,
+                  p: Optional[int]) -> list[int]:
+    """The dependencies over GF(p), or Q for p None, among n lines given
+    as _boundary_columns gives them over the other side: a basis of the
+    combinations of the lines that sum to 0, each as the bitset of the
+    lines it combines, with distinct highest lines, n less the lines' rank
+    of them.
+
+    Over GF(2) one IncrementalSpan(2) run over line t packed as
+    (v << n) | (1 << t) leaves them as its basis vectors below bit n;
+    otherwise one linalg._tagged_kernel run hands them back (module
+    docstring).
     """
+    if p != 2:
+        return [sum(1 << t for t in combo) for combo in _tagged_kernel(lines, p)]
     span = IncrementalSpan(2)
-    span.extend(v << n | 1 << t for t, v in enumerate(bitsets))
+    span.extend(v << n | 1 << t for t, v in enumerate(lines))
     return [v for key, v in span.basis.items() if key < n]
 
 
@@ -676,20 +700,15 @@ def _cycle_support(X: SkeletonComplex, p: Optional[int]) -> np.ndarray:
     boundary map (module docstring).  Every basis of the cycles has this
     union of supports, so no basis is built.
 
-    The map's rows are numbered by _facet_keys, in lexicographic order.
-    Over GF(2) the support is the union of the columns' dependencies;
-    else the union of the keys of one kernel_basis run.
+    The map's rows are numbered by _facet_keys, in lexicographic order,
+    and the support is the union of its columns' dependencies once the
+    rows through vertex 0 are deleted, which keeps the kernel.
     """
     tops = _top_array(X)
     keys = _facet_keys(tops, X.n)
+    keys[tops[:, 0] == 0, 1:] = -1
     f, width = len(tops), int(keys.max(initial=0)) + 1
-    if p == 2:
-        union = 0
-        for dep in _dependencies(_bitsets(keys, width), f):
-            union |= dep
-        held = np.unpackbits(np.frombuffer(union.to_bytes(-(-f // 8), "little"), dtype=np.uint8),
-                             count=f, bitorder="little").astype(bool)
-    else:
-        held = np.zeros(f, dtype=bool)
-        held[[t for vec in kernel_basis(_entries(keys), width, f, p) for t in vec]] = True
+    union = reduce(or_, _dependencies(_boundary_columns(keys, width, p), f, p), 0)
+    held = np.unpackbits(np.frombuffer(union.to_bytes(-(-f // 8), "little"), dtype=np.uint8),
+                         count=f, bitorder="little").astype(bool)
     return tops[held]

@@ -1,29 +1,31 @@
 """Sparse exact rank over GF(p) and the rationals.
 
-Two independent routes are kept deliberately separate: row elimination with
-a sparsity-aware pivot rule, and left-to-right column reduction that pairs
-each column with its lowest surviving row.  They share no code beyond this
-docstring, so agreement between them is a real check and not a tautology.
-Each route has one update loop for every field.
+The library has two elimination cores, and the rank oracle a third that
+shares no code with them, so agreement between the oracle and the library
+is a real check and not a tautology.
 
-The row route keeps sparse dict rows for every p and takes each pivot row
-from a heap keyed on (row length, row index).  The chosen pivot row is
-scaled first: mod p by the inverse of its pivot pv, over the rationals by
--1 when pv is -1.  Then one fraction-free update serves every field: each
-other row touching the pivot column becomes pv * row - a * prow, reduced
-mod p when p is set, with a the row's entry in that column.  pv is still
-not 1 only over the rationals with a non-unit pivot, and only then is the
-row's content stripped, so rows stay plain integers.  With pv = 1, a times
-the scaled row is the multiple of the unscaled row that clears the column,
-so every row holds the same values after each pivot as without the
-scaling, and pivot order and rank do not change.
+The fraction-free update, _fraction_free, serves every field but GF(2).
+A vector touching a pivot index where the pivot vector has entry pv and
+it has entry a becomes pv * vec - a * pivot, reduced mod p when p is set.
+Where pv is a unit, every pv mod p and +-1 over the rationals, the result
+is divided by pv, so the vector becomes vec - (a / pv) * pivot with a / pv
+taken mod p or as -a, and no pass over the vector scales it.  pv stays
+only over the rationals with a non-unit pivot, and only then is the
+vector's content, the gcd of its entries, stripped, so vectors stay
+plain integers.  Each vector is so only ever rescaled by a unit of the
+field against what the same steps in field arithmetic give: which
+vectors are independent, and the largest index each keeps, do not depend
+on the scaling.
 
-The column route has one core, _reduce_low, which reduces a sparse vector
-against a basis keyed on each vector's largest index, and applies one
-subtract helper to the vector and, for kernel bases, to its combination.
-rank_by_columns, kernel_basis and IncrementalSpan over odd p and the
-rationals all call it, in residues mod p or in Fraction, converted from
-integers by one helper.
+rank_by_rows runs the update on sparse dict rows for every p, taking each
+pivot row from a heap keyed on (row length, row index).  IncrementalSpan
+over odd p and the rationals runs it on integer dict vectors, each
+reduced on its largest index against a basis keyed on the largest index
+of each of its vectors.  _tagged_kernel runs the same reduction with each
+vector's combination of the input carried in a dict of its own, which
+takes every step along and shares the content stripped: the combination
+of a vector that reduces to 0 is a kernel vector, and the largest index
+is found without reading the combination (homology._dependencies).
 
 The GF(2) core, _gf2_reduce, takes a run of vectors already packed as
 Python int bitsets and reduces each by XOR against a basis keyed on the
@@ -34,6 +36,12 @@ and the saturation greedy in constructions reduce the columns numpy
 packs from arrays of faces, one call per run.  Every vector of a run is
 reduced: stopping once the rank reached a bound the caller knows saved
 no measurable time on the saturation ladder.
+
+The oracle's core, _reduce_low, reduces a sparse vector against a basis
+keyed on each vector's largest index by one subtract helper, in residues
+mod p or in Fraction, converted from integers by one helper.  Only
+rank_by_columns, the column route, calls it; the tests build their
+kernel bases and their scanning greedy's spans on it too.
 """
 from __future__ import annotations
 
@@ -62,6 +70,43 @@ def _gf2_reduce(basis: dict[int, int], vecs: Iterable[int]) -> None:
                 basis[top] = v
                 break
             v ^= b
+
+
+def _fraction_free(row: dict[int, int], prow: dict[int, int], a: int, pv: int,
+                   p: Optional[int], combo: Optional[dict[int, int]] = None,
+                   pcombo: Optional[dict[int, int]] = None) -> None:
+    """row <- pv * row - a * prow in place, mod p when p is set, zeros
+    dropped, up to a unit (module docstring); combo, where given, takes
+    the same step with pcombo.
+
+    Where pv is a unit, every pv mod p and +-1 over Q, the result is
+    divided by pv, which leaves row - (a / pv) * prow and needs no pass
+    over row.  Else, over Q, the content, the gcd of every entry of row
+    and combo, is stripped from both.
+    """
+    if p is not None:
+        a, pv = a * pow(pv, -1, p) % p, 1
+    elif pv == -1:
+        a, pv = -a, 1
+    pairs = ((row, prow),) if combo is None else ((row, prow), (combo, pcombo))
+    for vec, other in pairs:
+        if pv != 1:
+            for j in vec:
+                vec[j] *= pv
+        for j, v in other.items():
+            w = vec.get(j, 0) - a * v
+            if p is not None:
+                w %= p
+            if w:
+                vec[j] = w
+            else:
+                vec.pop(j, None)
+    if pv != 1:
+        g = gcd(*(v for vec, _ in pairs for v in vec.values()))
+        if g > 1:
+            for vec, _ in pairs:
+                for j in vec:
+                    vec[j] //= g
 
 
 def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
@@ -103,48 +148,16 @@ def rank_by_rows(entries: Entries, n_rows: int, n_cols: int,
             key = (0 if unit else 1, len(col_rows[j]))
             if pj_key is None or key < pj_key:
                 pj_key, pj = key, j
-        pv = prow[pj]
         rank += 1
         active.discard(pi)
 
-        # scale prow so that one update serves every field (module docstring)
-        if p is not None:
-            inv = pow(pv, -1, p)
-            for j in prow:
-                prow[j] = prow[j] * inv % p
-            pv = 1
-        elif pv == -1:
-            for j in prow:
-                prow[j] = -prow[j]
-            pv = 1
         # a list: the update below drops each row it clears from col_rows[pj]
         for i in [i for i in col_rows[pj] if i != pi and i in active]:
-            # row_i <- pv * row_i - a * prow; pv != 1 only over Q, where the
-            # scaling hits every entry, not only the columns prow touches
             row = rows[i]
-            a = row[pj]
-            if pv != 1:
-                for j in row:
-                    row[j] *= pv
-            for j, v in prow.items():
-                w = row.get(j, 0) - a * v
-                if p is not None:
-                    w %= p
-                if w:
-                    row[j] = w
-                    col_rows.setdefault(j, set()).add(i)
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(i)
-            if pv != 1:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
+            _fraction_free(row, prow, row[pj], prow[pj], p)
+            # only the columns prow touches can gain or lose row i
+            for j in prow:
+                (col_rows[j].add if j in row else col_rows[j].discard)(i)
             k = len(row)
             if not k:
                 active.discard(i)
@@ -190,16 +203,13 @@ def _subtract(vec: dict[int, object], other: dict[int, object], c: object,
 
 
 def _reduce_low(vec: dict[int, object], basis: dict[int, dict[int, object]],
-                p: Optional[int], combo: Optional[dict[int, object]] = None,
-                combos: Optional[dict[int, dict[int, object]]] = None) -> Optional[int]:
+                p: Optional[int]) -> Optional[int]:
     """Reduce vec in place against basis; the free largest index, or None.
 
     basis maps the largest index of each basis vector to that vector, and
     vec loses its largest index to the basis vector holding it until no
     basis vector does; that index is returned, or None once vec is 0.
-    When combo is given, each step applies the same operation to combo
-    with combos[index], so combo keeps vec as a combination of the input
-    vectors.  Residues mod p for a prime p, Fraction for the rationals.
+    Residues mod p for a prime p, Fraction for the rationals.
     """
     while vec:
         low = max(vec)
@@ -211,8 +221,6 @@ def _reduce_low(vec: dict[int, object], basis: dict[int, dict[int, object]],
         else:
             c = vec[low] / other[low]
         _subtract(vec, other, c, p)
-        if combo is not None:
-            _subtract(combo, combos[low], c, p)
     return None
 
 
@@ -227,38 +235,15 @@ def rank_by_columns(entries: Entries, n_rows: int, n_cols: int,
     return len(basis)
 
 
-def kernel_basis(entries: Entries, n_rows: int, n_cols: int,
-                 p: Optional[int] = None) -> list[dict[int, object]]:
-    """Basis of the right kernel, as sparse column-index -> coefficient maps.
-
-    Runs the column reduction while tracking the column operations; each
-    column that reduces to zero hands back the combination that killed it.
-    Rational output is in Fraction, GF(p) output in residues.
-    """
-    one = 1 if p is not None else Fraction(1)
-    basis: dict[int, dict[int, object]] = {}
-    combos: dict[int, dict[int, object]] = {}
-    kernel: list[dict[int, object]] = []
-    for j, col in enumerate(_columns(entries, n_cols, p)):
-        combo = {j: one}
-        low = _reduce_low(col, basis, p, combo, combos)
-        if low is None:
-            kernel.append(combo)
-        else:
-            basis[low] = col
-            combos[low] = combo
-    return kernel
-
-
 class IncrementalSpan:
     """Grow a row space one vector at a time, reporting whether each adds rank.
 
     Over GF(2) vectors are packed int bitsets, reduced by the XOR core;
-    otherwise sparse index -> value dicts, reduced by the column route's
-    core.  Basis rows are kept reduced enough to have distinct pivots
-    (largest index).  Used where candidates arrive online and only the
-    yes/no answer and the running rank matter; extend takes a run of them
-    in one loop.
+    otherwise sparse index -> integer dicts, reduced by the fraction-free
+    update on their largest index.  Basis rows are kept reduced enough to
+    have distinct pivots (largest index).  Used where candidates arrive
+    online and only the yes/no answer and the running rank matter; extend
+    takes a run of them in one loop.
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -269,24 +254,57 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self.basis)
 
-    def add(self, vec: Union[int, dict[int, object]]) -> bool:
+    def add(self, vec: Union[int, dict[int, int]]) -> bool:
         """Try to add vec to the span; True iff the rank grew."""
         rank = len(self.basis)
         return self.extend((vec,)) > rank
 
-    def extend(self, vecs: Iterable[Union[int, dict[int, object]]]) -> int:
+    def extend(self, vecs: Iterable[Union[int, dict[int, int]]]) -> int:
         """Add each of vecs in turn; returns the rank.
 
         Over GF(2) vecs are packed int bitsets, the whole run reduced by
-        one call of the XOR core.
+        one call of the XOR core.  Otherwise each is copied, mod p when p
+        is set, and loses its largest index to the basis vector keyed
+        there until it is 0 or no basis vector is, when it joins basis
+        there.
         """
         p, basis = self.p, self.basis
         if p == 2:
             _gf2_reduce(basis, vecs)
             return len(basis)
         for vec in vecs:
-            vec = {j: x for j, v in vec.items() if (x := _field_value(v, p))}
-            low = _reduce_low(vec, basis, p)
-            if low is not None:
-                basis[low] = vec
+            vec = {j: x for j, v in vec.items() if (x := v % p if p else v)}
+            while vec:
+                low = max(vec)
+                other = basis.get(low)
+                if other is None:
+                    basis[low] = vec
+                    break
+                _fraction_free(vec, other, vec[low], other[low], p)
         return len(basis)
+
+
+def _tagged_kernel(lines: Iterable[dict[int, int]], p: Optional[int]) -> list[dict[int, int]]:
+    """The dependencies among integer dict lines over GF(p), or Q for p
+    None: for each line t that the fraction-free update reduces to 0, in
+    order, its combination of the lines, which holds t as its largest.
+
+    The lines are reduced on their largest index as IncrementalSpan
+    reduces them, each carrying its combination, {t: 1} at first, in a
+    dict of its own that takes every step along, so the largest index is
+    found without reading it.
+    """
+    basis: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    kernel = []
+    for t, vec in enumerate(lines):
+        vec, combo = {j: x for j, v in vec.items() if (x := v % p if p else v)}, {t: 1}
+        while vec:
+            low = max(vec)
+            other = basis.get(low)
+            if other is None:
+                basis[low] = vec, combo
+                break
+            _fraction_free(vec, other[0], vec[low], other[0][low], p, combo, other[1])
+        else:
+            kernel.append(combo)
+    return kernel

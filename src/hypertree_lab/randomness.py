@@ -26,13 +26,10 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterOutOfRange, TooLarge
-from .simplexes import SkeletonComplex, _lex_unrank
+from .simplexes import FACE_BUDGET, SkeletonComplex, _lex_unrank
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-# candidate k-faces a random draw, links a walk, or faces collapse may
-# enumerate, and vertices a facets header may declare
-FACE_BUDGET = 10 ** 6
 BLOCK = 1 << 16  # candidates drawn per numpy block; bounds the draw's memory
 
 

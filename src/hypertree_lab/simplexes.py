@@ -66,6 +66,7 @@ from .errors import (
     DimensionMismatch,
     FaceNotInComplex,
     NotSandwiched,
+    TooLarge,
     VertexOutOfRange,
 )
 
@@ -73,6 +74,10 @@ Simplex = tuple[int, ...]
 FVector = tuple[int, ...]
 
 EMPTY_SIMPLEX: Simplex = ()
+
+# candidate k-faces a random draw, links a walk, or faces collapse or
+# closure may enumerate, and vertices a facets header may declare
+FACE_BUDGET = 10 ** 6
 
 # dim of the void complex (no faces, not even the empty one)
 VOID_DIM = -2
@@ -250,15 +255,22 @@ def from_top_faces(n: int, k: int, faces: Iterable[Iterable[int]]) -> SkeletonCo
 
 
 def closure(facets: Iterable[Iterable[int]], n: int) -> GeneralComplex:
-    """Downward closure of the given facets on ground set [0, n)."""
-    ground = frozenset(range(n))
+    """Downward closure of the given facets on ground set [0, n).
+
+    A facet of d vertices has 2^d faces, so more than FACE_BUDGET faces,
+    that sum over the facets, is refused before any is enumerated.
+    """
+    facets = [make_simplex(f) for f in facets]
+    count = sum(1 << len(sigma) for sigma in facets)
+    if count > FACE_BUDGET:
+        raise TooLarge(f"{count} faces, 2^d for each facet of d vertices, "
+                       f"exceed the budget of {FACE_BUDGET}")
     faces: set[Simplex] = set()
-    for f in facets:
-        sigma = make_simplex(f)
+    for sigma in facets:
         if any(v >= n for v in sigma):
             raise VertexOutOfRange(f"facet {sigma} leaves [0, {n})")
         faces.update(subfaces(sigma))
-    return GeneralComplex(ground, frozenset(faces))
+    return GeneralComplex(frozenset(range(n)), frozenset(faces))
 
 
 def contains(X: Complex, sigma: Simplex) -> bool:

@@ -8,11 +8,15 @@ library reads links from the top array; collapse_by_rescan finds the free
 faces afresh after every removal, where the library keeps coface counts;
 peel_one_at_a_time takes one unit pivot at a time in a drawn order, where
 the library peels in vectorised rounds; span_vector packs a GF(2) vector
-one entry at a time, where the library packs numpy arrays of faces; least_in_component joins one edge
+one entry at a time, where the library packs numpy arrays of faces;
+kernel_basis runs the column route's core, linalg._reduce_low, in
+residues or Fraction, where the library's spans and cycle supports
+reduce fraction-free; least_in_component joins one edge
 at a time by union-find, where the library hooks and jumps every edge at
-once in numpy rounds; sum_complex_betti_formula knows
-nothing of sum_complex; validate walks every face, where the library
-checks only what is cheap.
+once in numpy rounds; emit_skeleton_by_face writes one face a line from
+tuples, where the library formats the top array at once;
+sum_complex_betti_formula knows nothing of sum_complex; validate walks
+every face, where the library checks only what is cheap.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from hypertree_lab import garland
+from hypertree_lab import garland, linalg
 from hypertree_lab.collapse import collapse
 from hypertree_lab.errors import (
     DimensionMismatch,
@@ -78,6 +82,34 @@ def span_vector(vec: dict, p: Optional[int]):
     if p != 2:
         return vec
     return sum(1 << j for j, x in vec.items() if x % 2)
+
+
+def kernel_basis(entries: dict, n_rows: int, n_cols: int, p: Optional[int] = None) -> list[dict]:
+    """Basis of the right kernel, as sparse column-index -> coefficient
+    maps, in residues mod p or in Fraction over Q.
+
+    Each column runs through linalg._reduce_low tagged with its own index,
+    below every row, which it moves up by n_cols: the tags take the same
+    steps as the rows, and a column whose rows reduce to 0 is left keyed
+    on its own tag, holding the combination of the columns that killed it.
+    """
+    tagged = {(n_cols + i, j): v for (i, j), v in entries.items()}
+    tagged.update(((j, j), 1) for j in range(n_cols))
+    basis, kernel = {}, []
+    for col in linalg._columns(tagged, n_cols, p):
+        low = linalg._reduce_low(col, basis, p)
+        basis[low] = col
+        if low < n_cols:
+            kernel.append(col)
+    return kernel
+
+
+def emit_skeleton_by_face(X) -> str:
+    """The skeleton file of X written one top face at a time, each a
+    " ".join of its vertices, after the header."""
+    out = [f"skeleton {X.n} {X.k}"]
+    out.extend(" ".join(map(str, f)) for f in iter_faces(X, X.k))
+    return "\n".join(out) + "\n"
 
 
 def least_in_component(n_nodes: int, edges) -> list[int]:

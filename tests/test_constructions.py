@@ -7,7 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from hypertree_lab import constructions, homology
+from hypertree_lab import constructions, homology, linalg
+from hypertree_lab.bounds import support_property_holds
 from hypertree_lab.constructions import (
     FANO_BLOCKS,
     SUM_BUDGET,
@@ -23,7 +24,7 @@ from hypertree_lab.errors import (
     ParameterOutOfRange,
     TooLarge,
 )
-from hypertree_lab.fields import GF2, GF3, RATIONALS, is_prime
+from hypertree_lab.fields import GF2, GF3, RATIONALS, FieldSpec, is_prime
 from hypertree_lab.homology import betti, betti_table
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
@@ -280,6 +281,47 @@ def test_greedy_picks_are_pinned():
         payload = repr((sorted(rep.complex.top_faces), rep.s_sizes, rep.tb_after))
         got = hashlib.sha256(payload.encode()).hexdigest()[:16]
         assert got == want, (n, k, ell, fld, seed)
+
+
+# the PICKS hashes of three shapes, lexicographic and at order seed 3,
+# recorded over GF(3), GF(5) and Q from spans on the column route's core;
+# and per random(seed=s, n=12, k=3, q=0.35): b_3, the supported top faces
+# and the first 16 hex digits of the sha256 of their list, recorded over
+# GF(3) and Q from the column route's kernel basis
+COLUMN_CORE_PICKS = {(11, 3, 0): ("9cad3b8c2ee85564", "fb6ff893a9829ae2"),
+                     (13, 4, 1): ("b0480c3f398e0eee", "053419f8108c8e47"),
+                     (11, 4, 0): ("b4fd95c0681ec94a", "f700907220a44142")}
+COLUMN_CORE_SUPPORTS = {1: (21, 150, "e9ff7efb2f6fb601"), 2: (12, 117, "8364fcb958bf0beb"),
+                        3: (26, 174, "844e438784c271bb"), 4: (13, 74, "0e418a0e4f14fb34")}
+
+
+def test_the_library_never_reaches_the_column_core(monkeypatch):
+    # the saturation's spans and the support's tagged run reduce by the
+    # fraction-free update over odd p and Q, so with the column route's
+    # core and its helpers refused they still give the results the column
+    # core gave, as the oracles are kept off the lift
+    def refuse(*args):
+        raise AssertionError("the library reached the column route's core")
+
+    for name in ("_reduce_low", "_subtract", "_columns", "_field_value"):
+        monkeypatch.setattr(linalg, name, refuse)
+    with pytest.raises(AssertionError, match="column route"):
+        linalg.rank_by_columns({(0, 0): 1}, 1, 1, 3)
+    homology._rank_cached.cache_clear()
+    for (n, k, ell), hashes in COLUMN_CORE_PICKS.items():
+        for fld in (GF3, FieldSpec(5), RATIONALS):
+            for seed, want in zip((None, 3), hashes):
+                rep = build_X_nkl(n, k, ell, fld, order_seed=seed)
+                payload = repr((sorted(rep.complex.top_faces), rep.s_sizes, rep.tb_after))
+                assert hashlib.sha256(payload.encode()).hexdigest()[:16] == want, \
+                    (n, k, ell, fld.name, seed)
+    for seed, (b, count, want) in COLUMN_CORE_SUPPORTS.items():
+        X = random_skeleton_complex(12, 3, 0.35, SplitMix64(seed))
+        for fld in (GF3, RATIONALS):
+            support = homology._cycle_support(X, fld.p).tolist()
+            assert (betti(X, 3, fld), len(support)) == (b, count)
+            assert hashlib.sha256(repr(support).encode()).hexdigest()[:16] == want
+            assert support_property_holds(X, fld)
 
 
 @pytest.mark.parametrize("n,k,ell", [(11, 3, 0), (13, 3, 1), (11, 4, 1)])

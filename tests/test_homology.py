@@ -1286,14 +1286,14 @@ def test_betti_of_skeleton_complex_equals_general_form():
         assert betti_table(X, fld) == betti_table(G, fld)
 
 
-def support_by_rows(S, fld):
+def support_by_columns(S, fld):
     """The top faces of S whose column lies in the span of the others:
-    deleting it keeps the rank of the top map, by rank_by_rows."""
+    deleting it keeps the rank of the top map, by rank_by_columns."""
     M = boundary_matrix(S, S.k)
-    rank = rank_by_rows(M.entries, M.n_rows, M.n_cols, fld.p)
+    rank = rank_by_columns(M.entries, M.n_rows, M.n_cols, fld.p)
     return [sigma for c, sigma in enumerate(M.col_faces)
-            if rank_by_rows({key: x for key, x in M.entries.items() if key[1] != c},
-                            M.n_rows, M.n_cols, fld.p) == rank]
+            if rank_by_columns({key: x for key, x in M.entries.items() if key[1] != c},
+                               M.n_rows, M.n_cols, fld.p) == rank]
 
 
 def _maybe_cone(S, cone):
@@ -1319,12 +1319,13 @@ RP2_PLUS = SkeletonComplex(6, 2, frozenset(RP2_FACETS) | {(0, 1, 3)})
 @example(RP2_PLUS)
 def test_cycle_support_is_the_tops_that_are_no_coloop(S):
     # a top face lies in the support of a top cycle exactly when its
-    # column is no coloop: deleting it keeps the rank, read by the row
-    # route, which shares no code with kernel_basis or the XOR core
+    # column is no coloop: deleting it keeps the rank, read by the column
+    # route, which shares no code with the fraction-free update or the
+    # XOR core that the support's tagged run reduces by
     track(S)
     for fld in (GF2, GF3, RATIONALS):
         support = homology._cycle_support(S, fld.p)
-        assert list(map(tuple, support.tolist())) == support_by_rows(S, fld), fld.name
+        assert list(map(tuple, support.tolist())) == support_by_columns(S, fld), fld.name
 
 
 def test_cycle_basis_spans_the_right_dimension():

@@ -10,6 +10,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypertree_lab
 from hypertree_lab import cli
@@ -24,7 +25,7 @@ from hypertree_lab.errors import (
     UnrepresentableComplex,
     VertexOutOfRange,
 )
-from hypertree_lab.randomness import random_skeleton_complex
+from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.reports import CSV_COLUMNS, emit_report
 from hypertree_lab.simplexes import (
     VOID,
@@ -34,6 +35,7 @@ from hypertree_lab.simplexes import (
     closure,
     full_skeleton,
 )
+from _oracles import emit_skeleton_by_face
 from _registry import track
 
 
@@ -531,6 +533,10 @@ FACETS_2M = "facets 2000000\n0 1 2\n"
     # before any facet is read, whatever the command
     (FACETS_2M, "collapse", "facets header: 2000000 vertices exceed the budget of 1000000"),
     (FACETS_2M, "betti", "facets header: 2000000 vertices exceed the budget of 1000000"),
+    # a facet of d vertices closes to 2^d faces, refused before any is
+    # enumerated: one facet of 25 vertices has 33554432
+    ("facets 25\n" + " ".join(map(str, range(25))) + "\n", "betti",
+     "33554432 faces, 2^d for each facet of d vertices, exceed the budget of 1000000"),
 ])
 def test_oversized_inputs_are_refused_at_once(tmp_path, text, command, message):
     path = tmp_path / "big.cplx"
@@ -540,6 +546,17 @@ def test_oversized_inputs_are_refused_at_once(tmp_path, text, command, message):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 9), st.integers(0, 4), st.floats(0.0, 1.0))
+def test_skeleton_files_are_written_as_one_face_a_line(seed, n, k, q):
+    # the one-format writer gives the bytes of the per-face writer, and
+    # the file parses back to the same complex
+    X = random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
+    text = emit_complex(X)
+    assert text == emit_skeleton_by_face(X)
+    assert parse_complex_text(text).complex == X
 
 
 def test_construct_steiner_counts_uncovered_faces_without_listing_them(tmp_path):

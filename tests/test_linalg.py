@@ -3,16 +3,16 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from hypertree_lab import linalg
-from hypertree_lab.constructions import _boundary_columns
+from hypertree_lab.homology import _boundary_columns
 from hypertree_lab.linalg import (
     IncrementalSpan,
-    kernel_basis,
     rank_by_columns,
     rank_by_rows,
 )
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import _binomials, _facet_ranks, _top_array
-from _oracles import boundary_matrix, span_vector
+from _greedy_oracle import ColumnSpan
+from _oracles import boundary_matrix, kernel_basis, span_vector
 
 
 def dense_rank(entries, n_rows, n_cols, p):
@@ -120,13 +120,14 @@ def test_kernel_basis_vectors_annihilate():
 
 
 def test_column_route_needs_neither_the_row_route_nor_the_xor_core(monkeypatch):
-    # the oracle stays independent: with the row route and the GF(2) XOR
-    # core both broken, the column route still gets every answer right
+    # the oracle stays independent: with the row route, the fraction-free
+    # update and the GF(2) XOR core all broken, the column route and the
+    # tests' kernel basis on its core still get every answer right
     def broken(*args, **kwargs):
         raise AssertionError("the column route reached the row route's code")
 
-    monkeypatch.setattr(linalg, "rank_by_rows", broken)
-    monkeypatch.setattr(linalg, "_gf2_reduce", broken)
+    for name in ("rank_by_rows", "_fraction_free", "_tagged_kernel", "_gf2_reduce"):
+        monkeypatch.setattr(linalg, name, broken)
     rng = SplitMix64(77)
     for _ in range(60):
         n_rows = 1 + rng.below(7)
@@ -135,7 +136,7 @@ def test_column_route_needs_neither_the_row_route_nor_the_xor_core(monkeypatch):
         for p in (2, 3, None):
             r = dense_rank(entries, n_rows, n_cols, p)
             assert linalg.rank_by_columns(entries, n_rows, n_cols, p) == r
-            kernel = linalg.kernel_basis(entries, n_rows, n_cols, p)
+            kernel = kernel_basis(entries, n_rows, n_cols, p)
             assert len(kernel) == n_cols - r
             stacked = {(t, j): v for t, vec in enumerate(kernel) for j, v in vec.items()}
             assert dense_rank(stacked, len(kernel), n_cols, p) == len(kernel)
@@ -187,6 +188,33 @@ def test_incremental_span_tracks_rank():
     assert span2.add(span_vector({0: 1, 1: 1}, 2))
     assert not span2.add(span_vector({0: 3, 1: 5}, 2))  # same vector mod 2
     assert span2.rank == 1
+
+
+def test_fraction_free_span_keys_match_the_column_core():
+    # the span over odd p and Q rescales each vector only by units, so it
+    # keeps the keys and ranks a span on the column route's core keeps in
+    # field arithmetic, non-unit and even entries included; the tagged run
+    # hands back one kernel vector per line it reduces to 0, keyed there
+    rng = SplitMix64(36)
+    for _ in range(60):
+        n_vecs, n_cols = 1 + rng.below(9), 1 + rng.below(9)
+        entries = dependent_entries(rng, n_vecs, n_cols, 0.5)
+        vecs = [dict() for _ in range(n_vecs)]
+        for (i, j), v in entries.items():
+            vecs[i][j] = v
+        for p in (None, 3, 5):
+            span, oracle = IncrementalSpan(p), ColumnSpan(p)
+            grew = [span.add(vec) for vec in vecs]
+            assert grew == [oracle.add(vec) for vec in vecs], p
+            assert sorted(span.basis) == sorted(oracle.basis)
+            kernel = linalg._tagged_kernel(vecs, p)
+            assert [max(combo) for combo in kernel] == [t for t, g in enumerate(grew) if not g]
+            for combo in kernel:
+                total = {}
+                for t, c in combo.items():
+                    for j, v in vecs[t].items():
+                        total[j] = total.get(j, 0) + c * v
+                assert not any(v % p if p else v for v in total.values()), (p, combo)
 
 
 def test_boundary_column_matches_boundary_matrix():
