@@ -361,12 +361,16 @@ def cmd_sweep(args) -> list[RunReport]:
     ell = args.ell if args.ell is not None else 0
     check = SWEEP_CHECKS[args.check]
     # row i draws (ns[i % len], ks[i % len], qs[i % len]); every triple
-    # the sweep reaches is checked before its first draw
+    # the sweep reaches is checked before its first draw.  A mono row is
+    # redrawn until it has a top face to delete, which q = 0 never gives
     for i in range(min(args.count, len(ns) * len(ks) * len(qs))):
         n, k, q = ns[i % len(ns)], ks[i % len(ks)], qs[i % len(qs)]
         check_draw(n, k, q)
         if check is not None:
             check(n, k, ell)
+        if args.check == "mono" and q == 0:
+            raise ParameterOutOfRange(f"sweep --check mono: n={n} k={k} q={q} "
+                                      "draws no top face to delete")
     root = SplitMix64(args.seed if args.seed is not None else 0)
     rows: list[RunReport] = []
     made = 0

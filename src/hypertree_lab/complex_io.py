@@ -140,13 +140,12 @@ def parse_block_file(path: str) -> list[Simplex]:
 
 
 def _maximal_faces(X: GeneralComplex) -> list[Simplex]:
-    faces = sorted(X.faces, key=len, reverse=True)
-    maximal: list[Simplex] = []
-    for f in faces:
-        fs = set(f)
-        if not any(fs < set(m) for m in maximal):
-            maximal.append(f)
-    return sorted(maximal)
+    """The facets of X in lexicographic order: in a downward-closed face
+    set a face is maximal iff it is no face of another with one vertex
+    dropped, so one pass over the faces finds them.  This branch of
+    emit_complex is library API: no command writes a GeneralComplex."""
+    covered = {sigma[:i] + sigma[i + 1:] for sigma in X.faces for i in range(len(sigma))}
+    return sorted(X.faces - covered)
 
 
 def emit_complex(X: Complex) -> str:

@@ -89,6 +89,7 @@ from .simplexes import (
     SkeletonComplex,
     _binomials,
     _face_array,
+    _facet_keys,
     _facet_ranks,
     _lex_ranks,
     _lex_unrank,
@@ -402,36 +403,33 @@ def build_J(n: int, k: int) -> SkeletonComplex:
 
     k=1 needs n even (a perfect matching), k=2 needs n = 3t+2, k=3 needs
     n even (antipodal quadruples).  Anything else is a parameter mismatch.
-    More than SUM_BUDGET faces to enumerate is refused before the loop.
+    More than SUM_BUDGET faces to enumerate is refused before any is
+    built.  Each family is built as one numpy array, every row sorted,
+    and the constructor drops the faces built twice.
     """
     if k == 1:
         if n % 2:
             raise ParameterMismatch(f"dimension 1 needs even n, got {n}")
         _check_family_size(n, k, n // 2)
-        tops = frozenset((2 * i, 2 * i + 1) for i in range(n // 2))
-        return SkeletonComplex(n, 1, tops)
+        return SkeletonComplex(n, 1, np.arange(n).reshape(-1, 2))
     if k == 2:
         if n % 3 != 2:
             raise ParameterMismatch(f"dimension 2 needs n = 3t+2, got {n}")
         t = (n - 2) // 3
         _check_family_size(n, k, n * t)
-        tops = set()
-        for i in range(n):
-            for j in range(t):
-                tops.add(make_simplex({i, (i + 3 * j + 1) % n, (i + 3 * j + 2) % n}))
-        return SkeletonComplex(n, 2, frozenset(tops))
+        # {i, i+3j+1, i+3j+2} mod n for every vertex i and j < t
+        i, j = np.arange(n)[:, None], 3 * np.arange(t)
+        tops = np.stack(np.broadcast_arrays(i, (i + j + 1) % n, (i + j + 2) % n), axis=2)
+        return SkeletonComplex(n, 2, np.sort(tops.reshape(-1, 3), axis=1))
     if k == 3:
         if n % 2:
             raise ParameterMismatch(f"dimension 3 needs even n, got {n}")
         h = n // 2
         _check_family_size(n, k, h * (h - 1) ** 2)
-        tops = set()
-        for i in range(h):
-            for a in range(1, h):
-                for b in range(1, h):
-                    tops.add(make_simplex({
-                        i, (i + a) % n, (i + h) % n, (i + h + b) % n}))
-        return SkeletonComplex(n, 3, frozenset(tops))
+        # {i, i+a, i+h, i+h+b} mod n for i < h and 0 < a, b < h
+        i, a, b = np.ogrid[:h, 1:h, 1:h]
+        tops = np.stack(np.broadcast_arrays(i, i + a, i + h, (i + h + b) % n), axis=3)
+        return SkeletonComplex(n, 3, np.sort(tops.reshape(-1, 4), axis=1))
     raise ParameterMismatch(f"no construction in dimension {k}")
 
 
@@ -458,17 +456,15 @@ def steiner_complex(blocks: Iterable[Iterable[int]], n: int, k: int) -> SteinerR
 
     Validity as a covering design (every k-subset in exactly one block) is
     reported, not enforced; an invalid block list still yields a complex.
+    Each block goes through make_simplex, in input order, and the
+    constructor drops repeats.  The covers of the (k-1)-faces are counted
+    by one np.unique over the facet keys of the stored array, so the C(n,
+    k) faces on [n] are never listed.
     """
-    X = SkeletonComplex(n, k, frozenset(make_simplex(b) for b in blocks))
-    cover: dict[Simplex, int] = {}
-    for sigma in X.top_faces:
-        for i in range(len(sigma)):
-            f = sigma[:i] + sigma[i + 1:]
-            cover[f] = cover.get(f, 0) + 1
-    # every covered (k-1)-face is one of the C(n, k) on [n]
-    uncovered = comb(n, k) - len(cover)
-    multi = sum(1 for c in cover.values() if c > 1)
-    return SteinerResult(complex=X, uncovered=uncovered, multicovered=multi)
+    X = SkeletonComplex(n, k, [make_simplex(b) for b in blocks])
+    _, covers = np.unique(_facet_keys(_top_array(X), n), return_counts=True)
+    return SteinerResult(complex=X, uncovered=comb(n, k) - len(covers),
+                         multicovered=int((covers > 1).sum()))
 
 
 FANO_BLOCKS = tuple(

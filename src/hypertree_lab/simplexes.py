@@ -28,9 +28,13 @@ whenever C(N, s) is.
 A SkeletonComplex stores its top faces as one C-contiguous, read-only
 int64 (f, k+1) array, its distinct rows in lexicographic order, whatever
 order and repeats the input had.  Equality and hashing go by n, k and the
-face set, which that one order makes the array's bytes.  The walks and
-ranks read the array as stored; .top_faces is a frozenset view, built on
-first use.
+face set, which that one order makes the array's bytes.  The stored
+array is the one store the library reads: the walks, the ranks, the
+writer and remove_top_face's membership test read it as stored, and
+producers hand the constructor arrays or lists, which it checks, sorts
+and de-duplicates, never sets of face tuples.  .top_faces is a frozenset
+view, built on first use, for contains, repr and callers outside the
+library.
 
 For each position pattern P of size ell+1, tau = sigma[P] is a link id,
 the rank of tau among the (ell+1)-subsets of n, and sigma minus tau is a
@@ -244,14 +248,18 @@ VOID = GeneralComplex(frozenset(), frozenset())
 
 
 def from_top_faces(n: int, k: int, faces: Iterable[Iterable[int]]) -> SkeletonComplex:
-    """Build the complex with full (k-1)-skeleton and exactly these k-faces."""
-    tops = set()
+    """Build the complex with full (k-1)-skeleton and exactly these k-faces.
+
+    Each face is sorted and checked in input order; the constructor drops
+    repeats.
+    """
+    tops = []
     for f in faces:
         sigma = make_simplex(f)
         if len(sigma) != k + 1:
             raise DimensionMismatch(f"face {sigma} does not have dimension {k}")
-        tops.add(sigma)
-    return SkeletonComplex(n, k, frozenset(tops))
+        tops.append(sigma)
+    return SkeletonComplex(n, k, tops)
 
 
 def closure(facets: Iterable[Iterable[int]], n: int) -> GeneralComplex:
@@ -532,10 +540,13 @@ def _relabelled_link_tops(tops: np.ndarray, n: int,
 
 
 def remove_top_face(X: SkeletonComplex, sigma: Iterable[int]) -> SkeletonComplex:
+    """X less the top face sigma, found on the stored array; FaceNotInComplex
+    when sigma is no top face."""
     s = make_simplex(sigma)
-    if s not in X.top_faces:
+    keep = (X._tops != s).any(axis=1) if len(s) == X.k + 1 else True
+    if np.all(keep):
         raise FaceNotInComplex(f"{s} is not a top face")
-    return SkeletonComplex(X.n, X.k, X._tops[(X._tops != s).any(axis=1)])
+    return SkeletonComplex(X.n, X.k, X._tops[keep])
 
 
 def full_skeleton(n: int, k: int) -> SkeletonComplex:

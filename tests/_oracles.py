@@ -15,6 +15,8 @@ reduce fraction-free; least_in_component joins one edge
 at a time by union-find, where the library hooks and jumps every edge at
 once in numpy rounds; emit_skeleton_by_face writes one face a line from
 tuples, where the library formats the top array at once;
+emit_facets_by_scan keeps each face that no larger kept face contains,
+where the library drops every face with one vertex missing from another;
 sum_complex_betti_formula knows nothing of sum_complex; validate walks
 every face, where the library checks only what is cheap.
 """
@@ -110,6 +112,17 @@ def emit_skeleton_by_face(X) -> str:
     out = [f"skeleton {X.n} {X.k}"]
     out.extend(" ".join(map(str, f)) for f in iter_faces(X, X.k))
     return "\n".join(out) + "\n"
+
+
+def emit_facets_by_scan(X: GeneralComplex) -> str:
+    """The facets file of X, its maximal faces found by the quadratic
+    scan: the faces from the largest down, each kept unless a kept face
+    contains it."""
+    maximal: list[Simplex] = []
+    for f in sorted(X.faces, key=len, reverse=True):
+        if not any(set(f) < set(m) for m in maximal):
+            maximal.append(f)
+    return "".join([f"facets {X.n}\n"] + [" ".join(map(str, f)) + "\n" for f in sorted(maximal)])
 
 
 def least_in_component(n_nodes: int, edges) -> list[int]:

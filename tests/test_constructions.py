@@ -181,6 +181,52 @@ def test_steiner_complex_reports_defects():
     assert doubled.multicovered == 3
 
 
+def _family_by_sets(n: int, k: int) -> set:
+    """build_J's family as sets of vertices, one per (vertex, offsets)."""
+    if k == 1:
+        return {frozenset((2 * i, 2 * i + 1)) for i in range(n // 2)}
+    if k == 2:
+        return {frozenset((i, (i + 3 * j + 1) % n, (i + 3 * j + 2) % n))
+                for i in range(n) for j in range((n - 2) // 3)}
+    h = n // 2
+    return {frozenset((i, (i + a) % n, (i + h) % n, (i + h + b) % n))
+            for i in range(h) for a in range(1, h) for b in range(1, h)}
+
+
+@pytest.mark.parametrize("k,sizes", [(1, (2, 4, 10, 30)), (2, (5, 8, 11, 32)),
+                                     (3, (4, 6, 8, 10, 40))])
+def test_families_are_their_vertex_sets(k, sizes):
+    # each family's faces, every repeat dropped, are the sets of its
+    # definition, and each is a face of k+1 distinct vertices
+    for n in sizes:
+        want = _family_by_sets(n, k)
+        assert all(len(f) == k + 1 for f in want)
+        assert build_J(n, k).top_faces == {tuple(sorted(f)) for f in want}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_steiner_covers_are_counted_face_by_face(seed):
+    # blocks drawn with repeats and in any vertex order; the cover count
+    # of each (k-1)-face, tallied one block at a time over the distinct
+    # blocks, gives the uncovered and multicovered counts
+    rng = SplitMix64(seed)
+    for _ in range(50):
+        n = 1 + rng.below(12)
+        k = rng.below(n)
+        blocks = []
+        for _ in range(rng.below(25)):
+            pool = list(range(n))
+            rng.shuffle(pool)
+            blocks.append(pool[:k + 1])
+        blocks += blocks[:rng.below(len(blocks) + 1)]
+        tops = {tuple(sorted(b)) for b in blocks}
+        cover = Counter(sigma[:i] + sigma[i + 1:] for sigma in tops for i in range(k + 1))
+        res = steiner_complex(blocks, n, k)
+        assert res.complex.top_faces == tops
+        assert (res.uncovered, res.multicovered) == \
+            (comb(n, k) - len(cover), sum(c > 1 for c in cover.values()))
+
+
 def test_greedy_construction_small_case():
     rep = build_X_nkl(7, 2, 0)
     track(rep.complex)

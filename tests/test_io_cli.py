@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from hypertree_lab.complex_io import (
     write_complex_file,
 )
 from hypertree_lab.errors import (
+    DimensionMismatch,
     InvariantViolation,
     ParseError,
     UnrepresentableComplex,
@@ -35,7 +37,8 @@ from hypertree_lab.simplexes import (
     closure,
     full_skeleton,
 )
-from _oracles import emit_skeleton_by_face
+from _oracles import emit_facets_by_scan, emit_skeleton_by_face
+from _random_complexes import random_general_complex, random_pure_complex
 from _registry import track
 
 
@@ -235,6 +238,12 @@ def test_a_malformed_random_input_exits_two_before_any_draw_or_open(spec,
      "must lie in [0, 1]"),
     (["--check", "bound", "--n", "9", "--k", "3", "--field", "gf:9"],
      "9 is not prime"),
+    # a mono row is redrawn until it has a top face, which q = 0 never
+    # draws; a row stalled there would block every row after it
+    (["--check", "mono", "--n", "60", "--k", "3", "--q", "0.0", "--ell", "0"],
+     "sweep --check mono: n=60 k=3 q=0.0 draws no top face to delete"),
+    (["--check", "mono", "--n", "9", "--k", "2", "--q", "0.5,0", "--ell", "0"],
+     "sweep --check mono: n=9 k=2 q=0.0 draws no top face to delete"),
 ])
 def test_sweep_checks_every_shape_before_its_first_draw(argv, message,
                                                         monkeypatch, capsys):
@@ -557,6 +566,94 @@ def test_skeleton_files_are_written_as_one_face_a_line(seed, n, k, q):
     text = emit_complex(X)
     assert text == emit_skeleton_by_face(X)
     assert parse_complex_text(text).complex == X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 9), st.integers(0, 4), st.integers(0, 12),
+       st.booleans())
+def test_facets_files_list_the_maximal_faces(seed, n, dim, count, pure):
+    # the one-pass facet finder gives the bytes of the quadratic scan, and
+    # the file parses back to the same complex
+    rng = SplitMix64(seed)
+    X = (random_pure_complex if pure else random_general_complex)(
+        n, min(dim, n - 1), count, rng)
+    text = emit_complex(X)
+    assert text == emit_facets_by_scan(X)
+    assert parse_complex_text(text).complex == X
+
+
+def _malformed_skeleton(seed: int, kind: str):
+    """A skeleton file of random faces, vertices in random order, blank
+    and comment lines between, with one line of the given kind at a random
+    position; whether it is read under relabel; and the error type and
+    message that reading it raises, as the parser has always worded them."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    k = rng.randint(1, n - 2)
+    relabel = kind in ("negative label", "too many labels") or \
+        kind != "vertex out of range" and rng.random() < 0.5
+    # under relabel the file's labels are 3 + 2v, order-preserving
+    label = (lambda v: 3 + 2 * v) if relabel else (lambda v: v)
+    faces = [[label(v) for v in rng.sample(range(n), k + 1)]
+             for _ in range(rng.randint(0, 8))]
+    used = {v for f in faces for v in f}
+    spare = [label(v) for v in range(n)]  # labels in range, distinct
+    if kind == "bad integer":
+        bad = [str(v) for v in rng.sample(spare, k + 1)]
+        tok = rng.choice(["x", "1.5", "2-", "0x3", "--"])
+        bad.insert(rng.randint(0, k + 1), tok)
+    elif kind == "vertex out of range":
+        v = rng.choice([n + rng.randint(0, 5), -1 - rng.randint(0, 5)])
+        bad = rng.sample(range(n), k) + [v]
+        rng.shuffle(bad)
+    elif kind == "wrong face size":
+        bad = rng.sample(spare, rng.choice([k, k + 2] if k + 2 <= n else [k]))
+    elif kind == "duplicate vertex":
+        bad = rng.sample(spare, k)
+        bad.insert(rng.randint(0, k), rng.choice(bad))
+    elif kind == "negative label":
+        bad = rng.sample(spare, k) + [-1 - rng.randint(0, 5)]
+        rng.shuffle(bad)
+    else:  # fresh labels past every one in use, one more than n in all
+        top = max(spare) + 1
+        bad = [top + i for i in range(max(1, n + 1 - len(used)))]
+    at = rng.randint(0, len(faces))
+    lines, lineno = [f"skeleton {n} {k}"], None
+    for i, face in enumerate(faces[:at] + [bad] + faces[at:]):
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["", "# note", "   "]))
+        if i == at:
+            lineno = len(lines) + 1
+        lines.append(" ".join(map(str, face)) + (" # tail" if rng.random() < 0.2 else ""))
+    text = "\n".join(lines) + "\n"
+    if kind == "bad integer":
+        return text, relabel, ParseError, f"line {lineno}: bad integer {tok!r}"
+    if kind == "vertex out of range":
+        return text, relabel, VertexOutOfRange, f"line {lineno}: vertex {v} outside [0, {n})"
+    labels = sorted(used | set(bad))
+    if kind == "negative label":
+        return text, relabel, VertexOutOfRange, "negative vertex label"
+    if kind == "too many labels":
+        return text, relabel, ParseError, \
+            f"{len(labels)} distinct labels exceed declared n={n}"
+    face = tuple(sorted(labels.index(v) if relabel else v for v in bad))
+    if kind == "wrong face size":
+        return text, relabel, DimensionMismatch, f"face {face} does not have dimension {k}"
+    a = next(x for x, y in zip(face, face[1:]) if x == y)
+    return text, relabel, DimensionMismatch, f"duplicate vertex {a} in simplex {face}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**62), st.sampled_from([
+    "bad integer", "vertex out of range", "wrong face size", "duplicate vertex",
+    "negative label", "too many labels"]))
+def test_a_malformed_skeleton_line_raises_its_own_error(seed, kind):
+    # one bad line anywhere in a valid file: the error type and exact
+    # message name that line's fault, whatever the faces around it
+    text, relabel, error, message = _malformed_skeleton(seed, kind)
+    with pytest.raises(error) as info:
+        parse_complex_text(text, relabel=relabel)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_construct_steiner_counts_uncovered_faces_without_listing_them(tmp_path):

@@ -444,3 +444,58 @@ def test_no_top_faces_are_sorted_outside_the_constructor():
     found = {path.name: _resorted_tops(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _top_face_readers(text: str) -> list[str]:
+    """Each read of .top_faces as `function:line`, the function named with
+    its class, as in SkeletonComplex.__repr__, and `<module>` outside any."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope != "<module>" else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "top_faces" \
+                and isinstance(node.ctx, ast.Load):
+            out.append(f"{scope}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "<module>")
+    return sorted(out)
+
+
+READERS = '''\
+class Complex:
+    @property
+    def top_faces(self):
+        return self._tops
+
+    def __repr__(self):
+        return repr(self.top_faces)
+
+def contains(X, s):
+    return s in X.top_faces
+
+def count(X):
+    def inner():
+        return len(X.top_faces)
+    return inner()
+
+SIZE = len(Complex().top_faces)
+
+def fine(X, top_faces):
+    X.top_faces = top_faces
+    return top_faces, X._tops
+'''
+
+
+def test_only_contains_and_repr_read_the_top_face_set():
+    # the stored array is the one store the library reads; the frozenset
+    # view .top_faces is built for membership in contains, for repr and
+    # for callers outside the library
+    assert _top_face_readers(READERS) == [
+        "<module>:17", "Complex.__repr__:7", "contains:10", "count.inner:14"]
+    found = {f"{path.stem}.{reader.split(':')[0]}"
+             for path in sorted(SRC.glob("*.py"))
+             for reader in _top_face_readers(path.read_text())}
+    assert found == {"simplexes.contains", "simplexes.SkeletonComplex.__repr__"}

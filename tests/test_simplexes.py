@@ -281,6 +281,17 @@ def test_from_top_faces_checks_dimension():
     assert X.top_faces == frozenset({(0, 1), (2, 3)})
     with pytest.raises(DimensionMismatch):
         from_top_faces(5, 1, [(0, 1, 2)])
+    # each face is sorted, repeats are dropped, and the per-face checks
+    # run in input order before the range check of the whole
+    X = from_top_faces(6, 2, [[2, 0, 1], (5, 3, 4), [1, 2, 0], iter([4, 5, 3])])
+    assert X == SkeletonComplex(6, 2, [(0, 1, 2), (3, 4, 5)])
+    for faces, error, message in [
+            ([[1, 0, 7], [0, 0, 1]], DimensionMismatch, "duplicate vertex 0 in simplex (0, 0, 1)"),
+            ([[1, 0, 7], [3, 1]], DimensionMismatch, "face (1, 3) does not have dimension 2"),
+            ([[2, 1, 0], [1, 0, 7]], VertexOutOfRange, "face (0, 1, 7) leaves [0, 6)")]:
+        with pytest.raises(error) as info:
+            from_top_faces(6, 2, faces)
+        assert str(info.value) == message
 
 
 def test_iter_faces_is_lexicographic():
@@ -324,6 +335,13 @@ def test_remove_top_face():
     assert Y.top_faces == frozenset({(1, 2, 3)})
     with pytest.raises(FaceNotInComplex):
         remove_top_face(X, (0, 1, 3))
+    # membership is read on the stored array, for faces of any size
+    for sigma in [(1,), (2, 1), (3, 0, 1, 2), (0, 1, 9)]:
+        with pytest.raises(FaceNotInComplex) as info:
+            remove_top_face(X, sigma)
+        assert str(info.value) == f"{make_simplex(sigma)} is not a top face"
+    with pytest.raises(FaceNotInComplex):
+        remove_top_face(SkeletonComplex(5, 2, []), (0, 1, 2))
 
 
 def test_boundary_complex_of_tetrahedron():
