@@ -16,8 +16,9 @@ degree-(k-1) and degree-k Betti numbers of X through four relations:
   shift:   lambda_high = lambda_low + C * (f_k(X) - F)
 
 with C = C(k+1, ell+1) and B, F the rational constants depending only on
-(n, k, ell).  Every comparison is done in cleared integers; B and F are
-reported as exact fractions.
+(n, k, ell).  Every comparison is done in cleared integers: _cleared
+gives the one triple (C, C * B, C * F), and B and F are reported as the
+exact fractions it gives.
 
 When lambda_low is zero the three extremal conditions coincide: b_{k-1}
 hitting B, b_k vanishing at face count F, and every degree-ell link being
@@ -66,25 +67,34 @@ def check_bound_degree(n: int, k: int, ell: int) -> None:
             f"need 0 <= ell < k < n, got ell={ell} k={k} n={n}")
 
 
-def bound_B(n: int, k: int, ell: int) -> Fraction:
-    """Ceiling constant for the degree-(k-1) Betti number.
+def _cleared(n: int, k: int, ell: int) -> tuple[int, int, int]:
+    """(C, CB, CF) = (C(k+1, ell+1), C * B, C * F), the constants cleared
+    of their denominator C.
 
-    Two closed forms must agree; both are evaluated and compared.
+    B has two closed forms, C(n-1, ell) C(n-ell-2, k-ell) / C and
+    C(n-1, k) - F with F = C(n, ell+1) C(n-ell-2, k-ell-1) / C; cleared,
+    they agree exactly when CB + CF = C * C(n-1, k), which is checked.
     """
     check_bound_degree(n, k, ell)
-    direct = Fraction(comb(n - 1, ell) * comb(n - ell - 2, k - ell),
-                      comb(k + 1, ell + 1))
-    alt = comb(n - 1, k) - Fraction(
-        comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1), comb(k + 1, ell + 1))
-    if direct != alt:
-        raise InvariantViolation(f"constant mismatch: {direct} vs {alt}")
-    return direct
+    C = comb(k + 1, ell + 1)
+    CB = comb(n - 1, ell) * comb(n - ell - 2, k - ell)
+    CF = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
+    if CB + CF != C * comb(n - 1, k):
+        raise InvariantViolation(f"constant mismatch: {Fraction(CB, C)} vs "
+                                 f"{comb(n - 1, k) - Fraction(CF, C)}")
+    return C, CB, CF
+
+
+def bound_B(n: int, k: int, ell: int) -> Fraction:
+    """Ceiling constant for the degree-(k-1) Betti number."""
+    C, CB, _ = _cleared(n, k, ell)
+    return Fraction(CB, C)
 
 
 def bound_F(n: int, k: int, ell: int) -> Fraction:
     """Top-face count at which the ceiling is reached."""
-    check_bound_degree(n, k, ell)
-    return comb(n - 1, k) - bound_B(n, k, ell)
+    C, _, CF = _cleared(n, k, ell)
+    return Fraction(CF, C)
 
 
 @dataclass(frozen=True)
@@ -120,10 +130,7 @@ def verify_upper_bound(X: Complex, ell: int, field: FieldSpec) -> BoundCertifica
     """
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
-    check_bound_degree(n, k, ell)
-    C = comb(k + 1, ell + 1)
-    CB = comb(n - 1, ell) * comb(n - ell - 2, k - ell)
-    CF = comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1)
+    C, CB, CF = _cleared(n, k, ell)
 
     lam_low, lam_high = lambda_pair(S, ell, field)
     tb_below = betti(S, k - 1, field)
@@ -134,8 +141,8 @@ def verify_upper_bound(X: Complex, ell: int, field: FieldSpec) -> BoundCertifica
         n=n, k=k, ell=ell, field_name=field.name,
         lam_low=lam_low, lam_high=lam_high,
         tb_top_below=tb_below, tb_top=tb_top, f_top=f_top,
-        bound_value=bound_B(n, k, ell),
-        complement_value=bound_F(n, k, ell),
+        bound_value=Fraction(CB, C),
+        complement_value=Fraction(CF, C),
         eq_upper=C * tb_below <= lam_low + CB,
         eq_dual=C * tb_top <= lam_high,
         eq_step=tb_top == tb_below + f_top - comb(n - 1, k),
@@ -285,6 +292,8 @@ class TrichotomyReport:
     ell: int
     field_name: str
     lam_low: int
+    bound_value: Fraction
+    complement_value: Fraction
     ceiling_hit: bool        # degree-(k-1) Betti number equals B
     complement_hit: bool     # degree-k Betti number 0 at face count F
     links_are_hypertrees: bool
@@ -309,16 +318,14 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec) -> TrichotomyRep
     """
     S = as_skeleton_complex(X)
     n, k = S.n, S.k
-    check_bound_degree(n, k, ell)
+    C, CB, CF = _cleared(n, k, ell)
     _, below, top = _link_betti(S, ell, field)
     lam_low = int(below.sum())
 
     tb_below = betti(S, k - 1, field)
     tb_top = betti(S, k, field)
-    B = bound_B(n, k, ell)
-    F = bound_F(n, k, ell)
-    a = Fraction(tb_below) == B
-    b = tb_top == 0 and Fraction(face_count(S, k)) == F
+    a = C * tb_below == CB
+    b = tb_top == 0 and C * face_count(S, k) == CF
 
     # each link is sandwiched, so it is a hypertree exactly when both its
     # Betti numbers vanish
@@ -326,6 +333,7 @@ def equality_trichotomy(X: Complex, ell: int, field: FieldSpec) -> TrichotomyRep
 
     report = TrichotomyReport(
         n=n, k=k, ell=ell, field_name=field.name, lam_low=lam_low,
+        bound_value=Fraction(CB, C), complement_value=Fraction(CF, C),
         ceiling_hit=a, complement_hit=b, links_are_hypertrees=c,
     )
     if lam_low == 0 and not report.all_equivalent:

@@ -9,6 +9,7 @@ appears only with --timing so default output is byte-stable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -17,8 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .bounds import (
-    bound_B,
-    bound_F,
     check_bound_degree,
     check_deletion_degree,
     check_dual_degree,
@@ -244,8 +243,8 @@ def cmd_trichotomy(args) -> RunReport:
         lines += (f"link defect is {rep.lam_low}, not 0: "
                   "the three conditions need not agree here",)
     return replace(
-        base, lam_low=rep.lam_low, bound_value=bound_B(S.n, S.k, ell),
-        complement_value=bound_F(S.n, S.k, ell),
+        base, lam_low=rep.lam_low, bound_value=rep.bound_value,
+        complement_value=rep.complement_value,
         tri=(rep.ceiling_hit, rep.complement_hit, rep.links_are_hypertrees),
         lines=lines)
 
@@ -362,15 +361,21 @@ def cmd_sweep(args) -> list[RunReport]:
     check = SWEEP_CHECKS[args.check]
     # row i draws (ns[i % len], ks[i % len], qs[i % len]); every triple
     # the sweep reaches is checked before its first draw.  A mono row is
-    # redrawn until it has a top face to delete, which q = 0 never gives
+    # redrawn until it has a top face to delete, which a draw holds with
+    # chance 1 - (1 - q)^C(n, k+1): below 1/1000, the draws a row may
+    # take, the triple is refused
     for i in range(min(args.count, len(ns) * len(ks) * len(qs))):
         n, k, q = ns[i % len(ns)], ks[i % len(ks)], qs[i % len(qs)]
         check_draw(n, k, q)
         if check is not None:
             check(n, k, ell)
-        if args.check == "mono" and q == 0:
-            raise ParameterOutOfRange(f"sweep --check mono: n={n} k={k} q={q} "
-                                      "draws no top face to delete")
+        if args.check == "mono" and (k < n or q == 0):
+            chance = -math.expm1(math.comb(n, k + 1) * math.log1p(-q))
+            if chance * 1000 < 1:
+                raise ParameterOutOfRange(
+                    f"sweep --check mono: n={n} k={k} q={q} draws " + (
+                        "no top face to delete" if chance == 0 else
+                        f"a top face to delete with chance {chance:.4g}, below 1/1000"))
     root = SplitMix64(args.seed if args.seed is not None else 0)
     rows: list[RunReport] = []
     made = 0

@@ -60,16 +60,20 @@ f under some top face sigma of X, and sigma minus tau is a top face of
 the link above f.  garland_check therefore checks X for purity once.
 Below the top X is complete, so it is pure when it has no top faces or
 its top faces cover all C(n, k) faces of degree k-1: every lower face
-lies in one of those.  The ranks of the facets of the top faces count
-them, and only a shortfall runs check_pure, which names the first face
-under no top face.
+lies in one of those.  The link step's table already counts those
+covers: a (k-1)-face rho holds an ell-face tau, as ell <= k-2, and the
+entry of the link of tau at rho minus tau is the number of top faces
+above rho.  So when X has top faces a 0 in the table is an uncovered
+(k-1)-face, and none means X is pure; only a 0 runs check_pure, which
+names the first face under no top face.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, filterfalse, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -93,7 +97,6 @@ from .simplexes import (
     all_faces,
     face_count,
     iter_faces,
-    subfaces,
 )
 
 SIZE_LIMIT = 5000
@@ -105,19 +108,18 @@ _BLOCK_DOUBLES = 1 << 14
 
 
 def check_pure(X: Complex) -> dict[Simplex, int]:
-    """Raise NotPure unless every face lies under a top-dimensional face.
+    """Raise NotPure unless every face lies under a top-dimensional face,
+    naming the first face in all_faces order that does not.
 
     Returns, for each face, the number of top-dimensional faces above it.
     """
     if X.is_void or X.dim == -1:
         raise NotPure("complex has no vertices")
-    counts: dict[Simplex, int] = {}
-    for sigma in iter_faces(X, X.dim):
-        for f in subfaces(sigma):
-            counts[f] = counts.get(f, 0) + 1
-    for f in all_faces(X):
-        if f not in counts:
-            raise NotPure(f"face {f} is not under any top-dimensional face")
+    counts = Counter(chain.from_iterable(
+        combinations(sigma, r) for sigma in iter_faces(X, X.dim) for r in range(X.dim + 2)))
+    missing = next(filterfalse(counts.__contains__, all_faces(X)), None)
+    if missing is not None:
+        raise NotPure(f"face {missing} is not under any top-dimensional face")
     return counts
 
 
@@ -151,9 +153,8 @@ def check_link_size(n: int, k: int, ell: int) -> None:
     of a link on n-ell-1 vertices, C(n-ell-1, k-ell-1) of them.  The link
     step counts the tops above those faces of all C(n, ell+1) links in one
     table of C(n, k) C(k, ell+1) entries, one per (k-1)-face and
-    ell-face of it, no fewer than the C(n, k) flags of the purity check.
-    So the bounds need only (n, k, ell): neither X nor its links are
-    built.
+    ell-face of it, which also decides purity.  So the bounds need only
+    (n, k, ell): neither X nor its links are built.
     """
     if not -1 <= ell <= k - 2:
         raise ParameterOutOfRange(f"degree {ell} must lie in [-1, {k - 2}]")
@@ -253,43 +254,33 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     return WeightedLaplacian(j=j, faces=faces, matrix=L[0])
 
 
-def _check_skeleton_pure(X: SkeletonComplex, tops: np.ndarray) -> None:
-    """Raise NotPure unless X's top faces cover its (k-1)-faces (module docstring).
+def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[np.ndarray]:
+    """Stacks of the degree-(r-1) Laplacians of lk(X, tau), r = k - ell - 1.
 
-    tops is _top_array(X); the ranks of its facets mark the (k-1)-faces
-    covered, one byte each, fewer than the int64 weights the link step
-    counts for C(n, k) C(k, ell+1) (link, face) pairs.  check_pure names
-    the first uncovered face.
+    The links come in lexicographic order of tau, each relabelled onto
+    0..g-1 in order, g = n - ell - 1, and weighed from its own top faces;
+    consecutive links share a stack of about _BLOCK_DOUBLES doubles
+    (module docstring).  Every link has the same rows, columns and
+    boundary map below degree r-1, so those are built once.  Before the
+    first stack, a 0 among the counts of a complex with top faces raises
+    check_pure's NotPure (module docstring).
     """
-    covered = np.zeros(math.comb(X.n, X.k), dtype=bool)
-    covered[_facet_ranks(tops, _binomials(X.n, X.k))] = True
-    if len(tops) and not covered.all():
+    tops, n, size = _top_array(X), X.n, ell + 1
+    r, g = X.k - ell - 1, n - size
+    link, rest = _relabelled_link_tops(tops, n, ell)
+    facet = _facet_ranks(rest, _binomials(g, r))
+    m, n_links = math.comb(g, r), math.comb(n, size)
+    count = np.bincount((link[:, None] * m + facet).ravel(),
+                        minlength=n_links * m).reshape(n_links, m)
+    if len(tops) and not count.all():
         check_pure(X)
         raise InvariantViolation("(k-1)-faces uncovered but check_pure passed")
 
-
-def _link_laplacians(tops: np.ndarray, n: int, ell: int) -> Iterator[np.ndarray]:
-    """Stacks of the degree-(r-1) Laplacians of lk(X, tau), r = k - ell - 1.
-
-    tops is _top_array(X) for X on n vertices.  The links come in
-    lexicographic order of tau, each relabelled onto 0..g-1 in order,
-    g = n - ell - 1, and weighed from its own top faces; consecutive links
-    share a stack of about _BLOCK_DOUBLES doubles (module docstring).
-    Every link has the same rows, columns and boundary map below degree
-    r-1, so those are built once.
-    """
-    size = ell + 1
-    r, g = tops.shape[1] - 1 - size, n - size
-    link, rest = _relabelled_link_tops(tops, n, ell)
-    facet = _facet_ranks(rest, _binomials(g, r))
-
     faces = list(combinations(range(g), r))
-    m, n_links = len(faces), math.comb(n, size)
     D = _boundary({f: i for i, f in enumerate(combinations(range(g), r - 1))}, faces)
     down = _down_pattern(D)
-    count = np.bincount((link[:, None] * m + facet).ravel(),
-                        minlength=n_links * m).reshape(n_links, m)
-    w_j = np.where(count.any(axis=1)[:, None], count, 1)
+    # every link of a pure X has tops, unless X has none
+    w_j = count if len(tops) else np.ones_like(count)
     w_below = w_j @ np.abs(D).astype(np.int64).T
     # the off-diagonal Gram entries: positions (i, i') of each link top
     pi, pj = np.array(list(permutations(range(r + 1), 2))).T
@@ -343,18 +334,16 @@ def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
     Premise: every degree-ell face has a link whose Laplacian one degree
     below its own top dimension has smallest eigenvalue above
     (ell+1)/k.  check_link_size bounds every link Laplacian before anything
-    is enumerated.  X is checked for purity once from its (k-1)-layer;
-    each link Laplacian is then weighed from the link's own top faces,
-    without building the link (module docstring).  Verdicts are numeric, so a
+    is enumerated.  Each link Laplacian is weighed from the link's own top
+    faces, without building the link, and X is checked for purity once,
+    from the same counts (module docstring).  Verdicts are numeric, so a
     guard band separates a clear pass from a margin too thin to trust.
     When the premise holds, the rational Betti number of X in degree k-1
     must vanish; that implication is asserted, not assumed.
     """
     k = X.k
     check_link_size(X.n, k, ell)
-    tops = _top_array(X)
-    _check_skeleton_pure(X, tops)
-    mus = np.concatenate([_min_eigenvalues(L) for L in _link_laplacians(tops, X.n, ell)])
+    mus = np.concatenate([_min_eigenvalues(L) for L in _link_laplacians(X, ell)])
     entries = tuple(zip(combinations(range(X.n), ell + 1), mus.tolist()))
     min_mu = float(mus.min())
     thr = Fraction(ell + 1, k)

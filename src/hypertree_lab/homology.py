@@ -26,13 +26,21 @@ each core's route.  Over GF(2) it packs the core's columns into Python
 int bitsets, one simplexes._bitsets call per core, and reduces them by
 IncrementalSpan(2).extend over the one XOR core, linalg._gf2_reduce;
 that GF(2) rank r2 is the rank.  Over Q one tagged IncrementalSpan(2)
-run over the core (_lifts, below) gives r2, returned where it meets the
-core's own bound min(core columns, rows the core meets, C(g-1, j) less
-the pivots taken) for j-faces on g vertices, as r2 <= rank_Q <= the
-bound; else where integer kernel vectors lifted from GF(2) prove
-rank_Q = r2 (below).  Only the rest, torsion such as that of the
-projective plane included, and at once every such core over odd p, runs
-linalg.rank_by_rows.
+run over the core (_lifts, below) gives r2, returned where integer
+kernel vectors lifted from GF(2) prove rank_Q = r2 (below), which takes
+no vector at all where r2 is min(core columns, rows the core meets).
+Only the rest, torsion such as that of the projective plane included,
+and at once every such core over odd p, runs linalg.rank_by_rows.
+
+No cap from the ambient simplex binds below that minimum.  A link's
+map on g vertices takes r-faces to (r-1)-faces, and its core's columns
+are tops avoiding vertex 0 (below), so every row the core meets is an
+r-subset of the g-1 other vertices.  None is the row a cone top freed or
+a pivot took, and each cone top frees a row of its own, as each pivot
+takes one.  So the core meets at most C(g-1, r) rows less the link's
+cone tops and pivots: the rank C(g-1, r) of the complete map less the
+rank already taken never falls below min(core columns, rows the core
+meets), and the tests check the count.
 
 The lifted kernel proves rank_Q <= r2; r2 <= rank_Q always holds, as a
 minor of the integer map that is nonzero mod 2 is nonzero.  Take the
@@ -43,13 +51,14 @@ other side, and one IncrementalSpan(2).extend reduces them all
 a GF(2) dependency, the set of lines that sums to 0 mod 2, and there are
 n - r2 of them, as the lines have GF(2) rank r2.  So the one run gives
 both r2 and the dependencies, and no other GF(2) pass reads the core;
-the lift runs only where r2 misses the bound.  Each dependency is
-lifted to a vector of +-1 on its lines.  Every line of the other side
-must meet it in 0 or 2 entries, and each such pair fixes the relative
-sign of its two lines; a walk over the dependency's lines then assigns
-the signs.  A meeting of 4 or more, or a sign that conflicts, means no
-lift, and the row route runs.  Each lifted vector is then checked against the map's entries in
-integers, and a failure raises InvariantViolation.  The lifted vectors
+where r2 = n there is no dependency, and nothing is lifted.  Each
+dependency is lifted to a vector of +-1 on its lines.  Every line of the
+other side must meet it in 0 or 2 entries, and each such pair fixes the
+relative sign of its two lines; a walk over the dependency's lines then
+assigns the signs.  A meeting of 4 or more, or a sign that conflicts,
+means no lift, and the row route runs.  Each lifted vector is then
+checked against the map's entries in integers, and a failure raises
+InvariantViolation.  The lifted vectors
 reduce mod 2 to the dependencies, which are independent, as each holds
 its own highest line; so the lifted vectors are independent over Q, and
 the kernel on that side has dimension at least n - r2 over Q, which
@@ -229,22 +238,20 @@ from .simplexes import (
 )
 
 
-def _map_rank(pos: np.ndarray, rows: int, cap: int, p: Optional[int]) -> int:
+def _map_rank(pos: np.ndarray, rows: int, p: Optional[int]) -> int:
     """Rank of the map whose column a has (-1)^i in row pos[a, i] (module
     docstring).
 
-    pos numbers the rows touched 0..rows-1, and -1 is a deleted row; cap
-    bounds the rank: the ambient simplex's bound less the pivots already
-    taken.  Over GF(2) the columns are packed as bitsets, one _bitsets
-    call per core, and reduced by the XOR core.  Over Q, _lifts reads the
-    GF(2) rank and returns it where it meets min(columns, rows, cap) or
-    lifted kernel vectors prove it; else the row route runs, as it does
-    at once for odd p.
+    pos numbers the rows touched 0..rows-1, and -1 is a deleted row.
+    Over GF(2) the columns are packed as bitsets, one _bitsets call per
+    core, and reduced by the XOR core.  Over Q, _lifts reads the GF(2)
+    rank and returns it where lifted kernel vectors prove it; else the row
+    route runs, as it does at once for odd p.
     """
     if p == 2:
         return IncrementalSpan(2).extend(_bitsets(pos, rows))
     if p is None:
-        r2 = _lifts(pos, rows, min(len(pos), rows, cap))
+        r2 = _lifts(pos, rows)
         if r2 is not None:
             return r2
     return rank_by_rows(_entries(pos), rows, len(pos), p)
@@ -257,17 +264,16 @@ def _entries(pos: np.ndarray) -> dict[tuple[int, int], int]:
     return dict(zip(zip(pos[a, i].tolist(), a.tolist()), np.where(i % 2, -1, 1).tolist()))
 
 
-def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
-    """The rational rank of the map of _map_rank where its GF(2) rank r2
-    meets bound or +-1 integer kernel vectors prove it, else None (module
-    docstring).
+def _lifts(pos: np.ndarray, rows: int) -> Optional[int]:
+    """The rational rank of the map of _map_rank where +-1 integer kernel
+    vectors prove its GF(2) rank r2, else None (module docstring).
 
     The lines are the map's columns or its rows, whichever are fewer, and
     the other side's lines meet them.  One IncrementalSpan(2) run over the
     n lines packed as (v << n) | (1 << t) leaves the GF(2) dependencies as
-    its basis vectors below bit n, and r2 is n less their count.  Below
-    bound, each is lifted by a walk over its lines and checked against the
-    map's entries in integers; None comes at the first that does not lift.
+    its basis vectors below bit n, and r2 is n less their count.  Each is
+    lifted by a walk over its lines and checked against the map's entries
+    in integers; None comes at the first that does not lift.
     """
     cols = pos.tolist()
     # each line's entries: (other line, parity of the sign's exponent)
@@ -288,9 +294,6 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
             v |= 1 << o
         bitsets.append(v)
     deps = _dependencies(bitsets, n, 2)
-    r2 = n - len(deps)
-    if r2 == bound:
-        return r2
     for dep in deps:
         support = []
         while dep:
@@ -328,7 +331,7 @@ def _lifts(pos: np.ndarray, rows: int, bound: int) -> Optional[int]:
                 out[o] += 1 - 2 * (s ^ v)
         if any(out):
             raise InvariantViolation("a lifted GF(2) dependency is no integer kernel vector")
-    return r2
+    return n - len(deps)
 
 
 def _boundary_columns(facet: np.ndarray, width: int, p: Optional[int]
@@ -396,7 +399,7 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
         # the cone split takes the least vertex, moved to 0
         faces = faces - faces[0, 0]
     # the layer is the one link of the empty face (module docstring)
-    return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g), [f], g, p)[0]
+    return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g), [f], p)[0]
 
 
 def boundary_rank(X: Complex, j: int, field: FieldSpec) -> int:
@@ -595,7 +598,7 @@ def _peel(pos: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int],
-                g: int, p: Optional[int]) -> list[int]:
+                p: Optional[int]) -> list[int]:
     """Rank of the top boundary map of every link, from _link_rows and the
     number f[t] of each link's tops.
 
@@ -613,8 +616,6 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     core at all, the ranks return right after it, with no grouping,
     renumbering or packing.
     """
-    r = pos.shape[1] - 1
-    low = complete_rank(g, r)
     n_links = len(f)
     pivot, core, live = _peel(pos, start[-1])
     # per link: its units, the tops through 0 and the peeled pivots
@@ -636,7 +637,7 @@ def _link_ranks(pos: np.ndarray, link: np.ndarray, start: list[int], f: list[int
     ends = np.cumsum(cols).tolist()
     for t in np.flatnonzero(cols).tolist():
         lo, hi = ends[t] - int(cols[t]), ends[t]
-        ranks[t] += _map_rank(pos[lo:hi], int(rows[t]), low - ranks[t], p)
+        ranks[t] += _map_rank(pos[lo:hi], int(rows[t]), p)
     return ranks
 
 
@@ -660,8 +661,7 @@ def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
         return ones, np.zeros(n_links, dtype=np.int64), ones
     g = X.n - ell - 1
     # every link has the complete (r-1)-skeleton on g vertices, so
-    # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank, and
-    # C(g-1, r) also caps the rank of the link's top map
+    # b_{r-1} = C(g, r) - C(g-1, r-1) - rank = C(g-1, r) - rank
     low = complete_rank(g, r)
     link, rest = _link_pairs(_top_array(X), X.n, ell)
     f = np.bincount(link, minlength=n_links)
@@ -676,7 +676,7 @@ def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
     else:
         numbered = _link_rows(link, rest, n_links, g)
         del link, rest  # the walk's arrays go before the columns are packed
-        ranks = np.array(_link_ranks(*numbered, f.tolist(), g, field.p), dtype=np.int64)
+        ranks = np.array(_link_ranks(*numbered, f.tolist(), field.p), dtype=np.int64)
     below = (low if low * n_links < 1 << 63 else np.array(low, dtype=object)) - ranks
     negative = below < 0
     if negative.any():

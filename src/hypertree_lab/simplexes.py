@@ -172,26 +172,29 @@ def _stored_tops(n: int, k: int, top_faces: Union[np.ndarray, Iterable[Simplex]]
     size = k + 1
     faces = top_faces if isinstance(top_faces, np.ndarray) else list(top_faces)
     try:
-        tops = np.array(faces) if len(faces) else np.empty((0, size), dtype=np.int64)
+        tops = np.asarray(faces) if len(faces) else np.empty((0, size), dtype=np.int64)
     except (TypeError, ValueError, OverflowError):  # e.g. faces of several sizes
         tops = None
     if tops is None or tops.dtype.kind not in "biu" or tops.shape[1:] != (size,):
         _first_bad_face(n, k, faces)
-    tops = np.ascontiguousarray(tops, dtype=np.int64)
+    tops = tops.astype(np.int64, copy=False)
     if len(tops) and not (tops[:, 0].min() >= 0 and tops[:, -1].max() < n
                           and (tops[:, 1:] > tops[:, :-1]).all()):
         _first_bad_face(n, k, faces)
     # rows in strictly increasing lexicographic order already, or sorted
-    # with repeats dropped
+    # with repeats dropped; an array of the caller's is checked where it
+    # is, and the one copy or gather of it is the stored array
     prev, row = tops[:-1], tops[1:]
     after, tie = np.zeros(len(row), dtype=bool), np.ones(len(row), dtype=bool)
     for c in range(size):
         after |= tie & (row[:, c] > prev[:, c])
         tie &= row[:, c] == prev[:, c]
-    if not after.all():
-        tops = tops[np.lexsort(tops.T[::-1])]
-        tops = tops[np.insert((tops[1:] != tops[:-1]).any(axis=1), 0, True)]
-    return tops
+    if after.all():
+        return np.array(tops, order="C") if isinstance(faces, np.ndarray) else tops
+    order = np.lexsort(tops.T[::-1])
+    tie = np.logical_and.reduce([np.diff(col[order]) == 0 for col in tops.T])
+    order = order[np.insert(~tie, 0, True)]
+    return tops[order]
 
 
 def _first_bad_face(n: int, k: int, faces) -> NoReturn:
@@ -464,7 +467,7 @@ def _facet_keys(tops: np.ndarray, N: int) -> np.ndarray:
 # widest bitsets packed from a table of 1 << b (about width^2/16 bytes,
 # 64 KB here, as wide as every link row of the README's ladder), and the
 # rows packed at a time, which bounds the objects in flight
-_TABLE_BITS, _PACK_ROWS = 1 << 10, 1 << 14
+_TABLE_BITS, _PACK_ROWS = 1 << 10, 1 << 10
 
 
 def _bitsets(pos: np.ndarray, width: int) -> Iterator[int]:

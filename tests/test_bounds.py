@@ -22,7 +22,7 @@ from hypertree_lab.bounds import (
     verify_upper_bound,
 )
 from hypertree_lab.constructions import FANO_BLOCKS, build_J, steiner_complex
-from hypertree_lab.errors import FaceNotInComplex, ParameterOutOfRange
+from hypertree_lab.errors import FaceNotInComplex, InvariantViolation, ParameterOutOfRange
 from hypertree_lab.fields import GF2, GF3, RATIONALS
 from hypertree_lab.homology import _cycle_support, betti, link_profile
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
@@ -51,6 +51,51 @@ def test_bound_values_match_closed_form():
     # B + F always fills the count of possible top faces minus one vertex
     for (n, k, ell) in ((7, 2, 0), (9, 3, 1), (11, 4, 2)):
         assert bound_B(n, k, ell) + bound_F(n, k, ell) == comb(n - 1, k)
+
+
+def _two_closed_forms(n, k, ell):
+    """(B, F) from the two closed forms of B, each evaluated on its own
+    and compared, and F as C(n-1, k) less B."""
+    C = comb(k + 1, ell + 1)
+    direct = Fraction(comb(n - 1, ell) * comb(n - ell - 2, k - ell), C)
+    alt = comb(n - 1, k) - Fraction(comb(n, ell + 1) * comb(n - ell - 2, k - ell - 1), C)
+    assert direct == alt
+    return direct, comb(n - 1, k) - direct
+
+
+def test_bounds_from_one_cleared_triple_equal_both_closed_forms():
+    for n in range(2, 41):
+        for k in range(1, n):
+            for ell in range(k):
+                got = bound_B(n, k, ell), bound_F(n, k, ell)
+                assert got == _two_closed_forms(n, k, ell), (n, k, ell)
+                assert all(type(v) is Fraction for v in got)
+
+
+def test_constants_that_break_their_identity_are_an_invariant_violation(monkeypatch):
+    # C(n-1, k) one too large breaks CB + CF = C * C(n-1, k) at (7, 2, 0),
+    # whose other binomials are C(6, 0), C(5, 2), C(7, 1), C(5, 1), C(3, 1)
+    X = random_skeleton_complex(7, 2, 0.5, SplitMix64(1))
+    real = bounds.comb
+    monkeypatch.setattr(bounds, "comb", lambda a, b: real(a, b) + ((a, b) == (6, 2)))
+    for call in (lambda: bound_B(7, 2, 0), lambda: bound_F(7, 2, 0),
+                 lambda: verify_upper_bound(X, 0, GF2),
+                 lambda: equality_trichotomy(X, 0, GF2)):
+        with pytest.raises(InvariantViolation, match=r"^constant mismatch: 10/3 vs 13/3$"):
+            call()
+
+
+@pytest.mark.parametrize("command", ["verify-bound", "trichotomy"])
+def test_each_bound_command_clears_the_constants_once(command, monkeypatch):
+    from hypertree_lab import cli
+
+    calls = []
+    cleared = bounds._cleared
+    monkeypatch.setattr(bounds, "_cleared", lambda *a: calls.append(a) or cleared(*a))
+    out = cli.run_command([command, "--in", "random(seed=1,n=8,k=3,q=0.5)", "--ell", "1"])
+    assert calls == [(8, 3, 1)]
+    assert (out.report.bound_value, out.report.complement_value) == \
+        (bound_B(8, 3, 1), bound_F(8, 3, 1))
 
 
 def test_bound_parameters_are_validated():

@@ -30,6 +30,7 @@ from hypertree_lab.simplexes import (
     SkeletonComplex,
     as_skeleton_complex,
     closure,
+    f_vector,
     full_skeleton,
     link,
 )
@@ -235,7 +236,7 @@ def _link_route_cases():
 
 def _link_stack(X, ell):
     """Every link Laplacian of X at ell, in one array, links in tau order."""
-    return np.concatenate(list(garland._link_laplacians(simplexes._top_array(X), X.n, ell)))
+    return np.concatenate(list(garland._link_laplacians(X, ell)))
 
 
 def test_link_laplacians_read_from_x_equal_the_link_complex_route():
@@ -256,31 +257,27 @@ def test_link_laplacians_read_from_x_equal_the_link_complex_route():
 
 
 def test_link_of_a_face_under_no_top_face_weighs_its_own_faces():
-    # vertex 0 is under no top face, so X is impure, but the link of any
-    # tau through 0 is a complete skeleton with no top face: its
-    # (r-1)-faces are its tops and weigh 1 each.  The other links have
-    # faces of weight 0 (vertex 0 is under none of their tops), whose
-    # matrices divide by 0; garland_check refuses X before building them.
-    # With no top face at all, every link, X itself at ell = -1 included,
-    # is such a complete skeleton
-    cases = [(SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1))), False)
-             for n, k in ((6, 2), (7, 3), (6, 3))]
-    cases += [(SkeletonComplex(n, k, frozenset()), True) for n, k in ((6, 2), (6, 3), (4, 1))]
-    for X, bare_everywhere in cases:
-        n, k = X.n, X.k
-        for ell in range(-1 if bare_everywhere else 0, k - 1):
-            bare = 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                links = _link_stack(X, ell)
+    # with no top face at all, every link, X itself at ell = -1 included,
+    # is a complete skeleton with no top face: its (r-1)-faces are its
+    # tops and weigh 1 each.  Where X has top faces but vertex 0 is under
+    # none, the links of tau through 0 are such skeleta too, but the
+    # other links have faces of weight 0, whose matrices would divide by
+    # 0: X is impure, and the link step refuses it before its first stack
+    for n, k in ((6, 2), (7, 3), (6, 3)):
+        X = SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1)))
+        for ell in range(-1, k - 1):
+            with pytest.raises(NotPure, match=r"^face \(0,\) is not under"):
+                next(garland._link_laplacians(X, ell))
+    for n, k in ((6, 2), (6, 3), (4, 1)):
+        X = SkeletonComplex(n, k, frozenset())
+        for ell in range(-1, k - 1):
+            links = _link_stack(X, ell)
+            assert len(links) == math.comb(n, ell + 1)
             for tau, L in zip(combinations(range(n), ell + 1), links):
-                if bare_everywhere or tau[0] == 0:
-                    lk = link(X, tau)
-                    assert lk.dim == k - ell - 2
-                    ref = weighted_laplacian(lk, k - ell - 2).matrix
-                    assert np.array_equal(L, ref), (X, ell, tau)
-                    bare += 1
-            assert bare == (math.comb(n, ell + 1) if bare_everywhere
-                            else math.comb(n - 1, ell))
+                lk = link(X, tau)
+                assert lk.dim == k - ell - 2
+                ref = weighted_laplacian(lk, k - ell - 2).matrix
+                assert np.array_equal(L, ref), (X, ell, tau)
 
 
 def test_link_stacks_do_not_depend_on_the_block_size(monkeypatch):
@@ -317,10 +314,13 @@ def test_lex_ranks_hold_where_middle_binomials_overflow_int64():
 
 
 def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
+    # purity is read from the link step's counts: check_pure, which walks
+    # every face, runs only on a non-pure input, to name its first
+    # uncovered face, and never on a pure one or one with no top faces
     import hypertree_lab.simplexes as simplexes
 
     calls = {"link": 0, "check_pure": 0}
-    real_link, real_check = simplexes.link, garland._check_skeleton_pure
+    real_link, real_check = simplexes.link, garland.check_pure
 
     def spy_link(*args):
         calls["link"] += 1
@@ -331,12 +331,19 @@ def test_garland_check_builds_no_link_and_checks_purity_once(monkeypatch):
         return real_check(*args)
 
     monkeypatch.setattr(simplexes, "link", spy_link)
-    monkeypatch.setattr(garland, "_check_skeleton_pure", spy_check)
+    monkeypatch.setattr(garland, "check_pure", spy_check)
     assert not hasattr(garland, "link")
     for X, ell in ((full_skeleton(7, 3), 0), (full_skeleton(6, 2), -1),
                    (SkeletonComplex(6, 2, frozenset()), 0)):
         calls.update(link=0, check_pure=0)
         garland_check(X, ell)
+        assert calls == {"link": 0, "check_pure": 0}
+    for X, ell in ((SkeletonComplex(5, 2, frozenset({(0, 1, 2)})), 0),
+                   (SkeletonComplex(7, 3, [t for t in combinations(range(7), 4)
+                                           if t[:3] != (0, 1, 2)]), 1)):
+        calls.update(link=0, check_pure=0)
+        with pytest.raises(NotPure):
+            garland_check(X, ell)
         assert calls == {"link": 0, "check_pure": 1}
 
 
@@ -346,7 +353,7 @@ def test_link_size_is_bounded_before_any_enumeration(monkeypatch, capsys):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the size bound")
 
-    monkeypatch.setattr(garland, "_check_skeleton_pure", no_enumeration)
+    monkeypatch.setattr(garland, "_link_laplacians", no_enumeration)
     monkeypatch.setattr(garland, "_top_array", no_enumeration)
     # every link at ell = -1 is X itself: C(40, 3) = 9880 faces in degree 2
     with pytest.raises(TooLarge, match="9880 faces in degree 2"):
@@ -404,10 +411,53 @@ def test_first_bad_face_can_be_a_vertex():
         garland_check(X, 0)
 
 
+# a vertex under no top face, exactly one uncovered (k-1)-face, and no
+# top faces at all, which is pure: (X, check_pure's message or None)
+_PURITY_CASES = (
+    (SkeletonComplex(5, 2, [(0, 1, 2)]), "face (3,) is not under any top-dimensional face"),
+    (SkeletonComplex(7, 3, [t for t in combinations(range(7), 4) if t[:3] != (0, 1, 2)]),
+     "face (0, 1, 2) is not under any top-dimensional face"),
+    (SkeletonComplex(6, 2, []), None),
+)
+
+
+@pytest.mark.parametrize("X,message", _PURITY_CASES)
+def test_purity_is_decided_alike_by_the_library_the_file_command_and_the_sweep(
+        X, message, tmp_path, monkeypatch, capsys):
+    # at every degree: NotPure with check_pure's message from
+    # garland_check, exit 2 with that message from garland --in, and a
+    # sweep row redrawn past the impure draw
+    from hypertree_lab import cli
+    from hypertree_lab.complex_io import write_complex_file
+
+    path = str(tmp_path / "x.cplx")
+    write_complex_file(path, X)
+    pure = full_skeleton(X.n, X.k)
+    for ell in range(-1, X.k - 1):
+        if message is None:
+            assert garland_check(X, ell).n == X.n
+        else:
+            with pytest.raises(NotPure) as e:
+                garland_check(X, ell)
+            assert str(e.value) == message
+        capsys.readouterr()
+        code = cli.main(["garland", "--in", path, "--ell", str(ell)])
+        err = capsys.readouterr().err
+        assert (code, err) == ((0, "") if message is None else (2, f"error: {message}\n"))
+        draws = [X, pure]
+        monkeypatch.setattr(cli, "random_skeleton_complex", lambda *args: draws.pop(0))
+        outcome = cli.run_command(["sweep", "--check", "garland", "--count", "1",
+                                   "--n", str(X.n), "--k", str(X.k), "--q", "0.5",
+                                   "--ell", str(ell)])
+        assert outcome.exit_code == 0 and len(outcome.report) == 1
+        assert len(draws) == (1 if message is None else 0)
+        assert outcome.report[0].f_vector == f_vector(X if message is None else pure)
+
+
 def test_negative_link_eigenvalue_is_an_invariant_violation(monkeypatch):
-    def fake(tops, n, ell):
+    def fake(X, ell):
         good, bad = [[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1e-6]]
-        yield np.array([good] * (math.comb(n, ell + 1) - 1) + [bad])
+        yield np.array([good] * (math.comb(X.n, ell + 1) - 1) + [bad])
 
     monkeypatch.setattr(garland, "_link_laplacians", fake)
     with pytest.raises(InvariantViolation, match="not positive semidefinite: -1e-06"):
@@ -419,8 +469,8 @@ def test_numerically_zero_link_eigenvalues_are_plus_zero(monkeypatch):
     mus = garland._min_eigenvalues(stack)
     assert [math.copysign(1.0, mu) for mu in mus] == [1.0, 1.0]
 
-    def fake(tops, n, ell):
-        yield stack[np.arange(math.comb(n, ell + 1)) % 2]
+    def fake(X, ell):
+        yield stack[np.arange(math.comb(X.n, ell + 1)) % 2]
 
     monkeypatch.setattr(garland, "_link_laplacians", fake)
     rep = garland_check(full_skeleton(5, 2), 0)

@@ -160,16 +160,16 @@ def _glue_projective_plane(S, rng):
 
 def test_boundary_rank_matches_column_route_on_both_branches():
     # boundary_rank over Q takes a core's rank from one of three branches:
-    # a GF(2) rank that meets its upper bound, a GF(2) rank that lifted
-    # kernel vectors prove, or the rational row route; all must agree
-    # with the column route, and the draws must reach every branch.  A
-    # lift proves a GF(2) rank below its bound, as one that meets the
-    # bound returns before any lift
+    # a GF(2) rank that meets min(columns, rows), which leaves no
+    # dependency to lift, a GF(2) rank below it that lifted kernel
+    # vectors prove, or the rational row route; all must agree with the
+    # column route, and the draws must reach every branch
     calls = Counter()
     lifts, rank_by_rows = homology._lifts, homology.rank_by_rows
 
-    def lifts_spy(pos, rows, bound):
-        r2 = lifts(pos, rows, bound)
+    def lifts_spy(pos, rows):
+        r2 = lifts(pos, rows)
+        bound = min(len(pos), rows)
         calls["bound"] += r2 == bound
         calls["lift"] += r2 is not None and r2 < bound
         return r2
@@ -263,7 +263,7 @@ def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
         assert np.all(ids[:-1] <= ids[1:])
         f = np.bincount(ids, minlength=len(taus)).tolist()
         numbered = homology._link_rows(ids, rest, len(taus), g) if r > 0 else None
-        ranks = {fld.name: homology._link_ranks(*numbered, f, g, fld.p)
+        ranks = {fld.name: homology._link_ranks(*numbered, f, fld.p)
                  for fld in (GF2, GF3, RATIONALS)} if r > 0 else {}
         for t, tau in enumerate(taus):
             M = boundary_matrix(link(G, tau), r)
@@ -419,16 +419,15 @@ def test_peel_pivots_and_core_rank_give_each_blocks_rank(case, seed):
 @example((3, [sorted(RP2_FACETS)] * 2, [False, True]))
 def test_link_ranks_of_a_stack_match_the_column_route(case):
     # the whole route of _link_ranks on a stack drawn here: the peel, each
-    # block's core renumbered from 0, packing, the Q certificate on the
-    # core's own bound and the row route on the core; g = 40 leaves the
-    # ambient cap C(39, r) above every rank
+    # block's core renumbered from 0, packing, the Q certificate and the
+    # row route on the core
     size, blocks, cut = case
     pos, at, start, maps = _stacked(size, blocks, cut)
     f = [n_cols for _, _, n_cols in maps]
     for fld in (GF2, GF3, RATIONALS):
         want = [rank_by_columns(entries, n_rows, n_cols, fld.p)
                 for entries, n_rows, n_cols in maps]
-        assert homology._link_ranks(pos, _link_ids(at), start, f, 40, fld.p) == want, fld.name
+        assert homology._link_ranks(pos, _link_ids(at), start, f, fld.p) == want, fld.name
 
 
 def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
@@ -448,7 +447,7 @@ def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
     f = [n_cols for _, _, n_cols in maps]
     homology._rank_cached.cache_clear()
     for fld in (GF2, GF3, RATIONALS):
-        assert homology._link_ranks(pos, _link_ids(at), start, f, 40, fld.p) == \
+        assert homology._link_ranks(pos, _link_ids(at), start, f, fld.p) == \
             [rank_by_columns(entries, n_rows, n_cols, fld.p) for entries, n_rows, n_cols in maps]
         assert boundary_rank(X, 3, fld) == want[fld.name], fld.name
 
@@ -517,8 +516,8 @@ def _check_numbering(ids, rest, n_links, g):
     assert np.array_equal(live[pos], wide_live[wide])
     f = np.bincount(ids, minlength=n_links).tolist()
     for fld in (GF2, GF3, RATIONALS):
-        assert homology._link_ranks(wide, wide_ids, wide_start, f + [0] * pad, g, fld.p) \
-            == homology._link_ranks(pos, link_ids, start, f, g, fld.p) + [0] * pad, fld.name
+        assert homology._link_ranks(wide, wide_ids, wide_start, f + [0] * pad, fld.p) \
+            == homology._link_ranks(pos, link_ids, start, f, fld.p) + [0] * pad, fld.name
     return keyed
 
 
@@ -576,9 +575,9 @@ def test_link_ranks_read_no_order_of_the_stack():
             seen["core"] += bool(homology._peel(pos, start[-1])[1].any())
             seen["stack"] += 1
             for fld in (GF2, GF3, RATIONALS):
-                want = homology._link_ranks(*stacks[0], f, g, fld.p)
+                want = homology._link_ranks(*stacks[0], f, fld.p)
                 for stack in stacks[1:]:
-                    assert homology._link_ranks(*stack, f, g, fld.p) == want, (ell, fld.name)
+                    assert homology._link_ranks(*stack, f, fld.p) == want, (ell, fld.name)
 
     check()
     assert 0 < seen["core"] < seen["stack"], seen
@@ -640,13 +639,12 @@ def _lift_case(faces):
 
 
 def _check_refused(pos, rows, r2, entries):
-    """_lifts refuses the map, of GF(2) rank r2 below its bound, and
-    _map_rank's row route still gives the column route's rational rank,
-    with a cap above every rank."""
-    bound = min(len(pos), rows)
-    assert r2 < bound and homology._lifts(pos, rows, bound) is None
+    """_lifts refuses the map, of GF(2) rank r2 below min(columns, rows),
+    and _map_rank's row route still gives the column route's rational
+    rank."""
+    assert r2 < min(len(pos), rows) and homology._lifts(pos, rows) is None
     want = rank_by_columns(entries, rows, len(pos))
-    assert homology._map_rank(pos, rows, len(pos) + rows, None) == want
+    assert homology._map_rank(pos, rows, None) == want
 
 
 def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypatch):
@@ -656,14 +654,14 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     faces = [(0, 1, 2)] + OCTAHEDRON
     pos, rows, r2, entries = _lift_case(faces)
     assert (len(pos), rows, r2) == (9, 15, 8)
-    assert homology._lifts(pos, rows, 9) == r2
+    assert homology._lifts(pos, rows) == r2
     assert rank_by_columns(entries, rows, len(pos)) == r2
     # from the rows side: the 15 edges of the complete 2-skeleton on 6
     # vertices are fewer than its 20 triangles, and their 5 dependencies
     # are the vertex stars, which lift to coboundaries
     pos, rows, r2, entries = _lift_case(list(combinations(range(6), 3)))
     assert (len(pos), rows, r2) == (20, 15, 10)
-    assert homology._lifts(pos, rows, 15) == r2
+    assert homology._lifts(pos, rows) == r2
     assert rank_by_columns(entries, rows, len(pos)) == r2
     # only the rows prove this one: among the columns, the dependency of
     # columns 0 and 3 meets rows 0, 2 and 3 with signs no lift satisfies
@@ -672,7 +670,7 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     pos = np.array(columns, dtype=np.int64)
     r2 = IncrementalSpan(2).extend(_bitsets(pos, 4))
     assert (r2, rank_by_columns(entries, 4, 5)) == (3, 3)
-    assert homology._lifts(pos, 4, 4) == r2
+    assert homology._lifts(pos, 4) == r2
     # the global map: the cone split takes (0, 1, 2) alone, and the
     # octahedron is left as a core of GF(2) rank 7 < 8 that the proof
     # settles, with no row route
@@ -744,22 +742,64 @@ def test_gf2_map_rank_packs_each_core_on_either_side_of_the_table(monkeypatch, g
         return _bitsets(pos, width)
 
     monkeypatch.setattr(homology, "_bitsets", spy)
-    rank = homology._map_rank(pos, len(edges), len(tops), 2)
+    rank = homology._map_rank(pos, len(edges), 2)
     assert widths == [len(edges)]
     assert rank == rank_by_columns(entries, len(edges), len(tops), 2)
     assert rank < len(tops)
 
 
+def test_no_core_meets_more_rows_than_the_ambient_cap_leaves():
+    # every core that _link_ranks hands _map_rank meets at most C(g-1, r)
+    # rows less its link's cone tops and pivots (module docstring), so a
+    # cap of C(g-1, r) less the rank taken before the core never falls
+    # below min(columns, rows), and _map_rank takes none; checked on the
+    # link stacks of random complexes, with RP^2_6 glued in or not
+    seen = Counter()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**62), st.integers(5, 10), st.integers(2, 4),
+           st.floats(0.1, 0.9), st.booleans())
+    @example(seed=1, n=6, k=2, q=0.0, glue=True)  # RP^2_6 alone, at ell = -1
+    @example(seed=2, n=8, k=3, q=0.4, glue=False)  # two cores
+    @example(seed=3, n=9, k=3, q=0.4, glue=True)
+    def check(seed, n, k, q, glue):
+        k = min(k, n - 1)
+        rng = SplitMix64(seed)
+        S = random_skeleton_complex(n, k, q, rng)
+        if glue and 2 <= k <= n - 4:
+            S, _ = _glue_projective_plane(S, rng)
+        for ell in range(-1, k - 2):
+            r, g, n_links = k - ell - 1, n - ell - 1, comb(n, ell + 1)
+            ids, rest = _link_pairs(_top_array(S), n, ell)
+            f = np.bincount(ids, minlength=n_links)
+            pos, link_ids, start = homology._link_rows(ids, rest, n_links, g)
+            pivot, core, _ = homology._peel(pos, start[-1])
+            cone = f - np.bincount(link_ids, minlength=n_links)
+            cap = comb(g - 1, r) - cone - np.bincount(link_ids[pivot], minlength=n_links)
+            met = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homology, "_map_rank", lambda pos, rows, p: met.append(rows) or 0)
+                homology._link_ranks(pos, link_ids, start, f.tolist(), 2)
+            cored = np.unique(link_ids[core])
+            assert len(met) == len(cored)
+            assert all(rows <= cap[t] for t, rows in zip(cored.tolist(), met)), (ell, met)
+            seen["cores"] += len(met)
+
+    check()
+    assert seen["cores"] > 0, seen
+
+
 def test_a_lift_means_the_rational_rank_is_the_gf2_rank():
     # whatever complex reaches the proof, random, with RP^2_6 glued in, or
-    # a cone over either, a map whose GF(2) rank r2 meets its bound or is
-    # proved has the column route's rational rank r2, and the draws reach
-    # a proof below the bound and a refusal
+    # a cone over either, a map whose GF(2) rank r2 meets min(columns,
+    # rows) or is proved has the column route's rational rank r2, and the
+    # draws reach a proof below that minimum and a refusal
     seen = Counter()
     lifts = homology._lifts
 
-    def spy(pos, rows, bound):
-        r2 = lifts(pos, rows, bound)
+    def spy(pos, rows):
+        r2 = lifts(pos, rows)
+        bound = min(len(pos), rows)
         seen["refused" if r2 is None else "bound" if r2 == bound else "lifted"] += 1
         if r2 is not None:
             assert rank_by_columns(_entries(pos.tolist()), rows, len(pos)) == r2

@@ -255,6 +255,38 @@ def test_sweep_checks_every_shape_before_its_first_draw(argv, message,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,k,q,chance", [
+    (60, 3, "1e-9", "0.0004875"),  # 487,635 candidates
+    (5, 1, "1e-4", "0.0009996"),  # 1 - (1 - q)^10
+])
+def test_sweep_mono_refuses_a_draw_that_rarely_holds_a_top_face(n, k, q, chance,
+                                                                 monkeypatch, capsys):
+    # a mono row is redrawn until it has a top face, up to 1000 draws a
+    # row: a triple whose draw holds one with chance below 1/1000 is
+    # refused before any draw, not retried
+    def no_draw(*args):
+        raise AssertionError("drew a complex before refusing the triple")
+
+    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    assert cli.main(["sweep", "--check", "mono", "--count", "1", "--n", str(n),
+                     "--k", str(k), "--q", q, "--ell", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep --check mono: n={n} k={k} q={float(q)} draws a top face "
+        f"to delete with chance {chance}, below 1/1000\n")
+
+
+def test_sweep_mono_draws_at_a_chance_of_one_in_a_thousand(monkeypatch):
+    # just above the threshold, 1 - (1 - q)^10 = 0.0010006, the sweep
+    # draws; each draw here is a complex with one top face
+    drawn = []
+    monkeypatch.setattr(cli, "random_skeleton_complex",
+                        lambda n, k, q, rng: drawn.append(q) or SkeletonComplex(n, k, [(0, 1)]))
+    out = cli.run_command(["sweep", "--check", "mono", "--count", "2", "--n", "5",
+                           "--k", "1", "--q", "1.001e-4", "--ell", "0"])
+    assert out.exit_code == 0 and len(out.report) == 2
+    assert drawn == [1.001e-4] * 2
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sweep_refuses_a_count_below_one_before_any_draw(count, monkeypatch):
     def no_draw(*args):

@@ -158,6 +158,9 @@ PUBLIC = {
         "the independent rank oracle: the tests and perfbench/ call it, the library must not",
     "randomness.py:SplitMix64.uniform":
         "the per-candidate draw that the README documents random(...) by",
+    "bounds.py:bound_F":
+        "the theorem's constant F, exported beside bound_B; the checks read B and F "
+        "from one cleared triple, and trichotomy from its report",
     "simplexes.py:full_skeleton": "perfbench/ builds its complete skeleta with it",
     "simplexes.py:link": "perfbench/ builds the links its Garland check reads",
     "garland.py:weighted_laplacian": "perfbench/ builds the Laplacians its Garland check reads",
