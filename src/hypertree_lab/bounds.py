@@ -292,11 +292,11 @@ class TrichotomyReport:
     ell: int
     field_name: str
     lam_low: int
-    bound_value: Fraction
-    complement_value: Fraction
     ceiling_hit: bool        # degree-(k-1) Betti number equals B
     complement_hit: bool     # degree-k Betti number 0 at face count F
     links_are_hypertrees: bool
+    bound_value: Fraction
+    complement_value: Fraction
 
     @property
     def applicable(self) -> bool:

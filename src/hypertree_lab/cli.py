@@ -369,8 +369,11 @@ def cmd_sweep(args) -> list[RunReport]:
         check_draw(n, k, q)
         if check is not None:
             check(n, k, ell)
+        # k >= n with q > 0 is left to the draw, which refuses that
+        # dimension; q = 1 draws every candidate, past log1p's domain
         if args.check == "mono" and (k < n or q == 0):
-            chance = -math.expm1(math.comb(n, k + 1) * math.log1p(-q))
+            chance = 1.0 if q == 1 else -math.expm1(
+                math.comb(n, k + 1) * math.log1p(-q))
             if chance * 1000 < 1:
                 raise ParameterOutOfRange(
                     f"sweep --check mono: n={n} k={k} q={q} draws " + (

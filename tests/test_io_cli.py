@@ -287,6 +287,14 @@ def test_sweep_mono_draws_at_a_chance_of_one_in_a_thousand(monkeypatch):
     assert drawn == [1.001e-4] * 2
 
 
+@pytest.mark.parametrize("qs", ["1", "0.5,1"])
+def test_sweep_mono_draws_at_a_density_of_one(qs):
+    # q = 1 draws the complete complex, which always has a top face to delete
+    out = cli.run_command(["sweep", "--check", "mono", "--count", "2", "--n", "7",
+                           "--k", "2", "--q", qs, "--ell", "0"])
+    assert out.exit_code == 0 and len(out.report) == 2
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sweep_refuses_a_count_below_one_before_any_draw(count, monkeypatch):
     def no_draw(*args):
