@@ -9,7 +9,6 @@ appears only with --timing so default output is byte-stable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -19,12 +18,9 @@ from typing import Callable, Optional, Union
 
 from .bounds import (
     check_bound_degree,
-    check_deletion_degree,
     check_dual_degree,
     equality_trichotomy,
     lambda_pair,
-    monotonicity_check,
-    support_property_holds,
     verify_dual_bound,
     verify_upper_bound,
 )
@@ -37,39 +33,17 @@ from .constructions import (
     steiner_complex,
     sum_complex,
 )
-from .errors import (
-    HypertreeLabError,
-    InvariantViolation,
-    NotPure,
-    ParameterOutOfRange,
-)
+from .errors import HypertreeLabError, InvariantViolation, ParameterOutOfRange
 from .fields import RATIONALS, FieldSpec, parse_field
 from .garland import check_link_size, garland_check
-from .homology import betti, betti_table, check_link_degree, link_profile
-from .randomness import SplitMix64, check_draw, random_skeleton_complex
+from .homology import betti_table, check_link_degree, link_profile
+from .randomness import SplitMix64, random_skeleton_complex
 from .reports import RunReport, emit_report
-from .simplexes import (
-    Complex,
-    SkeletonComplex,
-    as_skeleton_complex,
-    f_vector,
-    iter_faces,
-)
+from .simplexes import Complex, SkeletonComplex, as_skeleton_complex, f_vector
+from .sweep import CHECKS, DegreeCheck, _bound_fields, _dual_fields, run_sweep
 
 RANDOM_INPUT = re.compile(
     r"random\(\s*seed=(\d+)\s*,\s*n=(\d+)\s*,\s*k=(\d+)\s*,\s*q=([0-9.eE+-]+)\s*\)\Z")
-
-DegreeCheck = Callable[[int, int, int], None]
-
-# every sweep --check, with the library's check of (n, k, ell) behind
-# each one that takes a degree, run before the sweep's first draw
-SWEEP_CHECKS: dict[str, Optional[DegreeCheck]] = {
-    "bound": check_bound_degree,
-    "dual": check_dual_degree,
-    "mono": check_deletion_degree,
-    "garland": check_link_size,
-    "support": None,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("spec", nargs="+",
                            help="sum n A s | xnkl n k l | jnk n k | steiner FILE")
         elif name == "sweep":
-            p.add_argument("--check", required=True, choices=tuple(SWEEP_CHECKS))
+            p.add_argument("--check", required=True, choices=tuple(CHECKS))
             p.add_argument("--count", type=int, default=20)
             p.add_argument("--n", default="7", help="comma list of vertex counts")
             p.add_argument("--k", default="2", help="comma list of top dimensions")
@@ -203,23 +177,6 @@ def cmd_lambda(args) -> RunReport:
     S, fld, base = _ell_command(args)
     lam_low, lam_high = lambda_pair(S, base.ell, fld)
     return replace(base, lam_low=lam_low, lam_high=lam_high)
-
-
-def _bound_fields(cert) -> dict:
-    """Report fields of an upper-bound certificate: verify-bound, bound rows."""
-    return dict(
-        betti={cert.k - 1: cert.tb_top_below, cert.k: cert.tb_top},
-        lam_low=cert.lam_low, lam_high=cert.lam_high,
-        bound_value=cert.bound_value, complement_value=cert.complement_value,
-        eq_upper=cert.eq_upper, eq_dual=cert.eq_dual,
-        eq_step=cert.eq_step, eq_shift=cert.eq_shift,
-        failed=not cert.all_hold)
-
-
-def _dual_fields(v) -> dict:
-    """Report fields of a dual-bound check: verify-dual, dual sweep rows."""
-    return dict(betti={v.k: v.tb_top}, lam_high=v.lam_high, eq_dual=v.holds,
-                failed=not v.holds)
 
 
 def cmd_verify_bound(args) -> RunReport:
@@ -351,101 +308,10 @@ def _int_list(text: str, what: str) -> list[int]:
 
 
 def cmd_sweep(args) -> list[RunReport]:
-    if args.count < 1:
-        raise ParameterOutOfRange(f"sweep count {args.count} must be at least 1")
-    fld = parse_field(args.field)
-    ns = _int_list(args.n, "n")
-    ks = _int_list(args.k, "k")
-    qs = _float_list(args.q, "q")
-    ell = args.ell if args.ell is not None else 0
-    check = SWEEP_CHECKS[args.check]
-    # row i draws (ns[i % len], ks[i % len], qs[i % len]); every triple
-    # the sweep reaches is checked before its first draw.  A mono row is
-    # redrawn until it has a top face to delete, which a draw holds with
-    # chance 1 - (1 - q)^C(n, k+1): below 1/1000, the draws a row may
-    # take, the triple is refused
-    for i in range(min(args.count, len(ns) * len(ks) * len(qs))):
-        n, k, q = ns[i % len(ns)], ks[i % len(ks)], qs[i % len(qs)]
-        check_draw(n, k, q)
-        if check is not None:
-            check(n, k, ell)
-        # k >= n with q > 0 is left to the draw, which refuses that
-        # dimension; q = 1 draws every candidate, past log1p's domain
-        if args.check == "mono" and (k < n or q == 0):
-            chance = 1.0 if q == 1 else -math.expm1(
-                math.comb(n, k + 1) * math.log1p(-q))
-            if chance * 1000 < 1:
-                raise ParameterOutOfRange(
-                    f"sweep --check mono: n={n} k={k} q={q} draws " + (
-                        "no top face to delete" if chance == 0 else
-                        f"a top face to delete with chance {chance:.4g}, below 1/1000"))
-    root = SplitMix64(args.seed if args.seed is not None else 0)
-    rows: list[RunReport] = []
-    made = 0
-    attempts = 0
-    while made < args.count:
-        attempts += 1
-        if attempts > 1000 * args.count:
-            raise ParameterOutOfRange(
-                "sweep could not generate enough admissible complexes")
-        n = ns[made % len(ns)]
-        k = ks[made % len(ks)]
-        q = qs[made % len(qs)]
-        t0 = time.perf_counter()
-        seed_i = root.next_u64()
-        X = random_skeleton_complex(n, k, q, SplitMix64(seed_i))
-        row = _sweep_row(args.check, ell, fld, X, seed_i)
-        if row is None:
-            continue
-        if args.timing:
-            row = replace(row, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-        rows.append(row)
-        made += 1
-    return rows
-
-
-def _sweep_row(check: str, ell: int, fld, X: SkeletonComplex,
-               seed_i: int) -> Optional[RunReport]:
-    base = dict(n=X.n, k=X.k, field_name=fld.name, f_vector=f_vector(X),
-                seed=seed_i)
-    if check == "bound":
-        cert = verify_upper_bound(X, ell, fld)
-        return RunReport(command="sweep", ell=ell, **base, **_bound_fields(cert))
-    if check == "dual":
-        v = verify_dual_bound(X, ell, fld)
-        return RunReport(command="sweep", ell=ell, **base, **_dual_fields(v))
-    if check == "mono":
-        tops = list(iter_faces(X, X.k))
-        if not tops:
-            return None
-        sigma = SplitMix64(seed_i ^ 0xABCDEF).choice(tops)
-        v = monotonicity_check(X, sigma, ell, fld)
-        return RunReport(
-            command="sweep", ell=ell, **base,
-            lines=(f"sigma=({','.join(map(str, sigma))})",
-                   f"defect {v.lam_before}->{v.lam_after}, "
-                   f"b_{v.k-1} {v.tb_before}->{v.tb_after}",
-                   f"holds={v.holds}"),
-            failed=not v.holds)
-    if check == "garland":
-        try:
-            g = garland_check(X, ell)
-        except NotPure:
-            return None  # draw another complex
-        return RunReport(
-            command="sweep", ell=ell, **base, betti={g.k - 1: g.betti_q},
-            lines=(f"min_mu={g.min_mu:.9f}", f"premise={g.premise}",
-                   f"conclusion={g.conclusion}"))
-    # support, the last of SWEEP_CHECKS; the parser refuses any other
-    tb_top = betti(X, X.k, fld)
-    if tb_top == 0:
-        return RunReport(
-            command="sweep", **base, betti={X.k: 0},
-            lines=("b_k=0: support property vacuous",))
-    ok = support_property_holds(X, fld)
-    return RunReport(
-        command="sweep", **base, betti={X.k: tb_top},
-        lines=(f"support property holds: {ok}",), failed=not ok)
+    return run_sweep(args.check, args.count, parse_field(args.field),
+                     _int_list(args.n, "n"), _int_list(args.k, "k"),
+                     _float_list(args.q, "q"), args.ell or 0, args.seed or 0,
+                     args.timing)
 
 
 # each command's handler, and the library's check of (n, k, ell) behind

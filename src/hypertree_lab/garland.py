@@ -57,15 +57,17 @@ ell would grow with their number.
 
 The links of a pure complex are pure: a face f of the link has tau union
 f under some top face sigma of X, and sigma minus tau is a top face of
-the link above f.  garland_check therefore checks X for purity once.
-Below the top X is complete, so it is pure when it has no top faces or
-its top faces cover all C(n, k) faces of degree k-1: every lower face
-lies in one of those.  The link step's table already counts those
-covers: a (k-1)-face rho holds an ell-face tau, as ell <= k-2, and the
-entry of the link of tau at rho minus tau is the number of top faces
+the link above f.  So X is checked for purity once, and the link step's
+count table decides it.  Below the top X is complete, so it is pure when
+it has no top faces or its top faces cover all C(n, k) faces of degree
+k-1: every lower face lies in one of those.  The table already counts
+those covers: a (k-1)-face rho holds an ell-face tau, as ell <= k-2, and
+the entry of the link of tau at rho minus tau is the number of top faces
 above rho.  So when X has top faces a 0 in the table is an uncovered
-(k-1)-face, and none means X is pure; only a 0 runs check_pure, which
-names the first face under no top face.
+(k-1)-face, and none means X is pure.  The table names no face: on a 0
+the link step returns None, which a sweep takes as a draw to redraw, and
+only garland_check, which reports the refusal, runs check_pure to name
+the first face under no top face.
 """
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, filterfalse, permutations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -115,8 +117,8 @@ def check_pure(X: Complex) -> dict[Simplex, int]:
     """
     if X.is_void or X.dim == -1:
         raise NotPure("complex has no vertices")
-    # subfaces spells the same faces, but at a generator per top face it
-    # costs an impure sweep draw more than this one pass saves (CHANGES.md)
+    # one chain over every (top, size), where a subfaces generator per top
+    # face measured about 10% slower (CHANGES.md)
     counts = Counter(chain.from_iterable(
         combinations(sigma, r) for sigma in iter_faces(X, X.dim) for r in range(X.dim + 2)))
     missing = next(filterfalse(counts.__contains__, all_faces(X)), None)
@@ -256,16 +258,16 @@ def weighted_laplacian(X: Complex, j: int) -> WeightedLaplacian:
     return WeightedLaplacian(j=j, faces=faces, matrix=L[0])
 
 
-def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[np.ndarray]:
-    """Stacks of the degree-(r-1) Laplacians of lk(X, tau), r = k - ell - 1.
+def _link_laplacians(X: SkeletonComplex, ell: int) -> Optional[Iterator[np.ndarray]]:
+    """Stacks of the degree-(r-1) Laplacians of lk(X, tau), r = k - ell - 1,
+    or None when X is impure: it has top faces and a 0 among the counts
+    (module docstring).
 
     The links come in lexicographic order of tau, each relabelled onto
     0..g-1 in order, g = n - ell - 1, and weighed from its own top faces;
     consecutive links share a stack of about _BLOCK_DOUBLES doubles
     (module docstring).  Every link has the same rows, columns and
-    boundary map below degree r-1, so those are built once.  Before the
-    first stack, a 0 among the counts of a complex with top faces raises
-    check_pure's NotPure (module docstring).
+    boundary map below degree r-1, so those are built once.
     """
     tops, n, size = _top_array(X), X.n, ell + 1
     r, g = X.k - ell - 1, n - size
@@ -275,8 +277,7 @@ def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[np.ndarray]:
     count = np.bincount((link[:, None] * m + facet).ravel(),
                         minlength=n_links * m).reshape(n_links, m)
     if len(tops) and not count.all():
-        check_pure(X)
-        raise InvariantViolation("(k-1)-faces uncovered but check_pure passed")
+        return None
 
     faces = list(combinations(range(g), r))
     D = _boundary({f: i for i, f in enumerate(combinations(range(g), r - 1))}, faces)
@@ -289,14 +290,18 @@ def _link_laplacians(X: SkeletonComplex, ell: int) -> Iterator[np.ndarray]:
     sign = np.where((pi + pj) % 2, -1.0, 1.0)
     diag = np.arange(m)
     step = max(1, _BLOCK_DOUBLES // (m * m))
-    for lo in range(0, n_links, step):
-        hi = min(lo + step, n_links)
-        p, q = np.searchsorted(link, [lo, hi])
-        G = np.zeros((hi - lo, m, m))
-        G[:, diag, diag] = count[lo:hi]
-        G[np.repeat(link[p:q] - lo, len(sign)), facet[p:q, pi].ravel(),
-          facet[p:q, pj].ravel()] = np.tile(sign, q - p)
-        yield _assemble(down, w_below[lo:hi], w_j[lo:hi], G)
+
+    def stacks():
+        for lo in range(0, n_links, step):
+            hi = min(lo + step, n_links)
+            p, q = np.searchsorted(link, [lo, hi])
+            G = np.zeros((hi - lo, m, m))
+            G[:, diag, diag] = count[lo:hi]
+            G[np.repeat(link[p:q] - lo, len(sign)), facet[p:q, pi].ravel(),
+              facet[p:q, pj].ravel()] = np.tile(sign, q - p)
+            yield _assemble(down, w_below[lo:hi], w_j[lo:hi], G)
+
+    return stacks()
 
 
 def _min_eigenvalues(L: np.ndarray) -> np.ndarray:
@@ -338,14 +343,28 @@ def garland_check(X: SkeletonComplex, ell: int) -> GarlandReport:
     (ell+1)/k.  check_link_size bounds every link Laplacian before anything
     is enumerated.  Each link Laplacian is weighed from the link's own top
     faces, without building the link, and X is checked for purity once,
-    from the same counts (module docstring).  Verdicts are numeric, so a
-    guard band separates a clear pass from a margin too thin to trust.
-    When the premise holds, the rational Betti number of X in degree k-1
-    must vanish; that implication is asserted, not assumed.
+    from the same counts; an impure X raises check_pure's NotPure, which
+    names its first face under no top face (module docstring).  Verdicts
+    are numeric, so a guard band separates a clear pass from a margin too
+    thin to trust.  When the premise holds, the rational Betti number of
+    X in degree k-1 must vanish; that implication is asserted, not assumed.
     """
+    report = _garland_if_pure(X, ell)
+    if report is None:
+        check_pure(X)
+        raise InvariantViolation("(k-1)-faces uncovered but check_pure passed")
+    return report
+
+
+def _garland_if_pure(X: SkeletonComplex, ell: int) -> Optional[GarlandReport]:
+    """garland_check's report, or None when the link step's counts find X
+    impure; no face is named."""
     k = X.k
     check_link_size(X.n, k, ell)
-    mus = np.concatenate([_min_eigenvalues(L) for L in _link_laplacians(X, ell)])
+    stacks = _link_laplacians(X, ell)
+    if stacks is None:
+        return None
+    mus = np.concatenate([_min_eigenvalues(L) for L in stacks])
     entries = tuple(zip(combinations(range(X.n), ell + 1), mus.tolist()))
     min_mu = float(mus.min())
     thr = Fraction(ell + 1, k)

@@ -66,9 +66,6 @@ class SplitMix64:
                 items[i], items[j] = items[j], items[i]
         self.state = (state + max(top, 0) * GAMMA) & MASK
 
-    def choice(self, items):
-        return items[self.below(len(items))]
-
 
 def check_draw(n: int, k: int, q: float) -> None:
     """Refuse a density outside [0, 1] or more than FACE_BUDGET candidates."""

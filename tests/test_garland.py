@@ -262,12 +262,14 @@ def test_link_of_a_face_under_no_top_face_weighs_its_own_faces():
     # tops and weigh 1 each.  Where X has top faces but vertex 0 is under
     # none, the links of tau through 0 are such skeleta too, but the
     # other links have faces of weight 0, whose matrices would divide by
-    # 0: X is impure, and the link step refuses it before its first stack
+    # 0: X is impure, the link step returns no stack, and garland_check
+    # names the face
     for n, k in ((6, 2), (7, 3), (6, 3)):
         X = SkeletonComplex(n, k, frozenset(combinations(range(1, n), k + 1)))
         for ell in range(-1, k - 1):
+            assert garland._link_laplacians(X, ell) is None
             with pytest.raises(NotPure, match=r"^face \(0,\) is not under"):
-                next(garland._link_laplacians(X, ell))
+                garland_check(X, ell)
     for n, k in ((6, 2), (6, 3), (4, 1)):
         X = SkeletonComplex(n, k, frozenset())
         for ell in range(-1, k - 1):
@@ -427,7 +429,7 @@ def test_purity_is_decided_alike_by_the_library_the_file_command_and_the_sweep(
     # at every degree: NotPure with check_pure's message from
     # garland_check, exit 2 with that message from garland --in, and a
     # sweep row redrawn past the impure draw
-    from hypertree_lab import cli
+    from hypertree_lab import cli, sweep
     from hypertree_lab.complex_io import write_complex_file
 
     path = str(tmp_path / "x.cplx")
@@ -445,7 +447,7 @@ def test_purity_is_decided_alike_by_the_library_the_file_command_and_the_sweep(
         err = capsys.readouterr().err
         assert (code, err) == ((0, "") if message is None else (2, f"error: {message}\n"))
         draws = [X, pure]
-        monkeypatch.setattr(cli, "random_skeleton_complex", lambda *args: draws.pop(0))
+        monkeypatch.setattr(sweep, "random_skeleton_complex", lambda *args: draws.pop(0))
         outcome = cli.run_command(["sweep", "--check", "garland", "--count", "1",
                                    "--n", str(X.n), "--k", str(X.k), "--q", "0.5",
                                    "--ell", str(ell)])

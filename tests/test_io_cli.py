@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypertree_lab
-from hypertree_lab import cli
+from hypertree_lab import cli, garland, sweep
 from hypertree_lab.complex_io import (
     emit_complex,
     parse_complex_text,
@@ -23,10 +23,12 @@ from hypertree_lab.complex_io import (
 from hypertree_lab.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NotPure,
     ParseError,
     UnrepresentableComplex,
     VertexOutOfRange,
 )
+from hypertree_lab.fields import parse_field
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.reports import CSV_COLUMNS, emit_report
 from hypertree_lab.simplexes import (
@@ -36,6 +38,7 @@ from hypertree_lab.simplexes import (
     as_general,
     closure,
     full_skeleton,
+    iter_faces,
 )
 from _oracles import emit_facets_by_scan, emit_skeleton_by_face
 from _random_complexes import random_general_complex, random_pure_complex
@@ -250,7 +253,7 @@ def test_sweep_checks_every_shape_before_its_first_draw(argv, message,
     def no_draw(*args):
         raise AssertionError("drew a complex before checking the input")
 
-    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    monkeypatch.setattr(sweep, "random_skeleton_complex", no_draw)
     assert cli.main(["sweep", "--count", "3"] + argv) == 2
     assert message in capsys.readouterr().err
 
@@ -267,7 +270,7 @@ def test_sweep_mono_refuses_a_draw_that_rarely_holds_a_top_face(n, k, q, chance,
     def no_draw(*args):
         raise AssertionError("drew a complex before refusing the triple")
 
-    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    monkeypatch.setattr(sweep, "random_skeleton_complex", no_draw)
     assert cli.main(["sweep", "--check", "mono", "--count", "1", "--n", str(n),
                      "--k", str(k), "--q", q, "--ell", "0"]) == 2
     assert capsys.readouterr().err == (
@@ -279,7 +282,7 @@ def test_sweep_mono_draws_at_a_chance_of_one_in_a_thousand(monkeypatch):
     # just above the threshold, 1 - (1 - q)^10 = 0.0010006, the sweep
     # draws; each draw here is a complex with one top face
     drawn = []
-    monkeypatch.setattr(cli, "random_skeleton_complex",
+    monkeypatch.setattr(sweep, "random_skeleton_complex",
                         lambda n, k, q, rng: drawn.append(q) or SkeletonComplex(n, k, [(0, 1)]))
     out = cli.run_command(["sweep", "--check", "mono", "--count", "2", "--n", "5",
                            "--k", "1", "--q", "1.001e-4", "--ell", "0"])
@@ -300,7 +303,7 @@ def test_sweep_refuses_a_count_below_one_before_any_draw(count, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a complex before checking the count")
 
-    monkeypatch.setattr(cli, "random_skeleton_complex", no_draw)
+    monkeypatch.setattr(sweep, "random_skeleton_complex", no_draw)
     code, out, err = run_main(["sweep", "--check", "bound", "--count", str(count)])
     assert code == 2 and out == ""
     assert err == f"error: sweep count {count} must be at least 1\n"
@@ -309,13 +312,83 @@ def test_sweep_refuses_a_count_below_one_before_any_draw(count, monkeypatch):
 def test_sweep_checks_only_the_shapes_it_draws(monkeypatch):
     # rows pair n and k by index: (9, 3) and (4, 2) are drawn, (4, 3) is not
     drawn = []
-    monkeypatch.setattr(cli, "random_skeleton_complex",
+    monkeypatch.setattr(sweep, "random_skeleton_complex",
                         lambda n, k, q, rng: drawn.append((n, k)) or
                         random_skeleton_complex(n, k, q, rng))
     out = cli.run_command(["sweep", "--check", "bound", "--count", "2",
                            "--n", "9,4", "--k", "3,2", "--ell", "1"])
     assert out.exit_code == 0
     assert drawn == [(9, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("check", ["bound", "dual", "mono", "garland", "support"])
+def test_the_library_sweep_gives_the_commands_rows(check):
+    # the command parses its lists and calls run_sweep, nothing more: the
+    # rows are the same bytes in every format
+    rows = sweep.run_sweep(check, 4, parse_field("gf:3"), [7, 8], [2, 3], [0.5], 0, 5)
+    argv = ["sweep", "--check", check, "--count", "4", "--seed", "5", "--n", "7,8",
+            "--k", "2,3", "--q", "0.5", "--field", "gf:3"]
+    for fmt in ("text", "json", "csv"):
+        out = cli.run_command(argv + ["--out", fmt])
+        assert emit_report(rows, fmt) == emit_report(out.report, out.format), fmt
+
+
+def test_sweep_garland_rows_report_the_rational_field():
+    # a garland row's Betti number is rational whatever --field says, and
+    # the row says so, as garland --in does
+    argv = ["sweep", "--check", "garland", "--count", "1", "--seed", "5", "--n", "7",
+            "--k", "2", "--q", "0.9"]
+    formats = ("text", "json", "csv")
+    want = {fmt: emit_report(cli.run_command(argv + ["--field", "q", "--out", fmt]).report,
+                             fmt) for fmt in formats}
+    assert b" field=q\n" in want["text"]
+    for field in ([], ["--field", "gf:3"]):
+        for fmt in formats:
+            out = cli.run_command(argv + field + ["--out", fmt])
+            assert emit_report(out.report, fmt) == want[fmt], (field, fmt)
+
+
+def test_sweep_mono_redraws_a_draw_with_no_top_face(monkeypatch):
+    # a draw with no top face has nothing to delete and is redrawn; the
+    # row deletes the top face that below() picks among the draw's tops,
+    # in lexicographic order, from the row's seed
+    drawn = random_skeleton_complex(7, 2, 0.5, SplitMix64(3))
+    draws = [SkeletonComplex(7, 2, []), drawn]
+    monkeypatch.setattr(sweep, "random_skeleton_complex", lambda *args: draws.pop(0))
+    out = cli.run_command(["sweep", "--check", "mono", "--count", "1", "--seed", "4",
+                           "--n", "7", "--k", "2", "--q", "0.5", "--ell", "0"])
+    root = SplitMix64(4)
+    root.next_u64()
+    seed = root.next_u64()
+    tops = list(iter_faces(drawn, 2))
+    sigma = tops[SplitMix64(seed ^ 0xABCDEF).below(len(tops))]
+    assert draws == [] and out.exit_code == 0
+    assert out.report[0].seed == seed
+    assert out.report[0].lines[0] == f"sigma=({','.join(map(str, sigma))})"
+
+
+def test_an_exhausted_garland_sweep_names_no_face(tmp_path, monkeypatch):
+    # every draw of (10, 3, 0.3) here is impure: the sweep reads each
+    # one's purity from the link counts, runs no check_pure, and is
+    # refused after its 1000 draws; its first draw, read from a file,
+    # still has its face named, by one check_pure call
+    drawn, named = [], []
+    real_draw, real_check = sweep.random_skeleton_complex, garland.check_pure
+    monkeypatch.setattr(sweep, "random_skeleton_complex",
+                        lambda *args: drawn.append(real_draw(*args)) or drawn[-1])
+    monkeypatch.setattr(garland, "check_pure", lambda X: named.append(X) or real_check(X))
+    code, out, err = run_main(["sweep", "--check", "garland", "--count", "1", "--seed", "1",
+                               "--n", "10", "--k", "3", "--q", "0.3", "--ell", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: sweep could not generate enough admissible complexes\n"
+    assert len(drawn) == 1000 and named == []
+    with pytest.raises(NotPure) as e:
+        real_check(drawn[0])
+    path = str(tmp_path / "first.cplx")
+    write_complex_file(path, drawn[0])
+    code, out, err = run_main(["garland", "--in", path, "--ell", "0"])
+    assert (code, out, err) == (2, "", f"error: {e.value}\n")
+    assert len(named) == 1 and str(e.value).startswith("face (")
 
 
 def test_cli_exit_two_on_parse_error(tmp_path):
@@ -402,7 +475,7 @@ def test_run_command_builds_no_parser(monkeypatch):
 
 
 def test_sweep_garland_fails_on_invariant_violation(monkeypatch, capsys):
-    real = cli.garland_check
+    real = sweep._garland_if_pure
     calls = []
 
     def every_other_call_breaks(*args):
@@ -411,7 +484,7 @@ def test_sweep_garland_fails_on_invariant_violation(monkeypatch, capsys):
             raise InvariantViolation("injected")
         return real(*args)
 
-    monkeypatch.setattr(cli, "garland_check", every_other_call_breaks)
+    monkeypatch.setattr(sweep, "_garland_if_pure", every_other_call_breaks)
     code = cli.main(["sweep", "--check", "garland", "--count", "3",
                      "--seed", "1", "--n", "6", "--k", "2", "--q", "0.9"])
     assert code == 1

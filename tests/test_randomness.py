@@ -66,12 +66,6 @@ def test_shuffle_matches_the_per_swap_loop(length, seed):
     assert a.state == b.state
 
 
-def test_choice_picks_members():
-    r = SplitMix64(3)
-    pool = ["a", "b", "c"]
-    assert all(r.choice(pool) in pool for _ in range(20))
-
-
 def test_random_skeleton_complex_density_extremes():
     r = SplitMix64(1)
     full = random_skeleton_complex(6, 2, 1.0, r)
