@@ -22,7 +22,13 @@ exact fractions it gives.
 
 When lambda_low is zero the three extremal conditions coincide: b_{k-1}
 hitting B, b_k vanishing at face count F, and every degree-ell link being
-a hypertree one dimension down.  equality_trichotomy evaluates all three.
+a hypertree one dimension down.  Each reads only numbers the certificate
+of verify_upper_bound holds (b_{k-1}, b_k, f_k, B, F and both link
+defects), so equality_trichotomy reads all three from it.  A sandwiched
+link is a hypertree exactly when both its Betti numbers vanish, and no
+link Betti number is negative (_link_betti refuses a negative b_{r-1},
+and b_r = f_tau - rank is at least 0), so every link is a hypertree
+exactly when lambda_low and lambda_high are both 0.
 """
 from __future__ import annotations
 
@@ -310,33 +316,25 @@ class TrichotomyReport:
 def equality_trichotomy(X: Complex, ell: int, field: FieldSpec) -> TrichotomyReport:
     """Evaluate the three extremality conditions at degree ell.
 
-    The equivalence is a theorem only when the low defect vanishes; with
-    a nonzero defect the three conditions are evaluated anyway and may
-    disagree, and the report's applicable flag records which regime the
-    complex was in.  When the defect is zero the three answers are
-    asserted equal.
+    Each is read from the certificate of verify_upper_bound: (a) b_{k-1}
+    equals B, (b) b_k is 0 and f_k equals F, and (c) both link defects
+    are 0, which says every link is a hypertree because no link Betti
+    number is negative (module docstring).  The equivalence is a theorem
+    only when the low defect vanishes; with a nonzero defect the three
+    conditions are evaluated anyway and may disagree, and the report's
+    applicable flag records which regime the complex was in.  When the
+    defect is zero the three answers are asserted equal.
     """
-    S = as_skeleton_complex(X)
-    n, k = S.n, S.k
-    C, CB, CF = _cleared(n, k, ell)
-    _, below, top = _link_betti(S, ell, field)
-    lam_low = int(below.sum())
-
-    tb_below = betti(S, k - 1, field)
-    tb_top = betti(S, k, field)
-    a = C * tb_below == CB
-    b = tb_top == 0 and C * face_count(S, k) == CF
-
-    # each link is sandwiched, so it is a hypertree exactly when both its
-    # Betti numbers vanish
-    c = not (below.any() or top.any())
-
+    cert = verify_upper_bound(X, ell, field)
+    a = cert.tb_top_below == cert.bound_value
+    b = cert.tb_top == 0 and cert.f_top == cert.complement_value
+    c = cert.lam_low == cert.lam_high == 0
     report = TrichotomyReport(
-        n=n, k=k, ell=ell, field_name=field.name, lam_low=lam_low,
-        bound_value=Fraction(CB, C), complement_value=Fraction(CF, C),
+        n=cert.n, k=cert.k, ell=ell, field_name=cert.field_name, lam_low=cert.lam_low,
+        bound_value=cert.bound_value, complement_value=cert.complement_value,
         ceiling_hit=a, complement_hit=b, links_are_hypertrees=c,
     )
-    if lam_low == 0 and not report.all_equivalent:
+    if cert.lam_low == 0 and not report.all_equivalent:
         raise InvariantViolation(
             f"trichotomy broke at zero defect: {a} {b} {c}")
     return report

@@ -45,6 +45,10 @@ from .sweep import CHECKS, DegreeCheck, _bound_fields, _dual_fields, run_sweep
 RANDOM_INPUT = re.compile(
     r"random\(\s*seed=(\d+)\s*,\s*n=(\d+)\s*,\s*k=(\d+)\s*,\s*q=([0-9.eE+-]+)\s*\)\Z")
 
+# each construction's arguments after its kind, as its usage names them:
+# the spec help, and the count that construct checks
+CONSTRUCTIONS = {"sum": "n A s", "xnkl": "n k l", "jnk": "n k", "steiner": "FILE"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser: every command of HANDLERS, in order.
@@ -78,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name, parents=[common])
         if name == "construct":
-            p.add_argument("spec", nargs="+",
-                           help="sum n A s | xnkl n k l | jnk n k | steiner FILE")
+            p.add_argument("spec", nargs="+", help=" | ".join(
+                f"{kind} {usage}" for kind, usage in CONSTRUCTIONS.items()))
         elif name == "sweep":
             p.add_argument("--check", required=True, choices=tuple(CHECKS))
             p.add_argument("--count", type=int, default=20)
@@ -236,18 +240,18 @@ def cmd_construct(args) -> RunReport:
     spec = args.spec
     fld = parse_field(args.field)
     kind = spec[0]
+    if kind not in CONSTRUCTIONS:
+        raise ParameterOutOfRange(f"unknown construction {kind!r}")
+    if len(spec) != 1 + len(CONSTRUCTIONS[kind].split()):
+        raise ParameterOutOfRange(f"usage: construct {kind} {CONSTRUCTIONS[kind]}")
     lines: list[str] = []
     if kind == "sum":
-        if len(spec) != 4:
-            raise ParameterOutOfRange("usage: construct sum n A s")
         n = _int(spec[1], "n")
         residues = [_int(t, "A") for t in spec[2].split(",")]
         s = _int(spec[3], "s")
         X = sum_complex(SumComplexSpec.make(n, residues, s))
         default_name = f"sum_{n}_{'-'.join(map(str, sorted(set(r % n for r in residues))))}_{s}.cplx"
     elif kind == "xnkl":
-        if len(spec) != 4:
-            raise ParameterOutOfRange("usage: construct xnkl n k l")
         n, k, ell = (_int(spec[i], "nkl"[i - 1]) for i in (1, 2, 3))
         rep = build_X_nkl(n, k, ell, fld, order_seed=args.seed)
         X = rep.complex
@@ -260,15 +264,11 @@ def cmd_construct(args) -> RunReport:
         ])
         default_name = f"xnkl_{n}_{k}_{ell}.cplx"
     elif kind == "jnk":
-        if len(spec) != 3:
-            raise ParameterOutOfRange("usage: construct jnk n k")
         n = _int(spec[1], "n")
         k = _int(spec[2], "k")
         X = build_J(n, k)
         default_name = f"jnk_{n}_{k}.cplx"
-    elif kind == "steiner":
-        if len(spec) != 2:
-            raise ParameterOutOfRange("usage: construct steiner FILE")
+    else:  # steiner
         blocks = parse_block_file(spec[1])
         sizes = {len(b) for b in blocks}
         if len(sizes) != 1:
@@ -282,8 +282,6 @@ def cmd_construct(args) -> RunReport:
             f"(uncovered {res.uncovered}, multicovered {res.multicovered})")
         stem = os.path.splitext(os.path.basename(spec[1]))[0]
         default_name = f"steiner_{stem}.cplx"
-    else:
-        raise ParameterOutOfRange(f"unknown construction {kind!r}")
 
     out_path = args.out_file or default_name
     write_complex_file(out_path, X)

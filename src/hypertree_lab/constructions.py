@@ -73,6 +73,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .bounds import bound_B
 from .errors import (
     InvariantViolation,
     NotPrime,
@@ -370,7 +371,6 @@ def build_X_nkl(n: int, k: int, ell: int, field: FieldSpec = GF2,
 
     # re-verify through the homology of Y and X, read from their own top
     # faces, not the greedy state
-    from .bounds import bound_B
     base_tb = betti(Y, k - 1, field)
     below = _link_betti(Y, ell, field)[1]
     bad = np.flatnonzero(counts != below)

@@ -112,7 +112,6 @@ def _csv_row(r: RunReport) -> str:
 
 
 def _text_block(r: RunReport) -> str:
-    d = report_to_dict(r)
     out = [f"[{r.command}]"]
     if r.n is not None:
         out.append(f"  n={r.n} k={r.k}"
@@ -135,9 +134,8 @@ def _text_block(r: RunReport) -> str:
     shown = [f"{name}={'ok' if v else 'FAIL'}" for name, v in eqs if v is not None]
     if shown:
         out.append("  " + "  ".join(shown))
-    if d["trichotomy"] is not None:
-        t = d["trichotomy"]
-        out.append(f"  trichotomy: a={t['a']} b={t['b']} c={t['c']}")
+    if r.tri is not None:
+        out.append("  trichotomy: a={} b={} c={}".format(*r.tri))
     if r.seed is not None:
         out.append(f"  seed={r.seed}")
     if r.elapsed_ms is not None:

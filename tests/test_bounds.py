@@ -6,12 +6,14 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypertree_lab import bounds, homology
 from hypertree_lab.bounds import (
+    BoundCertificate,
     LinkBracket,
     MonotonicityVerdict,
+    TrichotomyReport,
     bound_B,
     bound_F,
     equality_trichotomy,
@@ -25,6 +27,7 @@ from hypertree_lab.constructions import FANO_BLOCKS, build_J, steiner_complex
 from hypertree_lab.errors import FaceNotInComplex, InvariantViolation, ParameterOutOfRange
 from hypertree_lab.fields import GF2, GF3, RATIONALS
 from hypertree_lab.homology import _cycle_support, betti, link_profile
+from hypertree_lab.linalg import rank_by_columns
 from hypertree_lab.randomness import SplitMix64, random_skeleton_complex
 from hypertree_lab.simplexes import (
     _top_array,
@@ -37,6 +40,7 @@ from hypertree_lab.simplexes import (
     make_simplex,
     remove_top_face,
 )
+from _oracles import boundary_matrix
 from _registry import track
 
 
@@ -289,6 +293,91 @@ def test_trichotomy_breaks_coherently_after_deletion():
     assert not rep.ceiling_hit
     assert not rep.complement_hit
     assert not rep.links_are_hypertrees
+
+
+
+def _column_betti(X, j, field):
+    """b_j of X from the column ranks of its boundary maps in degrees j and j+1."""
+    maps = (boundary_matrix(X, j), boundary_matrix(X, j + 1))
+    return maps[0].n_cols - sum(rank_by_columns(M.entries, M.n_rows, M.n_cols, field.p)
+                                for M in maps)
+
+
+def test_trichotomy_matches_the_column_route():
+    # (a) and (b) from b_{k-1} and b_k of X, (c) and the low defect from
+    # every link built by link(), each ranked by column reduction on a map
+    # of tests/_oracles.py; the Fano plane at ell = 1 (every verdict True)
+    # and a complete skeleton (every verdict False) have zero defect, the
+    # Fano plane at ell = 0 and most draws a nonzero one
+    regimes = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(4, 8),
+                     st.integers(1, 3), st.floats(0.0, 1.0)))
+    @example(steiner_complex(FANO_BLOCKS, 7, 2).complex)
+    @example(full_skeleton(6, 2))
+    def check(S):
+        G = as_general(S)
+        for ell in range(S.k):
+            r = S.k - ell - 1
+            B, F = _two_closed_forms(S.n, S.k, ell)
+            links = [link(G, tau) for tau in iter_faces(S, ell)]
+            for fld in (GF2, GF3, RATIONALS):
+                defects = [(_column_betti(L, r - 1, fld), _column_betti(L, r, fld))
+                           for L in links]
+                want = (_column_betti(S, S.k - 1, fld) == B,
+                        _column_betti(S, S.k, fld) == 0 and len(S.top_faces) == F,
+                        not any(low or top for low, top in defects))
+                rep = equality_trichotomy(S, ell, fld)
+                assert rep.lam_low == sum(low for low, _ in defects), (ell, fld.name)
+                assert (rep.ceiling_hit, rep.complement_hit,
+                        rep.links_are_hypertrees) == want, (ell, fld.name)
+                regimes.add(rep.applicable)
+
+    check()
+    assert regimes == {True, False}
+
+
+# (lam_low, lam_high, b_{k-1}, b_k, f_k) and the verdicts (a, b, c) they
+# give at B = 8 and F = 7; the last four disagree at zero defect
+CERTIFIED = [
+    ((0, 0, 8, 0, 7), (True, True, True)),
+    ((0, 2, 6, 1, 9), (False, False, False)),
+    ((3, 0, 8, 0, 6), (True, False, False)),
+    ((1, 1, 7, 0, 7), (False, True, False)),
+    ((0, 0, 7, 0, 7), (False, True, True)),
+    ((0, 0, 8, 1, 7), (True, False, True)),
+    ((0, 0, 8, 0, 6), (True, False, True)),
+    ((0, 4, 8, 0, 7), (True, True, False)),
+]
+
+
+@pytest.mark.parametrize("values,verdict", CERTIFIED)
+def test_trichotomy_follows_from_the_bound_certificate_alone(monkeypatch, values,
+                                                             verdict):
+    # equality_trichotomy hands X to verify_upper_bound and reads nothing
+    # else: the certificate decides all three verdicts, and verdicts that
+    # disagree at zero defect are an invariant violation
+    lam_low, lam_high, tb_below, tb_top, f_top = values
+    cert = BoundCertificate(
+        n=7, k=2, ell=1, field_name="gf:3", lam_low=lam_low, lam_high=lam_high,
+        tb_top_below=tb_below, tb_top=tb_top, f_top=f_top,
+        bound_value=Fraction(8), complement_value=Fraction(7),
+        eq_upper=True, eq_dual=True, eq_step=True, eq_shift=True)
+    X = object()
+    calls = []
+    monkeypatch.setattr(bounds, "verify_upper_bound", lambda *a: calls.append(a) or cert)
+    if lam_low == 0 and len(set(verdict)) > 1:
+        message = "trichotomy broke at zero defect: " + " ".join(map(str, verdict))
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            equality_trichotomy(X, 1, GF3)
+    else:
+        assert equality_trichotomy(X, 1, GF3) == TrichotomyReport(
+            n=7, k=2, ell=1, field_name="gf:3", lam_low=lam_low,
+            ceiling_hit=verdict[0], complement_hit=verdict[1],
+            links_are_hypertrees=verdict[2],
+            bound_value=Fraction(8), complement_value=Fraction(7))
+    assert calls == [(X, 1, GF3)]
 
 
 def monotonicity_by_links(S, sigma, ell, field):

@@ -617,6 +617,33 @@ def test_construct_jnk_refuses_a_family_over_budget_at_once(tmp_path):
     assert not (tmp_path / "j.cplx").exists()
 
 
+@pytest.mark.parametrize("spec,message", [
+    (["foo", "1", "2"], "unknown construction 'foo'"),
+    (["sum", "5", "0"], "usage: construct sum n A s"),
+    (["sum", "5", "0", "1", "2"], "usage: construct sum n A s"),
+    (["xnkl", "7", "3"], "usage: construct xnkl n k l"),
+    (["xnkl", "7", "3", "1", "0"], "usage: construct xnkl n k l"),
+    (["jnk", "8"], "usage: construct jnk n k"),
+    (["jnk", "8", "2", "1"], "usage: construct jnk n k"),
+    (["steiner"], "usage: construct steiner FILE"),
+    (["steiner", "a.blocks", "b.blocks"], "usage: construct steiner FILE"),
+    (["sum", "x", "0", "1"], "n: expected an integer, got 'x'"),
+    (["xnkl", "x", "3", "1"], "n: expected an integer, got 'x'"),
+    (["jnk", "x", "2"], "n: expected an integer, got 'x'"),
+    (["steiner", "mixed.blocks"], "blocks of mixed sizes [2, 3]"),
+    # --field is parsed before the kind and its arguments
+    (["foo", "--field", "gf:4"], "4 is not prime"),
+    (["sum", "5", "0", "--field", "gf:4"], "4 is not prime"),
+])
+def test_construct_usage_errors_exit_two_with_their_message(spec, message, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.blocks").write_text("0 1 2\n0 1\n")
+    code, out, err = run_main(["construct", *spec])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed.blocks"]
+
+
 # two top faces of dimension 8 on 200 and on 2000 vertices: every degree-3
 # link walk and every degree-6 Garland table is refused from (n, k, ell)
 # before any face is listed

@@ -160,7 +160,7 @@ PUBLIC = {
         "the per-candidate draw that the README documents random(...) by",
     "bounds.py:bound_F":
         "the theorem's constant F, exported beside bound_B; the checks read B and F "
-        "from one cleared triple, and trichotomy from its report",
+        "from one cleared triple, and the trichotomy from the bound certificate",
     "simplexes.py:full_skeleton": "perfbench/ builds its complete skeleta with it",
     "simplexes.py:link": "perfbench/ builds the links its Garland check reads",
     "garland.py:weighted_laplacian": "perfbench/ builds the Laplacians its Garland check reads",
