@@ -419,10 +419,20 @@ def _random_skeleton(seed, n, k, q):
     return random_skeleton_complex(n, min(k, n - 1), q, SplitMix64(seed))
 
 
+# n is drawn from 4 on: at n = 2 and 3 the only complexes are an edge, a
+# path or a triangle, so those are given once, as explicit examples
+SMALL_SKELETA = (_random_skeleton(1, 2, 1, 1.0),  # one edge
+                 _random_skeleton(2, 3, 1, 0.6),  # a path of two edges
+                 _random_skeleton(1, 3, 2, 1.0))  # the triangle
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(4, 8),
                  st.integers(1, 3), st.floats(0.2, 1.0)),
        st.integers(0, 2**16))
+@example(SMALL_SKELETA[0], 0)
+@example(SMALL_SKELETA[1], 1)
+@example(SMALL_SKELETA[2], 0)
 def test_monotonicity_check_matches_links_built_one_by_one(S, pick):
     if not S.top_faces:
         return
@@ -434,8 +444,11 @@ def test_monotonicity_check_matches_links_built_one_by_one(S, pick):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(2, 8),
+@given(st.builds(_random_skeleton, st.integers(0, 2**62), st.integers(4, 8),
                  st.integers(1, 3), st.floats(0.2, 1.0)))
+@example(SMALL_SKELETA[0])
+@example(SMALL_SKELETA[1])
+@example(SMALL_SKELETA[2])
 def test_support_property_matches_links_built_one_by_one(S):
     # the cycle support, then every top face injected in its place: the
     # latter fails wherever a face of some top face has an acyclic link
