@@ -133,13 +133,13 @@ each top map takes its busiest vertex, the one in the most of its tops
 so _peel, _lifts and rank_by_rows see the least of the map.  On the
 global maps of 200 threshold draws of the bound sweep's shapes the
 columns left after the peel fell from 24,711 to 18,060, and
-verify_upper_bound at every ell on 60 such draws ran 20% faster over Q
-and 25% faster over GF(3) (best of 7 in one process, on two cores of an
-x86-64 host, Python 3.11).  Over GF(2) every top map takes v = 0.  A
-GF(2) core costs one XOR pass, not a lift or a row elimination, and the
-saturation ladder, the GF(2) workload, peels to nothing from vertex 0,
-so the count buys nothing there: its 21 rungs ran 0.2% slower with it,
-in one process.
+verify_upper_bound at every ell on 60 such draws ran 16 to 23% faster
+over Q and 23 to 28% faster over GF(3) (best of 7 in one process, three
+or four runs each, on two cores of an x86-64 host, Python 3.11).  Over
+GF(2) every top map takes v = 0.  A GF(2) core costs one XOR pass, not a
+lift or a row elimination, and the saturation ladder, the GF(2)
+workload, peels to nothing from vertex 0, so the count buys nothing
+there: its 21 rungs ran 0.2% slower with it, in one process.
 
 One route ranks every top boundary map of degree 2 and up, the global
 ones included: the global map of a layer that is not complete is the top
