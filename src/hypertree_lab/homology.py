@@ -35,9 +35,9 @@ and at once every such core over odd p, runs linalg.rank_by_rows.
 No cap from the ambient simplex binds below that minimum.  A link's
 map on g vertices takes r-faces to (r-1)-faces, and its core's columns
 are tops avoiding the link's cone vertex v (below), so every row the
-core meets is an r-subset of the g-1 other vertices.  None is the row a cone top freed or
-a pivot took, and each cone top frees a row of its own, as each pivot
-takes one.  So the core meets at most C(g-1, r) rows less the link's
+core meets is an r-subset of the g-1 other vertices.  None is the row a
+cone top freed or a pivot took, and each cone top frees a row of its
+own, as each pivot takes one.  So the core meets at most C(g-1, r) rows less the link's
 cone tops and pivots: the rank C(g-1, r) of the complete map less the
 rank already taken never falls below min(core columns, rows the core
 meets), and the tests check the count.
@@ -127,50 +127,47 @@ that row.  So the rank is c + the rank of the other columns with those c
 rows deleted, for c the number of faces through v: those rows are free
 pivots.
 
-The lemma holds for every v, and the field picks it.  Over Q and odd p
-each top map takes its busiest vertex, the one in the most of its tops
-(the least such on a tie, _busiest): that frees the most rows at once,
-so _peel, _lifts and rank_by_rows see the least of the map.  On the
-global maps of 200 threshold draws of the bound sweep's shapes the
-columns left after the peel fell from 24,711 to 18,060, and
-verify_upper_bound at every ell on 60 such draws ran 16 to 23% faster
-over Q and 23 to 28% faster over GF(3) (best of 7 in one process, three
-or four runs each, on two cores of an x86-64 host, Python 3.11).  Over
-GF(2) every top map takes v = 0.  A GF(2) core costs one XOR pass, not a
-lift or a row elimination, and the saturation ladder, the GF(2)
-workload, peels to nothing from vertex 0, so the count buys nothing
-there: its 21 rungs ran 0.2% slower with it, in one process.
+The lemma holds for every v, and each top map takes its busiest vertex,
+the one in the most of its tops (the least such on a tie, _busiest):
+that frees the most rows at once, so _peel, _lifts and rank_by_rows see
+the least of the map.  Against v = 0, on the global maps of 200
+threshold draws of the bound sweep's shapes the columns left after the
+peel fell from 24,711 to 18,060, and verify_upper_bound at every ell on
+60 such draws ran 16 to 23% faster over Q, 23 to 28% faster over GF(3)
+and 2 to 18% faster over GF(2) (best of 7 a run, three or four runs a
+field, on two cores of an x86-64 host, Python 3.11).  The saturation
+ladder's maps peel to nothing from either vertex, and the count moved
+its benchmark time by +1.5%, inside the spread of its runs.
 
 One route ranks every top boundary map of degree 2 and up, the global
 ones included: the global map of a layer that is not complete is the top
 map of the link of the empty face, the layer itself.  _rank_cached reads
-a layer of degree 0 or 1 as above, and shifts any other layer so that
-its least vertex is 0 and hands it to _link_rows and _link_ranks as one
-link.  _link_rows splits off the cone, the tops through each link's
-vertex v, and numbers each row by the key of its facet
-(simplexes._facet_keys, smaller for a lexicographically smaller facet):
-row link * width + key, for width the largest key plus one, so link t's
-rows start at t * width.  That is one block-diagonal stack of every
-link's map, numbered with no sort.  Where that key space, links times
-width, is larger than the entries, one order-keeping np.unique first
-compacts the keys met, so no array is as large as the key space, not
-even a bool per key: two tops on 1,000 vertices have 499,500 links of
-998 keys each at ell = 1.  The stack's columns come in the walk's order,
-each with its link id, and no step needs a link's columns side by side
-but the last.  _link_ranks peels the stack with one _peel, whose rounds
-each take a few numpy calls over the whole stack, not per link, and
-counts each link's columns and pivots with np.bincount of the ids.
-Nothing is grouped by link but the core columns the peel leaves, by one
-stable argsort of their ids; on the lexicographic ladder's stacks there
-are none.  Each link's core keeps its rows in key order, renumbered from
-0, and _map_rank ranks it.  Numbered this way, construct xnkl peaked at
-128 MB on the saturated X of (n, k, ell) = (41, 4, 1), whose link and
-global maps all peel away (one fresh process, two cores of an x86-64
-host, Python 3.11); rows numbered in order of first appearance, which
-took one np.unique over every (link, row) pair, peaked at 188 MB.  At
-(101, 3, 1) the global maps peel away and the link maps are graphs, and
-the rung peaks at 80 MB, where the GF(2) bases of the unpeeled maps took
-840 MB.
+a layer of degree 0 or 1 as above, and hands any other layer, on 0..g-1,
+to _link_rows and _link_ranks as one link.  _link_rows splits off the
+cone, the tops through each link's vertex v, and numbers each row by the
+key of its facet (simplexes._facet_keys, smaller for a lexicographically
+smaller facet): row link * width + key, for width the largest key plus
+one, so link t's rows start at t * width.  That is one block-diagonal
+stack of every link's map, numbered with no sort.  Where that key space,
+links times width, is larger than the entries, one order-keeping
+np.unique first compacts the keys met, so no array is as large as the
+key space, not even a bool per key: two tops on 1,000 vertices have
+499,500 links of 998 keys each at ell = 1.  The stack's columns come in
+the walk's order, each with its link id, and no step needs a link's
+columns side by side but the last.  _link_ranks peels the stack with one
+_peel, whose rounds each take a few numpy calls over the whole stack,
+not per link, and counts each link's columns and pivots with np.bincount
+of the ids.  Nothing is grouped by link but the core columns the peel
+leaves, by one stable argsort of their ids; on the lexicographic
+ladder's stacks there are none.  Each link's core keeps its rows in key
+order, renumbered from 0, and _map_rank ranks it.  Numbered this way,
+construct xnkl peaked at 128 MB on the saturated X of (n, k, ell) =
+(41, 4, 1), whose link and global maps all peel away (one fresh process,
+two cores of an x86-64 host, Python 3.11); rows numbered in order of
+first appearance, which took one np.unique over every (link, row) pair,
+peaked at 188 MB.  At (101, 3, 1) the global maps peel away and the link
+maps are graphs, and the rung peaks at 80 MB, where the GF(2) bases of
+the unpeeled maps took 840 MB.
 
 _link_betti reads the link homology of a complex X between consecutive
 skeleta without building a link, as three arrays with one entry per
@@ -196,8 +193,8 @@ minus tau relabelled onto 0..g-1 in order (simplexes module docstring),
 which keeps the link's boundary map as it is.  f_tau is one count of the
 tau ids.  A link top through its link's cone vertex v, relabelled, is a
 unit column in the row of its facet without v, and the other columns
-drop those free rows.  Each link's core rows are renumbered from 0, so its bitsets are
-no wider than the rows its core touches.
+drop those free rows.  Each link's core rows are renumbered from 0, so
+its bitsets are no wider than the rows its core touches.
 
 The cycle support of a sandwiched X is the set of top faces in the
 support of some degree-k cycle.  X has no (k+1)-faces, so its degree-k
@@ -410,11 +407,8 @@ def _rank_cached(X: Complex, j: int, p: Optional[int]) -> int:
     if j == 1:
         # a graph: its vertices are the nodes of one link
         return int(_graph_ranks(faces, 1, g)[0])
-    if len(faces) and faces[0, 0]:
-        # over GF(2) the cone split takes the least vertex, moved to 0
-        faces = faces - faces[0, 0]
     # the layer is the one link of the empty face (module docstring)
-    return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g, p), [f], p)[0]
+    return _link_ranks(*_link_rows(np.zeros(f, dtype=np.int64), faces, 1, g), [f], p)[0]
 
 
 def boundary_rank(X: Complex, j: int, field: FieldSpec) -> int:
@@ -491,15 +485,14 @@ def _busiest(link: np.ndarray, rest: np.ndarray, n_links: int, g: int) -> np.nda
     return busy[node]
 
 
-def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int, g: int,
-               p: Optional[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The rows of every link's top boundary map over GF(p), or Q for p
-    None, as one block-diagonal stack.
+def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int, g: int
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The rows of every link's top boundary map, as one block-diagonal stack.
 
     link and rest are _link_pairs of X, in any order, for links on 0..g-1
     (module docstring); the global map is the one link of the empty face.
-    Each link's cone vertex v is 0 over GF(2) and its busiest vertex
-    (_busiest) otherwise (module docstring).  Returns pos, the rows of
+    Each link's cone vertex v is its busiest vertex (_busiest, module
+    docstring).  Returns pos, the rows of
     the tops avoiding v in their order, -1 for a free row; the int32 link
     id of each; and start: link t's rows are numbered from start[t] to
     start[t+1]-1 in increasing key order.  A row's number is link * width
@@ -516,17 +509,13 @@ def _link_rows(link: np.ndarray, rest: np.ndarray, n_links: int, g: int,
         met, inv = np.unique(keys, return_inverse=True)
         keys = inv.reshape(keys.shape)
         start = np.searchsorted(met, start)
-    # the row of each cone top's facet without v is free
-    if p == 2:
-        cone = rest[:, 0] == 0
-        freed = keys[cone, 0]
-    else:
-        # the flat index of each cone top's v; one flatnonzero is far
-        # cheaper than any(axis=1) over the rows
-        at = np.flatnonzero(_busiest(link, rest, n_links, g))
-        cone = np.zeros(len(rest), dtype=bool)
-        cone[at // rest.shape[1]] = True
-        freed = keys.ravel()[at]
+    # the row of each cone top's facet without v is free: the flat index
+    # of each cone top's v; one flatnonzero is far cheaper than any(axis=1)
+    # over the rows
+    at = np.flatnonzero(_busiest(link, rest, n_links, g))
+    cone = np.zeros(len(rest), dtype=bool)
+    cone[at // rest.shape[1]] = True
+    freed = keys.ravel()[at]
     free = np.zeros(int(start[-1]), dtype=bool)
     free[freed] = True
     keys = keys[~cone]
@@ -726,7 +715,7 @@ def _link_betti(X: SkeletonComplex, ell: int, field: FieldSpec
         del link
         ranks = _graph_ranks(rest, n_links, g)
     else:
-        numbered = _link_rows(link, rest, n_links, g, field.p)
+        numbered = _link_rows(link, rest, n_links, g)
         del link, rest  # the walk's arrays go before the columns are packed
         ranks = np.array(_link_ranks(*numbered, f.tolist(), field.p), dtype=np.int64)
     below = (low if low * n_links < 1 << 63 else np.array(low, dtype=object)) - ranks

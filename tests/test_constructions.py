@@ -378,11 +378,11 @@ def test_build_X_nkl_builds_two_facet_tables(monkeypatch, n, k, ell):
     seen = {"rank": [], "walk": []}
     rows, walk = homology._link_rows, homology._link_pairs
 
-    def rank_spy(link, rest, n_links, g, p):
+    def rank_spy(link, rest, n_links, g):
         # a global rank numbers the rows of the one link of the empty face
         if n_links == 1:
             seen["rank"].append(set(map(tuple, rest.tolist())))
-        return rows(link, rest, n_links, g, p)
+        return rows(link, rest, n_links, g)
 
     def walk_spy(tops, n_, ell_):
         seen["walk"].append(set(map(tuple, tops.tolist())))

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, pairwise, product
+from itertools import combinations, pairwise
 from math import comb
 
 import numpy as np
@@ -205,11 +205,8 @@ def test_boundary_rank_matches_column_route_on_both_branches():
     @given(st.integers(0, 2**62), st.integers(2, 10), st.integers(1, 4),
            st.floats(0.0, 1.0), st.booleans())
     @example(seed=1, n=6, k=2, q=0.0, glue=True)  # RP^2_6 alone
-    # GF(2) cores, which the busiest vertex's cone leaves none of over Q
-    @example(seed=1, n=9, k=2, q=0.4, glue=False)
-    @example(seed=2, n=8, k=3, q=0.4, glue=False)
-    @example(seed=1, n=10, k=4, q=0.5, glue=False)  # a Q core meets its bound
-    @example(seed=4, n=9, k=3, q=0.5, glue=False)  # two Q cores lift
+    @example(seed=1, n=10, k=4, q=0.5, glue=False)  # a core meets its bound
+    @example(seed=4, n=9, k=3, q=0.5, glue=False)  # two cores lift
     def check(seed, n, k, q, glue):
         k = min(k, n - 1)
         rng = SplitMix64(seed)
@@ -246,11 +243,10 @@ def _boundary_entries(faces):
     return entries, len(rows), len(faces)
 
 
-def _cone_vertex(tops, p):
-    """The vertex of a link's relabelled tops that its cone split takes
-    over GF(p), or Q for p None: 0 over GF(2), else the least of the
-    vertices in the most tops, 0 for no tops."""
-    if p == 2 or not tops:
+def _cone_vertex(tops):
+    """The vertex of a link's relabelled tops that its cone split takes:
+    the least of the vertices in the most tops, 0 for no tops."""
+    if not tops:
         return 0
     count = Counter(v for top in tops for v in top)
     return min(v for v in count if count[v] == max(count.values()))
@@ -288,10 +284,10 @@ def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
     # the link tops of the numpy walk, relabelled onto 0..g-1 in order,
     # spell a map with the rank of the general link's boundary
     # map over every field, for every tau and every ell; the link faces
-    # through v, the vertex outside tau that the field's cone takes, are
-    # the tops through its relabelled vertex, and the cone lemma gives the
-    # same rank on the link's own boundary map, as does the array route's
-    # rank of each link
+    # through v, the vertex outside tau that the cone takes, are the tops
+    # through its relabelled vertex, and the cone lemma gives the same rank
+    # on the link's own boundary map, as does the array route's rank of
+    # each link
     G = as_general(S)
     for ell in range(-1, S.k):
         r, g = S.k - ell - 1, S.n - ell - 1
@@ -299,19 +295,18 @@ def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
         ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
         assert np.all(ids[:-1] <= ids[1:])
         f = np.bincount(ids, minlength=len(taus)).tolist()
-        ranks = {fld.name: homology._link_ranks(
-                     *homology._link_rows(ids, rest, len(taus), g, fld.p), f, fld.p)
+        numbered = homology._link_rows(ids, rest, len(taus), g) if r > 0 else None
+        ranks = {fld.name: homology._link_ranks(*numbered, f, fld.p)
                  for fld in (GF2, GF3, RATIONALS)} if r > 0 else {}
         for t, tau in enumerate(taus):
             M = boundary_matrix(link(G, tau), r)
             tops = rest[ids == t]
             entries, n_rows, n_cols = _boundary_entries(list(map(tuple, tops.tolist())))
             assert n_cols == M.n_cols == f[t], (ell, tau)
-            others = sorted(set(range(S.n)) - set(tau))
+            cone = _cone_vertex(tops.tolist())
+            v = sorted(set(range(S.n)) - set(tau))[cone]
+            assert np.count_nonzero(tops == cone) == sum(v in alpha for alpha in M.col_faces)
             for fld in (GF2, GF3, RATIONALS):
-                cone = _cone_vertex(tops.tolist(), fld.p)
-                v = others[cone]
-                assert np.count_nonzero(tops == cone) == sum(v in alpha for alpha in M.col_faces)
                 want = column_rank(M, fld)
                 assert rank_by_columns(entries, n_rows, n_cols, fld.p) == want
                 assert _cone_split_rank(M, v, fld.p) == want, (ell, tau)
@@ -322,7 +317,7 @@ def test_facet_id_link_matrix_has_the_rank_of_the_link_boundary(S):
 @st.composite
 def _sorted_faces(draw):
     """Distinct faces of 1 to 4 vertices on 4 to 7 vertices, in sorted
-    order: those through the least vertex are its cone part, and the
+    order: those through the busiest vertex are its cone part, and the
     others may share rows with them and with one another.  Faces of two
     vertices are graph edges, so the degree-1 shortcut holds."""
     m = draw(st.integers(4, 7))
@@ -334,17 +329,17 @@ def _sorted_faces(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_sorted_faces())
-# five faces through 0, then a torsion part: over GF(2), 5 + 4 misses 10,
-# so over Q the rest runs the row route
+# five faces through every vertex, so the cone takes 0, then a torsion
+# part: over GF(2), 5 + 4 misses 10, so over Q the rest runs the row route
 @example((6, sorted(RP2_FACETS)))
-# the same with no face through 0, so the least vertex is 1
+# the same with no face through 0, so the cone takes 1
 @example((7, sorted(tuple(v + 1 for v in t) for t in RP2_FACETS)))
 # both rows of the whole column are free: rank 2, not 3
 @example((3, [(0, 1), (0, 2), (1, 2)]))
-# every face through the least vertex
+# every face through the cone vertex
 @example((5, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]))
 def test_unit_columns_are_free_pivots(case):
-    # the faces through the least vertex are unit columns in the rows
+    # the faces through the cone vertex are unit columns in the rows
     # through it deleted: the global rank, taken as the one link of the
     # empty face, counts them and ranks the rest without their rows, which
     # must give the rank of the whole boundary map over every field; the
@@ -497,13 +492,11 @@ def test_a_stack_that_peels_fully_packs_and_ranks_no_core(monkeypatch):
 @example(RP2_CONE, 0)
 @example(SkeletonComplex(6, 2, frozenset(RP2_FACETS)), 0)
 def test_peel_of_every_link_stack_of_random_complexes(S, seed):
-    # the stacks _link_rows builds, global maps included (ell = -1), with
-    # the cones of GF(2) and of Q: each link's map is its tops avoiding
-    # its cone vertex without the free rows
-    for ell, p in product(range(-1, S.k - 1), (2, None)):
+    # the stacks _link_rows builds, global maps included (ell = -1): each
+    # link's map is its tops avoiding its cone vertex without the free rows
+    for ell in range(-1, S.k - 1):
         ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
-        pos, link_ids, start = homology._link_rows(ids, rest, comb(S.n, ell + 1),
-                                                   S.n - ell - 1, p)
+        pos, link_ids, start = homology._link_rows(ids, rest, comb(S.n, ell + 1), S.n - ell - 1)
         # the grouped walk keeps each link's columns together
         at = np.searchsorted(link_ids, np.arange(len(start))).tolist()
         maps = []
@@ -516,9 +509,8 @@ def test_peel_of_every_link_stack_of_random_complexes(S, seed):
         _check_peel(pos, at, start, maps, seed)
 
 
-def _check_numbering(ids, rest, n_links, g, p):
-    """_link_rows of a walk over GF(p), or Q for p None: the columns are
-    the tops avoiding their link's cone vertex (_cone_vertex) in their
+def _check_numbering(ids, rest, n_links, g):
+    """_link_rows of a walk: the columns are the tops avoiding their link's cone vertex (_cone_vertex) in their
     order, each with its int32 link id; each link's rows lie in
     [start[t], start[t+1]) in the lexicographic order of their facets,
     one number per facet, and a row is free (-1) exactly when it is the
@@ -528,8 +520,8 @@ def _check_numbering(ids, rest, n_links, g, p):
     it must number the rows in the same order and give the same peel and
     the same ranks.  Returns whether the first call numbered the rows by
     key: start[t] = t * width then."""
-    pos, link_ids, start = homology._link_rows(ids, rest, n_links, g, p)
-    cones = [_cone_vertex(rest[ids == t].tolist(), p) for t in range(n_links)]
+    pos, link_ids, start = homology._link_rows(ids, rest, n_links, g)
+    cones = [_cone_vertex(rest[ids == t].tolist()) for t in range(n_links)]
     through = np.array([cones[t] in top for t, top in zip(ids.tolist(), rest.tolist())],
                        dtype=bool)
     tops = rest[~through]
@@ -550,7 +542,7 @@ def _check_numbering(ids, rest, n_links, g, p):
     width = start[1] - start[0]
     keyed = n_links * width <= rest.size and start == [t * width for t in range(n_links + 1)]
     pad = rest.size + 1
-    wide, wide_ids, wide_start = homology._link_rows(ids, rest, n_links + pad, g, p)
+    wide, wide_ids, wide_start = homology._link_rows(ids, rest, n_links + pad, g)
     assert wide_start[-1] <= rest.size
     assert np.array_equal(wide_ids, link_ids)
     assert np.array_equal(wide < 0, pos < 0)
@@ -575,7 +567,7 @@ def test_global_map_rows_are_numbered_by_key():
     faces = _top_array(X)
     assert faces[0, 0] == 0
     ids = np.zeros(len(faces), dtype=np.int64)
-    assert all(_check_numbering(ids, faces, 1, X.n, p) for p in (2, None))
+    assert _check_numbering(ids, faces, 1, X.n)
 
 
 def test_link_rows_are_numbered_by_key_on_both_branches():
@@ -590,8 +582,7 @@ def test_link_rows_are_numbered_by_key_on_both_branches():
     def check(S):
         for ell in range(-1, S.k - 1):
             ids, rest = _relabelled_link_tops(_top_array(S), S.n, ell)
-            for p in (2, None):
-                keyed.append(_check_numbering(ids, rest, comb(S.n, ell + 1), S.n - ell - 1, p))
+            keyed.append(_check_numbering(ids, rest, comb(S.n, ell + 1), S.n - ell - 1))
 
     check()
     # the walks reach both branches without the added links
@@ -615,14 +606,14 @@ def test_link_ranks_read_no_order_of_the_stack():
         for ell in range(-1, S.k - 1):
             n_links, g = comb(S.n, ell + 1), S.n - ell - 1
             f = np.bincount(_link_pairs(_top_array(S), S.n, ell)[0], minlength=n_links).tolist()
+            stacks = [homology._link_rows(*walk(_top_array(S), S.n, ell), n_links, g)
+                      for walk in (_relabelled_link_tops, _link_pairs)]
+            pos, link_ids, start = stacks[1]
+            perm = rng.permutation(len(pos))
+            stacks.append((pos[perm], link_ids[perm], start))
+            seen["core"] += bool(homology._peel(pos, start[-1])[1].any())
+            seen["stack"] += 1
             for fld in (GF2, GF3, RATIONALS):
-                stacks = [homology._link_rows(*walk(_top_array(S), S.n, ell), n_links, g, fld.p)
-                          for walk in (_relabelled_link_tops, _link_pairs)]
-                pos, link_ids, start = stacks[1]
-                perm = rng.permutation(len(pos))
-                stacks.append((pos[perm], link_ids[perm], start))
-                seen["core"] += bool(homology._peel(pos, start[-1])[1].any())
-                seen["stack"] += 1
                 want = homology._link_ranks(*stacks[0], f, fld.p)
                 for stack in stacks[1:]:
                     assert homology._link_ranks(*stack, f, fld.p) == want, (ell, fld.name)
@@ -648,14 +639,14 @@ def test_sparse_link_rows_allocate_nothing_the_size_of_the_key_space():
     assert peak < key_space // 10, (peak, key_space)
     assert sum(e.f_top for e in profile) == 2 * comb(5, 2)
     assert all(e.top == 0 and e.below == comb(X.n - 3, 2) - e.f_top for e in profile)
-    # over GF(3) and Q each link's busiest vertex is counted too: on 1,000
+    # each link's busiest vertex is counted too, over every field: on 1,000
     # vertices, 499,500 links of 998 vertices each against 60 entries, so
     # a bool per (link, vertex) alone would be 498 MB; the vertices met
     # are compacted as the keys are, and only arrays of one entry per
     # link remain
     X = SkeletonComplex(1000, 4, [(995, 996, 997, 998, 999), (991, 993, 995, 997, 999)])
     n_links, g = comb(X.n, 2), X.n - 2
-    for fld in (GF3, RATIONALS):
+    for fld in (GF2, GF3, RATIONALS):
         tracemalloc.start()
         try:
             f, below, top = homology._link_betti(X, 1, fld)
@@ -736,7 +727,7 @@ def test_lifted_kernel_proves_the_rank_of_a_sphere_with_an_extra_column(monkeypa
     r2 = IncrementalSpan(2).extend(_bitsets(pos, 4))
     assert (r2, rank_by_columns(entries, 4, 5)) == (3, 3)
     assert homology._lifts(pos, 4) == r2
-    # the global map over Q: the cone split takes vertex 1, the least of
+    # the global map: the cone split takes vertex 1, the least of
     # the busiest, in (0, 1, 2) and four octahedron triangles; the four
     # through 2 and not 1 are left as a core of GF(2) rank 3 < 4, a cycle
     # of edges through 2, that the proof settles, with no row route
@@ -838,19 +829,18 @@ def test_no_core_meets_more_rows_than_the_ambient_cap_leaves():
             r, g, n_links = k - ell - 1, n - ell - 1, comb(n, ell + 1)
             ids, rest = _link_pairs(_top_array(S), n, ell)
             f = np.bincount(ids, minlength=n_links)
-            for p in (2, None):
-                pos, link_ids, start = homology._link_rows(ids, rest, n_links, g, p)
-                pivot, core, _ = homology._peel(pos, start[-1])
-                cone = f - np.bincount(link_ids, minlength=n_links)
-                cap = comb(g - 1, r) - cone - np.bincount(link_ids[pivot], minlength=n_links)
-                met = []
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(homology, "_map_rank", lambda pos, rows, p: met.append(rows) or 0)
-                    homology._link_ranks(pos, link_ids, start, f.tolist(), p)
-                cored = np.unique(link_ids[core])
-                assert len(met) == len(cored)
-                assert all(rows <= cap[t] for t, rows in zip(cored.tolist(), met)), (ell, p, met)
-                seen["cores"] += len(met)
+            pos, link_ids, start = homology._link_rows(ids, rest, n_links, g)
+            pivot, core, _ = homology._peel(pos, start[-1])
+            cone = f - np.bincount(link_ids, minlength=n_links)
+            cap = comb(g - 1, r) - cone - np.bincount(link_ids[pivot], minlength=n_links)
+            met = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homology, "_map_rank", lambda pos, rows, p: met.append(rows) or 0)
+                homology._link_ranks(pos, link_ids, start, f.tolist(), 2)
+            cored = np.unique(link_ids[core])
+            assert len(met) == len(cored)
+            assert all(rows <= cap[t] for t, rows in zip(cored.tolist(), met)), (ell, met)
+            seen["cores"] += len(met)
 
     check()
     assert seen["cores"] > 0, seen
